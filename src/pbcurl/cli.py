@@ -9,6 +9,7 @@ suite. Exit codes: 0 success, 2 validation error, 3 numeric abort.
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -78,45 +79,37 @@ def _spawn_rngs(seed, n):
 
 # ---------------------------------------------------------------------------
 # dataset construction shared by gen-data and train
-
-
-def _normalize_contrastive(ds, stats):
-    ds.features = stats.apply(ds.features)
-    return ds
+#
+# A builder returns raw splits: "train" and optionally "valid" and "test"
+# tuple sets, plus "labeled_train"/"labeled_test" rows. _build_dataset then
+# standardises every tuple set by the train split's feature statistics.
 
 
 def _build_synthetic_iid(spec, seed):
     n_classes = int(_require(spec, "n_classes", "dataset"))
     dim = int(_require(spec, "dim", "dataset"))
-    m_train = int(_require(spec, "m_train", "dataset"))
+    sizes = {
+        "train": int(_require(spec, "m_train", "dataset")),
+        "valid": int(spec.get("m_valid", 0)),
+        "test": int(spec.get("m_test", 0)),
+        "labeled_train": int(spec.get("n_labeled_train", 0)),
+        "labeled_test": int(spec.get("n_labeled_test", 0)),
+    }
     k = int(_require(spec, "k", "dataset"))
     block = int(spec.get("block_size", 1))
-    m_valid = int(spec.get("m_valid", 0))
-    m_test = int(spec.get("m_test", 0))
-    n_lab_train = int(spec.get("n_labeled_train", 0))
-    n_lab_test = int(spec.get("n_labeled_test", 0))
     sep = float(spec.get("separation", 1.0))
     std = float(spec.get("std", 1.0))
 
-    r_model, r_train, r_valid, r_test, r_ltr, r_lte = _spawn_rngs(seed, 6)
+    r_model, *rngs = _spawn_rngs(seed, 6)
     model = data.random_gaussian_model(n_classes, dim, sep, std, r_model)
-
-    train = data.sample_contrastive_iid(model, m_train, k, block, r_train)
-    stats = data.NormStats.from_data(train.features)
-    _normalize_contrastive(train, stats)
-    out = {"train": train, "stats": stats, "model": model}
-    if m_valid:
-        out["valid"] = _normalize_contrastive(
-            data.sample_contrastive_iid(model, m_valid, k, block, r_valid), stats
-        )
-    if m_test:
-        out["test"] = _normalize_contrastive(
-            data.sample_contrastive_iid(model, m_test, k, block, r_test), stats
-        )
-    if n_lab_train:
-        out["labeled_train"] = data.sample_labeled(model, n_lab_train, r_ltr)
-    if n_lab_test:
-        out["labeled_test"] = data.sample_labeled(model, n_lab_test, r_lte)
+    out = {}
+    for (name, n), rng in zip(sizes.items(), rngs):
+        if not n and name != "train":
+            continue
+        if name.startswith("labeled"):
+            out[name] = data.sample_labeled(model, n, rng)
+        else:
+            out[name] = data.sample_contrastive_iid(model, n, k, block, rng)
     return out
 
 
@@ -124,58 +117,46 @@ def _build_synthetic_sequences(spec, seed):
     n_classes = int(_require(spec, "n_classes", "dataset"))
     dim = int(_require(spec, "dim", "dataset"))
     length = int(_require(spec, "length", "dataset"))
-    n_train = int(_require(spec, "n_train_seq_per_class", "dataset"))
+    counts = {
+        "train": int(_require(spec, "n_train_seq_per_class", "dataset")),
+        "valid": int(spec.get("n_valid_seq_per_class", 0)),
+        "test": int(spec.get("n_test_seq_per_class", 0)),
+    }
     k = int(_require(spec, "k", "dataset"))
     block = int(spec.get("block_size", 1))
-    n_valid = int(spec.get("n_valid_seq_per_class", 0))
-    n_test = int(spec.get("n_test_seq_per_class", 0))
     sep = float(spec.get("separation", 1.0))
     std = float(spec.get("std", 1.0))
     phi = float(spec.get("ar_coeff", 0.7))
     allow_same = bool(spec.get("allow_same_class_negatives", True))
 
-    r_model, r_tr, r_va, r_te, r_btr, r_bva, r_bte = _spawn_rngs(seed, 7)
+    r_model, *rngs = _spawn_rngs(seed, 7)
     model = data.random_gaussian_model(n_classes, dim, sep, std, r_model)
-
-    tr_seqs, tr_labels = data.gen_sequences(model, n_train, length, phi, r_tr)
-    stats = data.NormStats.from_data(np.vstack(tr_seqs))
-    out = {"stats": stats, "model": model}
-    out["train"] = data.build_noniid_from_sequences(
-        tr_seqs, tr_labels, k, block, r_btr,
-        allow_same_class_negatives=allow_same, transform=stats.apply,
-    )
-    out["labeled_train"] = data.frames_as_labeled(tr_seqs, tr_labels)
-    if n_valid:
-        va_seqs, va_labels = data.gen_sequences(model, n_valid, length, phi, r_va)
-        out["valid"] = data.build_noniid_from_sequences(
-            va_seqs, va_labels, k, block, r_bva,
-            allow_same_class_negatives=allow_same, transform=stats.apply,
+    out = {}
+    for (name, n), r_seq, r_tuples in zip(counts.items(), rngs[:3], rngs[3:]):
+        if not n and name != "train":
+            continue
+        seqs, labels = data.gen_sequences(model, n, length, phi, r_seq)
+        out[name] = data.build_noniid_from_sequences(
+            seqs, labels, k, block, r_tuples, allow_same_class_negatives=allow_same,
         )
-    if n_test:
-        te_seqs, te_labels = data.gen_sequences(model, n_test, length, phi, r_te)
-        out["test"] = data.build_noniid_from_sequences(
-            te_seqs, te_labels, k, block, r_bte,
-            allow_same_class_negatives=allow_same, transform=stats.apply,
-        )
-        out["labeled_test"] = data.frames_as_labeled(te_seqs, te_labels)
+        if name != "valid":
+            out["labeled_" + name] = data.frames_as_labeled(seqs, labels)
     return out
 
 
 def _build_from_files(spec, seed):
     train_csv = _require(spec, "train_csv", "dataset")
-    m_train = int(_require(spec, "m_train", "dataset"))
+    sizes = {"train": int(_require(spec, "m_train", "dataset")),
+             "valid": int(spec.get("m_valid", 0))}
     k = int(_require(spec, "k", "dataset"))
     block = int(spec.get("block_size", 1))
-    m_valid = int(spec.get("m_valid", 0))
 
-    r_train, r_valid = _spawn_rngs(seed, 2)
-    labeled, stats = data.load_feature_csv(train_csv)
-    out = {"stats": stats, "labeled_train": labeled}
-    out["train"] = data.build_iid_from_labeled(labeled, m_train, k, block, r_train)
-    if m_valid:
-        out["valid"] = data.build_iid_from_labeled(labeled, m_valid, k, block, r_valid)
+    out = {"labeled_train": data.read_labeled_csv(train_csv)}
+    for (name, m), rng in zip(sizes.items(), _spawn_rngs(seed, 2)):
+        if m or name == "train":
+            out[name] = data.build_iid_from_labeled(out["labeled_train"], m, k, block, rng)
     if "test_csv" in spec:
-        out["labeled_test"], _ = data.load_feature_csv(spec["test_csv"], stats=stats)
+        out["labeled_test"] = data.read_labeled_csv(spec["test_csv"])
     return out
 
 
@@ -214,34 +195,23 @@ def _build_from_sequence_manifest(spec, seed):
                 keep_labels.append(lab)
         tr_seqs, tr_labels = keep_seqs, keep_labels
 
-    stats = data.NormStats.from_data(np.vstack(tr_seqs))
-    out = {"stats": stats}
-    out["labeled_train"] = data.frames_as_labeled(tr_seqs, tr_labels)
+    out = {"labeled_train": data.frames_as_labeled(tr_seqs, tr_labels)}
     if te_seqs:
         out["labeled_test"] = data.frames_as_labeled(te_seqs, te_labels)
-
-    r_tr, r_va = _spawn_rngs(seed, 2)
-    if tuples == "windowed":
-        out["train"] = data.build_noniid_from_sequences(
-            tr_seqs, tr_labels, k, block, r_tr,
-            allow_same_class_negatives=allow_same, transform=stats.apply,
-        )
-        if va_seqs:
-            out["valid"] = data.build_noniid_from_sequences(
-                va_seqs, va_labels, k, block, r_va,
-                allow_same_class_negatives=allow_same, transform=stats.apply,
+    splits = (("train", tr_seqs, tr_labels), ("valid", va_seqs, va_labels))
+    for (name, seqs, labels), rng in zip(splits, _spawn_rngs(seed, 2)):
+        if not seqs:
+            continue
+        if tuples == "windowed":
+            out[name] = data.build_noniid_from_sequences(
+                seqs, labels, k, block, rng, allow_same_class_negatives=allow_same,
             )
-    else:
-        m_train = int(_require(spec, "m_train", "dataset"))
-        pool = data.LabeledDataset(
-            x=stats.apply(out["labeled_train"].x), y=out["labeled_train"].y
-        )
-        out["train"] = data.build_iid_from_labeled(pool, m_train, k, block, r_tr)
-        if va_seqs:
-            m_valid = int(spec.get("m_valid", max(1, m_train // 10)))
-            va_pool = data.frames_as_labeled(va_seqs, va_labels)
-            va_pool = data.LabeledDataset(x=stats.apply(va_pool.x), y=va_pool.y)
-            out["valid"] = data.build_iid_from_labeled(va_pool, m_valid, k, block, r_va)
+        else:
+            m_train = int(_require(spec, "m_train", "dataset"))
+            m = m_train if name == "train" else int(spec.get("m_valid", max(1, m_train // 10)))
+            out[name] = data.build_iid_from_labeled(
+                data.frames_as_labeled(seqs, labels), m, k, block, rng
+            )
     return out
 
 
@@ -251,6 +221,11 @@ _DATASET_BUILDERS = {
     "files": _build_from_files,
     "sequence-manifest": _build_from_sequence_manifest,
 }
+
+
+def _load_manifests(paths):
+    """Load contrastive manifests and stack them into one tuple set."""
+    return functools.reduce(data.concat_contrastive, [data.load_contrastive(p) for p in paths])
 
 
 def _build_dataset(spec, seed):
@@ -266,7 +241,12 @@ def _build_dataset(spec, seed):
     if builder is None:
         known = sorted(_DATASET_BUILDERS) + ["manifests"]
         raise ConfigError(f"dataset.kind must be one of {known}, got {kind!r}")
-    return builder(spec, seed)
+    out = builder(spec, seed)
+    out["stats"] = data.NormStats.from_data(out["train"].features)
+    for name in ("train", "valid", "test"):
+        if name in out:
+            out[name].features = out["stats"].apply(out[name].features)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +354,16 @@ def _cmd_train(args):
     )
     if not best:
         raise training.NumericAbort("every grid run aborted")
+    return _write_best(out_dir, {c: rec.to_dict() for c, rec in best.items()})
 
+
+def _write_best(out_dir, best):
+    """best.json: each criterion's winning run, from rank_runs' records."""
     doc = {
         criterion: {
-            "run_id": rec.run_id,
-            "metric": rec.metric,
-            "checkpoint": rec.checkpoint_path,
+            "run_id": rec["run_id"],
+            "metric": float(rec["metric"]),
+            "checkpoint": rec["checkpoint_path"],
         }
         for criterion, rec in best.items()
     }
@@ -388,19 +372,11 @@ def _cmd_train(args):
     return 0
 
 
-def _load_bound_inputs(args):
+def _cmd_bound(args):
     ckpt = network.load_checkpoint(args.checkpoint)
-    parts = [data.load_contrastive(p) for p in args.data]
-    ds = parts[0]
-    for part in parts[1:]:
-        ds = data.concat_contrastive(ds, part)
+    ds = _load_manifests(args.data)
     if args.T is not None:
         ds.dependency_t = int(args.T)
-    return ckpt, ds
-
-
-def _cmd_bound(args):
-    ckpt, ds = _load_bound_inputs(args)
     objective = "noniid" if args.noniid else "iid"
     seed = _resolve_seed(args.seed, ckpt.seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB0]).generate_state(1)[0])
@@ -495,9 +471,6 @@ def _cmd_eval(args):
     return 0
 
 
-_CRITERION_OF_MODE = {"valid-mc": "s-valid", "valid-map": "det-valid", "pb": "pb"}
-
-
 def _cmd_select(args):
     criteria = [c.strip() for c in args.criteria.split(",") if c.strip()]
     for c in criteria:
@@ -518,69 +491,28 @@ def _cmd_select(args):
     except FileNotFoundError:
         raise ConfigError(f"runs file not found: {args.runs}") from None
 
-    ds = None
-    if args.data:
-        parts = [data.load_contrastive(p) for p in args.data]
-        ds = parts[0]
-        for part in parts[1:]:
-            ds = data.concat_contrastive(ds, part)
-
-    rows = []
-    for pos, rec in enumerate(records):
-        mode = rec.get("mode")
-        criterion = _CRITERION_OF_MODE.get(mode)
-        if criterion is None or criterion not in criteria:
+    ds = _load_manifests(args.data) if args.data else None
+    for rec in records:
+        if "pb" not in criteria or rec.get("mode") != "pb" or rec.get("aborted"):
             continue
-        if rec.get("aborted"):
-            continue
-        metric = rec.get("metric")
-        if criterion == "pb":
-            selection = rec.get("selection")
-            if selection is not None:
-                metric = selection["bound_value"]
-            else:
-                # certificate missing from the record: recompute from the
-                # checkpoint on the supplied dataset
-                if ds is None:
-                    raise ConfigError(
-                        f"run {rec.get('run_id')!r} has no stored certificate; "
-                        "pass --data to recompute"
-                    )
-                ckpt = network.load_checkpoint(rec["checkpoint_path"])
-                cfg = rec["config"]
-                seed = _resolve_seed(args.seed, cfg.get("seed", 0))
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([seed, 0xCE27]).generate_state(1)[0]
+        if rec.get("selection") is None:
+            # certificate missing from the record: recompute it from the
+            # checkpoint on the supplied dataset
+            if ds is None:
+                raise ConfigError(
+                    f"run {rec.get('run_id')!r} has no stored certificate; "
+                    "pass --data to recompute"
                 )
-                report = training.selection_certificate(
-                    tuple(ckpt.layer_sizes), ckpt.posterior, ckpt.prior, ds,
-                    grid_b=cfg["grid_b"], grid_c=cfg["grid_c"], delta=cfg["delta"],
-                    loss_kind=cfg["loss_kind"], objective=cfg["objective"],
-                    n_samples=args.samples, rng=rng,
-                )
-                metric = report.bound_value
-        if metric is None:
-            continue
-        rows.append((criterion, float(metric), pos, rec["run_id"], rec.get("checkpoint_path")))
+            ckpt = network.load_checkpoint(rec["checkpoint_path"])
+            cfg = rec["config"]
+            rec["selection"] = training.pb_certificate(
+                tuple(ckpt.layer_sizes), ckpt.posterior, ckpt.prior, ds, cfg,
+                args.samples, _resolve_seed(args.seed, cfg.get("seed", 0)),
+            ).to_dict()
+        rec["metric"] = rec["selection"]["bound_value"]
 
     os.makedirs(args.out, exist_ok=True)
-    best = {}
-    lb_path = os.path.join(args.out, "leaderboard.csv")
-    with open(lb_path, "w") as fh:
-        fh.write("criterion,rank,run_id,metric,checkpoint\n")
-        for criterion in criteria:
-            ranked = sorted((r for r in rows if r[0] == criterion), key=lambda r: (r[1], r[2]))
-            if ranked:
-                best[criterion] = {
-                    "run_id": ranked[0][3],
-                    "metric": ranked[0][1],
-                    "checkpoint": ranked[0][4],
-                }
-            for rank, (_, metric, _, run_id, ckpt) in enumerate(ranked, start=1):
-                fh.write(f"{criterion},{rank},{run_id},{metric!r},{ckpt}\n")
-    _write_json(os.path.join(args.out, "best.json"), best)
-    print(json.dumps(best, sort_keys=True, default=_json_default))
-    return 0
+    return _write_best(args.out, training.rank_runs(records, criteria, args.out))
 
 
 def _cmd_verify(args):
@@ -677,10 +609,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (data.DataFormatError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

@@ -61,6 +61,10 @@ class LabeledDataset:
     def classes(self):
         return np.unique(self.y)
 
+    def gather(self, idx):
+        """(x, y) rows for the given indices."""
+        return self.x[idx], self.y[idx]
+
 
 @dataclass
 class ContrastiveDataset:
@@ -203,12 +207,11 @@ def random_gaussian_model(n_classes, dim, separation, std, rng):
 # samplers
 
 
-def sample_contrastive_iid(model, m, k, block_size, rng, transform=None):
+def sample_contrastive_iid(model, m, k, block_size, rng):
     """Draw m tuples from the latent class generative process.
 
     Classes (c_pos, c_neg_1..k) are iid from rho; the anchor and the positive
     block come from D_{c_pos}, each negative block from its own D_{c_neg_i}.
-    transform, if given, is applied to every sampled point (normalisation).
     """
     b = block_size
     c_pos = model.sample_classes(m, rng)
@@ -216,10 +219,6 @@ def sample_contrastive_iid(model, m, k, block_size, rng, transform=None):
     anchors = model.sample_points(c_pos, rng)
     positives = model.sample_points(np.repeat(c_pos[:, None], b, axis=1), rng)
     negatives = model.sample_points(np.repeat(c_neg[:, :, None], b, axis=2), rng)
-    if transform is not None:
-        anchors = transform(anchors)
-        positives = transform(positives)
-        negatives = transform(negatives)
     d = anchors.shape[1]
     features = np.concatenate(
         [anchors, positives.reshape(m * b, d), negatives.reshape(m * k * b, d)]
@@ -240,11 +239,9 @@ def sample_contrastive_iid(model, m, k, block_size, rng, transform=None):
     )
 
 
-def sample_labeled(model, n, rng, transform=None):
+def sample_labeled(model, n, rng):
     y = model.sample_classes(n, rng)
     x = model.sample_points(y, rng)
-    if transform is not None:
-        x = transform(x)
     return LabeledDataset(x=x, y=y.astype(np.int64))
 
 
@@ -313,7 +310,7 @@ def gen_sequences(model, n_per_class, length, ar_coeff, rng):
 
 
 def build_noniid_from_sequences(
-    sequences, labels, k, block_size, rng, allow_same_class_negatives=True, transform=None
+    sequences, labels, k, block_size, rng, allow_same_class_negatives=True
 ):
     """Tuples from time ordered sequences; dependency range T = block_size.
 
@@ -328,8 +325,6 @@ def build_noniid_from_sequences(
     if len(sequences) != labels.size:
         raise ValueError("one label per sequence required")
     frames = [np.asarray(s, dtype=np.float64) for s in sequences]
-    if transform is not None:
-        frames = [transform(f) for f in frames]
     lengths = np.array([f.shape[0] for f in frames])
     if np.any(lengths < b + 1):
         raise ValueError(f"sequences must have at least block_size + 1 = {b + 1} frames")
@@ -419,14 +414,8 @@ def build_noniid_from_sequences(
 # CSV ingestion (numeric features, final integer label column)
 
 
-def load_feature_csv(path, stats=None):
-    """Read a rectangular numeric CSV whose last column is an integer label.
-
-    Features are normalised per dimension: with stats given they are applied
-    (test data uses training statistics), otherwise statistics are computed
-    from this file. Returns (LabeledDataset, NormStats).
-    """
-    rows, labels = [], []
+def _csv_cells(path):
+    """(line number, cells) of every non-blank line of a rectangular CSV."""
     width = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -436,26 +425,45 @@ def load_feature_csv(path, stats=None):
             cells = line.split(",")
             if width is None:
                 width = len(cells)
-                if width < 2:
-                    raise DataFormatError(f"{path}:{lineno}: need at least one feature column")
             elif len(cells) != width:
                 raise DataFormatError(
                     f"{path}:{lineno}: expected {width} columns, got {len(cells)}"
                 )
-            try:
-                rows.append([float(c) for c in cells[:-1]])
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: non-numeric feature cell") from None
-            try:
-                labels.append(int(cells[-1]))
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: label column must be integer") from None
+            yield lineno, cells
+
+
+def read_labeled_csv(path):
+    """Raw rows of a rectangular numeric CSV whose last column is an integer label."""
+    rows, labels = [], []
+    for lineno, cells in _csv_cells(path):
+        if len(cells) < 2:
+            raise DataFormatError(f"{path}:{lineno}: need at least one feature column")
+        try:
+            rows.append([float(c) for c in cells[:-1]])
+        except ValueError:
+            raise DataFormatError(f"{path}:{lineno}: non-numeric feature cell") from None
+        try:
+            labels.append(int(cells[-1]))
+        except ValueError:
+            raise DataFormatError(f"{path}:{lineno}: label column must be integer") from None
     if not rows:
         raise DataFormatError(f"{path}: empty file")
-    x = np.asarray(rows, dtype=np.float64)
+    return LabeledDataset(
+        x=np.asarray(rows, dtype=np.float64), y=np.asarray(labels, dtype=np.int64)
+    )
+
+
+def load_feature_csv(path, stats=None):
+    """read_labeled_csv with the features normalised per dimension.
+
+    With stats given they are applied (test data uses training statistics),
+    otherwise statistics are computed from this file. Returns
+    (LabeledDataset, NormStats).
+    """
+    raw = read_labeled_csv(path)
     if stats is None:
-        stats = NormStats.from_data(x)
-    return LabeledDataset(x=stats.apply(x), y=np.asarray(labels, dtype=np.int64)), stats
+        stats = NormStats.from_data(raw.x)
+    return LabeledDataset(x=stats.apply(raw.x), y=raw.y), stats
 
 
 def save_labeled_csv(ds, path):
@@ -544,23 +552,11 @@ def load_contrastive(json_path):
 def load_sequence_csv(path):
     """Frames of one sequence: rectangular numeric CSV, no label column."""
     rows = []
-    width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {width} columns, got {len(cells)}"
-                )
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: non-numeric cell") from None
+    for lineno, cells in _csv_cells(path):
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError:
+            raise DataFormatError(f"{path}:{lineno}: non-numeric cell") from None
     if not rows:
         raise DataFormatError(f"{path}: empty sequence")
     return np.asarray(rows, dtype=np.float64)

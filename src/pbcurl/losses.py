@@ -9,7 +9,7 @@ and are normalised so that ell(0) = 1 for both families (base-2 logistic,
 hinge).
 """
 
-from math import exp, log2
+from math import exp, inf, log, log2
 
 import numpy as np
 
@@ -104,7 +104,12 @@ def loss_range(kind, feature_bound, k):
     """
     b2 = 2.0 * feature_bound * feature_bound
     if kind == "logistic":
-        return log2(1.0 + k * exp(b2))
+        try:
+            value = log2(1.0 + k * exp(b2))
+        except OverflowError:
+            value = inf
+        # past the float range 1 + k e^{2B^2} rounds to k e^{2B^2}: take logs
+        return value if value < inf else (b2 + log(k)) / log(2.0)
     if kind == "hinge":
         return 1.0 + b2
     raise ValueError(f"unknown loss kind: {kind!r}")

@@ -135,15 +135,14 @@ def forward_cached(layer_sizes, w, x, n_layers=None):
     return a, cache
 
 
-def backprop(layer_sizes, w, cache, d_out, n_layers=None):
+def backprop(layer_sizes, w, cache, d_out):
     """Gradient of sum(output * d_out) with respect to the flat weights.
 
     cache is the activation list from forward_cached on the same inputs.
     ReLU subgradient at 0 is 0.
     """
     slices = _layer_slices(layer_sizes)
-    if n_layers is None:
-        n_layers = len(slices)
+    n_layers = len(slices)
     grad = np.zeros_like(w)
     delta = np.asarray(d_out, dtype=np.float64)
     for li in range(n_layers - 1, -1, -1):
@@ -169,9 +168,9 @@ def posterior_grads_from_weight_grad(post, eps, d_w):
     return d_w, d_w * eps * sigma * 0.5
 
 
-def feature_bound(layer_sizes, w, features, n_layers=None):
+def feature_bound(layer_sizes, w, features):
     """B = max_x ||f(x)||_2 over the given input rows."""
-    out = forward(layer_sizes, w, features, n_layers=n_layers)
+    out = forward(layer_sizes, w, features)
     return float(np.sqrt(np.max(np.sum(out * out, axis=1))))
 
 

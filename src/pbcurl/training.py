@@ -293,12 +293,28 @@ def noniid_objective(layer_sizes, post, prior, batch, eps, *, m, delta, dependen
     return value, grads, stats
 
 
+def erm_objective(layer_sizes, post, prior, batch, eps, *, loss_kind, loss_scale=1.0):
+    """Contrastive loss of the mean network; prior and eps are unused."""
+    loss, d_w, _ = contrastive_loss_and_wgrad(
+        layer_sizes, post.mu, *batch, loss_kind, loss_scale
+    )
+    return loss, {"mu_q": d_w}, {"loss": loss}
+
+
+def supervised_objective(layer_sizes, post, prior, batch, eps, *, loss_kind,
+                         loss_scale=1.0):
+    """Labeled-batch margin loss of the mean network; prior and eps are unused."""
+    x, y = batch
+    loss, d_w = supervised_loss_and_wgrad(layer_sizes, post.mu, x, y, loss_kind, loss_scale)
+    return loss, {"mu_q": d_w}, {"loss": loss}
+
+
 # ---------------------------------------------------------------------------
 # dataset-level estimates used for validation metrics
 
 
-def map_dataset_loss(layer_sizes, w, ds, loss_kind, n_layers=None):
-    out = network.forward(layer_sizes, w, ds.features, n_layers=n_layers)
+def map_dataset_loss(layer_sizes, w, ds, loss_kind):
+    out = network.forward(layer_sizes, w, ds.features)
     margins = losses.contrastive_margins(
         out[ds.anchors], out[ds.positives], out[ds.negatives]
     )
@@ -324,9 +340,17 @@ class RunRecord:
     abort_reason: str | None = None
     wall_time: float = 0.0
     selection: dict | None = None
+    extras: dict = field(default_factory=dict)    # run counters: clamp_count
+    final_posterior: network.Posterior | None = None
+    final_prior: network.Prior | None = None
 
     def to_dict(self):
-        return dataclasses.asdict(self)
+        """The runs.jsonl record: every field but the final posterior and prior."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self)
+            if f.name not in ("final_posterior", "final_prior")
+        }
 
 
 def _clamp_prior(params, grid_b, grid_c):
@@ -336,6 +360,40 @@ def _clamp_prior(params, grid_b, grid_c):
         params["log_s2_p"][0] = cap
         return 1
     return 0
+
+
+def _step_objective(cfg, layer_sizes, post, prior, data):
+    """Bind cfg.objective to objective(batch, eps) -> (value, grads, stats).
+
+    post and prior are updated in place between calls. The second return
+    value runs at the start of every epoch and returns the epoch's constants
+    for the log: the loss range B_l of the chi-square objective.
+    """
+    kw = {"loss_kind": cfg.loss_kind, "loss_scale": cfg.loss_scale}
+    if cfg.objective in ("iid", "noniid"):
+        kw.update(m=len(data), grid_b=cfg.grid_b, grid_c=cfg.grid_c,
+                  optimize_prior=cfg.optimize_prior)
+    begin_epoch = dict          # no per-epoch constants: returns {}
+    if cfg.objective == "iid":
+        fn = iid_objective
+        kw["lam"] = cfg.lam
+    elif cfg.objective == "noniid":
+        fn = noniid_objective
+        kw.update(delta=cfg.delta, dependency_t=data.dependency_t)
+
+        def begin_epoch():
+            b_feat = network.feature_bound(layer_sizes, post.mu, data.features)
+            kw["loss_sup"] = losses.loss_range(cfg.loss_kind, b_feat, cfg.k)
+            return {"loss_sup": kw["loss_sup"]}
+    elif cfg.objective == "erm":
+        fn = erm_objective
+    else:
+        fn = supervised_objective
+
+    def objective(batch, eps):
+        return fn(layer_sizes, post, prior, batch, eps, **kw)
+
+    return objective, begin_epoch
 
 
 def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
@@ -355,9 +413,11 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
     stochastic = cfg.objective in ("iid", "noniid")
     layer_sizes = cfg.layer_sizes
     feature_layers = None
+    map_loss = map_dataset_loss
     if cfg.objective == "supervised":
         layer_sizes = cfg.layer_sizes + (cfg.n_classes,)
         feature_layers = len(cfg.layer_sizes) - 1
+        map_loss = map_supervised_loss
 
     post, prior = network.init_network(layer_sizes, cfg.sigma2_p_init, init_rng)
     params = {"mu_q": post.mu}
@@ -366,6 +426,7 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
         if cfg.optimize_prior:
             params["log_s2_p"] = np.array([prior.log_sigma2])
     opt = make_optimizer(cfg.optimizer)
+    objective, begin_epoch = _step_objective(cfg, layer_sizes, post, prior, data)
 
     m = len(data)
     n_steps = max(1, math.ceil(m / cfg.batch_size))
@@ -378,13 +439,9 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
     since_best = 0
     epochs_done = 0
 
-    def snapshot():
-        return (post.copy(), prior.copy())
-
-    def current_prior():
+    def sync_prior():
         if "log_s2_p" in params:
             prior.log_sigma2 = float(params["log_s2_p"][0])
-        return prior
 
     last_deltas = None
     clamp_count = 0
@@ -393,70 +450,39 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
             lr = cfg.lr / 10.0 if epoch >= drop_epoch else cfg.lr
             order = batch_rng.permutation(m)
             obj_sum, rejections = 0.0, 0
-            loss_sup = None
-            if cfg.objective == "noniid":
-                b_feat = network.feature_bound(layer_sizes, post.mu, data.features)
-                loss_sup = losses.loss_range(cfg.loss_kind, b_feat, cfg.k)
+            constants = begin_epoch()
 
             for step in range(n_steps):
-                idx = order[step * cfg.batch_size : (step + 1) * cfg.batch_size]
-                if cfg.objective in ("iid", "noniid", "erm"):
-                    batch = data.gather(idx)
-                eps = network.sample_eps(post.n_params, eps_rng) if stochastic else None
+                batch = data.gather(order[step * cfg.batch_size : (step + 1) * cfg.batch_size])
+                # the deterministic objectives ignore eps; its stream feeds nothing else
+                eps = network.sample_eps(post.n_params, eps_rng)
 
                 retries = 0
                 while True:
-                    if cfg.objective == "iid":
-                        value, grads, _ = iid_objective(
-                            layer_sizes, post, current_prior(), batch, eps,
-                            lam=cfg.lam, m=m, grid_b=cfg.grid_b, grid_c=cfg.grid_c,
-                            loss_kind=cfg.loss_kind, loss_scale=cfg.loss_scale,
-                            optimize_prior=cfg.optimize_prior,
-                        )
-                    elif cfg.objective == "noniid":
-                        value, grads, _ = noniid_objective(
-                            layer_sizes, post, current_prior(), batch, eps,
-                            m=m, delta=cfg.delta,
-                            dependency_t=data.dependency_t,
-                            loss_sup=loss_sup, grid_b=cfg.grid_b, grid_c=cfg.grid_c,
-                            loss_kind=cfg.loss_kind, loss_scale=cfg.loss_scale,
-                            optimize_prior=cfg.optimize_prior,
-                        )
-                    elif cfg.objective == "erm":
-                        value, d_w, _ = contrastive_loss_and_wgrad(
-                            layer_sizes, post.mu, *batch, cfg.loss_kind, cfg.loss_scale
-                        )
-                        grads = {"mu_q": d_w}
-                    else:
-                        xb, yb = data.x[idx], data.y[idx]
-                        value, d_w = supervised_loss_and_wgrad(
-                            layer_sizes, post.mu, xb, yb, cfg.loss_kind, cfg.loss_scale
-                        )
-                        grads = {"mu_q": d_w}
-
+                    value, grads, _ = objective(batch, eps)
                     if math.isnan(value):
                         raise NumericAbort(
                             f"objective is NaN at epoch {epoch} step {step}"
                         )
-                    if math.isinf(value):
-                        # chi-square penalty overflowed: reject the previous
-                        # update and retry it at half the step
-                        if last_deltas is None:
-                            raise NumericAbort(
-                                f"objective overflowed at initialisation (epoch {epoch})"
-                            )
-                        if retries >= _REJECT_LIMIT:
-                            raise NumericAbort(
-                                f"step rejected {retries} times at epoch {epoch} step {step}"
-                            )
-                        for key, dlt in last_deltas.items():
-                            params[key] -= dlt
-                            dlt *= 0.5
-                            params[key] += dlt
-                        rejections += 1
-                        retries += 1
-                        continue
-                    break
+                    if not math.isinf(value):
+                        break
+                    # chi-square penalty overflowed: reject the previous
+                    # update and retry it at half the step
+                    if last_deltas is None:
+                        raise NumericAbort(
+                            f"objective overflowed at initialisation (epoch {epoch})"
+                        )
+                    if retries >= _REJECT_LIMIT:
+                        raise NumericAbort(
+                            f"step rejected {retries} times at epoch {epoch} step {step}"
+                        )
+                    for key, dlt in last_deltas.items():
+                        params[key] -= dlt
+                        dlt *= 0.5
+                        params[key] += dlt
+                    sync_prior()
+                    rejections += 1
+                    retries += 1
 
                 if any(not np.all(np.isfinite(g)) for g in grads.values()):
                     raise NumericAbort(f"gradient not finite at epoch {epoch} step {step}")
@@ -465,7 +491,7 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
                     params[key] += dlt
                 if "log_s2_p" in params:
                     clamp_count += _clamp_prior(params, cfg.grid_b, cfg.grid_c)
-                    prior.log_sigma2 = float(params["log_s2_p"][0])
+                sync_prior()
                 last_deltas = deltas
                 obj_sum += value
 
@@ -475,22 +501,17 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
                 "lr": lr,
                 "train_objective": obj_sum / n_steps,
                 "rejections": rejections,
+                **constants,
             }
-            if loss_sup is not None:
-                entry["loss_sup"] = loss_sup
 
             valid_mc = valid_map = None
             if valid is not None:
-                if cfg.objective == "supervised":
-                    valid_map = map_supervised_loss(layer_sizes, post.mu, valid, cfg.loss_kind)
-                elif stochastic:
+                if stochastic:
                     valid_mc, _ = evaluation.mc_posterior_risk(
                         layer_sizes, post, valid, cfg.n_valid_samples,
                         "loss", cfg.loss_kind, valid_rng,
                     )
-                    valid_map = map_dataset_loss(layer_sizes, post.mu, valid, cfg.loss_kind)
-                else:
-                    valid_map = map_dataset_loss(layer_sizes, post.mu, valid, cfg.loss_kind)
+                valid_map = map_loss(layer_sizes, post.mu, valid, cfg.loss_kind)
                 entry["valid_mc"] = valid_mc
                 entry["valid_map"] = valid_map
             record.epochs.append(entry)
@@ -498,7 +519,7 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
             if early_stop:
                 metric = valid_mc if (cfg.valid_metric == "mc" and valid_mc is not None) else valid_map
                 if metric < best_metric:
-                    best_metric, best_state, best_epoch = metric, snapshot(), epoch
+                    best_metric, best_state, best_epoch = metric, (post.copy(), prior.copy()), epoch
                     since_best = 0
                 else:
                     since_best += 1
@@ -535,12 +556,30 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
         record.checkpoint_path = path
     record.final_posterior = post
     record.final_prior = prior
-    record.extras = {"clamp_count": clamp_count}
+    record.extras["clamp_count"] = clamp_count
     return record
 
 
 # ---------------------------------------------------------------------------
 # certificates on trained posteriors
+
+
+def _divergence_fields(post, prior, ds, noniid):
+    """BoundReport fields of the divergence term: chi-square if noniid, else KL."""
+    if noniid:
+        chi2 = divergences.chi2_gaussian(post.mu, post.log_sigma2, prior.mu, prior.log_sigma2)
+        return {
+            "divergence_kind": "chi2",
+            "divergence_value": chi2.value,
+            "dependency_t": ds.dependency_t,
+            "extras": {
+                "chi2_log1p": chi2.log1p,
+                "chi2_overflowed": chi2.overflowed,
+                "chi2_n_guarded": chi2.n_guarded,
+            },
+        }
+    kl = divergences.kl_gaussian(post.mu, post.log_sigma2, prior.mu, prior.log_sigma2)
+    return {"divergence_kind": "kl", "divergence_value": kl, "extras": {}}
 
 
 def selection_certificate(layer_sizes, post, prior, ds, *, grid_b, grid_c, delta,
@@ -551,45 +590,26 @@ def selection_certificate(layer_sizes, post, prior, ds, *, grid_b, grid_c, delta
     r_hat, draws = evaluation.mc_posterior_risk(
         layer_sizes, post, ds, n_samples, "zero-one", loss_kind, rng
     )
-    if objective == "noniid":
-        chi2 = divergences.chi2_gaussian(
-            post.mu, post.log_sigma2, prior.mu, prior.log_sigma2
-        )
+    noniid = objective == "noniid"
+    div = _divergence_fields(post, prior, ds, noniid)
+    div["extras"]["risk_per_draw"] = [float(v) for v in draws]
+    if noniid:
+        lam = None
         value = bounds.selection_bound_noniid(
-            r_hat, j, chi2.log1p, m, delta, ds.dependency_t
+            r_hat, j, div["extras"]["chi2_log1p"], m, delta, ds.dependency_t
         )
-        return bounds.BoundReport(
-            bound_kind="noniid-selection",
-            bound_value=value,
-            empirical_risk=r_hat,
-            risk_kind="zero-one",
-            loss_kind=loss_kind,
-            divergence_kind="chi2",
-            divergence_value=chi2.value,
-            j=j, m=m, delta=delta,
-            n_risk_samples=n_samples,
-            dependency_t=ds.dependency_t,
-            extras={
-                "chi2_log1p": chi2.log1p,
-                "chi2_overflowed": chi2.overflowed,
-                "chi2_n_guarded": chi2.n_guarded,
-                "risk_per_draw": [float(v) for v in draws],
-            },
-        )
-    kl = divergences.kl_gaussian(post.mu, post.log_sigma2, prior.mu, prior.log_sigma2)
-    value, lam_star = bounds.selection_bound_iid(r_hat, kl, j, m, delta)
+    else:
+        value, lam = bounds.selection_bound_iid(r_hat, div["divergence_value"], j, m, delta)
     return bounds.BoundReport(
-        bound_kind="iid-selection",
+        bound_kind="noniid-selection" if noniid else "iid-selection",
         bound_value=value,
         empirical_risk=r_hat,
         risk_kind="zero-one",
         loss_kind=loss_kind,
-        divergence_kind="kl",
-        divergence_value=kl,
         j=j, m=m, delta=delta,
         n_risk_samples=n_samples,
-        lam=lam_star,
-        extras={"risk_per_draw": [float(v) for v in draws]},
+        lam=lam,
+        **div,
     )
 
 
@@ -603,54 +623,38 @@ def loss_certificate(layer_sizes, post, prior, ds, *, grid_b, grid_c, delta, los
     )
     b_feat = network.feature_bound(layer_sizes, post.mu, ds.features)
     loss_sup = losses.loss_range(loss_kind, b_feat, ds.k)
-    if objective == "noniid":
-        chi2 = divergences.chi2_gaussian(
-            post.mu, post.log_sigma2, prior.mu, prior.log_sigma2
-        )
-        value = bounds.noniid_bound(l_hat, j, chi2.log1p, m, delta, ds.dependency_t, loss_sup)
-        return bounds.BoundReport(
-            bound_kind="noniid-loss",
-            bound_value=value,
-            empirical_risk=l_hat,
-            risk_kind="loss",
-            loss_kind=loss_kind,
-            divergence_kind="chi2",
-            divergence_value=chi2.value,
-            j=j, m=m, delta=delta,
-            n_risk_samples=n_samples,
-            loss_sup=loss_sup,
-            feature_bound=b_feat,
-            dependency_t=ds.dependency_t,
-            extras={
-                "chi2_log1p": chi2.log1p,
-                "chi2_overflowed": chi2.overflowed,
-                "chi2_n_guarded": chi2.n_guarded,
-                "risk_per_draw": [float(v) for v in draws],
-            },
-        )
-    if lam is None:
-        raise ValueError("iid loss certificate needs lambda")
-    if tau is None:
-        tau = ds.provenance.get("tau")
+    noniid = objective == "noniid"
+    if not noniid:
+        if lam is None:
+            raise ValueError("iid loss certificate needs lambda")
         if tau is None:
-            raise ValueError("iid loss certificate needs tau (class collision probability)")
-    kl = divergences.kl_gaussian(post.mu, post.log_sigma2, prior.mu, prior.log_sigma2)
-    value = bounds.iid_supervised_bound(l_hat, kl, m, lam, delta, tau, loss_sup)
+            tau = ds.provenance.get("tau")
+            if tau is None:
+                raise ValueError("iid loss certificate needs tau (class collision probability)")
+    div = _divergence_fields(post, prior, ds, noniid)
+    div["extras"]["risk_per_draw"] = [float(v) for v in draws]
+    if noniid:
+        lam = tau = None          # the chi-square form uses neither
+        value = bounds.noniid_bound(
+            l_hat, j, div["extras"]["chi2_log1p"], m, delta, ds.dependency_t, loss_sup
+        )
+    else:
+        value = bounds.iid_supervised_bound(
+            l_hat, div["divergence_value"], m, lam, delta, tau, loss_sup
+        )
     return bounds.BoundReport(
-        bound_kind="iid-loss",
+        bound_kind="noniid-loss" if noniid else "iid-loss",
         bound_value=value,
         empirical_risk=l_hat,
         risk_kind="loss",
         loss_kind=loss_kind,
-        divergence_kind="kl",
-        divergence_value=kl,
         j=j, m=m, delta=delta,
         n_risk_samples=n_samples,
         lam=lam,
         tau=tau,
         loss_sup=loss_sup,
         feature_bound=b_feat,
-        extras={"risk_per_draw": [float(v) for v in draws]},
+        **div,
     )
 
 
@@ -658,9 +662,46 @@ def loss_certificate(layer_sizes, post, prior, ds, *, grid_b, grid_c, delta, los
 # grid search over configs and selection criteria
 
 
-CRITERIA = ("s-valid", "det-valid", "pb")
+# the run mode each selection criterion trains and ranks
+CRITERION_MODES = {"s-valid": "valid-mc", "det-valid": "valid-map", "pb": "pb"}
+CRITERIA = tuple(CRITERION_MODES)
 
-_CRITERION_MODE = {"s-valid": "valid-mc", "det-valid": "valid-map", "pb": "pb"}
+
+def pb_certificate(layer_sizes, post, prior, ds, config, n_samples, seed):
+    """The selection certificate that ranks a pb run; config is the run's config dict."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xCE27]).generate_state(1)[0])
+    return selection_certificate(
+        layer_sizes, post, prior, ds,
+        grid_b=config["grid_b"], grid_c=config["grid_c"], delta=config["delta"],
+        loss_kind=config["loss_kind"], objective=config["objective"],
+        n_samples=n_samples, rng=rng,
+    )
+
+
+def rank_runs(records, criteria, out_dir):
+    """Rank recorded runs per criterion and write out_dir/leaderboard.csv.
+
+    records are run dicts as written to runs.jsonl, in file order; a run is
+    scored by its metric (the certificate for pb runs). Aborted and unscored
+    runs are skipped, and the earlier record wins a tie, so rankings are
+    reproducible. Returns {criterion: best record}.
+    """
+    best = {}
+    with open(os.path.join(out_dir, "leaderboard.csv"), "w") as fh:
+        fh.write("criterion,rank,run_id,metric,checkpoint\n")
+        for criterion in criteria:
+            ranked = sorted(
+                ((float(rec["metric"]), pos, rec) for pos, rec in enumerate(records)
+                 if rec.get("mode") == CRITERION_MODES[criterion]
+                 and not rec.get("aborted") and rec.get("metric") is not None),
+                key=lambda row: row[:2],
+            )
+            for rank, (metric, _, rec) in enumerate(ranked, start=1):
+                fh.write(f"{criterion},{rank},{rec['run_id']},{metric!r},"
+                         f"{rec.get('checkpoint_path')}\n")
+            if ranked:
+                best[criterion] = ranked[0][2]
+    return best
 
 
 def grid_search(configs, criteria, data, valid, out_dir, cert_samples=10):
@@ -668,35 +709,29 @@ def grid_search(configs, criteria, data, valid, out_dir, cert_samples=10):
 
     s-valid and det-valid train on data with early stopping on the matching
     validation metric; pb trains on data + valid with early stopping off and
-    scores by the model-selection certificate. Appends one line per run to
-    runs.jsonl and writes leaderboard.csv; returns {criterion: best RunRecord}.
+    scores by the model-selection certificate. Rewrites runs.jsonl with one
+    line per run, ranks them with rank_runs and returns {criterion: best
+    RunRecord}.
     """
     for c in criteria:
         if c not in CRITERIA:
             raise ValueError(f"unknown criterion {c!r}, expected one of {CRITERIA}")
     os.makedirs(out_dir, exist_ok=True)
-    runs_path = os.path.join(out_dir, "runs.jsonl")
-    rows = []
-    with open(runs_path, "a") as runs_fh:
+    pb_data = concat_contrastive(data, valid) if valid is not None and "pb" in criteria else data
+    runs, docs = {}, []
+    with open(os.path.join(out_dir, "runs.jsonl"), "w") as runs_fh:
         for criterion in criteria:
-            mode = _CRITERION_MODE[criterion]
+            mode = CRITERION_MODES[criterion]
             for gi, cfg in enumerate(configs):
                 run_id = f"c{gi:03d}-{criterion}"
                 if criterion == "pb":
                     cfg_run = dataclasses.replace(cfg, early_stop=False)
-                    train_ds = concat_contrastive(data, valid) if valid is not None else data
-                    rec = train(cfg_run, train_ds, None, run_dir=out_dir,
+                    rec = train(cfg_run, pb_data, None, run_dir=out_dir,
                                 run_id=run_id, mode=mode)
                     if not rec.aborted:
-                        cert_rng = np.random.default_rng(
-                            np.random.SeedSequence([cfg.seed, 0xCE27]).generate_state(1)[0]
-                        )
-                        layer_sizes = tuple(rec.config["layer_sizes"])
-                        report = selection_certificate(
-                            layer_sizes, rec.final_posterior, rec.final_prior, train_ds,
-                            grid_b=cfg.grid_b, grid_c=cfg.grid_c, delta=cfg.delta,
-                            loss_kind=cfg.loss_kind, objective=cfg.objective,
-                            n_samples=cert_samples, rng=cert_rng,
+                        report = pb_certificate(
+                            cfg.layer_sizes, rec.final_posterior, rec.final_prior, pb_data,
+                            rec.config, cert_samples, cfg.seed,
                         )
                         rec.metric = report.bound_value
                         rec.selection = report.to_dict()
@@ -707,22 +742,7 @@ def grid_search(configs, criteria, data, valid, out_dir, cert_samples=10):
                     )
                     rec = train(cfg_run, data, valid, run_dir=out_dir,
                                 run_id=run_id, mode=mode)
-                runs_fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
-                if rec.aborted or rec.metric is None:
-                    continue
-                rows.append((criterion, rec.metric, gi, run_id, rec.checkpoint_path, rec))
-
-    # earlier grid position wins ties, so rankings are reproducible
-    best = {}
-    lb_path = os.path.join(out_dir, "leaderboard.csv")
-    with open(lb_path, "w") as fh:
-        fh.write("criterion,rank,run_id,metric,checkpoint\n")
-        for criterion in criteria:
-            ranked = sorted(
-                (r for r in rows if r[0] == criterion), key=lambda r: (r[1], r[2])
-            )
-            if ranked:
-                best[criterion] = ranked[0][5]
-            for rank, (_, metric, gi, run_id, ckpt, _) in enumerate(ranked, start=1):
-                fh.write(f"{criterion},{rank},{run_id},{metric!r},{ckpt}\n")
-    return best
+                docs.append(rec.to_dict())
+                runs_fh.write(json.dumps(docs[-1], sort_keys=True) + "\n")
+                runs[run_id] = rec
+    return {c: runs[doc["run_id"]] for c, doc in rank_runs(docs, criteria, out_dir).items()}

@@ -165,6 +165,43 @@ def test_gen_data_config_not_found(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_files_kind_saves_raw_rows(tmp_path, rng):
+    # raw rows far from standard scale: normalising twice would show
+    model = data.random_gaussian_model(3, 3, 4.0, 1.0, rng)
+    for name, n in (("src_train", 90), ("src_test", 60)):
+        pts = data.sample_labeled(model, n, rng)
+        data.save_labeled_csv(data.LabeledDataset(x=10.0 * pts.x + 50.0, y=pts.y),
+                              str(tmp_path / f"{name}.csv"))
+    cfg = write_json(tmp_path / "g.json", {"dataset": {
+        "kind": "files", "train_csv": str(tmp_path / "src_train.csv"),
+        "test_csv": str(tmp_path / "src_test.csv"), "m_train": 50, "m_valid": 20,
+        "k": 2, "block_size": 2,
+    }})
+    out = tmp_path / "ds"
+    assert main(["gen-data", "--config", cfg, "--out", str(out), "--seed", "1"]) == 0
+    for name in ("train", "test"):
+        assert (out / f"labeled_{name}.csv").read_bytes() == (
+            tmp_path / f"src_{name}.csv"
+        ).read_bytes()
+    train = data.load_contrastive(str(out / "train.json"))
+    assert np.max(np.abs(train.features.mean(axis=0))) < 1e-9
+
+    post, prior = network.init_network((3, 4), 1e-3, rng)
+    ckpt = str(tmp_path / "net.ckpt.json")
+    network.save_checkpoint(ckpt, network.Checkpoint(
+        layer_sizes=[3, 4], posterior=post, prior=prior, seed=0, epoch=0, config={},
+    ))
+    metrics = []
+    for tag, extra in (("own", []), ("saved", ["--norm-stats", str(out / "norm_stats.json")])):
+        assert main([
+            "eval", "--checkpoint", ckpt, "--train-csv", str(out / "labeled_train.csv"),
+            "--test-csv", str(out / "labeled_test.csv"), "--out", str(tmp_path / tag),
+            "--seed", "2", *extra,
+        ]) == 0
+        metrics.append((tmp_path / tag / "metrics.json").read_text())
+    assert metrics[0] == metrics[1]
+
+
 def test_gen_data_sequences(tmp_path):
     cfg = write_json(
         tmp_path / "g.json",
@@ -208,6 +245,25 @@ def test_train_artifacts(train_dir):
 
     header = open(train_dir / "leaderboard.csv").readline().strip()
     assert header == "criterion,rank,run_id,metric,checkpoint"
+
+
+def test_train_rewrites_runs_file(tmp_path, data_dir):
+    cfg = write_json(
+        tmp_path / "t.json",
+        {
+            "dataset": {"kind": "manifests", "train": str(data_dir / "train.json"),
+                        "valid": str(data_dir / "valid.json")},
+            "grid": [{"layer_sizes": [3, 4, 2], "k": 2, "block_size": 2, "epochs": 2}],
+        },
+    )
+    out = tmp_path / "o"
+    for seed in ("1", "2"):
+        assert main(["train", "--config", cfg, "--out", str(out), "--seed", seed]) == 0
+    runs = [json.loads(l) for l in open(out / "runs.jsonl")]
+    assert sorted(r["run_id"] for r in runs) == ["c000-det-valid", "c000-pb", "c000-s-valid"]
+    assert {r["config"]["seed"] for r in runs} == {2}
+    assert main(["select", "--runs", str(out / "runs.jsonl"), "--out", str(tmp_path / "s")]) == 0
+    assert (tmp_path / "s" / "best.json").read_bytes() == (out / "best.json").read_bytes()
 
 
 def test_train_reports_best_on_stdout(tmp_path, data_dir, capsys):
@@ -462,6 +518,14 @@ def test_select_reranks_runs(tmp_path, train_dir, capsys):
     for crit, entry in best.items():
         assert entry["run_id"] == ours[crit]["run_id"]
         assert entry["metric"] == pytest.approx(ours[crit]["metric"])
+
+
+def test_select_reproduces_train_ranking(tmp_path, train_dir):
+    # one ranker: select on a fresh runs.jsonl rewrites train's files exactly
+    out = tmp_path / "sel"
+    assert main(["select", "--runs", str(train_dir / "runs.jsonl"), "--out", str(out)]) == 0
+    for name in ("leaderboard.csv", "best.json"):
+        assert (out / name).read_bytes() == (train_dir / name).read_bytes()
 
 
 def test_select_subset_of_criteria(tmp_path, train_dir):

@@ -163,6 +163,12 @@ def test_sample_labeled_frequencies(rng):
         assert abs(count - n / 3) <= 4.0 * np.sqrt(n * (1 / 3) * (2 / 3))
 
 
+def test_labeled_gather(rng):
+    ds = data.LabeledDataset(x=rng.normal(size=(6, 2)), y=np.arange(6) % 3)
+    x, y = ds.gather(np.array([4, 1]))
+    assert np.array_equal(x, ds.x[[4, 1]]) and np.array_equal(y, [1, 1])
+
+
 def test_build_iid_from_labeled_classes_consistent(rng):
     # features carry their class id, so index bookkeeping is fully checkable
     y = np.repeat(np.arange(4), 25)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,18 @@ def test_loss_range_brackets_endpoint_losses():
         assert losses.logistic_loss(lo) == pytest.approx(bl, rel=1e-12)
         assert losses.logistic_loss(hi) <= bl
         assert losses.hinge_loss(lo) == losses.loss_range("hinge", b, k)
+
+
+def test_loss_range_logistic_past_exp_range():
+    # e^{2B^2} overflows a float once B > ~18.8; the range is then taken in
+    # logs, and stays the direct formula wherever that is finite
+    assert losses.loss_range("logistic", 20.0, 4) == (800.0 + math.log(4)) / math.log(2)
+    assert losses.loss_range("logistic", 18.8, 4) == math.log2(1.0 + 4 * math.exp(2 * 18.8**2))
+    # across the switch both forms agree: 1 is negligible against k e^{2B^2}
+    for b in np.linspace(18.7, 18.9, 21):
+        assert losses.loss_range("logistic", b, 4) == pytest.approx(
+            (2.0 * b * b + math.log(4)) / math.log(2), rel=1e-14
+        )
 
 
 def test_loss_at_zero():

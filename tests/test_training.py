@@ -318,7 +318,7 @@ def test_train_aborts_on_nan_without_checkpoint(rng, tmp_path):
     assert not os.path.exists(os.path.join(str(tmp_path), "bad.ckpt.json"))
 
 
-def test_train_clamps_prior_to_grid_interior(rng):
+def test_train_clamps_prior_to_grid_interior(rng, tmp_path):
     ds = make_iid_dataset(rng, m=30)
     cap = 0.1 * math.exp(-1.0 / 100.0)
     cfg = base_config(epochs=3, sigma2_p_init=cap * 0.999, lr=0.05)
@@ -327,6 +327,11 @@ def test_train_clamps_prior_to_grid_interior(rng):
     assert rec.extras["clamp_count"] >= 1
     assert rec.final_prior.sigma2 <= cap * (1.0 + 1e-9)
     assert bounds.j_index(100.0, 0.1, rec.final_prior.sigma2) >= 1.0 - 1e-9
+    # the counter reaches runs.jsonl; the posterior and prior arrays do not
+    training.grid_search([cfg], ["pb"], ds, None, str(tmp_path))
+    (doc,) = [json.loads(l) for l in open(tmp_path / "runs.jsonl")]
+    assert doc["extras"]["clamp_count"] == rec.extras["clamp_count"]
+    assert "final_posterior" not in doc and "final_prior" not in doc
 
 
 def test_train_erm_keeps_variances_fixed(rng):
