@@ -298,18 +298,22 @@ def _cmd_gen_data(args):
 
 
 def _check_grid_against_data(cfg, ds):
+    if cfg.objective == "supervised":
+        raise ConfigError(
+            "objective 'supervised' trains on labeled data only, and train takes "
+            "contrastive manifests: use iid, noniid or erm"
+        )
     if cfg.layer_sizes[0] != ds.dim:
         raise ConfigError(
             f"layer_sizes[0] = {cfg.layer_sizes[0]} does not match dataset dim {ds.dim}"
         )
-    if cfg.objective in ("iid", "noniid", "erm"):
-        if cfg.k != ds.k:
-            raise ConfigError(f"config k = {cfg.k} does not match dataset k = {ds.k}")
-        if cfg.block_size != ds.block_size:
-            raise ConfigError(
-                f"config block_size = {cfg.block_size} does not match "
-                f"dataset block_size = {ds.block_size}"
-            )
+    if cfg.k != ds.k:
+        raise ConfigError(f"config k = {cfg.k} does not match dataset k = {ds.k}")
+    if cfg.block_size != ds.block_size:
+        raise ConfigError(
+            f"config block_size = {cfg.block_size} does not match "
+            f"dataset block_size = {ds.block_size}"
+        )
 
 
 def _cmd_train(args):
@@ -485,9 +489,12 @@ def _cmd_select(args):
                 if not line:
                     continue
                 try:
-                    records.append(json.loads(line))
+                    rec = json.loads(line)
                 except json.JSONDecodeError:
                     raise ConfigError(f"{args.runs}:{lineno}: invalid JSON line") from None
+                if not isinstance(rec, dict) or "run_id" not in rec:
+                    raise ConfigError(f"{args.runs}:{lineno}: run record without run_id")
+                records.append(rec)
     except FileNotFoundError:
         raise ConfigError(f"runs file not found: {args.runs}") from None
 

@@ -61,9 +61,28 @@ class LabeledDataset:
     def classes(self):
         return np.unique(self.y)
 
-    def gather(self, idx):
-        """(x, y) rows for the given indices."""
-        return self.x[idx], self.y[idx]
+    def gather(self, idx, out=None):
+        """(x, y) rows for the given indices; x fills out's leading rows when given."""
+        x = np.take(self.x, idx, axis=0, out=None if out is None else out[: len(idx)])
+        return x, self.y[idx]
+
+
+class TupleBatch(tuple):
+    """(anchor (n, d), pos (n, b, d), neg (n, k, b, d)) as views into rows.
+
+    rows is the stacked (n (1 + b + k b), d) matrix: anchors, then positive
+    blocks, then negative blocks, so one forward pass covers the batch.
+    """
+
+    def __new__(cls, rows, n, k, block_size):
+        d, nb = rows.shape[1], n * block_size
+        batch = super().__new__(cls, (
+            rows[:n],
+            rows[n:n + nb].reshape(n, block_size, d),
+            rows[n + nb:].reshape(n, k, block_size, d),
+        ))
+        batch.rows = rows
+        return batch
 
 
 @dataclass
@@ -86,15 +105,22 @@ class ContrastiveDataset:
     def dim(self):
         return self.features.shape[1]
 
-    def gather(self, idx=None):
-        """Materialise (anchor, positive, negative) arrays for tuple indices."""
-        if idx is None:
-            idx = np.arange(len(self))
-        return (
-            self.features[self.anchors[idx]],
-            self.features[self.positives[idx]],
-            self.features[self.negatives[idx]],
-        )
+    def gather(self, idx=None, out=None):
+        """Materialise (anchor, positive, negative) arrays for tuple indices.
+
+        The rows are stacked in one matrix: the leading rows of out when
+        given, else a new array. Returns a TupleBatch of views into it.
+        """
+        index = [part if idx is None else part[idx]
+                 for part in (self.anchors, self.positives, self.negatives)]
+        n = len(index[0])
+        rows = n * (1 + self.block_size * (1 + self.k))
+        if out is None:
+            out = np.empty((rows, self.dim), dtype=self.features.dtype)
+        batch = TupleBatch(out[:rows], n, self.k, self.block_size)
+        for part, part_idx in zip(batch, index):
+            np.take(self.features, part_idx, axis=0, out=part)
+        return batch
 
     def subset(self, idx):
         return ContrastiveDataset(

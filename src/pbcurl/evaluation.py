@@ -100,25 +100,39 @@ def evaluate_representation(feature_fn, labeled_train, labeled_test, rng,
     return out
 
 
+def tuple_risks(out, ds, kind, loss_kind):
+    """Per-tuple risk of ds, given out = the network applied to ds.features.
+
+    Computed in chunks of tuples that span about network.CHUNK_ROWS rows,
+    into one (m,) array. Callers average it in one np.mean: averaging chunk
+    means would round differently.
+    """
+    risks = np.empty(len(ds))
+    per_tuple = 1 + ds.block_size * (1 + ds.k)
+    for lo, hi in network.row_chunks(len(ds), max(1, network.CHUNK_ROWS // per_tuple)):
+        margins = losses.contrastive_margins(
+            out[ds.anchors[lo:hi]], out[ds.positives[lo:hi]], out[ds.negatives[lo:hi]]
+        )
+        risks[lo:hi] = (losses.loss_value(margins, loss_kind) if kind == "loss"
+                        else losses.zero_one_risk(margins))
+    return risks
+
+
 def mc_posterior_risk(layer_sizes, post, ds, n_samples, kind, loss_kind, rng):
     """Posterior-expected dataset risk, Monte Carlo over weight draws.
 
     kind "loss" evaluates the configured tuple loss, "zero-one" the ranking
     error with ties counted correct. The feature matrix is pushed through the
-    network once per draw. Returns (mean, per-draw array).
+    network once per draw, in row chunks into one output buffer. Returns
+    (mean, per-draw array).
     """
+    if kind not in ("loss", "zero-one"):
+        raise ValueError(f"unknown risk kind: {kind!r}")
     vals = np.empty(n_samples)
+    out = np.empty((len(ds.features), layer_sizes[-1]))
     for s in range(n_samples):
         eps = network.sample_eps(post.n_params, rng)
         w = network.sample_weights(post, eps)
-        out = network.forward(layer_sizes, w, ds.features)
-        margins = losses.contrastive_margins(
-            out[ds.anchors], out[ds.positives], out[ds.negatives]
-        )
-        if kind == "loss":
-            vals[s] = np.mean(losses.loss_value(margins, loss_kind))
-        elif kind == "zero-one":
-            vals[s] = np.mean(losses.zero_one_risk(margins))
-        else:
-            raise ValueError(f"unknown risk kind: {kind!r}")
+        network.forward(layer_sizes, w, ds.features, out=out)
+        vals[s] = np.mean(tuple_risks(out, ds, kind, loss_kind))
     return float(np.mean(vals)), vals

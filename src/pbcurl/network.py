@@ -98,8 +98,37 @@ def map_weights(post):
     return post.mu.copy()
 
 
-def forward(layer_sizes, w, x, n_layers=None):
-    """Apply the network to a batch of rows.
+# whole-matrix forwards run in row chunks of this height. The remainder folds
+# into the last chunk: OpenBLAS rounds a GEMM over 75 rows or fewer differently
+# from one over the whole matrix, so a short tail chunk would change the output
+CHUNK_ROWS = 2048
+
+
+def row_chunks(n, chunk=CHUNK_ROWS):
+    """[lo, hi) ranges covering n rows, each at least chunk high unless n is less."""
+    edges = list(range(0, n - chunk + 1, chunk)) or [0]
+    return list(zip(edges, edges[1:] + [n]))
+
+
+class Workspace:
+    """Per-layer buffers for forward and backprop over at most `rows` input rows.
+
+    Activations, deltas and ReLU masks are one (rows, width) array per layer
+    (deltas[-1] holds d_out), grad is the flat gradient. forward_cached and
+    backprop return views into them that the next call overwrites.
+    """
+
+    def __init__(self, layer_sizes, rows):
+        self.slices = _layer_slices(layer_sizes)
+        widths = layer_sizes[1:]
+        self.acts = [np.empty((rows, n)) for n in widths]
+        self.deltas = [np.empty((rows, n)) for n in widths]
+        self.masks = [np.empty((rows, n), dtype=bool) for n in widths[:-1]]
+        self.grad = np.empty(param_count(layer_sizes))
+
+
+def forward(layer_sizes, w, x, n_layers=None, out=None):
+    """Apply the network to a matrix of rows, in row chunks.
 
     Parameters
     ----------
@@ -109,54 +138,66 @@ def forward(layer_sizes, w, x, n_layers=None):
     n_layers : apply only the first n_layers affine layers (used to strip a
         classification head); defaults to all. ReLU after every layer except
         the final applied one.
+    out : optional (n, d_out) array to write into.
 
     Returns
     -------
     (n, d_out) array.
     """
-    out, _ = forward_cached(layer_sizes, w, x, n_layers=n_layers)
+    if n_layers is None:
+        n_layers = len(layer_sizes) - 1
+    chunks = row_chunks(len(x))
+    ws = Workspace(layer_sizes, chunks[-1][1] - chunks[-1][0])     # the tallest chunk
+    if out is None:
+        out = np.empty((len(x), layer_sizes[n_layers]))
+    for lo, hi in chunks:
+        out[lo:hi] = forward_cached(layer_sizes, w, x[lo:hi], n_layers, ws)[0]
     return out
 
 
-def forward_cached(layer_sizes, w, x, n_layers=None):
-    """Forward pass keeping per layer activations for backprop."""
-    slices = _layer_slices(layer_sizes)
-    if n_layers is None:
-        n_layers = len(slices)
+def forward_cached(layer_sizes, w, x, n_layers=None, ws=None):
+    """Forward pass keeping per layer activations for backprop.
+
+    The activations are views into ws (a temporary workspace when None).
+    """
     a = np.asarray(x, dtype=np.float64)
+    ws = ws or Workspace(layer_sizes, len(a))
+    if n_layers is None:
+        n_layers = len(ws.slices)
     cache = [a]
     for li in range(n_layers):
-        w_sl, b_sl = slices[li]
-        fan_in, fan_out = layer_sizes[li], layer_sizes[li + 1]
-        wm = w[w_sl].reshape(fan_out, fan_in)
-        z = a @ wm.T + w[b_sl]
-        a = np.maximum(z, 0.0) if li < n_layers - 1 else z
-        cache.append(a)
+        w_sl, b_sl = ws.slices[li]
+        z = ws.acts[li][: len(a)]
+        np.matmul(a, w[w_sl].reshape(layer_sizes[li + 1], layer_sizes[li]).T, out=z)
+        z += w[b_sl]
+        if li < n_layers - 1:
+            np.maximum(z, 0.0, out=z)
+        cache.append(z)
+        a = z
     return a, cache
 
 
-def backprop(layer_sizes, w, cache, d_out):
+def backprop(layer_sizes, w, cache, d_out, ws=None):
     """Gradient of sum(output * d_out) with respect to the flat weights.
 
     cache is the activation list from forward_cached on the same inputs.
-    ReLU subgradient at 0 is 0.
+    ReLU subgradient at 0 is 0. Returns ws.grad (a temporary workspace's
+    when ws is None).
     """
-    slices = _layer_slices(layer_sizes)
-    n_layers = len(slices)
-    grad = np.zeros_like(w)
     delta = np.asarray(d_out, dtype=np.float64)
+    n = len(delta)
+    ws = ws or Workspace(layer_sizes, n)
+    n_layers = len(ws.slices)
     for li in range(n_layers - 1, -1, -1):
-        w_sl, b_sl = slices[li]
-        fan_in, fan_out = layer_sizes[li], layer_sizes[li + 1]
-        a_prev = cache[li]
+        w_sl, b_sl = ws.slices[li]
+        wm = w[w_sl].reshape(layer_sizes[li + 1], layer_sizes[li])
         if li < n_layers - 1:
-            delta = delta * (cache[li + 1] > 0.0)
-        grad[w_sl] = (delta.T @ a_prev).ravel()
-        grad[b_sl] = delta.sum(axis=0)
+            np.multiply(delta, np.greater(cache[li + 1], 0.0, out=ws.masks[li][:n]), out=delta)
+        np.matmul(delta.T, cache[li], out=ws.grad[w_sl].reshape(wm.shape))
+        np.sum(delta, axis=0, out=ws.grad[b_sl])
         if li > 0:
-            wm = w[w_sl].reshape(fan_out, fan_in)
-            delta = delta @ wm
-    return grad
+            delta = np.matmul(delta, wm, out=ws.deltas[li - 1][:n])
+    return ws.grad
 
 
 def posterior_grads_from_weight_grad(post, eps, d_w):

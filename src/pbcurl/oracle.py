@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bounds, divergences, losses, network, training
+from . import bounds, data, divergences, losses, network, training
 
 
 @dataclass
@@ -222,17 +222,9 @@ def coverage_sim(rng, n_trials=200, m=150, n_hypotheses=8, lam=2.0, delta=0.05, 
 
 def _min_hidden_preact(layer_sizes, w, x):
     """Smallest |z| over the hidden layer ReLU preactivations of a batch."""
-    slices = network._layer_slices(layer_sizes)
-    a = np.asarray(x, dtype=np.float64)
-    worst = math.inf
-    for li, (w_sl, b_sl) in enumerate(slices):
-        fan_in, fan_out = layer_sizes[li], layer_sizes[li + 1]
-        z = a @ w[w_sl].reshape(fan_out, fan_in).T + w[b_sl]
-        if li == len(slices) - 1:
-            break
-        worst = min(worst, float(np.min(np.abs(z))))
-        a = np.maximum(z, 0.0)
-    return worst
+    # the first n layers end without a ReLU: their output is layer n's preactivation
+    return min((float(np.min(np.abs(network.forward(layer_sizes, w, x, n_layers=n))))
+                for n in range(1, len(layer_sizes) - 1)), default=math.inf)
 
 
 def _well_conditioned_problem(objective, rng):
@@ -252,14 +244,9 @@ def _well_conditioned_problem(objective, rng):
         # keep log sigma2_q above log(sigma2_p / 2) + 0.3: guard inactive
         post.log_sigma2 = prior.log_sigma2 + rng.uniform(-0.35, 0.6, size=n_params)
         eps = network.sample_eps(n_params, rng)
-        batch = (
-            rng.normal(scale=0.8, size=(n, 4)),
-            rng.normal(scale=0.8, size=(n, b, 4)),
-            rng.normal(scale=0.8, size=(n, k, b, 4)),
-        )
+        batch = data.TupleBatch(rng.normal(scale=0.8, size=(n * (1 + b + k * b), 4)), n, k, b)
         w = network.sample_weights(post, eps)
-        x = np.concatenate([batch[0], batch[1].reshape(-1, 4), batch[2].reshape(-1, 4)])
-        if _min_hidden_preact(layer_sizes, w, x) > 1e-3:
+        if _min_hidden_preact(layer_sizes, w, batch.rows) > 1e-3:
             return layer_sizes, post, prior, batch, eps
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds, divergences, evaluation, losses, network
-from .data import concat_contrastive
+from .data import TupleBatch, concat_contrastive
 
 _REJECT_LIMIT = 40
 
@@ -174,20 +174,18 @@ def make_optimizer(kind):
 # loss + gradient w.r.t. the flat weight vector, batched over tuples
 
 
-def contrastive_loss_and_wgrad(layer_sizes, w, anchor, pos, neg, loss_kind, loss_scale=1.0):
-    """Mean tuple loss over the batch and its gradient w.r.t. w.
+def contrastive_loss_and_wgrad(layer_sizes, w, batch, loss_kind, loss_scale=1.0, ws=None):
+    """Mean tuple loss over a TupleBatch and its gradient w.r.t. w.
 
-    anchor (n, d0), pos (n, b, d0), neg (n, k, b, d0). All forward passes go
-    through the network as one stacked matrix.
+    One forward pass covers batch.rows. d_out is assembled in ws.deltas[-1]
+    and the gradient returned is ws.grad (of a temporary workspace when ws is
+    None), so it lives until the next call with the same workspace.
     """
-    n, b, d0 = pos.shape[0], pos.shape[1], pos.shape[2]
-    k = neg.shape[1]
-    x = np.concatenate([anchor, pos.reshape(n * b, d0), neg.reshape(n * k * b, d0)])
-    out, cache = network.forward_cached(layer_sizes, w, x)
-    d = out.shape[1]
-    a_out = out[:n]
-    p_out = out[n : n + n * b].reshape(n, b, d)
-    g_out = out[n + n * b :].reshape(n, k, b, d)
+    _, pos, neg = batch
+    n, k, b = len(pos), neg.shape[1], pos.shape[1]
+    ws = ws or network.Workspace(layer_sizes, len(batch.rows))
+    out, cache = network.forward_cached(layer_sizes, w, batch.rows, ws=ws)
+    a_out, p_out, g_out = TupleBatch(out, n, k, b)
 
     margins = losses.contrastive_margins(a_out, p_out, g_out)
     loss = loss_scale * float(np.mean(losses.loss_value(margins, loss_kind)))
@@ -195,18 +193,16 @@ def contrastive_loss_and_wgrad(layer_sizes, w, anchor, pos, neg, loss_kind, loss
     dv = losses.loss_margin_grad(margins, loss_kind) * (loss_scale / n)   # (n, k)
     p_mean = np.mean(p_out, axis=1)
     g_mean = np.mean(g_out, axis=2)
-    d_anchor = np.einsum("nk,nkd->nd", dv, p_mean[:, None, :] - g_mean)
-    d_pos = (np.sum(dv, axis=1)[:, None] * a_out / b)[:, None, :].repeat(b, axis=1)
-    d_neg = (-dv[:, :, None] * a_out[:, None, :] / b)[:, :, None, :].repeat(b, axis=2)
-    d_out = np.concatenate(
-        [d_anchor, d_pos.reshape(n * b, d), d_neg.reshape(n * k * b, d)]
-    )
-    return loss, network.backprop(layer_sizes, w, cache, d_out), margins
+    d_out = TupleBatch(ws.deltas[-1][: len(out)], n, k, b)
+    np.einsum("nk,nkd->nd", dv, p_mean[:, None, :] - g_mean, out=d_out[0])
+    d_out[1][...] = (np.sum(dv, axis=1)[:, None] * a_out / b)[:, None, :]
+    d_out[2][...] = (-dv[:, :, None] * a_out[:, None, :] / b)[:, :, None, :]
+    return loss, network.backprop(layer_sizes, w, cache, d_out.rows, ws), margins
 
 
-def supervised_loss_and_wgrad(layer_sizes, w, x, y, loss_kind, loss_scale=1.0):
+def supervised_loss_and_wgrad(layer_sizes, w, x, y, loss_kind, loss_scale=1.0, ws=None):
     """Multiclass margin loss o_y - o_y' fed through the tuple loss family."""
-    out, cache = network.forward_cached(layer_sizes, w, x)
+    out, cache = network.forward_cached(layer_sizes, w, x, ws=ws)
     n, c = out.shape
     cols = np.arange(c)
     other = np.stack([cols[cols != yi] for yi in y])          # (n, c-1)
@@ -218,7 +214,7 @@ def supervised_loss_and_wgrad(layer_sizes, w, x, y, loss_kind, loss_scale=1.0):
     d_out = np.zeros_like(out)
     np.add.at(d_out, (rows.repeat(c - 1, axis=1), other), -dv)
     d_out[np.arange(n), y] = np.sum(dv, axis=1)
-    return loss, network.backprop(layer_sizes, w, cache, d_out)
+    return loss, network.backprop(layer_sizes, w, cache, d_out, ws)
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +222,10 @@ def supervised_loss_and_wgrad(layer_sizes, w, x, y, loss_kind, loss_scale=1.0):
 
 
 def iid_objective(layer_sizes, post, prior, batch, eps, *, lam, m, grid_b, grid_c,
-                  loss_kind, loss_scale=1.0, optimize_prior=True):
+                  loss_kind, loss_scale=1.0, optimize_prior=True, ws=None):
     """Catoni-style trainable bound; the batch mean estimates L_hat."""
-    anchor, pos, neg = batch
     w = network.sample_weights(post, eps)
-    loss, d_w, _ = contrastive_loss_and_wgrad(
-        layer_sizes, w, anchor, pos, neg, loss_kind, loss_scale
-    )
+    loss, d_w, _ = contrastive_loss_and_wgrad(layer_sizes, w, batch, loss_kind, loss_scale, ws)
     kl = divergences.kl_gaussian(post.mu, post.log_sigma2, prior.mu, prior.log_sigma2)
     log_j = math.log(grid_b) + math.log(math.log(grid_c) - prior.log_sigma2)
     value = lam * m * loss + kl + 2.0 * log_j
@@ -254,17 +247,14 @@ def iid_objective(layer_sizes, post, prior, batch, eps, *, lam, m, grid_b, grid_
 
 def noniid_objective(layer_sizes, post, prior, batch, eps, *, m, delta, dependency_t,
                      loss_sup, grid_b, grid_c, loss_kind, loss_scale=1.0,
-                     optimize_prior=True):
+                     optimize_prior=True, ws=None):
     """Chi-square trainable bound. loss_sup (B_l) is a per-epoch constant.
 
     Returns value = +inf (no grads) when the penalty overflows; the caller
     rejects the step.
     """
-    anchor, pos, neg = batch
     w = network.sample_weights(post, eps)
-    loss, d_w, _ = contrastive_loss_and_wgrad(
-        layer_sizes, w, anchor, pos, neg, loss_kind, loss_scale
-    )
+    loss, d_w, _ = contrastive_loss_and_wgrad(layer_sizes, w, batch, loss_kind, loss_scale, ws)
     j = grid_b * (math.log(grid_c) - prior.log_sigma2)
     log1p, c_mu, c_ls_q, c_ls_p = divergences.chi2_log1p_grads(
         post.mu, post.log_sigma2, prior.mu, prior.log_sigma2
@@ -293,19 +283,20 @@ def noniid_objective(layer_sizes, post, prior, batch, eps, *, m, delta, dependen
     return value, grads, stats
 
 
-def erm_objective(layer_sizes, post, prior, batch, eps, *, loss_kind, loss_scale=1.0):
+def erm_objective(layer_sizes, post, prior, batch, eps, *, loss_kind, loss_scale=1.0,
+                  ws=None):
     """Contrastive loss of the mean network; prior and eps are unused."""
     loss, d_w, _ = contrastive_loss_and_wgrad(
-        layer_sizes, post.mu, *batch, loss_kind, loss_scale
+        layer_sizes, post.mu, batch, loss_kind, loss_scale, ws
     )
     return loss, {"mu_q": d_w}, {"loss": loss}
 
 
 def supervised_objective(layer_sizes, post, prior, batch, eps, *, loss_kind,
-                         loss_scale=1.0):
+                         loss_scale=1.0, ws=None):
     """Labeled-batch margin loss of the mean network; prior and eps are unused."""
     x, y = batch
-    loss, d_w = supervised_loss_and_wgrad(layer_sizes, post.mu, x, y, loss_kind, loss_scale)
+    loss, d_w = supervised_loss_and_wgrad(layer_sizes, post.mu, x, y, loss_kind, loss_scale, ws)
     return loss, {"mu_q": d_w}, {"loss": loss}
 
 
@@ -315,10 +306,7 @@ def supervised_objective(layer_sizes, post, prior, batch, eps, *, loss_kind,
 
 def map_dataset_loss(layer_sizes, w, ds, loss_kind):
     out = network.forward(layer_sizes, w, ds.features)
-    margins = losses.contrastive_margins(
-        out[ds.anchors], out[ds.positives], out[ds.negatives]
-    )
-    return float(np.mean(losses.loss_value(margins, loss_kind)))
+    return float(np.mean(evaluation.tuple_risks(out, ds, "loss", loss_kind)))
 
 
 def map_supervised_loss(layer_sizes, w, labeled, loss_kind):
@@ -362,14 +350,15 @@ def _clamp_prior(params, grid_b, grid_c):
     return 0
 
 
-def _step_objective(cfg, layer_sizes, post, prior, data):
+def _step_objective(cfg, layer_sizes, post, prior, data, ws):
     """Bind cfg.objective to objective(batch, eps) -> (value, grads, stats).
 
-    post and prior are updated in place between calls. The second return
-    value runs at the start of every epoch and returns the epoch's constants
-    for the log: the loss range B_l of the chi-square objective.
+    post and prior are updated in place between calls, and every call runs
+    through the workspace ws. The second return value runs at the start of
+    every epoch and returns the epoch's constants for the log: the loss range
+    B_l of the chi-square objective.
     """
-    kw = {"loss_kind": cfg.loss_kind, "loss_scale": cfg.loss_scale}
+    kw = {"loss_kind": cfg.loss_kind, "loss_scale": cfg.loss_scale, "ws": ws}
     if cfg.objective in ("iid", "noniid"):
         kw.update(m=len(data), grid_b=cfg.grid_b, grid_c=cfg.grid_c,
                   optimize_prior=cfg.optimize_prior)
@@ -426,9 +415,17 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
         if cfg.optimize_prior:
             params["log_s2_p"] = np.array([prior.log_sigma2])
     opt = make_optimizer(cfg.optimizer)
-    objective, begin_epoch = _step_objective(cfg, layer_sizes, post, prior, data)
-
     m = len(data)
+    # one workspace and row buffer per run, sized to a full batch; a partial
+    # last batch uses their leading rows
+    rows = min(cfg.batch_size, m)
+    if cfg.objective != "supervised":
+        rows *= 1 + data.block_size * (1 + data.k)
+    batch_rows = np.empty((rows, data.dim))
+    objective, begin_epoch = _step_objective(
+        cfg, layer_sizes, post, prior, data, network.Workspace(layer_sizes, rows)
+    )
+
     n_steps = max(1, math.ceil(m / cfg.batch_size))
     drop_epoch = math.ceil(cfg.lr_drop_frac * cfg.epochs)
     early_stop = cfg.early_stop and valid is not None
@@ -453,7 +450,8 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
             constants = begin_epoch()
 
             for step in range(n_steps):
-                batch = data.gather(order[step * cfg.batch_size : (step + 1) * cfg.batch_size])
+                batch = data.gather(order[step * cfg.batch_size : (step + 1) * cfg.batch_size],
+                                    out=batch_rows)
                 # the deterministic objectives ignore eps; its stream feeds nothing else
                 eps = network.sample_eps(post.n_params, eps_rng)
 

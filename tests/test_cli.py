@@ -303,6 +303,21 @@ def test_train_bad_grid_entry(tmp_path, data_dir, capsys):
     assert "config.grid[0]" in capsys.readouterr().err
 
 
+def test_train_rejects_supervised_grid_entry(tmp_path, data_dir, capsys):
+    cfg = write_json(
+        tmp_path / "t.json",
+        {
+            "dataset": {"kind": "manifests", "train": str(data_dir / "train.json")},
+            "grid": [{"layer_sizes": [3, 4, 2], "objective": "supervised", "n_classes": 3,
+                      "k": 2, "block_size": 2, "epochs": 1}],
+        },
+    )
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "labeled data" in err and "contrastive manifests" in err
+    assert not (tmp_path / "o" / "runs.jsonl").exists()
+
+
 def test_train_validation_criterion_needs_split(tmp_path, data_dir, capsys):
     cfg = write_json(
         tmp_path / "t.json",
@@ -588,3 +603,11 @@ def test_select_bad_inputs(tmp_path, train_dir, capsys):
         "--criteria", "best-of-n",
     ]) == 2
     assert "--criteria" in capsys.readouterr().err
+
+
+def test_select_rejects_record_without_run_id(tmp_path, capsys):
+    runs = tmp_path / "runs.jsonl"
+    runs.write_text('{"run_id": "a", "mode": "valid-map", "metric": 0.4}\n'
+                    '{"mode": "valid-map", "metric": 0.5}\n')
+    assert main(["select", "--runs", str(runs), "--out", str(tmp_path / "s")]) == 2
+    assert f"{runs}:2: run record without run_id" in capsys.readouterr().err

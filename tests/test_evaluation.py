@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pbcurl import data, evaluation, losses, network
+from pbcurl import data, evaluation, losses, network, training
+from test_network import ACCEPTANCE_SIZES, alloc_forward_cached, random_tuples
 
 
 def identity(x):
@@ -193,3 +196,71 @@ def test_mc_posterior_risk_se_shrinks_with_draws(rng):
         ]
         spreads.append(np.std(means))
     assert spreads[2] < spreads[0]
+
+
+def test_mc_posterior_risk_checks_kind_before_drawing(rng):
+    layer_sizes = (2, 2)
+    post, _ = network.init_network(layer_sizes, 1e-2, rng)
+    model = data.random_gaussian_model(2, 2, 5.0, 0.5, rng)
+    ds = data.sample_contrastive_iid(model, 5, 1, 1, rng)
+    draws = np.random.default_rng(3)
+    with pytest.raises(ValueError, match="unknown risk kind"):
+        evaluation.mc_posterior_risk(layer_sizes, post, ds, 2, "nope", "hinge", draws)
+    # no weight was drawn: the stream is where a fresh one starts
+    assert draws.standard_normal() == np.random.default_rng(3).standard_normal()
+
+
+# ---------------------------------------------------------------------------
+# chunked whole-matrix paths against one whole-matrix forward, bit for bit.
+# A remainder chunk of 1 or 75 rows would round differently from the whole
+# matrix, so these row counts fail unless the remainder folds into the last chunk
+
+
+@pytest.mark.parametrize("extra", [1, network.CHUNK_ROWS + 75])
+def test_chunked_paths_match_whole_matrix(rng, extra):
+    rows = network.CHUNK_ROWS + extra
+    ds = random_tuples(rng, rows, rows)
+    post, _ = network.init_network(ACCEPTANCE_SIZES, 1e-2, rng)
+    post.mu = rng.normal(scale=0.3, size=post.n_params)
+
+    def whole(w):
+        out, _ = alloc_forward_cached(ACCEPTANCE_SIZES, w, ds.features)
+        return out, losses.contrastive_margins(
+            out[ds.anchors], out[ds.positives], out[ds.negatives]
+        )
+
+    out, margins = whole(post.mu)
+    assert np.array_equal(network.forward(ACCEPTANCE_SIZES, post.mu, ds.features), out)
+    assert network.feature_bound(ACCEPTANCE_SIZES, post.mu, ds.features) == float(
+        np.sqrt(np.max(np.sum(out * out, axis=1)))
+    )
+    assert training.map_dataset_loss(ACCEPTANCE_SIZES, post.mu, ds, "logistic") == float(
+        np.mean(losses.loss_value(margins, "logistic"))
+    )
+
+    for kind in ("zero-one", "loss"):
+        _, vals = evaluation.mc_posterior_risk(
+            ACCEPTANCE_SIZES, post, ds, 3, kind, "logistic", np.random.default_rng(5)
+        )
+        draws = np.random.default_rng(5)
+        ref = []
+        for _ in range(3):
+            w = network.sample_weights(post, draws.standard_normal(post.n_params))
+            m = whole(w)[1]
+            risk = losses.loss_value(m, "logistic") if kind == "loss" else losses.zero_one_risk(m)
+            ref.append(np.mean(risk))
+        assert np.array_equal(vals, ref)
+
+
+def test_mc_draw_over_a_large_matrix_allocates_little(rng):
+    # acceptance scale: 20k tuples over a 220k-row matrix. The (rows, 16)
+    # output is 28 MB; the whole-matrix forward also held every layer (170 MB)
+    ds = random_tuples(rng, 220_000, 20_000)
+    post, _ = network.init_network(ACCEPTANCE_SIZES, 1e-2, rng)
+    tracemalloc.start()
+    try:
+        evaluation.mc_posterior_risk(ACCEPTANCE_SIZES, post, ds, 1, "zero-one", "logistic", rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6

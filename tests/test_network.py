@@ -1,10 +1,11 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pbcurl import network
+from pbcurl import data, losses, network, training
 
 # hand-evaluated 1-2-1 forward pass:
 # W1=[[1],[-0.5]] b1=[0.1,0.2] W2=[[2,3]] b2=[-0.25], x=0.7
@@ -156,3 +157,137 @@ def test_forward_dimension_mismatch_raises(rng):
     w = rng.normal(size=network.param_count((3, 2)))
     with pytest.raises(ValueError):
         network.forward((3, 2), w, np.ones((4, 5)))
+
+
+# ---------------------------------------------------------------------------
+# the workspace paths against the allocating math they replaced, bit for bit
+
+ACCEPTANCE_SIZES = (20, 32, 16)
+
+
+def alloc_forward_cached(layer_sizes, w, x):
+    """Whole-matrix forward with fresh arrays per layer: the reference."""
+    slices = network._layer_slices(layer_sizes)
+    a = np.asarray(x, dtype=np.float64)
+    cache = [a]
+    for li, (w_sl, b_sl) in enumerate(slices):
+        wm = w[w_sl].reshape(layer_sizes[li + 1], layer_sizes[li])
+        z = a @ wm.T + w[b_sl]
+        a = np.maximum(z, 0.0) if li < len(slices) - 1 else z
+        cache.append(a)
+    return a, cache
+
+
+def alloc_backprop(layer_sizes, w, cache, d_out):
+    slices = network._layer_slices(layer_sizes)
+    grad = np.zeros_like(w)
+    delta = np.asarray(d_out, dtype=np.float64)
+    for li in range(len(slices) - 1, -1, -1):
+        w_sl, b_sl = slices[li]
+        if li < len(slices) - 1:
+            delta = delta * (cache[li + 1] > 0.0)
+        grad[w_sl] = (delta.T @ cache[li]).ravel()
+        grad[b_sl] = delta.sum(axis=0)
+        if li > 0:
+            delta = delta @ w[w_sl].reshape(layer_sizes[li + 1], layer_sizes[li])
+    return grad
+
+
+def alloc_contrastive_loss_and_wgrad(layer_sizes, w, anchor, pos, neg, loss_kind):
+    n, b, d0 = pos.shape
+    k = neg.shape[1]
+    x = np.concatenate([anchor, pos.reshape(n * b, d0), neg.reshape(n * k * b, d0)])
+    out, cache = alloc_forward_cached(layer_sizes, w, x)
+    d = out.shape[1]
+    a_out = out[:n]
+    p_out = out[n : n + n * b].reshape(n, b, d)
+    g_out = out[n + n * b :].reshape(n, k, b, d)
+    margins = losses.contrastive_margins(a_out, p_out, g_out)
+    loss = float(np.mean(losses.loss_value(margins, loss_kind)))
+    dv = losses.loss_margin_grad(margins, loss_kind) * (1.0 / n)
+    p_mean = np.mean(p_out, axis=1)
+    g_mean = np.mean(g_out, axis=2)
+    d_anchor = np.einsum("nk,nkd->nd", dv, p_mean[:, None, :] - g_mean)
+    d_pos = (np.sum(dv, axis=1)[:, None] * a_out / b)[:, None, :].repeat(b, axis=1)
+    d_neg = (-dv[:, :, None] * a_out[:, None, :] / b)[:, :, None, :].repeat(b, axis=2)
+    d_out = np.concatenate([d_anchor, d_pos.reshape(n * b, d), d_neg.reshape(n * k * b, d)])
+    return loss, alloc_backprop(layer_sizes, w, cache, d_out), margins
+
+
+def random_tuples(rng, rows, m, dim=20, k=4, block_size=2):
+    return data.ContrastiveDataset(
+        features=rng.standard_normal((rows, dim)),
+        anchors=rng.integers(0, rows, m),
+        positives=rng.integers(0, rows, (m, block_size)),
+        negatives=rng.integers(0, rows, (m, k, block_size)),
+        k=k, block_size=block_size,
+    )
+
+
+@pytest.mark.parametrize("loss_kind", ["logistic", "hinge"])
+def test_workspace_step_matches_allocating_math(rng, loss_kind):
+    # a full batch of 250 tuples, then a partial last batch of 200 (17,200 % 250)
+    # through the same workspace and row buffer, as train() runs them
+    ds = random_tuples(rng, 3000, 600)
+    w = rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
+    rows = 250 * (1 + 2 * (1 + 4))
+    ws = network.Workspace(ACCEPTANCE_SIZES, rows)
+    batch_rows = np.empty((rows, 20))
+    for n in (250, 200):
+        idx = rng.choice(len(ds), size=n, replace=False)
+        batch = ds.gather(idx, out=batch_rows)
+        loss, grad, margins = training.contrastive_loss_and_wgrad(
+            ACCEPTANCE_SIZES, w, batch, loss_kind, 1.0, ws
+        )
+        ref_loss, ref_grad, ref_margins = alloc_contrastive_loss_and_wgrad(
+            ACCEPTANCE_SIZES, w, ds.features[ds.anchors[idx]],
+            ds.features[ds.positives[idx]], ds.features[ds.negatives[idx]], loss_kind,
+        )
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+        assert np.array_equal(margins, ref_margins)
+
+
+def test_forward_without_workspace_matches_allocating_math(rng):
+    x = rng.standard_normal((300, 20))
+    w = rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
+    d_out = rng.standard_normal((300, 16))
+    out, cache = network.forward_cached(ACCEPTANCE_SIZES, w, x)
+    ref_out, ref_cache = alloc_forward_cached(ACCEPTANCE_SIZES, w, x)
+    assert all(np.array_equal(a, b) for a, b in zip(cache, ref_cache))
+    assert np.array_equal(network.backprop(ACCEPTANCE_SIZES, w, cache, d_out),
+                          alloc_backprop(ACCEPTANCE_SIZES, w, ref_cache, d_out))
+
+
+def test_row_chunks_fold_the_remainder():
+    c = network.CHUNK_ROWS
+    assert network.row_chunks(0) == [(0, 0)]
+    assert network.row_chunks(c - 1) == [(0, c - 1)]
+    assert network.row_chunks(2 * c + 75) == [(0, c), (c, 2 * c + 75)]
+    assert network.row_chunks(3 * c) == [(0, c), (c, 2 * c), (2 * c, 3 * c)]
+
+
+def test_warm_training_step_allocates_little(rng):
+    # acceptance shapes: 20-32-16, batch 250, k=4, blocks of 2; the workspace
+    # and row buffer are train()'s, so a warmed step only makes small arrays
+    ds = random_tuples(rng, 3000, 600)
+    cfg = training.TrainConfig(layer_sizes=ACCEPTANCE_SIZES, k=4, block_size=2, batch_size=250)
+    post, prior = network.init_network(ACCEPTANCE_SIZES, cfg.sigma2_p_init, rng)
+    rows = 250 * (1 + 2 * (1 + 4))
+    batch_rows = np.empty((rows, 20))
+    objective, _ = training._step_objective(
+        cfg, ACCEPTANCE_SIZES, post, prior, ds, network.Workspace(ACCEPTANCE_SIZES, rows)
+    )
+    idx = np.arange(250)
+
+    def step():
+        objective(ds.gather(idx, out=batch_rows), network.sample_eps(post.n_params, rng))
+
+    step()
+    tracemalloc.start()
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20      # the allocating step peaked at 4.4 MB
