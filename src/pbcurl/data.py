@@ -85,6 +85,19 @@ class TupleBatch(tuple):
         return batch
 
 
+def take_tuples(features, anchors, positives, negatives, out):
+    """Stack the rows of features named by the tuple index arrays.
+
+    The rows fill the leading rows of out in TupleBatch layout; returns the
+    TupleBatch of views into them.
+    """
+    n, k, b = negatives.shape
+    batch = TupleBatch(out[: n * (1 + b * (1 + k))], n, k, b)
+    for part, idx in zip(batch, (anchors, positives, negatives)):
+        np.take(features, idx, axis=0, out=part)
+    return batch
+
+
 @dataclass
 class ContrastiveDataset:
     """m tuples referencing rows of one feature matrix."""
@@ -113,14 +126,10 @@ class ContrastiveDataset:
         """
         index = [part if idx is None else part[idx]
                  for part in (self.anchors, self.positives, self.negatives)]
-        n = len(index[0])
-        rows = n * (1 + self.block_size * (1 + self.k))
         if out is None:
+            rows = len(index[0]) * (1 + self.block_size * (1 + self.k))
             out = np.empty((rows, self.dim), dtype=self.features.dtype)
-        batch = TupleBatch(out[:rows], n, self.k, self.block_size)
-        for part, part_idx in zip(batch, index):
-            np.take(self.features, part_idx, axis=0, out=part)
-        return batch
+        return take_tuples(self.features, *index, out)
 
     def subset(self, idx):
         return ContrastiveDataset(
@@ -502,16 +511,23 @@ def save_labeled_csv(ds, path):
 # binary feature matrix + JSON manifest
 
 
+def _feature_header(features):
+    return MAGIC + struct.pack("<II", *features.shape)
+
+
 def _feature_bytes(features):
-    rows, dim = features.shape
-    header = MAGIC + struct.pack("<II", rows, dim)
-    payload = np.ascontiguousarray(features, dtype="<f8").tobytes()
-    return header + payload
+    return _feature_header(features) + np.ascontiguousarray(features, dtype="<f8").tobytes()
 
 
 def dataset_hash(ds):
-    """sha256 of the serialized feature matrix (header included)."""
-    return hashlib.sha256(_feature_bytes(ds.features)).hexdigest()
+    """sha256 of the serialized feature matrix (header included).
+
+    The matrix is hashed in place when it is already contiguous little-endian
+    float64, so no serialized copy is made.
+    """
+    h = hashlib.sha256(_feature_header(ds.features))
+    h.update(np.ascontiguousarray(ds.features, dtype="<f8"))
+    return h.hexdigest()
 
 
 def save_contrastive(ds, json_path):
@@ -543,14 +559,16 @@ def load_contrastive(json_path):
         raise DataFormatError(f"{json_path}: not a contrastive dataset manifest")
     bin_path = os.path.join(os.path.dirname(json_path), doc["features_file"])
     with open(bin_path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16 or blob[:8] != MAGIC:
-        raise DataFormatError(f"{bin_path}: bad magic, not a feature matrix")
-    rows, dim = struct.unpack("<II", blob[8:16])
-    expect = 16 + rows * dim * 8
-    if len(blob) != expect:
-        raise DataFormatError(f"{bin_path}: expected {expect} bytes, found {len(blob)}")
-    features = np.frombuffer(blob[16:], dtype="<f8").reshape(rows, dim).astype(np.float64)
+        header = fh.read(16)
+        if len(header) < 16 or header[:8] != MAGIC:
+            raise DataFormatError(f"{bin_path}: bad magic, not a feature matrix")
+        rows, dim = struct.unpack("<II", header[8:16])
+        expect, found = 16 + rows * dim * 8, os.fstat(fh.fileno()).st_size
+        if found != expect:
+            raise DataFormatError(f"{bin_path}: expected {expect} bytes, found {found}")
+        # straight from the file into the matrix: the payload is held once
+        features = np.fromfile(fh, dtype="<f8", count=rows * dim).reshape(rows, dim)
+    features = features.astype(np.float64, copy=False)      # native byte order
     ds = ContrastiveDataset(
         features=features,
         anchors=np.asarray(doc["anchors"], dtype=np.int64),

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import losses, network
+from . import data, losses, network
 
 
 @dataclass
@@ -103,16 +103,22 @@ def evaluate_representation(feature_fn, labeled_train, labeled_test, rng,
 def tuple_risks(out, ds, kind, loss_kind):
     """Per-tuple risk of ds, given out = the network applied to ds.features.
 
-    Computed in chunks of tuples that span about network.CHUNK_ROWS rows,
-    into one (m,) array. Callers average it in one np.mean: averaging chunk
-    means would round differently.
+    Computed in chunks of tuples that span about network.CHUNK_ROWS rows: each
+    chunk's output rows are stacked in one reused buffer and its margins
+    computed in another, into one (m,) array. Callers average it in one
+    np.mean: averaging chunk means would round differently.
     """
-    risks = np.empty(len(ds))
     per_tuple = 1 + ds.block_size * (1 + ds.k)
-    for lo, hi in network.row_chunks(len(ds), max(1, network.CHUNK_ROWS // per_tuple)):
-        margins = losses.contrastive_margins(
-            out[ds.anchors[lo:hi]], out[ds.positives[lo:hi]], out[ds.negatives[lo:hi]]
+    chunks = network.row_chunks(len(ds), max(1, network.CHUNK_ROWS // per_tuple))
+    tallest = chunks[-1][1] - chunks[-1][0]
+    rows = np.empty((tallest * per_tuple, out.shape[1]))
+    diff = np.empty((tallest, ds.k, out.shape[1]))
+    risks = np.empty(len(ds))
+    for lo, hi in chunks:
+        batch = data.take_tuples(
+            out, ds.anchors[lo:hi], ds.positives[lo:hi], ds.negatives[lo:hi], rows
         )
+        margins = losses.contrastive_margins(*batch, diff[: hi - lo])
         risks[lo:hi] = (losses.loss_value(margins, loss_kind) if kind == "loss"
                         else losses.zero_one_risk(margins))
     return risks

@@ -115,7 +115,8 @@ class Workspace:
 
     Activations, deltas and ReLU masks are one (rows, width) array per layer
     (deltas[-1] holds d_out), grad is the flat gradient. forward_cached and
-    backprop return views into them that the next call overwrites.
+    backprop return views into them that the next call overwrites. scratch is
+    a flat buffer of rows * d_out floats for the loss on top of the network.
     """
 
     def __init__(self, layer_sizes, rows):
@@ -125,6 +126,7 @@ class Workspace:
         self.deltas = [np.empty((rows, n)) for n in widths]
         self.masks = [np.empty((rows, n), dtype=bool) for n in widths[:-1]]
         self.grad = np.empty(param_count(layer_sizes))
+        self.scratch = np.empty(rows * widths[-1])
 
 
 def forward(layer_sizes, w, x, n_layers=None, out=None):

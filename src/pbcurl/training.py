@@ -178,7 +178,8 @@ def contrastive_loss_and_wgrad(layer_sizes, w, batch, loss_kind, loss_scale=1.0,
     """Mean tuple loss over a TupleBatch and its gradient w.r.t. w.
 
     One forward pass covers batch.rows. d_out is assembled in ws.deltas[-1]
-    and the gradient returned is ws.grad (of a temporary workspace when ws is
+    from the margin kernel's block mean differences, kept in ws.scratch, and
+    the gradient returned is ws.grad (of a temporary workspace when ws is
     None), so it lives until the next call with the same workspace.
     """
     _, pos, neg = batch
@@ -186,30 +187,46 @@ def contrastive_loss_and_wgrad(layer_sizes, w, batch, loss_kind, loss_scale=1.0,
     ws = ws or network.Workspace(layer_sizes, len(batch.rows))
     out, cache = network.forward_cached(layer_sizes, w, batch.rows, ws=ws)
     a_out, p_out, g_out = TupleBatch(out, n, k, b)
+    d = out.shape[1]
+    diff = ws.scratch[: n * k * d].reshape(n, k, d)
+    pos_term = ws.scratch[n * k * d : n * (k + 1) * d].reshape(n, d)
 
-    margins = losses.contrastive_margins(a_out, p_out, g_out)
+    margins = losses.contrastive_margins(a_out, p_out, g_out, diff)
     loss = loss_scale * float(np.mean(losses.loss_value(margins, loss_kind)))
 
     dv = losses.loss_margin_grad(margins, loss_kind) * (loss_scale / n)   # (n, k)
-    p_mean = np.mean(p_out, axis=1)
-    g_mean = np.mean(g_out, axis=2)
     d_out = TupleBatch(ws.deltas[-1][: len(out)], n, k, b)
-    np.einsum("nk,nkd->nd", dv, p_mean[:, None, :] - g_mean, out=d_out[0])
-    d_out[1][...] = (np.sum(dv, axis=1)[:, None] * a_out / b)[:, None, :]
-    d_out[2][...] = (-dv[:, :, None] * a_out[:, None, :] / b)[:, :, None, :]
+    np.einsum("nk,nkd->nd", dv, diff, out=d_out[0])
+    np.multiply(np.sum(dv, axis=1)[:, None], a_out, out=pos_term)
+    pos_term /= b
+    d_out[1][...] = pos_term[:, None, :]
+    np.multiply(-dv[:, :, None], a_out[:, None, :], out=diff)   # diff is read: reuse it
+    diff /= b
+    d_out[2][...] = diff[:, :, None, :]
     return loss, network.backprop(layer_sizes, w, cache, d_out.rows, ws), margins
 
 
-def supervised_loss_and_wgrad(layer_sizes, w, x, y, loss_kind, loss_scale=1.0, ws=None):
-    """Multiclass margin loss o_y - o_y' fed through the tuple loss family."""
-    out, cache = network.forward_cached(layer_sizes, w, x, ws=ws)
+def _supervised_loss(out, y, loss_kind, loss_scale=1.0):
+    """Mean multiclass margin loss of the outputs, margins o_y - o_y' over y' != y.
+
+    Returns (loss, margins (n, c-1), rows (n, 1), other (n, c-1)); rows and
+    other index the other classes' outputs.
+    """
     n, c = out.shape
     cols = np.arange(c)
     other = np.stack([cols[cols != yi] for yi in y])          # (n, c-1)
     rows = np.arange(n)[:, None]
     margins = out[rows, y[:, None]] - out[rows, other]        # (n, c-1)
     loss = loss_scale * float(np.mean(losses.loss_value(margins, loss_kind)))
+    return loss, margins, rows, other
 
+
+def supervised_loss_and_wgrad(layer_sizes, w, x, y, loss_kind, loss_scale=1.0, ws=None):
+    """Multiclass margin loss o_y - o_y' fed through the tuple loss family."""
+    out, cache = network.forward_cached(layer_sizes, w, x, ws=ws)
+    loss, margins, rows, other = _supervised_loss(out, y, loss_kind, loss_scale)
+
+    n, c = out.shape
     dv = losses.loss_margin_grad(margins, loss_kind) * (loss_scale / n)
     d_out = np.zeros_like(out)
     np.add.at(d_out, (rows.repeat(c - 1, axis=1), other), -dv)
@@ -310,8 +327,8 @@ def map_dataset_loss(layer_sizes, w, ds, loss_kind):
 
 
 def map_supervised_loss(layer_sizes, w, labeled, loss_kind):
-    loss, _ = supervised_loss_and_wgrad(layer_sizes, w, labeled.x, labeled.y, loss_kind)
-    return loss
+    """Validation loss of a supervised run: a forward pass, no gradient."""
+    return _supervised_loss(network.forward(layer_sizes, w, labeled.x), labeled.y, loss_kind)[0]
 
 
 @dataclass

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,6 +319,31 @@ def test_load_contrastive_truncated(tmp_path, rng):
     assert "expected" in str(exc.value) and "bytes" in str(exc.value)
 
 
+def test_load_contrastive_holds_one_copy_of_the_matrix(tmp_path, rng):
+    # acceptance scale: 20k tuples, k=4, blocks of 2 over a 220k x 20 matrix
+    # (35 MB). The parsed JSON indices take about 22 MB; a second copy of the
+    # matrix would cross the limit
+    m, k, b = 20_000, 4, 2
+    rows = m * (1 + b * (1 + k))
+    order = rng.permutation(rows)
+    ds = data.ContrastiveDataset(
+        features=rng.standard_normal((rows, 20)),
+        anchors=order[:m], positives=order[m:m + m * b].reshape(m, b),
+        negatives=order[m + m * b:].reshape(m, k, b), k=k, block_size=b,
+    )
+    path = str(tmp_path / "big.json")
+    data.save_contrastive(ds, path)
+    tracemalloc.start()
+    try:
+        back = data.load_contrastive(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.features, ds.features)
+    assert back.features.dtype == np.float64 and back.features.flags.writeable
+    assert peak < 2 * ds.features.nbytes
+
+
 def test_load_contrastive_wrong_format(tmp_path):
     path = tmp_path / "ds.json"
     path.write_text('{"format": "something-else"}\n')
@@ -356,6 +383,17 @@ def test_dataset_hash_sensitivity(rng):
     assert h0 == data.dataset_hash(ds)
     ds.features[3, 0] += 1e-12
     assert data.dataset_hash(ds) != h0
+
+
+@pytest.mark.parametrize("layout", ["float32", "fortran"])
+def test_dataset_hash_is_the_serialized_matrix_digest(rng, layout):
+    x = rng.standard_normal((31, 7))
+    x = x.astype(np.float32) if layout == "float32" else np.asfortranarray(x)
+    ds = data.ContrastiveDataset(
+        features=x, anchors=np.arange(3), positives=np.zeros((3, 1), dtype=np.int64),
+        negatives=np.ones((3, 1, 1), dtype=np.int64), k=1, block_size=1,
+    )
+    assert data.dataset_hash(ds) == hashlib.sha256(data._feature_bytes(x)).hexdigest()
 
 
 # ---------------------------------------------------------------------------

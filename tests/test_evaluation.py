@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from pbcurl import data, evaluation, losses, network, training
-from test_network import ACCEPTANCE_SIZES, alloc_forward_cached, random_tuples
+from test_network import (
+    ACCEPTANCE_SIZES, alloc_forward_cached, mean_formula_margins, random_tuples,
+)
 
 
 def identity(x):
@@ -225,9 +227,9 @@ def test_chunked_paths_match_whole_matrix(rng, extra):
 
     def whole(w):
         out, _ = alloc_forward_cached(ACCEPTANCE_SIZES, w, ds.features)
-        return out, losses.contrastive_margins(
+        return out, mean_formula_margins(
             out[ds.anchors], out[ds.positives], out[ds.negatives]
-        )
+        )[0]
 
     out, margins = whole(post.mu)
     assert np.array_equal(network.forward(ACCEPTANCE_SIZES, post.mu, ds.features), out)
@@ -250,6 +252,19 @@ def test_chunked_paths_match_whole_matrix(rng, extra):
             risk = losses.loss_value(m, "logistic") if kind == "loss" else losses.zero_one_risk(m)
             ref.append(np.mean(risk))
         assert np.array_equal(vals, ref)
+
+
+@pytest.mark.parametrize("kind", ["zero-one", "loss"])
+def test_tuple_risks_blocks_of_three(rng, kind):
+    # blocks of 3 and k=2 give 10 rows per tuple: 204 tuples per chunk, and
+    # 700 tuples fold into chunks of 204, 204 and 292
+    ds = random_tuples(rng, 900, 700, dim=5, k=2, block_size=3)
+    ds.features[rng.random(ds.features.shape) < 0.1] = 0.0
+    out = ds.features * rng.choice([-1.0, 1.0], size=ds.features.shape)
+    margins = mean_formula_margins(out[ds.anchors], out[ds.positives], out[ds.negatives])[0]
+    ref = losses.loss_value(margins, "hinge") if kind == "loss" else losses.zero_one_risk(margins)
+    risks = evaluation.tuple_risks(out, ds, kind, "hinge")
+    assert np.array_equal(risks.view(np.int64), ref.view(np.int64))
 
 
 def test_mc_draw_over_a_large_matrix_allocates_little(rng):

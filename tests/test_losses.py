@@ -35,6 +35,32 @@ def test_margins_hand_case_blocks():
     assert v[0, 0] == pytest.approx(1.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+def test_margins_bitwise_equal_to_np_mean(rng, b, k):
+    # the block means follow np.mean's order; signed zeros must match too.
+    # np.mean sums from +0.0, so a block of -0.0 has mean 0.0 and 0.0 - 0.0
+    # is 0.0, where -0.0 - 0.0 would be -0.0
+    n, d = 37, 6
+    rows = rng.standard_normal((n * (1 + b + k * b), d)) * np.exp(rng.uniform(-8, 8, (1, d)))
+    rows[rng.random(rows.shape) < 0.2] = 0.0
+    rows[rng.random(rows.shape) < 0.5] *= -1.0
+    rows[: n // 2, :2] = -0.0
+    anchor = rows[:n]
+    pos, neg = rows[n:n + n * b].reshape(n, b, d), rows[n + n * b:].reshape(n, k, b, d)
+    pos[::3, :, 0] = -0.0
+    neg[::3, :, :, 0] = 0.0
+    neg[::4, :, :, 1] = -0.0
+    ref_diff = np.mean(pos, axis=1)[:, None, :] - np.mean(neg, axis=2)
+    ref = np.einsum("nd,nkd->nk", anchor, ref_diff)
+    diff = np.full((n, k, d), np.nan)
+    v = losses.contrastive_margins(anchor, pos, neg, diff)
+    assert np.array_equal(v.view(np.int64), ref.view(np.int64))
+    assert np.array_equal(diff.view(np.int64), ref_diff.view(np.int64))
+    assert np.array_equal(losses.contrastive_margins(anchor, pos, neg).view(np.int64),
+                          ref.view(np.int64))
+
+
 def test_logistic_loss_values():
     assert losses.logistic_loss(np.array([0.0])) == pytest.approx(1.0, rel=1e-15)
     assert losses.logistic_loss(np.array([0.0, 0.0])) == pytest.approx(LOG2_3, rel=1e-14)

@@ -353,6 +353,26 @@ def test_train_supervised_appends_head(rng, tmp_path):
     assert ckpt.feature_layers == len(cfg.layer_sizes) - 1
 
 
+def test_supervised_validation_runs_no_backprop(rng, monkeypatch):
+    # 3 epochs of 3 steps: one backprop per step and none for the validation loss
+    model = data.random_gaussian_model(4, 3, 5.0, 0.3, rng)
+    train_pts = data.sample_labeled(model, 90, rng)
+    valid_pts = data.sample_labeled(model, 40, rng)
+    calls = []
+    backprop = network.backprop
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return backprop(*args, **kwargs)
+
+    monkeypatch.setattr(network, "backprop", counted)
+    cfg = base_config(objective="supervised", n_classes=4, epochs=3, batch_size=30)
+    rec = training.train(cfg, train_pts, valid_pts)
+    assert not rec.aborted and rec.stopped_epoch == 3
+    assert all(e["valid_map"] is not None for e in rec.epochs)
+    assert len(calls) == 9
+
+
 # ---------------------------------------------------------------------------
 # certificates
 
