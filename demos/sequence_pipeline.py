@@ -42,7 +42,7 @@ print(f"empirical risk {report.empirical_risk:.4f}  "
 
 # what the penalty looks like if tuple dependence were (wrongly) ignored
 chi2 = divergences.chi2_gaussian(post.mu, post.log_sigma2, prior.mu, prior.log_sigma2)
-j = bounds.j_index(cfg.grid_b, cfg.grid_c, prior.sigma2)
+j = bounds.j_index(cfg.grid_b, cfg.grid_c, prior.log_sigma2)
 naive = bounds.selection_bound_noniid(
     report.empirical_risk, j, chi2.log1p, len(train), cfg.delta, 0
 )

@@ -8,7 +8,7 @@ overflow error.
 """
 
 from dataclasses import dataclass, field
-from math import comb, exp, expm1, inf, log, pi, sqrt
+from math import comb, exp, expm1, inf, isfinite, log, pi, sqrt
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -77,28 +77,31 @@ def iid_supervised_bound(l_hat_un, kl, m, lam, delta, tau, loss_sup):
     return (inner - tau) / (1.0 - tau)
 
 
-def j_index(grid_b, grid_c, sigma2_p):
+def j_index(grid_b, grid_c, log_sigma2_p):
     """Continuous index of sigma2_p on the grid {grid_c * e^(-j/grid_b)}."""
-    if sigma2_p <= 0.0 or sigma2_p >= grid_c:
+    if not -inf < log_sigma2_p < log(grid_c):
         raise ValueError("prior variance must lie in (0, grid_c)")
-    return grid_b * log(grid_c / sigma2_p)
+    return grid_b * (log(grid_c) - log_sigma2_p)
+
+
+def chi2_log_penalty_over_j(j, chi2_log1p, m, delta, dependency_t, loss_sup=1.0):
+    """log(pen / (pi j)) of the chi-square penalty.
+
+    pen = pi * j * sqrt(loss_sup^2 (1 + 8T) (chi2 + 1) / (24 m delta)). Returns
+    inf when chi2_log1p is not finite or log(pen) exceeds 700, where the
+    penalty overflows.
+    """
+    log_const = 0.5 * (
+        2.0 * log(loss_sup) + log(1.0 + 8.0 * dependency_t) - log(24.0 * m * delta)
+    )
+    log_pen_over_j = 0.5 * chi2_log1p + log_const
+    if not isfinite(chi2_log1p) or log_pen_over_j + log(pi * j) > 700.0:
+        return inf
+    return log_pen_over_j
 
 
 def _chi2_penalty(j, chi2_log1p, m, delta, dependency_t, loss_sup=1.0):
-    # pi * j * sqrt(loss_sup^2 (1 + 8T) (chi2 + 1) / (24 m delta)), in log space
-    log_pen = (
-        log(pi * j)
-        + 0.5
-        * (
-            chi2_log1p
-            + 2.0 * log(loss_sup)
-            + log(1.0 + 8.0 * dependency_t)
-            - log(24.0 * m * delta)
-        )
-    )
-    if log_pen > 700.0:
-        return inf
-    return exp(log_pen)
+    return pi * j * exp(chi2_log_penalty_over_j(j, chi2_log1p, m, delta, dependency_t, loss_sup))
 
 
 def noniid_bound(l_hat_un, j, chi2_log1p, m, delta, dependency_t, loss_sup):

@@ -298,11 +298,6 @@ def _cmd_gen_data(args):
 
 
 def _check_grid_against_data(cfg, ds):
-    if cfg.objective == "supervised":
-        raise ConfigError(
-            "objective 'supervised' trains on labeled data only, and train takes "
-            "contrastive manifests: use iid, noniid or erm"
-        )
     if cfg.layer_sizes[0] != ds.dim:
         raise ConfigError(
             f"layer_sizes[0] = {cfg.layer_sizes[0]} does not match dataset dim {ds.dim}"
@@ -451,11 +446,9 @@ def _cmd_eval(args):
                 f"{ckpt_path}: network input width {layer_sizes[0]} does not match "
                 f"feature dim {labeled_train.dim}"
             )
-        w = network.map_weights(ckpt.posterior)
-
-        def feature_fn(x, w=w, ls=layer_sizes, nl=ckpt.feature_layers):
-            return network.forward(ls, w, x, n_layers=nl)
-
+        feature_fn = functools.partial(
+            network.forward, layer_sizes, network.map_weights(ckpt.posterior)
+        )
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]).generate_state(1)[0])
         results[ckpt_path] = evaluation.evaluate_representation(
             feature_fn, labeled_train, labeled_test, rng,

@@ -61,11 +61,6 @@ class LabeledDataset:
     def classes(self):
         return np.unique(self.y)
 
-    def gather(self, idx, out=None):
-        """(x, y) rows for the given indices; x fills out's leading rows when given."""
-        x = np.take(self.x, idx, axis=0, out=None if out is None else out[: len(idx)])
-        return x, self.y[idx]
-
 
 class TupleBatch(tuple):
     """(anchor (n, d), pos (n, b, d), neg (n, k, b, d)) as views into rows.
@@ -131,18 +126,6 @@ class ContrastiveDataset:
             out = np.empty((rows, self.dim), dtype=self.features.dtype)
         return take_tuples(self.features, *index, out)
 
-    def subset(self, idx):
-        return ContrastiveDataset(
-            features=self.features,
-            anchors=self.anchors[idx],
-            positives=self.positives[idx],
-            negatives=self.negatives[idx],
-            k=self.k,
-            block_size=self.block_size,
-            dependency_t=self.dependency_t,
-            provenance=dict(self.provenance),
-        )
-
 
 def concat_contrastive(a, b):
     """Stack two tuple sets (train + valid for certificate-criterion runs)."""
@@ -167,39 +150,17 @@ def concat_contrastive(a, b):
 
 @dataclass
 class LatentClassModel:
-    """Mixture of class conditional distributions with class frequencies rho.
+    """Mixture of spherical Gaussians N(means[c], std^2 I) with class frequencies rho."""
 
-    Two conditional families:
-      * gaussian: spherical N(means[c], std^2 I)
-      * discrete: finite support (points shared across classes), per class
-        probability table; exact expectations are enumerable, which is what
-        the oracle checks rely on.
-    """
-
-    rho: np.ndarray                    # (C,)
-    kind: str                          # "gaussian" | "discrete"
-    means: np.ndarray | None = None    # gaussian: (C, d)
+    rho: np.ndarray        # (C,)
+    means: np.ndarray      # (C, d)
     std: float = 1.0
-    support: np.ndarray | None = None  # discrete: (S, d) point table
-    probs: np.ndarray | None = None    # discrete: (C, S)
 
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=np.float64)
         if np.any(self.rho < 0) or abs(self.rho.sum() - 1.0) > 1e-9:
             raise ValueError("rho must be a probability vector")
-        if self.kind == "gaussian":
-            if self.means is None:
-                raise ValueError("gaussian model needs class means")
-            self.means = np.asarray(self.means, dtype=np.float64)
-        elif self.kind == "discrete":
-            if self.support is None or self.probs is None:
-                raise ValueError("discrete model needs support and probs")
-            self.support = np.asarray(self.support, dtype=np.float64)
-            self.probs = np.asarray(self.probs, dtype=np.float64)
-            if np.any(self.probs < 0) or np.any(np.abs(self.probs.sum(axis=1) - 1.0) > 1e-9):
-                raise ValueError("probs rows must be probability vectors")
-        else:
-            raise ValueError(f"unknown model kind: {self.kind!r}")
+        self.means = np.asarray(self.means, dtype=np.float64)
 
     @property
     def n_classes(self):
@@ -207,7 +168,7 @@ class LatentClassModel:
 
     @property
     def dim(self):
-        return self.means.shape[1] if self.kind == "gaussian" else self.support.shape[1]
+        return self.means.shape[1]
 
     def sample_classes(self, shape, rng):
         return rng.choice(self.n_classes, size=shape, p=self.rho)
@@ -215,27 +176,14 @@ class LatentClassModel:
     def sample_points(self, classes, rng):
         """One draw from D_c for every entry of the integer array classes."""
         classes = np.asarray(classes)
-        if self.kind == "gaussian":
-            eps = rng.standard_normal(classes.shape + (self.dim,))
-            return self.means[classes] + self.std * eps
-        cum = np.cumsum(self.probs, axis=1)
-        u = rng.random(classes.shape)
-        flat_c = classes.ravel()
-        idx = np.empty(flat_c.shape, dtype=np.int64)
-        for c in range(self.n_classes):
-            sel = flat_c == c
-            if np.any(sel):
-                idx[sel] = np.searchsorted(cum[c], u.ravel()[sel], side="right")
-        idx = np.minimum(idx, self.probs.shape[1] - 1)
-        return self.support[idx.reshape(classes.shape)]
+        eps = rng.standard_normal(classes.shape + (self.dim,))
+        return self.means[classes] + self.std * eps
 
 
 def random_gaussian_model(n_classes, dim, separation, std, rng):
     """Uniform class frequencies, means drawn from N(0, separation^2 I)."""
     means = separation * rng.standard_normal((n_classes, dim))
-    return LatentClassModel(
-        rho=np.full(n_classes, 1.0 / n_classes), kind="gaussian", means=means, std=std
-    )
+    return LatentClassModel(rho=np.full(n_classes, 1.0 / n_classes), means=means, std=std)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +276,6 @@ def gen_sequences(model, n_per_class, length, ar_coeff, rng):
     consecutive frames are correlated but the marginal stays N(mean_c, std^2).
     Returns (list of (length, d) arrays, label list), grouped by class.
     """
-    if model.kind != "gaussian":
-        raise ValueError("sequence generator needs a gaussian model")
     phi = float(ar_coeff)
     seqs, labels = [], []
     for c in range(model.n_classes):
@@ -520,13 +466,18 @@ def _feature_bytes(features):
 
 
 def dataset_hash(ds):
-    """sha256 of the serialized feature matrix (header included).
+    """sha256 pinning the exact tuple set.
 
-    The matrix is hashed in place when it is already contiguous little-endian
-    float64, so no serialized copy is made.
+    The digest covers the serialized feature matrix (header included), then k,
+    block_size and dependency_t, then the anchor, positive and negative index
+    arrays, all little-endian 8 byte integers. Arrays already in that layout
+    are hashed in place, so no serialized copy is made.
     """
     h = hashlib.sha256(_feature_header(ds.features))
     h.update(np.ascontiguousarray(ds.features, dtype="<f8"))
+    h.update(struct.pack("<3q", ds.k, ds.block_size, ds.dependency_t))
+    for idx in (ds.anchors, ds.positives, ds.negatives):
+        h.update(np.ascontiguousarray(idx, dtype="<i8"))
     return h.hexdigest()
 
 

@@ -137,9 +137,9 @@ def forward(layer_sizes, w, x, n_layers=None, out=None):
     layer_sizes : sequence of ints, input dim first.
     w : flat parameter vector.
     x : (n, d_in) array.
-    n_layers : apply only the first n_layers affine layers (used to strip a
-        classification head); defaults to all. ReLU after every layer except
-        the final applied one.
+    n_layers : apply only the first n_layers affine layers (the oracle reads
+        hidden pre-activations this way); defaults to all. ReLU after every
+        layer except the final applied one.
     out : optional (n, d_out) array to write into.
 
     Returns
@@ -225,7 +225,6 @@ class Checkpoint:
     seed: int
     epoch: int
     config: dict = field(default_factory=dict)
-    feature_layers: int | None = None   # layers making up the feature map
 
 
 def save_checkpoint(path, ckpt):
@@ -241,7 +240,6 @@ def save_checkpoint(path, ckpt):
         "seed": ckpt.seed,
         "epoch": ckpt.epoch,
         "config": ckpt.config,
-        "feature_layers": ckpt.feature_layers,
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True)
@@ -253,6 +251,9 @@ def load_checkpoint(path):
         doc = json.load(fh)
     if doc.get("format") != "pbcurl-checkpoint-v1":
         raise ValueError(f"{path}: not a checkpoint file")
+    if doc.get("feature_layers") is not None:
+        # older versions trained a supervised class head on top of the features
+        raise ValueError(f"{path}: checkpoint has a supervised class head, not supported")
     post = Posterior(
         mu=np.asarray(doc["mu_q"], dtype=np.float64),
         log_sigma2=np.asarray(doc["log_sigma2_q"], dtype=np.float64),
@@ -268,5 +269,4 @@ def load_checkpoint(path):
         seed=int(doc["seed"]),
         epoch=int(doc["epoch"]),
         config=doc.get("config", {}),
-        feature_layers=doc.get("feature_layers"),
     )

@@ -6,9 +6,9 @@ posterior log variances, and the scalar prior log variance:
   iid      lam * m * L_hat(Q) + KL(Q||P) + 2 log(grid_b * log(grid_c / sigma2_p))
   noniid   L_hat(Q) + pi * j * sqrt( B_l^2 (1 + 8T) (chi2 + 1) / (24 m delta) )
 
-plus two deterministic baselines (plain empirical risk minimisation of the
-contrastive loss, and a supervised head on labeled data). Gradients are
-analytic throughout; one fresh weight sample per minibatch step.
+plus one deterministic baseline: plain empirical risk minimisation of the
+contrastive loss by the mean network. Gradients are analytic throughout; one
+fresh weight sample per minibatch step.
 """
 
 import dataclasses
@@ -30,7 +30,7 @@ class NumericAbort(RuntimeError):
     """Objective or gradient became NaN, or rejection retries ran out."""
 
 
-OBJECTIVES = ("iid", "noniid", "erm", "supervised")
+OBJECTIVES = ("iid", "noniid", "erm")
 OPTIMIZERS = ("sgd", "rmsprop", "adam")
 LOSS_KINDS = ("logistic", "hinge")
 VALID_METRICS = ("mc", "map")
@@ -59,7 +59,6 @@ class TrainConfig:
     n_valid_samples: int = 10
     optimize_prior: bool = True
     loss_scale: float = 1.0
-    n_classes: int | None = None         # supervised head width
     seed: int = 0
 
     def __post_init__(self):
@@ -74,8 +73,6 @@ class TrainConfig:
             raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
         if self.valid_metric not in VALID_METRICS:
             raise ValueError(f"valid_metric must be one of {VALID_METRICS}")
-        if self.objective == "supervised" and not self.n_classes:
-            raise ValueError("supervised objective needs n_classes")
         for name in ("lam", "grid_b", "lr", "loss_scale"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -206,34 +203,6 @@ def contrastive_loss_and_wgrad(layer_sizes, w, batch, loss_kind, loss_scale=1.0,
     return loss, network.backprop(layer_sizes, w, cache, d_out.rows, ws), margins
 
 
-def _supervised_loss(out, y, loss_kind, loss_scale=1.0):
-    """Mean multiclass margin loss of the outputs, margins o_y - o_y' over y' != y.
-
-    Returns (loss, margins (n, c-1), rows (n, 1), other (n, c-1)); rows and
-    other index the other classes' outputs.
-    """
-    n, c = out.shape
-    cols = np.arange(c)
-    other = np.stack([cols[cols != yi] for yi in y])          # (n, c-1)
-    rows = np.arange(n)[:, None]
-    margins = out[rows, y[:, None]] - out[rows, other]        # (n, c-1)
-    loss = loss_scale * float(np.mean(losses.loss_value(margins, loss_kind)))
-    return loss, margins, rows, other
-
-
-def supervised_loss_and_wgrad(layer_sizes, w, x, y, loss_kind, loss_scale=1.0, ws=None):
-    """Multiclass margin loss o_y - o_y' fed through the tuple loss family."""
-    out, cache = network.forward_cached(layer_sizes, w, x, ws=ws)
-    loss, margins, rows, other = _supervised_loss(out, y, loss_kind, loss_scale)
-
-    n, c = out.shape
-    dv = losses.loss_margin_grad(margins, loss_kind) * (loss_scale / n)
-    d_out = np.zeros_like(out)
-    np.add.at(d_out, (rows.repeat(c - 1, axis=1), other), -dv)
-    d_out[np.arange(n), y] = np.sum(dv, axis=1)
-    return loss, network.backprop(layer_sizes, w, cache, d_out, ws)
-
-
 # ---------------------------------------------------------------------------
 # objectives: value + grads for {mu_q, log_s2_q, log_s2_p}
 
@@ -272,17 +241,12 @@ def noniid_objective(layer_sizes, post, prior, batch, eps, *, m, delta, dependen
     """
     w = network.sample_weights(post, eps)
     loss, d_w, _ = contrastive_loss_and_wgrad(layer_sizes, w, batch, loss_kind, loss_scale, ws)
-    j = grid_b * (math.log(grid_c) - prior.log_sigma2)
+    j = bounds.j_index(grid_b, grid_c, prior.log_sigma2)
     log1p, c_mu, c_ls_q, c_ls_p = divergences.chi2_log1p_grads(
         post.mu, post.log_sigma2, prior.mu, prior.log_sigma2
     )
-    log_const = 0.5 * (
-        2.0 * math.log(loss_sup)
-        + math.log(1.0 + 8.0 * dependency_t)
-        - math.log(24.0 * m * delta)
-    )
-    log_pen_over_j = 0.5 * log1p + log_const
-    if not np.isfinite(log1p) or log_pen_over_j + math.log(math.pi * j) > 700.0:
+    log_pen_over_j = bounds.chi2_log_penalty_over_j(j, log1p, m, delta, dependency_t, loss_sup)
+    if math.isinf(log_pen_over_j):
         return math.inf, None, {"loss": loss, "chi2_log1p": float(log1p)}
     pen = math.pi * j * math.exp(log_pen_over_j)
     value = loss + pen
@@ -309,14 +273,6 @@ def erm_objective(layer_sizes, post, prior, batch, eps, *, loss_kind, loss_scale
     return loss, {"mu_q": d_w}, {"loss": loss}
 
 
-def supervised_objective(layer_sizes, post, prior, batch, eps, *, loss_kind,
-                         loss_scale=1.0, ws=None):
-    """Labeled-batch margin loss of the mean network; prior and eps are unused."""
-    x, y = batch
-    loss, d_w = supervised_loss_and_wgrad(layer_sizes, post.mu, x, y, loss_kind, loss_scale, ws)
-    return loss, {"mu_q": d_w}, {"loss": loss}
-
-
 # ---------------------------------------------------------------------------
 # dataset-level estimates used for validation metrics
 
@@ -324,11 +280,6 @@ def supervised_objective(layer_sizes, post, prior, batch, eps, *, loss_kind,
 def map_dataset_loss(layer_sizes, w, ds, loss_kind):
     out = network.forward(layer_sizes, w, ds.features)
     return float(np.mean(evaluation.tuple_risks(out, ds, "loss", loss_kind)))
-
-
-def map_supervised_loss(layer_sizes, w, labeled, loss_kind):
-    """Validation loss of a supervised run: a forward pass, no gradient."""
-    return _supervised_loss(network.forward(layer_sizes, w, labeled.x), labeled.y, loss_kind)[0]
 
 
 @dataclass
@@ -391,10 +342,8 @@ def _step_objective(cfg, layer_sizes, post, prior, data, ws):
             b_feat = network.feature_bound(layer_sizes, post.mu, data.features)
             kw["loss_sup"] = losses.loss_range(cfg.loss_kind, b_feat, cfg.k)
             return {"loss_sup": kw["loss_sup"]}
-    elif cfg.objective == "erm":
-        fn = erm_objective
     else:
-        fn = supervised_objective
+        fn = erm_objective
 
     def objective(batch, eps):
         return fn(layer_sizes, post, prior, batch, eps, **kw)
@@ -405,8 +354,7 @@ def _step_objective(cfg, layer_sizes, post, prior, data, ws):
 def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
     """Minimise cfg.objective on data; early stop on valid when configured.
 
-    data/valid are ContrastiveDataset for the contrastive objectives and
-    LabeledDataset for the supervised baseline. Returns a RunRecord; the
+    data and valid are ContrastiveDatasets. Returns a RunRecord; the
     checkpoint is written under run_dir when given (best validation epoch if
     early stopping is active, else the final epoch).
     """
@@ -418,13 +366,6 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
 
     stochastic = cfg.objective in ("iid", "noniid")
     layer_sizes = cfg.layer_sizes
-    feature_layers = None
-    map_loss = map_dataset_loss
-    if cfg.objective == "supervised":
-        layer_sizes = cfg.layer_sizes + (cfg.n_classes,)
-        feature_layers = len(cfg.layer_sizes) - 1
-        map_loss = map_supervised_loss
-
     post, prior = network.init_network(layer_sizes, cfg.sigma2_p_init, init_rng)
     params = {"mu_q": post.mu}
     if stochastic:
@@ -435,9 +376,7 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
     m = len(data)
     # one workspace and row buffer per run, sized to a full batch; a partial
     # last batch uses their leading rows
-    rows = min(cfg.batch_size, m)
-    if cfg.objective != "supervised":
-        rows *= 1 + data.block_size * (1 + data.k)
+    rows = min(cfg.batch_size, m) * (1 + data.block_size * (1 + data.k))
     batch_rows = np.empty((rows, data.dim))
     objective, begin_epoch = _step_objective(
         cfg, layer_sizes, post, prior, data, network.Workspace(layer_sizes, rows)
@@ -469,7 +408,7 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
             for step in range(n_steps):
                 batch = data.gather(order[step * cfg.batch_size : (step + 1) * cfg.batch_size],
                                     out=batch_rows)
-                # the deterministic objectives ignore eps; its stream feeds nothing else
+                # erm ignores eps; its stream feeds nothing else
                 eps = network.sample_eps(post.n_params, eps_rng)
 
                 retries = 0
@@ -526,7 +465,7 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
                         layer_sizes, post, valid, cfg.n_valid_samples,
                         "loss", cfg.loss_kind, valid_rng,
                     )
-                valid_map = map_loss(layer_sizes, post.mu, valid, cfg.loss_kind)
+                valid_map = map_dataset_loss(layer_sizes, post.mu, valid, cfg.loss_kind)
                 entry["valid_mc"] = valid_mc
                 entry["valid_map"] = valid_map
             record.epochs.append(entry)
@@ -565,7 +504,6 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
                 seed=cfg.seed,
                 epoch=record.best_epoch,
                 config=cfg.to_dict(),
-                feature_layers=feature_layers,
             ),
         )
         record.checkpoint_path = path
@@ -601,7 +539,7 @@ def selection_certificate(layer_sizes, post, prior, ds, *, grid_b, grid_c, delta
                           loss_kind, objective, n_samples, rng):
     """Model-selection certificate (zero-one risk) for a trained posterior."""
     m = len(ds)
-    j = bounds.j_index(grid_b, grid_c, prior.sigma2)
+    j = bounds.j_index(grid_b, grid_c, prior.log_sigma2)
     r_hat, draws = evaluation.mc_posterior_risk(
         layer_sizes, post, ds, n_samples, "zero-one", loss_kind, rng
     )
@@ -632,7 +570,7 @@ def loss_certificate(layer_sizes, post, prior, ds, *, grid_b, grid_c, delta, los
                      objective, n_samples, rng, lam=None, tau=None):
     """Bounded-loss certificate: supervised transfer (iid) or chi-square form."""
     m = len(ds)
-    j = bounds.j_index(grid_b, grid_c, prior.sigma2)
+    j = bounds.j_index(grid_b, grid_c, prior.log_sigma2)
     l_hat, draws = evaluation.mc_posterior_risk(
         layer_sizes, post, ds, n_samples, "loss", loss_kind, rng
     )

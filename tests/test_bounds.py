@@ -148,21 +148,21 @@ def test_iid_supervised_matches_inline_recomputation(rng):
 
 
 def test_j_index_frozen_default():
-    assert bounds.j_index(100.0, 0.1, math.exp(-8.0) * 0.1) == pytest.approx(
+    assert bounds.j_index(100.0, 0.1, math.log(0.1) - 8.0) == pytest.approx(
         800.0, rel=1e-12
     )
-    assert bounds.j_index(100.0, 0.1, math.exp(-8.0)) == pytest.approx(
+    assert bounds.j_index(100.0, 0.1, -8.0) == pytest.approx(
         J_DEFAULT_INIT, rel=1e-15
     )
 
 
 def test_j_index_domain():
     with pytest.raises(ValueError):
-        bounds.j_index(100.0, 0.1, 0.0)
+        bounds.j_index(100.0, 0.1, -math.inf)
     with pytest.raises(ValueError):
-        bounds.j_index(100.0, 0.1, 0.1)
+        bounds.j_index(100.0, 0.1, math.log(0.1))
     with pytest.raises(ValueError):
-        bounds.j_index(100.0, 0.1, 0.2)
+        bounds.j_index(100.0, 0.1, math.log(0.2))
 
 
 def test_noniid_frozen_value():

@@ -304,17 +304,19 @@ def test_train_bad_grid_entry(tmp_path, data_dir, capsys):
 
 
 def test_train_rejects_supervised_grid_entry(tmp_path, data_dir, capsys):
+    # "supervised" is an unknown objective like any other name
     cfg = write_json(
         tmp_path / "t.json",
         {
             "dataset": {"kind": "manifests", "train": str(data_dir / "train.json")},
-            "grid": [{"layer_sizes": [3, 4, 2], "objective": "supervised", "n_classes": 3,
+            "grid": [{"layer_sizes": [3, 4, 2], "objective": "supervised",
                       "k": 2, "block_size": 2, "epochs": 1}],
         },
     )
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "labeled data" in err and "contrastive manifests" in err
+    assert "config.grid[0]" in err and "'supervised'" in err
+    assert all(repr(name) in err for name in ("iid", "noniid", "erm"))
     assert not (tmp_path / "o" / "runs.jsonl").exists()
 
 
@@ -454,6 +456,11 @@ def test_bound_noniid_with_dependency_override(tmp_path, data_dir, train_dir):
     assert doc["bound_kind"] == "noniid-selection"
     assert doc["dependency_t"] == 2
     assert doc["divergence_kind"] == "chi2"
+    # the provenance hash pins the T the certificate used, not the file's T = 0
+    ds = data.load_contrastive(str(data_dir / "test.json"))
+    file_hash = data.dataset_hash(ds)
+    ds.dependency_t = 2
+    assert doc["provenance"]["dataset_hash"] == data.dataset_hash(ds) != file_hash
 
 
 def test_bound_concatenates_data(tmp_path, data_dir, train_dir):
@@ -473,6 +480,24 @@ def test_bound_missing_checkpoint(tmp_path, data_dir, capsys):
         "--data", str(data_dir / "test.json"), "--out", str(tmp_path), "--iid",
     ]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+def test_bound_and_eval_reject_supervised_head_checkpoint(tmp_path, data_dir, train_dir, capsys):
+    doc = json.loads(open(best_pb_checkpoint(train_dir)).read())
+    doc["feature_layers"] = 1
+    ckpt = write_json(tmp_path / "head.ckpt.json", doc)
+    assert main([
+        "bound", "--checkpoint", ckpt, "--data", str(data_dir / "test.json"),
+        "--out", str(tmp_path), "--iid",
+    ]) == 2
+    assert "supervised class head" in capsys.readouterr().err
+    assert main([
+        "eval", "--checkpoint", ckpt,
+        "--train-csv", str(data_dir / "labeled_train.csv"),
+        "--test-csv", str(data_dir / "labeled_test.csv"), "--out", str(tmp_path),
+    ]) == 2
+    assert "supervised class head" in capsys.readouterr().err
+    assert not list(tmp_path.glob("bound_*.json")) and not (tmp_path / "metrics.csv").exists()
 
 
 # ---------------------------------------------------------------------------

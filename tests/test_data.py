@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -125,7 +126,7 @@ def test_sample_contrastive_iid_joint_class_frequencies(rng):
     # goodness of fit over the 27 joint (positive, neg1, neg2) class cells
     rho = np.array([0.5, 0.3, 0.2])
     means = np.array([[0.0], [30.0], [60.0]])
-    model = data.LatentClassModel(rho=rho, kind="gaussian", means=means, std=1e-3)
+    model = data.LatentClassModel(rho=rho, means=means, std=1e-3)
     ds = data.sample_contrastive_iid(model, m=100_000, k=2, block_size=1, rng=rng)
     a, _, n = ds.gather()
     ca = np.argmin(np.abs(a[:, 0:1] - means.T), axis=1)
@@ -148,12 +149,7 @@ def test_sample_contrastive_iid_deterministic():
 
 
 def test_sample_labeled_frequencies(rng):
-    model = data.LatentClassModel(
-        rho=np.array([0.0, 1.0, 0.0]),
-        kind="gaussian",
-        means=np.zeros((3, 2)),
-        std=1.0,
-    )
+    model = data.LatentClassModel(rho=np.array([0.0, 1.0, 0.0]), means=np.zeros((3, 2)))
     ds = data.sample_labeled(model, 50, rng)
     assert np.all(ds.y == 1)
 
@@ -163,12 +159,6 @@ def test_sample_labeled_frequencies(rng):
     for c in range(3):
         count = int(np.sum(ds.y == c))
         assert abs(count - n / 3) <= 4.0 * np.sqrt(n * (1 / 3) * (2 / 3))
-
-
-def test_labeled_gather(rng):
-    ds = data.LabeledDataset(x=rng.normal(size=(6, 2)), y=np.arange(6) % 3)
-    x, y = ds.gather(np.array([4, 1]))
-    assert np.array_equal(x, ds.x[[4, 1]]) and np.array_equal(y, [1, 1])
 
 
 def test_build_iid_from_labeled_classes_consistent(rng):
@@ -198,23 +188,10 @@ def test_gen_sequences_shapes_and_labels(rng):
 
 def test_gen_sequences_stationary_marginal(rng):
     # AR(1) with unit innovations keeps the marginal spread at std
-    model = data.LatentClassModel(
-        rho=np.array([1.0]), kind="gaussian", means=np.zeros((1, 1)), std=2.0
-    )
+    model = data.LatentClassModel(rho=np.array([1.0]), means=np.zeros((1, 1)), std=2.0)
     seqs, _ = data.gen_sequences(model, n_per_class=200, length=50, ar_coeff=0.8, rng=rng)
     pooled = np.concatenate([s[:, 0] for s in seqs])
     assert np.std(pooled) == pytest.approx(2.0, rel=0.05)
-
-
-def test_gen_sequences_requires_gaussian(rng):
-    model = data.LatentClassModel(
-        rho=np.array([1.0]),
-        kind="discrete",
-        support=np.zeros((2, 1)),
-        probs=np.array([[0.5, 0.5]]),
-    )
-    with pytest.raises(ValueError):
-        data.gen_sequences(model, 1, 5, 0.7, rng)
 
 
 def test_noniid_tuple_layout(rng):
@@ -387,13 +364,34 @@ def test_dataset_hash_sensitivity(rng):
 
 @pytest.mark.parametrize("layout", ["float32", "fortran"])
 def test_dataset_hash_is_the_serialized_matrix_digest(rng, layout):
+    # reference: the serialized matrix, then k, block_size and dependency_t,
+    # then the index arrays, all as little-endian 8 byte integers
     x = rng.standard_normal((31, 7))
     x = x.astype(np.float32) if layout == "float32" else np.asfortranarray(x)
+    anchors = np.arange(3, dtype=np.int32)
+    positives = np.asfortranarray(rng.integers(0, 31, size=(3, 2)))
+    negatives = rng.integers(0, 31, size=(3, 4, 2))
     ds = data.ContrastiveDataset(
-        features=x, anchors=np.arange(3), positives=np.zeros((3, 1), dtype=np.int64),
-        negatives=np.ones((3, 1, 1), dtype=np.int64), k=1, block_size=1,
+        features=x, anchors=anchors, positives=positives, negatives=negatives,
+        k=4, block_size=2, dependency_t=5,
     )
-    assert data.dataset_hash(ds) == hashlib.sha256(data._feature_bytes(x)).hexdigest()
+    values = x.ravel().tolist()                                   # row-major
+    ints = [4, 2, 5] + anchors.tolist() + positives.ravel().tolist() + negatives.ravel().tolist()
+    blob = (b"PBCURLF1" + struct.pack("<II", 31, 7) + struct.pack(f"<{len(values)}d", *values)
+            + struct.pack(f"<{len(ints)}q", *ints))
+    assert data.dataset_hash(ds) == hashlib.sha256(blob).hexdigest()
+
+
+def test_dataset_hash_pins_the_tuples(rng):
+    # two tuple sets drawn over one labeled pool share the feature matrix
+    pool = data.sample_labeled(small_gaussian_model(rng), 40, rng)
+    d1 = data.build_iid_from_labeled(pool, m=20, k=2, block_size=2, rng=rng)
+    d2 = data.build_iid_from_labeled(pool, m=20, k=2, block_size=2, rng=rng)
+    assert d1.features is d2.features
+    assert data.dataset_hash(d1) != data.dataset_hash(d2)
+    h = data.dataset_hash(d1)
+    d1.dependency_t = 2
+    assert data.dataset_hash(d1) != h
 
 
 # ---------------------------------------------------------------------------
@@ -502,17 +500,8 @@ def test_frames_as_labeled(rng):
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        data.LatentClassModel(rho=np.array([0.5, 0.6]), kind="gaussian", means=np.zeros((2, 1)))
+        data.LatentClassModel(rho=np.array([0.5, 0.6]), means=np.zeros((2, 1)))
     with pytest.raises(ValueError):
-        data.LatentClassModel(rho=np.array([1.0]), kind="gaussian")
-    with pytest.raises(ValueError):
-        data.LatentClassModel(rho=np.array([1.0]), kind="discrete", support=np.zeros((2, 1)))
-    with pytest.raises(ValueError):
-        data.LatentClassModel(
-            rho=np.array([1.0]),
-            kind="discrete",
-            support=np.zeros((2, 1)),
-            probs=np.array([[0.5, 0.9]]),
-        )
-    with pytest.raises(ValueError):
-        data.LatentClassModel(rho=np.array([1.0]), kind="weird")
+        data.LatentClassModel(rho=np.array([-0.5, 1.5]), means=np.zeros((2, 1)))
+    with pytest.raises(TypeError):
+        data.LatentClassModel(rho=np.array([1.0]))

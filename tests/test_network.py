@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import tracemalloc
@@ -131,7 +132,7 @@ def test_checkpoint_round_trip(tmp_path, rng):
     post.log_sigma2 = post.log_sigma2 + rng.normal(scale=0.1, size=post.n_params)
     ckpt = network.Checkpoint(
         layer_sizes=[4, 3, 2], posterior=post, prior=prior, seed=7, epoch=12,
-        config={"lr": 0.001}, feature_layers=None,
+        config={"lr": 0.001},
     )
     path = os.path.join(tmp_path, "model.ckpt.json")
     network.save_checkpoint(path, ckpt)
@@ -150,6 +151,25 @@ def test_checkpoint_rejects_other_files(tmp_path):
     with open(path, "w") as fh:
         fh.write('{"format": "something-else"}\n')
     with pytest.raises(ValueError):
+        network.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_supervised_head(tmp_path, rng):
+    # older versions stored the feature map's depth under a class head here
+    post, prior = network.init_network((4, 3, 2), math.exp(-5.0), rng)
+    path = os.path.join(tmp_path, "model.ckpt.json")
+    network.save_checkpoint(path, network.Checkpoint([4, 3, 2], post, prior, seed=0, epoch=1))
+    with open(path) as fh:
+        doc = json.load(fh)
+    assert "feature_layers" not in doc
+    doc["feature_layers"] = None
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert network.load_checkpoint(path).layer_sizes == [4, 3, 2]
+    doc["feature_layers"] = 1
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(ValueError, match="supervised class head"):
         network.load_checkpoint(path)
 
 

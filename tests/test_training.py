@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -58,7 +59,7 @@ def test_config_defaults_depend_on_objective(rng):
         {"optimizer": "adagrad"},
         {"loss_kind": "square"},
         {"valid_metric": "auc"},
-        {"objective": "supervised"},          # n_classes missing
+        {"objective": "supervised"},
         {"lam": 0.0},
         {"lr": -1.0},
         {"loss_scale": 0.0},
@@ -163,7 +164,7 @@ def test_iid_objective_assembly(rng):
         lam=lam, m=m, grid_b=100.0, grid_c=0.1, loss_kind="logistic",
     )
     kl = divergences.kl_gaussian(post.mu, post.log_sigma2, prior.mu, prior.log_sigma2)
-    j = bounds.j_index(100.0, 0.1, prior.sigma2)
+    j = bounds.j_index(100.0, 0.1, prior.log_sigma2)
     assert stats["kl"] == pytest.approx(kl, rel=1e-14)
     assert value == pytest.approx(lam * m * stats["loss"] + kl + 2.0 * math.log(j), rel=1e-14)
     assert set(grads) == {"mu_q", "log_s2_q", "log_s2_p"}
@@ -326,7 +327,7 @@ def test_train_clamps_prior_to_grid_interior(rng, tmp_path):
     assert not rec.aborted
     assert rec.extras["clamp_count"] >= 1
     assert rec.final_prior.sigma2 <= cap * (1.0 + 1e-9)
-    assert bounds.j_index(100.0, 0.1, rec.final_prior.sigma2) >= 1.0 - 1e-9
+    assert bounds.j_index(100.0, 0.1, rec.final_prior.log_sigma2) >= 1.0 - 1e-9
     # the counter reaches runs.jsonl; the posterior and prior arrays do not
     training.grid_search([cfg], ["pb"], ds, None, str(tmp_path))
     (doc,) = [json.loads(l) for l in open(tmp_path / "runs.jsonl")]
@@ -340,37 +341,6 @@ def test_train_erm_keeps_variances_fixed(rng):
     rec = training.train(cfg, ds)
     assert not rec.aborted
     assert np.all(rec.final_posterior.log_sigma2 == math.log(cfg.sigma2_p_init))
-
-
-def test_train_supervised_appends_head(rng, tmp_path):
-    model = data.random_gaussian_model(4, 3, 5.0, 0.3, rng)
-    train_pts = data.sample_labeled(model, 80, rng)
-    cfg = base_config(objective="supervised", n_classes=4, epochs=3)
-    rec = training.train(cfg, train_pts, run_dir=str(tmp_path), run_id="sup")
-    assert not rec.aborted
-    ckpt = network.load_checkpoint(os.path.join(str(tmp_path), "sup.ckpt.json"))
-    assert tuple(ckpt.layer_sizes) == (3, 5, 2, 4)
-    assert ckpt.feature_layers == len(cfg.layer_sizes) - 1
-
-
-def test_supervised_validation_runs_no_backprop(rng, monkeypatch):
-    # 3 epochs of 3 steps: one backprop per step and none for the validation loss
-    model = data.random_gaussian_model(4, 3, 5.0, 0.3, rng)
-    train_pts = data.sample_labeled(model, 90, rng)
-    valid_pts = data.sample_labeled(model, 40, rng)
-    calls = []
-    backprop = network.backprop
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return backprop(*args, **kwargs)
-
-    monkeypatch.setattr(network, "backprop", counted)
-    cfg = base_config(objective="supervised", n_classes=4, epochs=3, batch_size=30)
-    rec = training.train(cfg, train_pts, valid_pts)
-    assert not rec.aborted and rec.stopped_epoch == 3
-    assert all(e["valid_map"] is not None for e in rec.epochs)
-    assert len(calls) == 9
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +399,7 @@ def test_loss_certificate_iid_requires_lambda_and_tau(rng):
         )
     assert "lambda" in str(exc.value)
 
-    bare = ds.subset(np.arange(len(ds)))
-    bare.provenance = {}
+    bare = dataclasses.replace(ds, provenance={})
     with pytest.raises(ValueError) as exc:
         training.loss_certificate(
             layer_sizes, post, prior, bare,
