@@ -84,9 +84,12 @@ def chi2_gaussian(mu_q, log_sigma2_q, mu_p, log_sigma2_p, guard_eps=GUARD_EPS):
     Evaluates the closed form for factorised Gaussians after applying the
     positive-definiteness guard. Overflow of the final exp is reported via
     the sentinel value +inf, never an exception: a vacuous bound is still a
-    bound.
+    bound. So is a prior variance that underflows to 0, where the closed form
+    divides by it.
     """
     s_p = float(np.exp(log_sigma2_p))
+    if s_p == 0.0:
+        return Chi2Result(np.inf, np.inf, 0, True)
     s_q, mask = _guard_variances(np.exp(log_sigma2_q), s_p, guard_eps)
     if np.any(2.0 / s_p - 1.0 / s_q <= 0.0):
         # only reachable when sigma2_q sits exactly on sigma2_p/2
@@ -103,8 +106,11 @@ def chi2_log1p_grads(mu_q, log_sigma2_q, mu_p, log_sigma2_p, guard_eps=GUARD_EPS
     The guard is part of the computation graph: replaced coordinates carry
     zero gradient to their own log variance but do contribute to the prior
     variance gradient through the guard floor sigma2_p/2 * (1 + guard_eps).
+    When sigma2_p underflows to 0, log1p is +inf and the gradients are None.
     """
     s_p = float(np.exp(log_sigma2_p))
+    if s_p == 0.0:
+        return np.inf, None, None, None
     s_q_raw = np.exp(log_sigma2_q)
     s_q, mask = _guard_variances(s_q_raw, s_p, guard_eps)
     log1p, a, v = _chi2_log1p_terms(mu_q, s_q, mu_p, s_p)

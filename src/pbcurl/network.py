@@ -45,7 +45,10 @@ class Posterior:
 
 @dataclass
 class Prior:
-    """Gaussian prior with isotropic variance exp(log_sigma2)."""
+    """Gaussian prior with isotropic variance exp(log_sigma2).
+
+    log_sigma2 is a float, or a 0-d view into the vector a trainer updates.
+    """
 
     mu: np.ndarray
     log_sigma2: float
@@ -114,9 +117,11 @@ class Workspace:
     """Per-layer buffers for forward and backprop over at most `rows` input rows.
 
     Activations, deltas and ReLU masks are one (rows, width) array per layer
-    (deltas[-1] holds d_out), grad is the flat gradient. forward_cached and
-    backprop return views into them that the next call overwrites. scratch is
-    a flat buffer of rows * d_out floats for the loss on top of the network.
+    (deltas[-1] holds d_out), grad is the flat weight gradient and dtheta the
+    2n + 1 gradient of a training objective w.r.t. (posterior means, posterior
+    log variances, prior log variance). forward_cached and backprop return
+    views into them that the next call overwrites. scratch is a flat buffer of
+    rows * d_out floats for the loss on top of the network.
     """
 
     def __init__(self, layer_sizes, rows):
@@ -126,6 +131,7 @@ class Workspace:
         self.deltas = [np.empty((rows, n)) for n in widths]
         self.masks = [np.empty((rows, n), dtype=bool) for n in widths[:-1]]
         self.grad = np.empty(param_count(layer_sizes))
+        self.dtheta = np.empty(2 * self.grad.size + 1)
         self.scratch = np.empty(rows * widths[-1])
 
 

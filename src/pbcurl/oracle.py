@@ -251,58 +251,35 @@ def _well_conditioned_problem(objective, rng):
 
 
 def finite_diff_check(objective, rng, n_coords=20, step=1e-5):
-    """Max relative error between analytic and central-difference gradients."""
+    """Max relative error between analytic and central-difference gradients.
+
+    Runs over theta = [mu_q | log sigma2_q | log sigma2_p]: the mean and log
+    variance entries of n_coords random weights, and the prior entry.
+    """
+    fn, kw = {
+        "iid": (training.iid_objective, {"lam": 0.2}),
+        "noniid": (training.noniid_objective, {"delta": 0.05, "dependency_t": 2, "loss_sup": 5.0}),
+    }[objective]
     layer_sizes, post, prior, batch, eps = _well_conditioned_problem(objective, rng)
-    m = 500
+    theta, post, prior = training.as_theta(post, prior)
 
-    def evaluate(p, pr, want_grads):
-        if objective == "iid":
-            value, grads, _ = training.iid_objective(
-                layer_sizes, p, pr, batch, eps,
-                lam=0.2, m=m, grid_b=100.0, grid_c=0.1, loss_kind="logistic",
-            )
-        elif objective == "noniid":
-            value, grads, _ = training.noniid_objective(
-                layer_sizes, p, pr, batch, eps,
-                m=m, delta=0.05, dependency_t=2, loss_sup=5.0,
-                grid_b=100.0, grid_c=0.1, loss_kind="logistic",
-            )
-        else:
-            raise ValueError(f"unknown objective {objective!r}")
-        return (value, grads) if want_grads else value
+    def evaluate():         # at the current theta, through the views
+        return fn(layer_sizes, post, prior, batch, eps, m=500, grid_b=100.0, grid_c=0.1,
+                  loss_kind="logistic", **kw)
 
-    _, grads = evaluate(post, prior, True)
+    grad = evaluate()[1]
+    n = post.n_params
+    coords = rng.choice(n, size=min(n_coords, n), replace=False)
     worst = 0.0
-
-    def central(make):
-        lo, hi = make(-step), make(step)
-        return (evaluate(*hi, False) - evaluate(*lo, False)) / (2.0 * step)
-
-    n_params = post.n_params
-    coords = rng.choice(n_params, size=min(n_coords, n_params), replace=False)
-    for ci in coords:
-        for key in ("mu_q", "log_s2_q"):
-            def make(h, ci=ci, key=key):
-                p = post.copy()
-                if key == "mu_q":
-                    p.mu = p.mu.copy()
-                    p.mu[ci] += h
-                else:
-                    p.log_sigma2 = p.log_sigma2.copy()
-                    p.log_sigma2[ci] += h
-                return p, prior
-            fd = central(make)
-            err = abs(grads[key][ci] - fd) / max(abs(fd), abs(grads[key][ci]), 1e-8)
-            worst = max(worst, err)
-
-    def make_prior(h):
-        pr = prior.copy()
-        pr.log_sigma2 += h
-        return post, pr
-
-    fd = central(make_prior)
-    err = abs(grads["log_s2_p"][0] - fd) / max(abs(fd), abs(grads["log_s2_p"][0]), 1e-8)
-    return max(worst, err)
+    for ci in [*coords, *(coords + n), 2 * n]:
+        x = theta[ci]
+        theta[ci] = x + step
+        hi = evaluate()[0]
+        theta[ci] = x - step
+        fd = (hi - evaluate()[0]) / (2.0 * step)
+        theta[ci] = x
+        worst = max(worst, abs(grad[ci] - fd) / max(abs(fd), abs(grad[ci]), 1e-8))
+    return worst
 
 
 # ---------------------------------------------------------------------------

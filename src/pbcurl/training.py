@@ -9,6 +9,11 @@ posterior log variances, and the scalar prior log variance:
 plus one deterministic baseline: plain empirical risk minimisation of the
 contrastive loss by the mean network. Gradients are analytic throughout; one
 fresh weight sample per minibatch step.
+
+train() owns theta = [mu_q | log sigma2_q | log sigma2_p], one float64 vector
+the posterior and prior read as views. The optimizers keep flat state and
+write each step into a reused buffer; they step theta[:n_train]: n entries for
+erm, 2n with a frozen prior, 2n + 1 otherwise.
 """
 
 import dataclasses
@@ -105,66 +110,69 @@ class TrainConfig:
 
 
 # ---------------------------------------------------------------------------
-# optimizers (first-published update rules, state per parameter group)
+# optimizers: first-published rules on flat state sized at construction;
+# update(g, lr, out) writes the step into out in the order each comment gives
 
 
 class SGDMomentum:
-    def __init__(self, beta=0.9):
-        self.beta = beta
-        self.v = {}
+    def __init__(self, n, beta=0.9):
+        self.beta, self.v = beta, np.zeros(n)
 
-    def update(self, grads, lr):
-        deltas = {}
-        for key, g in grads.items():
-            v = self.v.get(key, 0.0)
-            v = self.beta * v + g
-            self.v[key] = v
-            deltas[key] = -lr * v
-        return deltas
+    def update(self, g, lr, out):
+        # v = beta * v + g;  step = -lr * v
+        self.v *= self.beta
+        self.v += g
+        return np.multiply(self.v, -lr, out=out)
 
 
 class RMSProp:
-    def __init__(self, decay=0.99, eps=1e-8):
-        self.decay = decay
-        self.eps = eps
-        self.s = {}
+    def __init__(self, n, decay=0.99, eps=1e-8):
+        self.decay, self.eps = decay, eps
+        self.s, self._tmp = np.zeros(n), np.empty(n)
 
-    def update(self, grads, lr):
-        deltas = {}
-        for key, g in grads.items():
-            s = self.s.get(key, 0.0)
-            s = self.decay * s + (1.0 - self.decay) * g * g
-            self.s[key] = s
-            deltas[key] = -lr * g / (np.sqrt(s) + self.eps)
-        return deltas
+    def update(self, g, lr, out):
+        # s = decay * s + (1 - decay) * g * g;  step = -lr * g / (sqrt(s) + eps)
+        tmp = self._tmp
+        self.s *= self.decay
+        np.multiply(g, 1.0 - self.decay, out=tmp)
+        tmp *= g
+        self.s += tmp
+        np.sqrt(self.s, out=tmp)
+        tmp += self.eps
+        np.multiply(g, -lr, out=out)
+        return np.divide(out, tmp, out=out)
 
 
 class Adam:
-    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, n, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m, self.v, self.t = {}, {}, {}
+        self.m, self.v, self._tmp, self.t = np.zeros(n), np.zeros(n), np.empty(n), 0
 
-    def update(self, grads, lr):
-        deltas = {}
-        for key, g in grads.items():
-            t = self.t.get(key, 0) + 1
-            m = self.beta1 * self.m.get(key, 0.0) + (1.0 - self.beta1) * g
-            v = self.beta2 * self.v.get(key, 0.0) + (1.0 - self.beta2) * g * g
-            self.t[key], self.m[key], self.v[key] = t, m, v
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            deltas[key] = -lr * m_hat / (np.sqrt(v_hat) + self.eps)
-        return deltas
+    def update(self, g, lr, out):
+        # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
+        # step = -lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
+        tmp = self._tmp
+        self.t += 1
+        self.m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=tmp)
+        self.m += tmp
+        self.v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=tmp)
+        tmp *= g
+        self.v += tmp
+        np.divide(self.m, 1.0 - self.beta1**self.t, out=out)
+        out *= -lr
+        np.divide(self.v, 1.0 - self.beta2**self.t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        return np.divide(out, tmp, out=out)
 
 
-def make_optimizer(kind):
-    if kind == "sgd":
-        return SGDMomentum()
-    if kind == "rmsprop":
-        return RMSProp()
-    if kind == "adam":
-        return Adam()
-    raise ValueError(f"unknown optimizer: {kind!r}")
+def make_optimizer(kind, n):
+    """An optimizer of the given kind for a trainable vector of n entries."""
+    if kind not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer: {kind!r}")
+    return {"sgd": SGDMomentum, "rmsprop": RMSProp, "adam": Adam}[kind](n)
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +212,25 @@ def contrastive_loss_and_wgrad(layer_sizes, w, batch, loss_kind, loss_scale=1.0,
 
 
 # ---------------------------------------------------------------------------
-# objectives: value + grads for {mu_q, log_s2_q, log_s2_p}
+# objectives: value, gradient and stats of one step. The iid and noniid
+# gradients w.r.t. theta go to ws.dtheta (a temporary workspace's if ws is None)
+
+
+def as_theta(post, prior):
+    """(theta, posterior, prior): a new theta and a posterior and prior reading it.
+
+    The prior log variance is a 0-d view of theta[-1]; Prior.copy() makes it a
+    float again.
+    """
+    theta = np.concatenate([post.mu, post.log_sigma2, [prior.log_sigma2]])
+    mu_q, log_s2_q = np.split(theta[:-1], 2)
+    return theta, network.Posterior(mu_q, log_s2_q), network.Prior(prior.mu, theta[-1, ...])
 
 
 def iid_objective(layer_sizes, post, prior, batch, eps, *, lam, m, grid_b, grid_c,
-                  loss_kind, loss_scale=1.0, optimize_prior=True, ws=None):
+                  loss_kind, loss_scale=1.0, ws=None):
     """Catoni-style trainable bound; the batch mean estimates L_hat."""
+    ws = ws or network.Workspace(layer_sizes, len(batch.rows))
     w = network.sample_weights(post, eps)
     loss, d_w, _ = contrastive_loss_and_wgrad(layer_sizes, w, batch, loss_kind, loss_scale, ws)
     kl = divergences.kl_gaussian(post.mu, post.log_sigma2, prior.mu, prior.log_sigma2)
@@ -220,25 +241,21 @@ def iid_objective(layer_sizes, post, prior, batch, eps, *, lam, m, grid_b, grid_
     kl_mu, kl_ls_q, kl_ls_p = divergences.kl_gaussian_grads(
         post.mu, post.log_sigma2, prior.mu, prior.log_sigma2
     )
-    grads = {
-        "mu_q": d_mu + kl_mu,
-        "log_s2_q": d_ls_q + kl_ls_q,
-    }
-    if optimize_prior:
-        pen_ls_p = -2.0 / (math.log(grid_c) - prior.log_sigma2)
-        grads["log_s2_p"] = np.array([kl_ls_p + pen_ls_p])
-    stats = {"loss": loss, "kl": kl}
-    return value, grads, stats
+    n, grad = post.n_params, ws.dtheta
+    np.add(d_mu, kl_mu, out=grad[:n])
+    np.add(d_ls_q, kl_ls_q, out=grad[n:-1])
+    grad[-1] = kl_ls_p - 2.0 / (math.log(grid_c) - prior.log_sigma2)
+    return value, grad, {"loss": loss, "kl": kl}
 
 
 def noniid_objective(layer_sizes, post, prior, batch, eps, *, m, delta, dependency_t,
-                     loss_sup, grid_b, grid_c, loss_kind, loss_scale=1.0,
-                     optimize_prior=True, ws=None):
+                     loss_sup, grid_b, grid_c, loss_kind, loss_scale=1.0, ws=None):
     """Chi-square trainable bound. loss_sup (B_l) is a per-epoch constant.
 
-    Returns value = +inf (no grads) when the penalty overflows; the caller
+    Returns value = +inf (no gradient) when the penalty overflows; the caller
     rejects the step.
     """
+    ws = ws or network.Workspace(layer_sizes, len(batch.rows))
     w = network.sample_weights(post, eps)
     loss, d_w, _ = contrastive_loss_and_wgrad(layer_sizes, w, batch, loss_kind, loss_scale, ws)
     j = bounds.j_index(grid_b, grid_c, prior.log_sigma2)
@@ -252,25 +269,21 @@ def noniid_objective(layer_sizes, post, prior, batch, eps, *, m, delta, dependen
     value = loss + pen
 
     d_mu, d_ls_q = network.posterior_grads_from_weight_grad(post, eps, d_w)
-    grads = {
-        "mu_q": d_mu + pen * 0.5 * c_mu,
-        "log_s2_q": d_ls_q + pen * 0.5 * c_ls_q,
-    }
-    if optimize_prior:
-        # j depends on log sigma2_p with dj/dt = -grid_b
-        d_pen_ls_p = math.pi * (-grid_b) * math.exp(log_pen_over_j) + pen * 0.5 * c_ls_p
-        grads["log_s2_p"] = np.array([d_pen_ls_p])
-    stats = {"loss": loss, "chi2_log1p": log1p, "penalty": pen}
-    return value, grads, stats
+    n, grad = post.n_params, ws.dtheta
+    np.add(d_mu, pen * 0.5 * c_mu, out=grad[:n])
+    np.add(d_ls_q, pen * 0.5 * c_ls_q, out=grad[n:-1])
+    # j depends on log sigma2_p with dj/dt = -grid_b
+    grad[-1] = math.pi * (-grid_b) * math.exp(log_pen_over_j) + pen * 0.5 * c_ls_p
+    return value, grad, {"loss": loss, "chi2_log1p": log1p, "penalty": pen}
 
 
 def erm_objective(layer_sizes, post, prior, batch, eps, *, loss_kind, loss_scale=1.0,
                   ws=None):
-    """Contrastive loss of the mean network; prior and eps are unused."""
+    """Contrastive loss of the mean network and its weight gradient; prior, eps unused."""
     loss, d_w, _ = contrastive_loss_and_wgrad(
         layer_sizes, post.mu, batch, loss_kind, loss_scale, ws
     )
-    return loss, {"mu_q": d_w}, {"loss": loss}
+    return loss, d_w, {"loss": loss}
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +322,17 @@ class RunRecord:
         }
 
 
-def _clamp_prior(params, grid_b, grid_c):
+def _clamp_prior(theta, grid_b, grid_c):
     """Keep the prior variance on the grid's interior, j >= 1."""
     cap = math.log(grid_c) - 1.0 / grid_b
-    if params["log_s2_p"][0] > cap:
-        params["log_s2_p"][0] = cap
+    if theta[-1] > cap:
+        theta[-1] = cap
         return 1
     return 0
 
 
 def _step_objective(cfg, layer_sizes, post, prior, data, ws):
-    """Bind cfg.objective to objective(batch, eps) -> (value, grads, stats).
+    """Bind cfg.objective to objective(batch, eps) -> (value, grad, stats).
 
     post and prior are updated in place between calls, and every call runs
     through the workspace ws. The second return value runs at the start of
@@ -328,8 +341,7 @@ def _step_objective(cfg, layer_sizes, post, prior, data, ws):
     """
     kw = {"loss_kind": cfg.loss_kind, "loss_scale": cfg.loss_scale, "ws": ws}
     if cfg.objective in ("iid", "noniid"):
-        kw.update(m=len(data), grid_b=cfg.grid_b, grid_c=cfg.grid_c,
-                  optimize_prior=cfg.optimize_prior)
+        kw.update(m=len(data), grid_b=cfg.grid_b, grid_c=cfg.grid_c)
     begin_epoch = dict          # no per-epoch constants: returns {}
     if cfg.objective == "iid":
         fn = iid_objective
@@ -366,13 +378,11 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
 
     stochastic = cfg.objective in ("iid", "noniid")
     layer_sizes = cfg.layer_sizes
-    post, prior = network.init_network(layer_sizes, cfg.sigma2_p_init, init_rng)
-    params = {"mu_q": post.mu}
-    if stochastic:
-        params["log_s2_q"] = post.log_sigma2
-        if cfg.optimize_prior:
-            params["log_s2_p"] = np.array([prior.log_sigma2])
-    opt = make_optimizer(cfg.optimizer)
+    theta, post, prior = as_theta(*network.init_network(layer_sizes, cfg.sigma2_p_init, init_rng))
+    n_train = 2 * post.n_params + int(cfg.optimize_prior) if stochastic else post.n_params
+    trainable = theta[:n_train]
+    opt = make_optimizer(cfg.optimizer, n_train)
+    last_step = np.empty(n_train)   # halved in place when the next objective overflows
     m = len(data)
     # one workspace and row buffer per run, sized to a full batch; a partial
     # last batch uses their leading rows
@@ -391,18 +401,12 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
     best_metric, best_state, best_epoch = math.inf, None, 0
     since_best = 0
     epochs_done = 0
-
-    def sync_prior():
-        if "log_s2_p" in params:
-            prior.log_sigma2 = float(params["log_s2_p"][0])
-
-    last_deltas = None
     clamp_count = 0
     try:
         for epoch in range(1, cfg.epochs + 1):
             lr = cfg.lr / 10.0 if epoch >= drop_epoch else cfg.lr
             order = batch_rng.permutation(m)
-            obj_sum, rejections = 0.0, 0
+            obj_sum, rejections, stat_sums = 0.0, 0, {}
             constants = begin_epoch()
 
             for step in range(n_steps):
@@ -413,7 +417,7 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
 
                 retries = 0
                 while True:
-                    value, grads, _ = objective(batch, eps)
+                    value, grad, stats = objective(batch, eps)
                     if math.isnan(value):
                         raise NumericAbort(
                             f"objective is NaN at epoch {epoch} step {step}"
@@ -422,7 +426,7 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
                         break
                     # chi-square penalty overflowed: reject the previous
                     # update and retry it at half the step
-                    if last_deltas is None:
+                    if epoch == 1 and step == 0:
                         raise NumericAbort(
                             f"objective overflowed at initialisation (epoch {epoch})"
                         )
@@ -430,24 +434,22 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
                         raise NumericAbort(
                             f"step rejected {retries} times at epoch {epoch} step {step}"
                         )
-                    for key, dlt in last_deltas.items():
-                        params[key] -= dlt
-                        dlt *= 0.5
-                        params[key] += dlt
-                    sync_prior()
+                    trainable -= last_step
+                    last_step *= 0.5
+                    trainable += last_step
                     rejections += 1
                     retries += 1
 
-                if any(not np.all(np.isfinite(g)) for g in grads.values()):
+                grad = grad[:n_train]
+                if not np.all(np.isfinite(grad)):
                     raise NumericAbort(f"gradient not finite at epoch {epoch} step {step}")
-                deltas = opt.update(grads, lr)
-                for key, dlt in deltas.items():
-                    params[key] += dlt
-                if "log_s2_p" in params:
-                    clamp_count += _clamp_prior(params, cfg.grid_b, cfg.grid_c)
-                sync_prior()
-                last_deltas = deltas
+                opt.update(grad, lr, out=last_step)
+                trainable += last_step
+                if n_train == theta.size:
+                    clamp_count += _clamp_prior(theta, cfg.grid_b, cfg.grid_c)
                 obj_sum += value
+                for key, val in stats.items():
+                    stat_sums[key] = stat_sums.get(key, 0.0) + val
 
             epochs_done = epoch
             entry = {
@@ -455,6 +457,9 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
                 "lr": lr,
                 "train_objective": obj_sum / n_steps,
                 "rejections": rejections,
+                # means over the epoch's accepted steps
+                **{key: total / n_steps for key, total in stat_sums.items()},
+                "log_sigma2_p": float(theta[-1]),
                 **constants,
             }
 
@@ -489,6 +494,7 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
         record.best_epoch = best_epoch
         record.metric = best_metric
     else:
+        post, prior = post.copy(), prior.copy()      # detached from theta
         record.best_epoch = epochs_done
 
     record.wall_time = time.perf_counter() - t0

@@ -231,6 +231,26 @@ def test_gen_data_sequences(tmp_path):
 # train
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_sgd_prior_variance_underflow_is_rejected_not_a_traceback(tmp_path):
+    # one SGD step sends log sigma2_p from -4.7 to about -2600, where
+    # sigma2_p is 0.0: the chi-square must read as +inf and the step be
+    # rejected, not raise ZeroDivisionError
+    gen = write_json(tmp_path / "gen.json", {
+        "dataset": {"kind": "synthetic-sequences", "n_classes": 4, "dim": 6, "length": 40,
+                    "n_train_seq_per_class": 5, "k": 3, "block_size": 2},
+        "seed": 3,
+    })
+    assert main(["gen-data", "--config", gen, "--out", str(tmp_path / "ds")]) == 0
+    cfg = write_json(tmp_path / "train.json", {
+        "dataset": {"kind": "manifests", "train": str(tmp_path / "ds" / "train.json")},
+        "grid": [{"layer_sizes": [6, 12, 4], "objective": "noniid", "optimizer": "sgd",
+                  "lr": 1e-3, "k": 3, "block_size": 2, "epochs": 1}],
+        "seed": 3,
+    })
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "runs")]) in (0, 3)
+
+
 def test_train_artifacts(train_dir):
     runs = [json.loads(l) for l in open(train_dir / "runs.jsonl")]
     assert len(runs) == 3

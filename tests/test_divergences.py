@@ -215,3 +215,14 @@ def test_chi2_guarded_coordinates_have_zero_q_gradient():
     _, _, g_lq, _ = divergences.chi2_log1p_grads(mu, ls_q, mu, 0.0)
     assert g_lq[0] == 0.0
     assert g_lq[1] != 0.0
+
+
+def test_chi2_is_infinite_when_prior_variance_underflows():
+    # exp(-2600) is 0.0 in float64: the closed form would divide by it
+    mu = np.zeros(3)
+    ls_q = np.full(3, -4.0)
+    res = divergences.chi2_gaussian(mu, ls_q, mu, -2600.0)
+    assert res.value == math.inf and res.log1p == math.inf and res.overflowed
+    log1p, *grads = divergences.chi2_log1p_grads(mu, ls_q, mu, -2600.0)
+    assert log1p == math.inf
+    assert grads == [None, None, None]

@@ -292,28 +292,45 @@ def test_row_chunks_fold_the_remainder():
 
 
 def test_warm_training_step_allocates_little(rng):
-    # acceptance shapes: 20-32-16, batch 250, k=4, blocks of 2; the workspace
-    # and row buffer are train()'s, so a warmed step only makes small arrays
+    # acceptance shapes: 20-32-16, batch 250, k=4, blocks of 2; theta, the
+    # workspace, row buffer, optimizer state and step buffer are train()'s, so
+    # a warmed step only makes small arrays
     ds = random_tuples(rng, 3000, 600)
     cfg = training.TrainConfig(layer_sizes=ACCEPTANCE_SIZES, k=4, block_size=2, batch_size=250)
-    post, prior = network.init_network(ACCEPTANCE_SIZES, cfg.sigma2_p_init, rng)
+    theta, post, prior = training.as_theta(
+        *network.init_network(ACCEPTANCE_SIZES, cfg.sigma2_p_init, rng)
+    )
     rows = 250 * (1 + 2 * (1 + 4))
     batch_rows = np.empty((rows, 20))
     objective, _ = training._step_objective(
         cfg, ACCEPTANCE_SIZES, post, prior, ds, network.Workspace(ACCEPTANCE_SIZES, rows)
     )
     idx = np.arange(250)
+    step = np.empty(theta.size)
 
-    def step():
-        objective(ds.gather(idx, out=batch_rows), network.sample_eps(post.n_params, rng))
+    def loss_step():
+        return objective(ds.gather(idx, out=batch_rows), network.sample_eps(post.n_params, rng))[1]
 
-    step()
-    tracemalloc.start()
-    try:
-        step()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the gather's buffered np.take peaks at 0.34 MB; (n, k, d) temporaries
-    # for the margins or d_out (128 KB each) push the step past 0.45 MB
-    assert peak < 0.4 * (1 << 20)
+    def update(opt, grad):
+        assert np.all(np.isfinite(grad))
+        opt.update(grad, 1e-3, out=step)
+        np.add(theta, step, out=theta)
+
+    for kind in training.OPTIMIZERS:
+        opt = training.make_optimizer(kind, theta.size)
+        update(opt, loss_step())
+        tracemalloc.start()
+        try:
+            grad = loss_step()
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            update(opt, grad)
+            update_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        # the gather's buffered np.take peaks at 0.34 MB; (n, k, d) temporaries
+        # for the margins or d_out (128 KB each) push the step past 0.45 MB
+        assert peak < 0.4 * (1 << 20), kind
+        # no state, step or gradient array of n entries (theta has 2n + 1)
+        assert update_peak < 8 * post.n_params, kind

@@ -105,46 +105,114 @@ def test_config_from_dict_rejects_unknown_and_missing():
 # optimizers
 
 
+def one_step(opt, g, lr):
+    out = np.empty(len(g))
+    opt.update(np.asarray(g, dtype=float), lr, out=out)
+    return out
+
+
 def test_adam_first_step_frozen():
-    opt = training.Adam()
-    deltas = opt.update({"x": np.array([1.0])}, lr=0.1)
-    assert deltas["x"][0] == ADAM_UNIT_STEP
+    assert one_step(training.Adam(1), [1.0], 0.1)[0] == ADAM_UNIT_STEP
 
 
 def test_rmsprop_first_step_frozen():
-    opt = training.RMSProp()
-    deltas = opt.update({"x": np.array([1.0])}, lr=0.01)
-    assert deltas["x"][0] == RMSPROP_UNIT_STEP
+    assert one_step(training.RMSProp(1), [1.0], 0.01)[0] == RMSPROP_UNIT_STEP
 
 
 def test_momentum_accumulates():
-    opt = training.SGDMomentum()
+    opt = training.SGDMomentum(1)
     lr = 0.3
-    d1 = opt.update({"x": np.array([1.0])}, lr)
-    d2 = opt.update({"x": np.array([1.0])}, lr)
-    assert d1["x"][0] == pytest.approx(-lr, rel=0)
-    assert d2["x"][0] == pytest.approx(-1.9 * lr, rel=1e-15)
-    assert d1["x"][0] + d2["x"][0] == pytest.approx(-2.9 * lr, rel=1e-15)
+    d1 = one_step(opt, [1.0], lr)[0]
+    d2 = one_step(opt, [1.0], lr)[0]
+    assert d1 == pytest.approx(-lr, rel=0)
+    assert d2 == pytest.approx(-1.9 * lr, rel=1e-15)
+    assert d1 + d2 == pytest.approx(-2.9 * lr, rel=1e-15)
 
 
 def test_zero_gradients_give_zero_steps():
-    g = {"x": np.zeros(3)}
     for kind in training.OPTIMIZERS:
-        opt = training.make_optimizer(kind)
-        deltas = opt.update(g, 0.5)
-        assert np.all(deltas["x"] == 0.0)
+        assert np.all(one_step(training.make_optimizer(kind, 3), np.zeros(3), 0.5) == 0.0)
 
 
 def test_make_optimizer_unknown():
     with pytest.raises(ValueError):
-        training.make_optimizer("lbfgs")
+        training.make_optimizer("lbfgs", 3)
 
 
-def test_optimizer_state_is_per_key():
-    opt = training.Adam()
-    opt.update({"a": np.array([1.0])}, 0.1)
-    deltas = opt.update({"b": np.array([1.0])}, 0.1)
-    assert deltas["b"][0] == ADAM_UNIT_STEP   # fresh state for the new key
+class DictSGDMomentum:
+    """Reference: the per-key update rules the flat optimizers replaced."""
+
+    def __init__(self, beta=0.9):
+        self.beta = beta
+        self.v = {}
+
+    def update(self, grads, lr):
+        deltas = {}
+        for key, g in grads.items():
+            v = self.v.get(key, 0.0)
+            v = self.beta * v + g
+            self.v[key] = v
+            deltas[key] = -lr * v
+        return deltas
+
+
+class DictRMSProp:
+    def __init__(self, decay=0.99, eps=1e-8):
+        self.decay = decay
+        self.eps = eps
+        self.s = {}
+
+    def update(self, grads, lr):
+        deltas = {}
+        for key, g in grads.items():
+            s = self.s.get(key, 0.0)
+            s = self.decay * s + (1.0 - self.decay) * g * g
+            self.s[key] = s
+            deltas[key] = -lr * g / (np.sqrt(s) + self.eps)
+        return deltas
+
+
+class DictAdam:
+    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m, self.v, self.t = {}, {}, {}
+
+    def update(self, grads, lr):
+        deltas = {}
+        for key, g in grads.items():
+            t = self.t.get(key, 0) + 1
+            m = self.beta1 * self.m.get(key, 0.0) + (1.0 - self.beta1) * g
+            v = self.beta2 * self.v.get(key, 0.0) + (1.0 - self.beta2) * g * g
+            self.t[key], self.m[key], self.v[key] = t, m, v
+            m_hat = m / (1.0 - self.beta1**t)
+            v_hat = v / (1.0 - self.beta2**t)
+            deltas[key] = -lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        return deltas
+
+
+DICT_OPTIMIZERS = {"sgd": DictSGDMomentum, "rmsprop": DictRMSProp, "adam": DictAdam}
+
+
+@pytest.mark.parametrize("kind", training.OPTIMIZERS)
+def test_flat_optimizer_bitwise_equal_to_per_key_rules(kind, rng):
+    # theta's three groups as the reference saw them: 7 means, 7 log
+    # variances, one prior entry; gradients with zeros, -0.0 and ~1e150
+    sizes = (7, 7, 1)
+    n = sum(sizes)
+    flat, ref = training.make_optimizer(kind, n), DICT_OPTIMIZERS[kind]()
+    out = np.empty(n)
+    for t in range(50):
+        g = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3, size=n)
+        g[rng.random(n) < 0.2] = 0.0
+        g[rng.random(n) < 0.1] = -0.0
+        huge = rng.random(n) < 0.1
+        g[huge] = rng.uniform(0.5, 2.0, size=int(huge.sum())) * 1e150
+        lr = 1e-3 if t < 30 else 1e-4
+        flat.update(g, lr, out=out)
+        parts = np.split(g, np.cumsum(sizes)[:-1])
+        want = ref.update(dict(zip(("mu_q", "log_s2_q", "log_s2_p"), parts)), lr)
+        expect = np.concatenate(list(want.values()))
+        assert np.array_equal(out.view(np.int64), expect.view(np.int64)), t
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +235,11 @@ def test_iid_objective_assembly(rng):
     j = bounds.j_index(100.0, 0.1, prior.log_sigma2)
     assert stats["kl"] == pytest.approx(kl, rel=1e-14)
     assert value == pytest.approx(lam * m * stats["loss"] + kl + 2.0 * math.log(j), rel=1e-14)
-    assert set(grads) == {"mu_q", "log_s2_q", "log_s2_p"}
+    assert grads.shape == (2 * post.n_params + 1,)
+    kl_ls_p = divergences.kl_gaussian_grads(
+        post.mu, post.log_sigma2, prior.mu, prior.log_sigma2
+    )[2]
+    assert grads[-1] == kl_ls_p - 2.0 / (math.log(0.1) - prior.log_sigma2)
 
 
 def test_iid_objective_at_initialisation(rng):
@@ -208,7 +280,7 @@ def test_noniid_objective_assembly(rng):
     )
     assert stats["chi2_log1p"] == pytest.approx(0.0, abs=1e-12)
     assert value == pytest.approx(stats["loss"] + pen, rel=1e-10)
-    assert set(grads) == {"mu_q", "log_s2_q", "log_s2_p"}
+    assert grads.shape == (2 * post.n_params + 1,)
 
 
 def test_noniid_objective_overflow_returns_inf(rng):
@@ -341,6 +413,30 @@ def test_train_erm_keeps_variances_fixed(rng):
     rec = training.train(cfg, ds)
     assert not rec.aborted
     assert np.all(rec.final_posterior.log_sigma2 == math.log(cfg.sigma2_p_init))
+
+
+@pytest.mark.parametrize("objective, terms", [
+    ("iid", {"loss", "kl"}),
+    ("noniid", {"loss", "chi2_log1p", "penalty", "loss_sup"}),
+    ("erm", {"loss"}),
+])
+def test_epoch_log_splits_the_objective(rng, objective, terms):
+    ds = make_noniid_dataset(rng) if objective == "noniid" else make_iid_dataset(rng, m=60)
+    cfg = base_config(objective=objective, epochs=3, batch_size=20)
+    rec = training.train(cfg, ds)
+    assert not rec.aborted
+    base = {"epoch", "lr", "train_objective", "rejections", "log_sigma2_p"}
+    for entry in rec.epochs:
+        assert set(entry) == base | terms
+        assert all(isinstance(entry[key], float) for key in terms | {"log_sigma2_p"})
+    assert rec.epochs[-1]["log_sigma2_p"] == rec.final_prior.log_sigma2
+    assert type(rec.final_prior.log_sigma2) is float
+    if objective == "erm":
+        # value and loss coincide, so their epoch means must too
+        assert [e["loss"] for e in rec.epochs] == [e["train_objective"] for e in rec.epochs]
+        assert rec.epochs[-1]["log_sigma2_p"] == math.log(cfg.sigma2_p_init)
+    else:
+        assert rec.epochs[-1]["log_sigma2_p"] != math.log(cfg.sigma2_p_init)
 
 
 # ---------------------------------------------------------------------------
