@@ -2,13 +2,16 @@
 
 A contrastive dataset is stored as one flat feature matrix plus integer index
 arrays (anchor, positive block, negative blocks per tuple), so iid draws and
-sequence-derived corpora share a layout. On disk that is a JSON manifest next
-to a little-endian float64 matrix with a 16 byte header (magic ``PBCURLF1``,
-u32 row count, u32 dim).
+sequence-derived corpora share a layout. On disk (format v2) that is a JSON
+manifest next to one file: a 16 byte header (magic ``PBCURLF1``, u32 row
+count, u32 dim), the little-endian float64 matrix, then the anchor, positive
+and negative arrays as little-endian int64. Indices are checked once, when a
+ContrastiveDataset is built, so row gathers do not check them.
 """
 
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -84,12 +87,13 @@ def take_tuples(features, anchors, positives, negatives, out):
     """Stack the rows of features named by the tuple index arrays.
 
     The rows fill the leading rows of out in TupleBatch layout; returns the
-    TupleBatch of views into them.
+    TupleBatch of views into them. The indices must be in range (every
+    ContrastiveDataset's are): mode="clip" skips the check and buffered copy.
     """
     n, k, b = negatives.shape
     batch = TupleBatch(out[: n * (1 + b * (1 + k))], n, k, b)
     for part, idx in zip(batch, (anchors, positives, negatives)):
-        np.take(features, idx, axis=0, out=part)
+        np.take(features, idx, axis=0, out=part, mode="clip")
     return batch
 
 
@@ -105,6 +109,17 @@ class ContrastiveDataset:
     block_size: int
     dependency_t: int = 0
     provenance: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # the one check of the indices: row gathers trust them from here on
+        m, k, b, rows = self.anchors.size, self.k, self.block_size, self.features.shape[0]
+        for name, arr, shape in (("anchor", self.anchors, (m,)),
+                                 ("positive", self.positives, (m, b)),
+                                 ("negative", self.negatives, (m, k, b))):
+            if arr.shape != shape:
+                raise DataFormatError(f"{name} index shape mismatch: {arr.shape}, expected {shape}")
+            if arr.size and (arr.min() < 0 or arr.max() >= rows):
+                raise DataFormatError(f"{name} tuple index out of range [0, {rows})")
 
     def __len__(self):
         return self.anchors.shape[0]
@@ -454,15 +469,14 @@ def save_labeled_csv(ds, path):
 
 
 # ---------------------------------------------------------------------------
-# binary feature matrix + JSON manifest
+# binary file (header, feature matrix, index arrays) + JSON manifest
+
+FORMAT = "pbcurl-contrastive-v2"
+INDEX_ARRAYS = ("anchors", "positives", "negatives")
 
 
 def _feature_header(features):
     return MAGIC + struct.pack("<II", *features.shape)
-
-
-def _feature_bytes(features):
-    return _feature_header(features) + np.ascontiguousarray(features, dtype="<f8").tobytes()
 
 
 def dataset_hash(ds):
@@ -482,21 +496,22 @@ def dataset_hash(ds):
 
 
 def save_contrastive(ds, json_path):
-    """Write manifest JSON and the sibling .bin feature matrix."""
+    """Write the manifest JSON and the sibling .bin: header, matrix, indices."""
     bin_path = os.path.splitext(json_path)[0] + ".bin"
     with open(bin_path, "wb") as fh:
-        fh.write(_feature_bytes(ds.features))
+        fh.write(_feature_header(ds.features))
+        fh.write(np.ascontiguousarray(ds.features, dtype="<f8"))
+        for name in INDEX_ARRAYS:
+            fh.write(np.ascontiguousarray(getattr(ds, name), dtype="<i8"))
     doc = {
-        "format": "pbcurl-contrastive-v1",
-        "features_file": os.path.basename(bin_path),
+        "format": FORMAT,
+        "data_file": os.path.basename(bin_path),
+        "shapes": {name: list(getattr(ds, name).shape) for name in INDEX_ARRAYS},
         "k": int(ds.k),
         "block_size": int(ds.block_size),
         "dependency_t": int(ds.dependency_t),
         "n_tuples": len(ds),
         "provenance": ds.provenance,
-        "anchors": ds.anchors.tolist(),
-        "positives": ds.positives.tolist(),
-        "negatives": ds.negatives.tolist(),
     }
     with open(json_path, "w") as fh:
         json.dump(doc, fh, sort_keys=True)
@@ -506,38 +521,37 @@ def save_contrastive(ds, json_path):
 def load_contrastive(json_path):
     with open(json_path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != "pbcurl-contrastive-v1":
+    if doc.get("format") == "pbcurl-contrastive-v1":
+        raise DataFormatError(f"{json_path}: dataset format v1 is no longer read; re-run "
+                              "gen-data with the same config and seed to write v2")
+    if doc.get("format") != FORMAT:
         raise DataFormatError(f"{json_path}: not a contrastive dataset manifest")
-    bin_path = os.path.join(os.path.dirname(json_path), doc["features_file"])
+    bin_path = os.path.join(os.path.dirname(json_path), doc["data_file"])
+    shapes = [tuple(doc["shapes"][name]) for name in INDEX_ARRAYS]
+    sizes = [math.prod(shape) for shape in shapes]
     with open(bin_path, "rb") as fh:
         header = fh.read(16)
         if len(header) < 16 or header[:8] != MAGIC:
             raise DataFormatError(f"{bin_path}: bad magic, not a feature matrix")
         rows, dim = struct.unpack("<II", header[8:16])
-        expect, found = 16 + rows * dim * 8, os.fstat(fh.fileno()).st_size
+        expect, found = 16 + 8 * (rows * dim + sum(sizes)), os.fstat(fh.fileno()).st_size
         if found != expect:
             raise DataFormatError(f"{bin_path}: expected {expect} bytes, found {found}")
-        # straight from the file into the matrix: the payload is held once
+        # straight from the file into the arrays: the payload is held once
         features = np.fromfile(fh, dtype="<f8", count=rows * dim).reshape(rows, dim)
-    features = features.astype(np.float64, copy=False)      # native byte order
-    ds = ContrastiveDataset(
-        features=features,
-        anchors=np.asarray(doc["anchors"], dtype=np.int64),
-        positives=np.asarray(doc["positives"], dtype=np.int64),
-        negatives=np.asarray(doc["negatives"], dtype=np.int64),
-        k=int(doc["k"]),
-        block_size=int(doc["block_size"]),
-        dependency_t=int(doc["dependency_t"]),
-        provenance=doc.get("provenance", {}),
-    )
-    for arr in (ds.anchors, ds.positives, ds.negatives):
-        if arr.size and (arr.min() < 0 or arr.max() >= rows):
-            raise DataFormatError(f"{json_path}: tuple index out of range")
-    if ds.positives.shape != (len(ds), ds.block_size):
-        raise DataFormatError(f"{json_path}: positive index shape mismatch")
-    if ds.negatives.shape != (len(ds), ds.k, ds.block_size):
-        raise DataFormatError(f"{json_path}: negative index shape mismatch")
-    return ds
+        index = np.fromfile(fh, dtype="<i8", count=sum(sizes)).astype(np.int64, copy=False)
+    parts = np.split(index, np.cumsum(sizes)[:-1])
+    try:
+        return ContrastiveDataset(
+            features.astype(np.float64, copy=False),      # native byte order
+            *(part.reshape(shape) for part, shape in zip(parts, shapes)),
+            k=int(doc["k"]),
+            block_size=int(doc["block_size"]),
+            dependency_t=int(doc["dependency_t"]),
+            provenance=doc.get("provenance", {}),
+        )
+    except DataFormatError as exc:
+        raise DataFormatError(f"{json_path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

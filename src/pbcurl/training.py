@@ -363,6 +363,13 @@ def _step_objective(cfg, layer_sizes, post, prior, data, ws):
     return objective, begin_epoch
 
 
+def _lap(clock, phase, since):
+    """Add the seconds since `since` to clock[phase]; return the time now."""
+    now = time.perf_counter()
+    clock[phase] += now - since
+    return now
+
+
 def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
     """Minimise cfg.objective on data; early stop on valid when configured.
 
@@ -407,11 +414,16 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
             lr = cfg.lr / 10.0 if epoch >= drop_epoch else cfg.lr
             order = batch_rng.permutation(m)
             obj_sum, rejections, stat_sums = 0.0, 0, {}
+            # seconds per phase; objective_s takes the epoch hook, eps and retries
+            clock = dict.fromkeys(("gather_s", "objective_s", "update_s", "validation_s"), 0.0)
+            t = time.perf_counter()
             constants = begin_epoch()
+            t = _lap(clock, "objective_s", t)
 
             for step in range(n_steps):
                 batch = data.gather(order[step * cfg.batch_size : (step + 1) * cfg.batch_size],
                                     out=batch_rows)
+                t = _lap(clock, "gather_s", t)
                 # erm ignores eps; its stream feeds nothing else
                 eps = network.sample_eps(post.n_params, eps_rng)
 
@@ -440,6 +452,7 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
                     rejections += 1
                     retries += 1
 
+                t = _lap(clock, "objective_s", t)
                 grad = grad[:n_train]
                 if not np.all(np.isfinite(grad)):
                     raise NumericAbort(f"gradient not finite at epoch {epoch} step {step}")
@@ -450,6 +463,7 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
                 obj_sum += value
                 for key, val in stats.items():
                     stat_sums[key] = stat_sums.get(key, 0.0) + val
+                t = _lap(clock, "update_s", t)
 
             epochs_done = epoch
             entry = {
@@ -473,6 +487,8 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
                 valid_map = map_dataset_loss(layer_sizes, post.mu, valid, cfg.loss_kind)
                 entry["valid_mc"] = valid_mc
                 entry["valid_map"] = valid_map
+            _lap(clock, "validation_s", t)
+            entry["time"] = clock
             record.epochs.append(entry)
 
             if early_stop:

@@ -1,11 +1,12 @@
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
 
-from pbcurl import data, network
+from pbcurl import cli, data, network
 from pbcurl.cli import main
 
 
@@ -225,6 +226,37 @@ def test_gen_data_sequences(tmp_path):
     train = data.load_contrastive(str(out / "train.json"))
     assert train.dependency_t == 2
     assert len(train) == 3 * 2 * (8 - 2)
+
+
+def generative_spec(kind, tmp_path, rng):
+    if kind == "synthetic-iid":
+        return iid_config()["dataset"]
+    if kind == "synthetic-sequences":
+        return {"kind": kind, "n_classes": 3, "dim": 2, "length": 8, "n_train_seq_per_class": 2,
+                "n_test_seq_per_class": 1, "k": 2, "block_size": 2}
+    model = data.random_gaussian_model(3, 3, 4.0, 1.0, rng)
+    for name, n in (("src_train", 90), ("src_test", 60)):
+        data.save_labeled_csv(data.sample_labeled(model, n, rng), str(tmp_path / f"{name}.csv"))
+    return {"kind": "files", "train_csv": str(tmp_path / "src_train.csv"),
+            "test_csv": str(tmp_path / "src_test.csv"), "m_train": 50, "m_valid": 20,
+            "k": 2, "block_size": 2}
+
+
+@pytest.mark.parametrize("kind", ["synthetic-iid", "synthetic-sequences", "files"])
+def test_gen_data_round_trips_the_tuples(tmp_path, rng, kind):
+    spec = generative_spec(kind, tmp_path, rng)
+    cfg = write_json(tmp_path / "g.json", {"dataset": spec})
+    assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "ds"), "--seed", "6"]) == 0
+    summary = json.loads((tmp_path / "ds" / "dataset.json").read_text())
+    built = cli._build_dataset(spec, 6)
+    assert set(summary["hashes"]) == {"train", "valid", "test"} & set(built)
+    for split, recorded in summary["hashes"].items():
+        back = data.load_contrastive(summary["artifacts"][split])
+        assert data.dataset_hash(back) == recorded == data.dataset_hash(built[split])
+        for name in ("anchors", "positives", "negatives"):
+            loaded = getattr(back, name)
+            assert loaded.dtype == np.int64
+            assert np.array_equal(loaded, getattr(built[split], name))
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +532,35 @@ def test_bound_missing_checkpoint(tmp_path, data_dir, capsys):
         "--data", str(data_dir / "test.json"), "--out", str(tmp_path), "--iid",
     ]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+def write_v1_manifest(tmp_path, rng):
+    # format v1 kept the tuple indices as JSON lists; its .bin held the matrix only
+    x = rng.standard_normal((12, 3))
+    (tmp_path / "old.bin").write_bytes(b"PBCURLF1" + struct.pack("<II", 12, 3) + x.tobytes())
+    return write_json(tmp_path / "old.json", {
+        "format": "pbcurl-contrastive-v1", "features_file": "old.bin", "k": 2,
+        "block_size": 2, "dependency_t": 0, "n_tuples": 1, "provenance": {},
+        "anchors": [0], "positives": [[1, 2]], "negatives": [[[3, 4], [5, 6]]],
+    })
+
+
+def test_v1_manifest_exits_two_and_names_gen_data(tmp_path, data_dir, train_dir, capsys):
+    old = write_v1_manifest(tmp_path, np.random.default_rng(0))
+    assert main([
+        "bound", "--checkpoint", best_pb_checkpoint(train_dir), "--data", old,
+        "--out", str(tmp_path / "b"), "--iid",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "gen-data" in err and "v1" in err and "Traceback" not in err
+    cfg = write_json(tmp_path / "t.json", {
+        "dataset": {"kind": "manifests", "train": old},
+        "grid": [{"layer_sizes": [3, 4, 2], "k": 2, "block_size": 2, "epochs": 1}],
+    })
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "t")]) == 2
+    err = capsys.readouterr().err
+    assert "gen-data" in err and "v1" in err and "Traceback" not in err
+    assert not (tmp_path / "b").exists() and not (tmp_path / "t").exists()
 
 
 def test_bound_and_eval_reject_supervised_head_checkpoint(tmp_path, data_dir, train_dir, capsys):

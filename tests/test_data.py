@@ -284,18 +284,6 @@ def test_load_contrastive_bad_magic(tmp_path, rng):
     assert "bad magic" in str(exc.value) and str(bin_path) in str(exc.value)
 
 
-def test_load_contrastive_truncated(tmp_path, rng):
-    ds = data.sample_contrastive_iid(small_gaussian_model(rng), 5, 1, 1, rng)
-    path = tmp_path / "ds.json"
-    data.save_contrastive(ds, str(path))
-    bin_path = tmp_path / "ds.bin"
-    blob = bin_path.read_bytes()
-    bin_path.write_bytes(blob[:-8])
-    with pytest.raises(data.DataFormatError) as exc:
-        data.load_contrastive(str(path))
-    assert "expected" in str(exc.value) and "bytes" in str(exc.value)
-
-
 def test_load_contrastive_holds_one_copy_of_the_matrix(tmp_path, rng):
     # acceptance scale: 20k tuples, k=4, blocks of 2 over a 220k x 20 matrix
     # (35 MB). The parsed JSON indices take about 22 MB; a second copy of the
@@ -329,15 +317,57 @@ def test_load_contrastive_wrong_format(tmp_path):
     assert "not a contrastive dataset manifest" in str(exc.value)
 
 
+def index_region_offset(ds):
+    # the index arrays follow the 16 byte header and the float64 matrix
+    return 16 + 8 * ds.features.size
+
+
 def test_load_contrastive_index_out_of_range(tmp_path, rng):
     ds = data.sample_contrastive_iid(small_gaussian_model(rng), 5, 1, 1, rng)
     path = tmp_path / "ds.json"
     data.save_contrastive(ds, str(path))
-    doc = json.loads(path.read_text())
-    doc["anchors"][0] = ds.features.shape[0]
-    path.write_text(json.dumps(doc))
+    bin_path = tmp_path / "ds.bin"
+    blob = bytearray(bin_path.read_bytes())
+    at = index_region_offset(ds)                  # the first anchor
+    assert struct.unpack_from("<q", blob, at)[0] == ds.anchors[0]
+    struct.pack_into("<q", blob, at, ds.features.shape[0])
+    bin_path.write_bytes(bytes(blob))
     with pytest.raises(data.DataFormatError) as exc:
         data.load_contrastive(str(path))
+    assert "index out of range" in str(exc.value) and str(path) in str(exc.value)
+
+
+def test_load_contrastive_truncated(tmp_path, rng):
+    # 8 bytes short: the last negative index of the index region is cut
+    ds = data.sample_contrastive_iid(small_gaussian_model(rng), 5, 2, 2, rng)
+    path = tmp_path / "ds.json"
+    data.save_contrastive(ds, str(path))
+    bin_path = tmp_path / "ds.bin"
+    blob = bin_path.read_bytes()
+    n_index = ds.anchors.size + ds.positives.size + ds.negatives.size
+    assert len(blob) == index_region_offset(ds) + 8 * n_index
+    bin_path.write_bytes(blob[:-8])
+    with pytest.raises(data.DataFormatError) as exc:
+        data.load_contrastive(str(path))
+    assert f"expected {len(blob)} bytes, found {len(blob) - 8}" in str(exc.value)
+
+
+@pytest.mark.parametrize("bad", [-1, 30])
+@pytest.mark.parametrize("part", ["anchors", "positives", "negatives"])
+def test_dataset_rejects_out_of_range_index_at_construction(rng, part, bad):
+    # row gathers clip instead of checking, so a -1 would read row 0 and a
+    # rows-sized index the last row: the dataset must refuse to exist
+    m, k, b, rows = 4, 2, 2, 30
+    parts = {
+        "anchors": rng.integers(0, rows, m),
+        "positives": rng.integers(0, rows, (m, b)),
+        "negatives": rng.integers(0, rows, (m, k, b)),
+    }
+    parts[part].flat[-1] = bad
+    with pytest.raises(data.DataFormatError) as exc:
+        data.ContrastiveDataset(
+            features=rng.standard_normal((rows, 3)), **parts, k=k, block_size=b,
+        )
     assert "index out of range" in str(exc.value)
 
 

@@ -425,10 +425,14 @@ def test_epoch_log_splits_the_objective(rng, objective, terms):
     cfg = base_config(objective=objective, epochs=3, batch_size=20)
     rec = training.train(cfg, ds)
     assert not rec.aborted
-    base = {"epoch", "lr", "train_objective", "rejections", "log_sigma2_p"}
+    base = {"epoch", "lr", "train_objective", "rejections", "log_sigma2_p", "time"}
     for entry in rec.epochs:
         assert set(entry) == base | terms
         assert all(isinstance(entry[key], float) for key in terms | {"log_sigma2_p"})
+        phases = entry["time"]
+        assert set(phases) == {"gather_s", "objective_s", "update_s", "validation_s"}
+        assert all(isinstance(v, float) and v >= 0.0 for v in phases.values())
+        assert phases["objective_s"] > 0.0
     assert rec.epochs[-1]["log_sigma2_p"] == rec.final_prior.log_sigma2
     assert type(rec.final_prior.log_sigma2) is float
     if objective == "erm":
