@@ -8,17 +8,11 @@ overflow error.
 """
 
 from dataclasses import dataclass, field
-from math import comb, exp, expm1, inf, isfinite, log, pi, sqrt
+from math import comb, exp, expm1, inf, isfinite, log, log1p, pi, sqrt
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .losses import loss_at_zero
-
-# lambda search range for the certificate minimisation, as multiples of 1/m
-# at the low end and an absolute cap at the high end
-_LAMBDA_MAX = 1.0e7
-_GRID_POINTS = 100
 
 
 def tau_collision(rho):
@@ -50,18 +44,14 @@ def collision_term(rho, k, loss_kind):
     return num / t_k
 
 
-def _catoni_form(r_hat, pen_over_m, lam):
-    # (1 - exp(-lam r - pen/m)) / (1 - exp(-lam)), via expm1 for stability
-    return expm1(-(lam * r_hat + pen_over_m)) / expm1(-lam)
-
-
 def catoni_bound(r_hat, kl, m, lam, delta):
     """Posterior-expected risk bound for a [0, 1] loss at fixed lambda > 0."""
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    return _catoni_form(r_hat, (kl + log(1.0 / delta)) / m, lam)
+    # (1 - exp(-lam r - pen/m)) / (1 - exp(-lam)), via expm1 for stability
+    return expm1(-(lam * r_hat + (kl + log(1.0 / delta)) / m)) / expm1(-lam)
 
 
 def iid_supervised_bound(l_hat_un, kl, m, lam, delta, tau, loss_sup):
@@ -114,28 +104,43 @@ def selection_penalty_iid(kl, j, m, delta):
     return kl + log(pi * pi * j * j / 6.0) + log(2.0 * sqrt(m) / delta)
 
 
+def kl_bernoulli(q, p):
+    """kl(q || p) between Bernoulli means; +inf at p = 1 > q."""
+    out = q * log(q / p) if q > 0.0 else 0.0
+    if q < 1.0:
+        out += (1.0 - q) * (log1p(-q) - log1p(-p)) if p < 1.0 else inf
+    return out
+
+
+def kl_inverse(q, c):
+    """Largest p in [q, 1] with kl(q || p) <= c, rounded up.
+
+    Bisects until the midpoint stops moving and returns the upper end, where
+    kl exceeds c: rounding can only loosen the bound.
+    """
+    lo, hi = q, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if kl_bernoulli(q, mid) > c:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def selection_bound_iid(r_hat, kl, j, m, delta):
     """Model-selection certificate on the zero-one contrastive risk.
 
-    Minimises the Catoni form over lambda: a 100-point log grid over
-    [1/m, 1e7] brackets the minimum, a bounded scalar minimiser refines it.
+    The PAC-Bayes-kl bound kl^-1(r_hat, pen/m) (Maurer 2004), which is the
+    Catoni form minimised over lambda. The minimising lambda has the closed
+    form log(p (1 - r_hat) / (r_hat (1 - p))); it is +inf at r_hat = 0 or
+    p = 1.
 
     Returns (bound value, minimising lambda).
     """
-    pen_over_m = selection_penalty_iid(kl, j, m, delta) / m
-
-    def f(log_lam):
-        return _catoni_form(r_hat, pen_over_m, exp(log_lam))
-
-    lo, hi = log(1.0 / m), log(_LAMBDA_MAX)
-    grid = np.linspace(lo, hi, _GRID_POINTS)
-    vals = [f(x) for x in grid]
-    i = int(np.argmin(vals))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, _GRID_POINTS - 1)]
-    res = minimize_scalar(f, bounds=(a, b), method="bounded", options={"xatol": 1e-10})
-    log_lam_star = float(res.x) if res.fun <= vals[i] else float(grid[i])
-    return f(log_lam_star), exp(log_lam_star)
+    p = kl_inverse(r_hat, selection_penalty_iid(kl, j, m, delta) / m)
+    if r_hat == 0.0 or p == 1.0:
+        return p, inf
+    return p, log(p * (1.0 - r_hat) / (r_hat * (1.0 - p)))
 
 
 def selection_bound_noniid(r_hat, j, chi2_log1p, m, delta, dependency_t):

@@ -16,6 +16,7 @@ import sys
 import time
 
 import numpy as np
+import numpy.random  # numpy 2 loads it on first use; every command seeds from it
 
 from . import data, evaluation, network, oracle, training
 

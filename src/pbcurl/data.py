@@ -526,8 +526,12 @@ def load_contrastive(json_path):
                               "gen-data with the same config and seed to write v2")
     if doc.get("format") != FORMAT:
         raise DataFormatError(f"{json_path}: not a contrastive dataset manifest")
-    bin_path = os.path.join(os.path.dirname(json_path), doc["data_file"])
-    shapes = [tuple(doc["shapes"][name]) for name in INDEX_ARRAYS]
+    try:
+        bin_path = os.path.join(os.path.dirname(json_path), doc["data_file"])
+        shapes = [tuple(doc["shapes"][name]) for name in INDEX_ARRAYS]
+        k, block_size, dependency_t = (int(doc[key]) for key in ("k", "block_size", "dependency_t"))
+    except KeyError as exc:
+        raise DataFormatError(f"{json_path}: manifest has no {exc.args[0]!r} entry") from None
     sizes = [math.prod(shape) for shape in shapes]
     with open(bin_path, "rb") as fh:
         header = fh.read(16)
@@ -545,9 +549,7 @@ def load_contrastive(json_path):
         return ContrastiveDataset(
             features.astype(np.float64, copy=False),      # native byte order
             *(part.reshape(shape) for part, shape in zip(parts, shapes)),
-            k=int(doc["k"]),
-            block_size=int(doc["block_size"]),
-            dependency_t=int(doc["dependency_t"]),
+            k=k, block_size=block_size, dependency_t=dependency_t,
             provenance=doc.get("provenance", {}),
         )
     except DataFormatError as exc:

@@ -56,29 +56,32 @@ class Chi2Result:
     overflowed: bool
 
 
-def _guard_variances(s_q, s_p, guard_eps):
+def _guard_variances(s_q, s_p):
     """Positive definiteness requires sigma2_q > sigma2_p / 2 coordinatewise.
 
-    Variances below the threshold are replaced by sigma2_p/2 * (1 + guard_eps).
+    Variances below the threshold are replaced by sigma2_p/2 * (1 + GUARD_EPS).
     Returns the guarded variances and the mask of replaced coordinates.
     """
-    floor = 0.5 * s_p * (1.0 + guard_eps)
+    floor = 0.5 * s_p * (1.0 + GUARD_EPS)
     mask = s_q < 0.5 * s_p
     out = np.where(mask, floor, s_q)
     return out, mask
 
 
 def _chi2_log1p_terms(mu_q, s_q, mu_p, s_p):
-    """log(chi2 + 1) for guarded variances, plus intermediates for grads."""
+    """log(chi2 + 1) for guarded variances, plus d = mu_q - mu_p and e = 2 s_q - s_p.
+
+    The mean term sum d^2 / e is formed directly: expanding it into parts of
+    size mu^2 / s_p cancels catastrophically when s_p is small.
+    """
     n = mu_q.size
-    a = 2.0 / s_p - 1.0 / s_q
-    v = 2.0 * mu_p / s_p - mu_q / s_q
+    d = mu_q - mu_p
+    e = 2.0 * s_q - s_p
     log_pref = -n * np.log(s_p) + np.sum(np.log(s_q)) - 0.5 * np.sum(np.log(2.0 * s_q / s_p - 1.0))
-    quad = 0.5 * (np.sum(v * v / a) + np.sum(mu_q * mu_q / s_q) - (2.0 / s_p) * (mu_p @ mu_p))
-    return float(log_pref + quad), a, v
+    return float(log_pref + np.sum(d * d / e)), d, e
 
 
-def chi2_gaussian(mu_q, log_sigma2_q, mu_p, log_sigma2_p, guard_eps=GUARD_EPS):
+def chi2_gaussian(mu_q, log_sigma2_q, mu_p, log_sigma2_p):
     """Chi-square divergence of the posterior/prior pair, in log space.
 
     Evaluates the closed form for factorised Gaussians after applying the
@@ -90,8 +93,8 @@ def chi2_gaussian(mu_q, log_sigma2_q, mu_p, log_sigma2_p, guard_eps=GUARD_EPS):
     s_p = float(np.exp(log_sigma2_p))
     if s_p == 0.0:
         return Chi2Result(np.inf, np.inf, 0, True)
-    s_q, mask = _guard_variances(np.exp(log_sigma2_q), s_p, guard_eps)
-    if np.any(2.0 / s_p - 1.0 / s_q <= 0.0):
+    s_q, mask = _guard_variances(np.exp(log_sigma2_q), s_p)
+    if np.any(2.0 * s_q - s_p <= 0.0):
         # only reachable when sigma2_q sits exactly on sigma2_p/2
         return Chi2Result(np.inf, np.inf, int(mask.sum()), True)
     log1p, _, _ = _chi2_log1p_terms(mu_q, s_q, mu_p, s_p)
@@ -100,41 +103,31 @@ def chi2_gaussian(mu_q, log_sigma2_q, mu_p, log_sigma2_p, guard_eps=GUARD_EPS):
     return Chi2Result(float(np.expm1(log1p)), log1p, int(mask.sum()), False)
 
 
-def chi2_log1p_grads(mu_q, log_sigma2_q, mu_p, log_sigma2_p, guard_eps=GUARD_EPS):
+def chi2_log1p_grads(mu_q, log_sigma2_q, mu_p, log_sigma2_p):
     """log(chi2 + 1) and its gradients w.r.t. (mu_q, log_sigma2_q, log_sigma2_p).
 
     The guard is part of the computation graph: replaced coordinates carry
     zero gradient to their own log variance but do contribute to the prior
-    variance gradient through the guard floor sigma2_p/2 * (1 + guard_eps).
+    variance gradient through the guard floor sigma2_p/2 * (1 + GUARD_EPS).
     When sigma2_p underflows to 0, log1p is +inf and the gradients are None.
     """
     s_p = float(np.exp(log_sigma2_p))
     if s_p == 0.0:
         return np.inf, None, None, None
     s_q_raw = np.exp(log_sigma2_q)
-    s_q, mask = _guard_variances(s_q_raw, s_p, guard_eps)
-    log1p, a, v = _chi2_log1p_terms(mu_q, s_q, mu_p, s_p)
+    s_q, mask = _guard_variances(s_q_raw, s_p)
+    log1p, d, e = _chi2_log1p_terms(mu_q, s_q, mu_p, s_p)
+    d_over_e = d / e
 
-    g_mu = (mu_q - v / a) / s_q
+    g_mu = 2.0 * d_over_e
 
     # d log1p / d s_q (guarded variance)
-    d_sq = (
-        1.0 / s_q
-        - 1.0 / (2.0 * s_q - s_p)
-        + v * mu_q / (a * s_q * s_q)
-        - v * v / (2.0 * a * a * s_q * s_q)
-        - mu_q * mu_q / (2.0 * s_q * s_q)
-    )
+    d_sq = 1.0 / s_q - 1.0 / e - 2.0 * d_over_e * d_over_e
     g_ls_q = np.where(mask, 0.0, s_q_raw * d_sq)
 
     # direct d log1p / d s_p at fixed guarded variances
-    d_sp = (
-        -mu_q.size / s_p
-        + np.sum(s_q / (s_p * (2.0 * s_q - s_p)))
-        + np.sum(-2.0 * v * mu_p / (a * s_p * s_p) + v * v / (a * a * s_p * s_p))
-        + (mu_p @ mu_p) / (s_p * s_p)
-    )
+    d_sp = -mu_q.size / s_p + np.sum(s_q / (s_p * e)) + d_over_e @ d_over_e
     # guarded coordinates track the floor, which moves with s_p
-    d_sp = d_sp + np.sum(d_sq[mask]) * 0.5 * (1.0 + guard_eps)
+    d_sp = d_sp + np.sum(d_sq[mask]) * 0.5 * (1.0 + GUARD_EPS)
     g_ls_p = float(s_p * d_sp)
     return log1p, g_mu, g_ls_q, g_ls_p

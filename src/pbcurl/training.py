@@ -13,7 +13,7 @@ fresh weight sample per minibatch step.
 train() owns theta = [mu_q | log sigma2_q | log sigma2_p], one float64 vector
 the posterior and prior read as views. The optimizers keep flat state and
 write each step into a reused buffer; they step theta[:n_train]: n entries for
-erm, 2n with a frozen prior, 2n + 1 otherwise.
+erm, 2n + 1 otherwise.
 """
 
 import dataclasses
@@ -62,8 +62,6 @@ class TrainConfig:
     early_stop: bool = True
     valid_metric: str = "mc"
     n_valid_samples: int = 10
-    optimize_prior: bool = True
-    loss_scale: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -78,7 +76,7 @@ class TrainConfig:
             raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
         if self.valid_metric not in VALID_METRICS:
             raise ValueError(f"valid_metric must be one of {VALID_METRICS}")
-        for name in ("lam", "grid_b", "lr", "loss_scale"):
+        for name in ("lam", "grid_b", "lr"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 < self.delta < 1.0:
@@ -179,7 +177,7 @@ def make_optimizer(kind, n):
 # loss + gradient w.r.t. the flat weight vector, batched over tuples
 
 
-def contrastive_loss_and_wgrad(layer_sizes, w, batch, loss_kind, loss_scale=1.0, ws=None):
+def contrastive_loss_and_wgrad(layer_sizes, w, batch, loss_kind, ws=None):
     """Mean tuple loss over a TupleBatch and its gradient w.r.t. w.
 
     One forward pass covers batch.rows. d_out is assembled in ws.deltas[-1]
@@ -197,9 +195,9 @@ def contrastive_loss_and_wgrad(layer_sizes, w, batch, loss_kind, loss_scale=1.0,
     pos_term = ws.scratch[n * k * d : n * (k + 1) * d].reshape(n, d)
 
     margins = losses.contrastive_margins(a_out, p_out, g_out, diff)
-    loss = loss_scale * float(np.mean(losses.loss_value(margins, loss_kind)))
+    loss = float(np.mean(losses.loss_value(margins, loss_kind)))
 
-    dv = losses.loss_margin_grad(margins, loss_kind) * (loss_scale / n)   # (n, k)
+    dv = losses.loss_margin_grad(margins, loss_kind) * (1.0 / n)   # (n, k)
     d_out = TupleBatch(ws.deltas[-1][: len(out)], n, k, b)
     np.einsum("nk,nkd->nd", dv, diff, out=d_out[0])
     np.multiply(np.sum(dv, axis=1)[:, None], a_out, out=pos_term)
@@ -228,11 +226,11 @@ def as_theta(post, prior):
 
 
 def iid_objective(layer_sizes, post, prior, batch, eps, *, lam, m, grid_b, grid_c,
-                  loss_kind, loss_scale=1.0, ws=None):
+                  loss_kind, ws=None):
     """Catoni-style trainable bound; the batch mean estimates L_hat."""
     ws = ws or network.Workspace(layer_sizes, len(batch.rows))
     w = network.sample_weights(post, eps)
-    loss, d_w, _ = contrastive_loss_and_wgrad(layer_sizes, w, batch, loss_kind, loss_scale, ws)
+    loss, d_w, _ = contrastive_loss_and_wgrad(layer_sizes, w, batch, loss_kind, ws)
     kl = divergences.kl_gaussian(post.mu, post.log_sigma2, prior.mu, prior.log_sigma2)
     log_j = math.log(grid_b) + math.log(math.log(grid_c) - prior.log_sigma2)
     value = lam * m * loss + kl + 2.0 * log_j
@@ -249,7 +247,7 @@ def iid_objective(layer_sizes, post, prior, batch, eps, *, lam, m, grid_b, grid_
 
 
 def noniid_objective(layer_sizes, post, prior, batch, eps, *, m, delta, dependency_t,
-                     loss_sup, grid_b, grid_c, loss_kind, loss_scale=1.0, ws=None):
+                     loss_sup, grid_b, grid_c, loss_kind, ws=None):
     """Chi-square trainable bound. loss_sup (B_l) is a per-epoch constant.
 
     Returns value = +inf (no gradient) when the penalty overflows; the caller
@@ -257,7 +255,7 @@ def noniid_objective(layer_sizes, post, prior, batch, eps, *, m, delta, dependen
     """
     ws = ws or network.Workspace(layer_sizes, len(batch.rows))
     w = network.sample_weights(post, eps)
-    loss, d_w, _ = contrastive_loss_and_wgrad(layer_sizes, w, batch, loss_kind, loss_scale, ws)
+    loss, d_w, _ = contrastive_loss_and_wgrad(layer_sizes, w, batch, loss_kind, ws)
     j = bounds.j_index(grid_b, grid_c, prior.log_sigma2)
     log1p, c_mu, c_ls_q, c_ls_p = divergences.chi2_log1p_grads(
         post.mu, post.log_sigma2, prior.mu, prior.log_sigma2
@@ -277,12 +275,9 @@ def noniid_objective(layer_sizes, post, prior, batch, eps, *, m, delta, dependen
     return value, grad, {"loss": loss, "chi2_log1p": log1p, "penalty": pen}
 
 
-def erm_objective(layer_sizes, post, prior, batch, eps, *, loss_kind, loss_scale=1.0,
-                  ws=None):
+def erm_objective(layer_sizes, post, prior, batch, eps, *, loss_kind, ws=None):
     """Contrastive loss of the mean network and its weight gradient; prior, eps unused."""
-    loss, d_w, _ = contrastive_loss_and_wgrad(
-        layer_sizes, post.mu, batch, loss_kind, loss_scale, ws
-    )
+    loss, d_w, _ = contrastive_loss_and_wgrad(layer_sizes, post.mu, batch, loss_kind, ws)
     return loss, d_w, {"loss": loss}
 
 
@@ -339,7 +334,7 @@ def _step_objective(cfg, layer_sizes, post, prior, data, ws):
     every epoch and returns the epoch's constants for the log: the loss range
     B_l of the chi-square objective.
     """
-    kw = {"loss_kind": cfg.loss_kind, "loss_scale": cfg.loss_scale, "ws": ws}
+    kw = {"loss_kind": cfg.loss_kind, "ws": ws}
     if cfg.objective in ("iid", "noniid"):
         kw.update(m=len(data), grid_b=cfg.grid_b, grid_c=cfg.grid_c)
     begin_epoch = dict          # no per-epoch constants: returns {}
@@ -386,7 +381,7 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
     stochastic = cfg.objective in ("iid", "noniid")
     layer_sizes = cfg.layer_sizes
     theta, post, prior = as_theta(*network.init_network(layer_sizes, cfg.sigma2_p_init, init_rng))
-    n_train = 2 * post.n_params + int(cfg.optimize_prior) if stochastic else post.n_params
+    n_train = 2 * post.n_params + 1 if stochastic else post.n_params
     trainable = theta[:n_train]
     opt = make_optimizer(cfg.optimizer, n_train)
     last_step = np.empty(n_train)   # halved in place when the next objective overflows

@@ -211,6 +211,37 @@ def test_selection_bound_iid_beats_grid(rng):
             assert val <= probed + 1e-12
 
 
+def test_selection_bound_iid_zero_risk_closed_form():
+    # kl(0 || p) = -log(1 - p), so the kl-inverse is 1 - exp(-pen/m); no
+    # finite lambda attains it
+    pen_over_m = bounds.selection_penalty_iid(10.0, 5.0, 1000, 0.05) / 1000
+    val, lam = bounds.selection_bound_iid(0.0, 10.0, 5.0, 1000, 0.05)
+    assert val == pytest.approx(-math.expm1(-pen_over_m), rel=1e-14)
+    assert lam == math.inf
+    doc = json.loads(json.dumps({"bound_value": val, "lambda": lam}))
+    assert doc == {"bound_value": val, "lambda": math.inf}
+
+
+def test_selection_bound_iid_saturates_at_one():
+    # kl(0.5 || p) = pen/m has no float solution below 1 at this penalty
+    val, lam = bounds.selection_bound_iid(0.5, 1.0e6, 5.0, 100, 0.05)
+    assert val == 1.0
+    assert lam == math.inf
+
+
+def test_selection_bound_iid_is_rounded_up_kl_inverse(rng):
+    # the bound is the first float at which kl(r || .) exceeds pen/m
+    for _ in range(50):
+        r = float(rng.uniform(0.0, 0.9))
+        kl = float(rng.uniform(0.0, 3000.0))
+        m = int(rng.integers(100, 200_000))
+        j = float(rng.uniform(1.0, 900.0))
+        val, _ = bounds.selection_bound_iid(r, kl, j, m, 0.05)
+        c = bounds.selection_penalty_iid(kl, j, m, 0.05) / m
+        below = float(np.nextafter(val, 0.0))
+        assert bounds.kl_bernoulli(r, below) <= c < bounds.kl_bernoulli(r, val)
+
+
 def test_selection_bound_noniid_frozen_floor():
     got = bounds.selection_bound_noniid(0.0, 3.0, 0.0, 1000, 0.05, 0)
     assert got == pytest.approx(EQ15_FLOOR, rel=1e-15)

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -561,6 +563,30 @@ def test_v1_manifest_exits_two_and_names_gen_data(tmp_path, data_dir, train_dir,
     err = capsys.readouterr().err
     assert "gen-data" in err and "v1" in err and "Traceback" not in err
     assert not (tmp_path / "b").exists() and not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("key", ["data_file", "shapes", "k", "block_size", "dependency_t"])
+def test_manifest_missing_key_exits_two_and_names_it(tmp_path, data_dir, train_dir, capsys, key):
+    doc = json.loads((data_dir / "test.json").read_text())
+    del doc[key]
+    (tmp_path / doc.get("data_file", "test.bin")).write_bytes((data_dir / "test.bin").read_bytes())
+    manifest = write_json(tmp_path / "test.json", doc)
+    assert main([
+        "bound", "--checkpoint", best_pb_checkpoint(train_dir), "--data", manifest,
+        "--out", str(tmp_path / "b"), "--iid",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and "Traceback" not in err
+    assert not (tmp_path / "b").exists()
+
+
+def test_cli_import_leaves_scipy_out():
+    # the runtime needs numpy only; scipy is a test oracle
+    code = "import sys, pbcurl.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_bound_and_eval_reject_supervised_head_checkpoint(tmp_path, data_dir, train_dir, capsys):

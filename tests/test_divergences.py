@@ -209,6 +209,27 @@ def test_chi2_log1p_grads_match_finite_differences(rng):
     assert g_lp == pytest.approx(fd_p, rel=1e-5, abs=1e-8)
 
 
+def test_chi2_stable_at_tiny_prior_variance():
+    # at sigma2_p = 3e-20 the mean term sum d^2 / (2 s_q - s_p) must not be
+    # assembled from parts of size mu^2 / s_p: they cancel to nothing
+    n, s_q, s_p = 50, 9e-3, 3e-20
+    rng = np.random.default_rng(1)
+    mu_p = rng.normal(scale=0.1, size=n)
+    mu_q = mu_p + 0.1 * rng.choice([-1.0, 1.0], size=n)
+    ls_q, ls_p = np.full(n, math.log(s_q)), math.log(s_p)
+    e = 2.0 * s_q - s_p
+    d2 = math.fsum((mu_q - mu_p) ** 2)
+    expect = n * (math.log(s_q / s_p) - 0.5 * math.log(e / s_p)) + d2 / e
+    log1p, g_mu, g_lq, g_lp = divergences.chi2_log1p_grads(mu_q, ls_q, mu_p, ls_p)
+    assert log1p == pytest.approx(expect, rel=1e-12)
+    assert divergences.chi2_gaussian(mu_q, ls_q, mu_p, ls_p).log1p == log1p
+    assert np.allclose(g_mu, 2.0 * (mu_q - mu_p) / e, rtol=1e-12, atol=0)
+    assert np.allclose(g_lq, s_q * (1.0 / s_q - 1.0 / e - 2.0 * (mu_q - mu_p) ** 2 / e**2),
+                       rtol=1e-9, atol=1e-12)
+    # -n + n s_q / e + s_p sum d^2 / e^2 = -n/2 up to terms of order s_p
+    assert g_lp == pytest.approx(-0.5 * n, rel=1e-12)
+
+
 def test_chi2_guarded_coordinates_have_zero_q_gradient():
     mu = np.zeros(2)
     ls_q = np.log(np.array([0.1, 1.2]))

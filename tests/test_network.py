@@ -261,7 +261,7 @@ def test_workspace_step_matches_allocating_math(rng, loss_kind):
         idx = rng.choice(len(ds), size=n, replace=False)
         batch = ds.gather(idx, out=batch_rows)
         loss, grad, margins = training.contrastive_loss_and_wgrad(
-            ACCEPTANCE_SIZES, w, batch, loss_kind, 1.0, ws
+            ACCEPTANCE_SIZES, w, batch, loss_kind, ws
         )
         ref_loss, ref_grad, ref_margins = alloc_contrastive_loss_and_wgrad(
             ACCEPTANCE_SIZES, w, ds.features[ds.anchors[idx]],
