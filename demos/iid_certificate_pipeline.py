@@ -11,7 +11,7 @@ README for the command versions.
 
 import numpy as np
 
-from pbcurl import data, evaluation, training
+from pbcurl import data, evaluation, network, training
 
 rng = np.random.default_rng(11)
 
@@ -23,9 +23,9 @@ print(f"{len(train)} training tuples, k={train.k}, block={train.block_size}")
 
 cfg = training.TrainConfig(
     layer_sizes=(10, 16, 8), objective="iid", k=4, block_size=2,
-    epochs=60, batch_size=200, lr=1e-3, lam=0.5, early_stop=False, seed=3,
+    epochs=60, batch_size=200, lr=1e-3, lam=0.5, seed=3,
 )
-record = training.train(cfg, train)
+record = training.train(cfg, train)["pb"]
 print(f"trained {record.stopped_epoch} epochs, "
       f"objective {record.epochs[0]['train_objective']:.1f}"
       f" -> {record.epochs[-1]['train_objective']:.1f}")
@@ -50,14 +50,9 @@ print(f"held-out risk {held_risk:.4f}  covered: {held_risk <= report.bound_value
 # downstream: mean classifiers on labeled samples through the trained features
 labeled = data.sample_labeled(model, 600, np.random.default_rng(5))
 test = data.sample_labeled(model, 600, np.random.default_rng(6))
-
-
-def features(x):
-    from pbcurl import network
-    return network.forward(cfg.layer_sizes, record.final_posterior.mu, x)
-
-
-metrics = evaluation.evaluate_representation(
-    features, labeled, test, rng=np.random.default_rng(7)
-)
+reps = [
+    data.LabeledDataset(network.forward(cfg.layer_sizes, record.final_posterior.mu, s.x), s.y)
+    for s in (labeled, test)
+]
+metrics = evaluation.evaluate_representation(*reps, rng=np.random.default_rng(7))
 print("avg2 {avg2:.3f}  top1 {top1:.3f}  top5 {top5:.3f}".format(**metrics))

@@ -24,9 +24,9 @@ print(f"{len(train)} tuples from {len(seqs)} sequences, dependency T = {train.de
 
 cfg = training.TrainConfig(
     layer_sizes=(8, 16, 8), objective="noniid", k=4, block_size=2,
-    epochs=150, batch_size=100, lr=1e-3, lam=0.1, early_stop=False, seed=21,
+    epochs=150, batch_size=100, lr=1e-3, lam=0.1, seed=21,
 )
-record = training.train(cfg, train)
+record = training.train(cfg, train)["pb"]
 print(f"objective {record.epochs[0]['train_objective']:.2f}"
       f" -> {record.epochs[-1]['train_objective']:.2f}")
 

@@ -74,7 +74,7 @@ def j_index(grid_b, grid_c, log_sigma2_p):
     return grid_b * (log(grid_c) - log_sigma2_p)
 
 
-def chi2_log_penalty_over_j(j, chi2_log1p, m, delta, dependency_t, loss_sup=1.0):
+def chi2_log_penalty_over_j(j, chi2_log1p, m, delta, dependency_t, loss_sup):
     """log(pen / (pi j)) of the chi-square penalty.
 
     pen = pi * j * sqrt(loss_sup^2 (1 + 8T) (chi2 + 1) / (24 m delta)). Returns
@@ -90,13 +90,11 @@ def chi2_log_penalty_over_j(j, chi2_log1p, m, delta, dependency_t, loss_sup=1.0)
     return log_pen_over_j
 
 
-def _chi2_penalty(j, chi2_log1p, m, delta, dependency_t, loss_sup=1.0):
-    return pi * j * exp(chi2_log_penalty_over_j(j, chi2_log1p, m, delta, dependency_t, loss_sup))
-
-
 def noniid_bound(l_hat_un, j, chi2_log1p, m, delta, dependency_t, loss_sup):
     """Chi-square risk bound for T-dependent tuples, on the bounded loss."""
-    return l_hat_un + _chi2_penalty(j, chi2_log1p, m, delta, dependency_t, loss_sup)
+    return l_hat_un + pi * j * exp(
+        chi2_log_penalty_over_j(j, chi2_log1p, m, delta, dependency_t, loss_sup)
+    )
 
 
 def selection_penalty_iid(kl, j, m, delta):
@@ -146,9 +144,9 @@ def selection_bound_iid(r_hat, kl, j, m, delta):
 def selection_bound_noniid(r_hat, j, chi2_log1p, m, delta, dependency_t):
     """Model-selection certificate on the zero-one risk for dependent data.
 
-    Direct evaluation, no lambda: the zero-one risk already has range 1.
+    The chi-square bound with no lambda: the zero-one risk has range 1.
     """
-    return r_hat + _chi2_penalty(j, chi2_log1p, m, delta, dependency_t)
+    return noniid_bound(r_hat, j, chi2_log1p, m, delta, dependency_t, 1.0)
 
 
 @dataclass

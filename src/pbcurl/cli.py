@@ -447,12 +447,14 @@ def _cmd_eval(args):
                 f"{ckpt_path}: network input width {layer_sizes[0]} does not match "
                 f"feature dim {labeled_train.dim}"
             )
-        feature_fn = functools.partial(
-            network.forward, layer_sizes, network.map_weights(ckpt.posterior)
+        w = network.map_weights(ckpt.posterior)
+        reps_train, reps_test = (
+            data.LabeledDataset(network.forward(layer_sizes, w, split.x), split.y)
+            for split in (labeled_train, labeled_test)
         )
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]).generate_state(1)[0])
         results[ckpt_path] = evaluation.evaluate_representation(
-            feature_fn, labeled_train, labeled_test, rng,
+            reps_train, reps_test, rng,
             samples_per_class=args.samples_per_class, n_variants=args.variants,
         )
 

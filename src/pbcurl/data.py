@@ -337,20 +337,14 @@ def build_noniid_from_sequences(
         for c in classes
     }
 
-    anchors, positives, seq_of_tuple, t_of_tuple, tuple_class = [], [], [], [], []
-    for i, f in enumerate(frames):
-        n_t = f.shape[0] - b
-        base = offsets[i]
-        for t in range(n_t):
-            anchors.append(base + t)
-            positives.append(np.arange(base + t + 1, base + t + 1 + b))
-            seq_of_tuple.append(i)
-            t_of_tuple.append(t)
-            tuple_class.append(labels[i])
+    # one tuple per position t < length - b of every sequence
+    n_t = lengths - b
+    seq_of_tuple = np.repeat(np.arange(len(frames)), n_t)
+    t_of_tuple = np.arange(n_t.sum()) - np.repeat(np.cumsum(n_t) - n_t, n_t)
+    anchors = offsets[seq_of_tuple] + t_of_tuple
+    positives = anchors[:, None] + np.arange(1, b + 1)
+    tuple_class = labels[seq_of_tuple]
     m = len(anchors)
-    anchors = np.asarray(anchors, dtype=np.int64)
-    positives = np.asarray(positives, dtype=np.int64)
-    tuple_class = np.asarray(tuple_class)
 
     if allow_same_class_negatives:
         neg_classes = classes[rng.choice(classes.size, size=(m, k), p=rho)]
@@ -376,7 +370,7 @@ def build_noniid_from_sequences(
             negatives[sel] = pool[rng.integers(0, pool.size, size=(int(sel.sum()), b))]
 
     # forbid references into the anchor's own window [t, t + b]
-    win_lo = (offsets[np.asarray(seq_of_tuple)] + np.asarray(t_of_tuple))[:, None, None]
+    win_lo = anchors[:, None, None]
     bad = (negatives >= win_lo) & (negatives <= win_lo + b)
     while np.any(bad):
         idx = np.nonzero(bad)

@@ -1,9 +1,10 @@
 """Downstream evaluation: mean classifiers on frozen representations.
 
 The classifier for class c is the average representation of its training
-points; prediction is the inner product argmax. Deterministic metrics use the
-posterior mean network; posterior risks are Monte Carlo averages over weight
-draws.
+points; prediction is the inner product argmax. The classifier functions take
+LabeledDatasets of representations, the network applied once to each split.
+Deterministic metrics use the posterior mean network; posterior risks are
+Monte Carlo averages over weight draws.
 """
 
 from dataclasses import dataclass
@@ -19,33 +20,31 @@ class MeanClassifier:
     means: np.ndarray      # (C, rep_dim)
 
 
-def build_mean_classifier(feature_fn, labeled, samples_per_class=None, rng=None):
+def build_mean_classifier(reps, samples_per_class=None, rng=None):
     """Average the representations of each class's training points.
 
     With samples_per_class set, a random subset of that size per class is
     used (all points when a class has fewer).
     """
-    classes = labeled.classes
-    feats = feature_fn(labeled.x)
-    means = np.empty((classes.size, feats.shape[1]))
+    classes = reps.classes
+    means = np.empty((classes.size, reps.dim))
     for i, c in enumerate(classes):
-        idx = np.nonzero(labeled.y == c)[0]
+        idx = np.nonzero(reps.y == c)[0]
         if samples_per_class is not None and idx.size > samples_per_class:
             idx = rng.choice(idx, size=samples_per_class, replace=False)
-        means[i] = feats[idx].mean(axis=0)
+        means[i] = reps.x[idx].mean(axis=0)
     return MeanClassifier(classes=classes, means=means)
 
 
-def avg2_accuracy(mc, feature_fn, labeled):
+def avg2_accuracy(mc, reps):
     """One minus the mean binary risk over unordered class pairs.
 
     For a pair (c+, c-) the classifier is sign((mu_c+ - mu_c-) . f(x)); a
     zero score counts as correct.
     """
-    feats = feature_fn(labeled.x)
-    scores = feats @ mc.means.T                      # (n, C)
+    scores = reps.x @ mc.means.T                     # (n, C)
     risks = []
-    pos = {c: np.nonzero(labeled.y == c)[0] for c in mc.classes}
+    pos = {c: np.nonzero(reps.y == c)[0] for c in mc.classes}
     for i in range(mc.classes.size):
         for jj in range(i + 1, mc.classes.size):
             idx_i, idx_j = pos[mc.classes[i]], pos[mc.classes[jj]]
@@ -58,42 +57,38 @@ def avg2_accuracy(mc, feature_fn, labeled):
     return 1.0 - float(np.mean(risks))
 
 
-def topk_accuracy(mc, feature_fn, labeled, top_k):
+def topk_accuracy(mc, reps, top_k):
     """Fraction of points whose label is among the top_k scoring classes.
 
     Score ties resolve toward the lower class index (stable ordering).
     """
-    feats = feature_fn(labeled.x)
-    scores = feats @ mc.means.T
+    scores = reps.x @ mc.means.T
     top_k = min(top_k, mc.classes.size)
     order = np.argsort(-scores, axis=1, kind="stable")[:, :top_k]
     top_labels = mc.classes[order]
-    hits = np.any(top_labels == labeled.y[:, None], axis=1)
+    hits = np.any(top_labels == reps.y[:, None], axis=1)
     return float(np.mean(hits))
 
 
-def evaluate_representation(feature_fn, labeled_train, labeled_test, rng,
-                            samples_per_class=5, n_variants=5):
-    """Mean-classifier metric table for one frozen feature map.
+def evaluate_representation(reps_train, reps_test, rng, samples_per_class=5, n_variants=5):
+    """Mean-classifier metric table for one frozen representation.
 
     Emits the full-train classifier metrics (avg2, top1, top5) and the
     few-shot variant: samples_per_class training points per class, metrics
     averaged over n_variants independent draws.
     """
-    mc = build_mean_classifier(feature_fn, labeled_train)
+    mc = build_mean_classifier(reps_train)
     out = {
-        "avg2": avg2_accuracy(mc, feature_fn, labeled_test),
-        "top1": topk_accuracy(mc, feature_fn, labeled_test, 1),
-        "top5": topk_accuracy(mc, feature_fn, labeled_test, 5),
+        "avg2": avg2_accuracy(mc, reps_test),
+        "top1": topk_accuracy(mc, reps_test, 1),
+        "top5": topk_accuracy(mc, reps_test, 5),
     }
     few = {"avg2": [], "top1": [], "top5": []}
     for _ in range(n_variants):
-        mc_f = build_mean_classifier(
-            feature_fn, labeled_train, samples_per_class=samples_per_class, rng=rng
-        )
-        few["avg2"].append(avg2_accuracy(mc_f, feature_fn, labeled_test))
-        few["top1"].append(topk_accuracy(mc_f, feature_fn, labeled_test, 1))
-        few["top5"].append(topk_accuracy(mc_f, feature_fn, labeled_test, 5))
+        mc_f = build_mean_classifier(reps_train, samples_per_class=samples_per_class, rng=rng)
+        few["avg2"].append(avg2_accuracy(mc_f, reps_test))
+        few["top1"].append(topk_accuracy(mc_f, reps_test, 1))
+        few["top5"].append(topk_accuracy(mc_f, reps_test, 5))
     tag = f"mu{samples_per_class}"
     for key, vals in few.items():
         out[f"{tag}_{key}"] = float(np.mean(vals))

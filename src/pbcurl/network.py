@@ -135,7 +135,7 @@ class Workspace:
         self.scratch = np.empty(rows * widths[-1])
 
 
-def forward(layer_sizes, w, x, n_layers=None, out=None):
+def forward(layer_sizes, w, x, out=None):
     """Apply the network to a matrix of rows, in row chunks.
 
     Parameters
@@ -143,35 +143,30 @@ def forward(layer_sizes, w, x, n_layers=None, out=None):
     layer_sizes : sequence of ints, input dim first.
     w : flat parameter vector.
     x : (n, d_in) array.
-    n_layers : apply only the first n_layers affine layers (the oracle reads
-        hidden pre-activations this way); defaults to all. ReLU after every
-        layer except the final applied one.
     out : optional (n, d_out) array to write into.
 
     Returns
     -------
     (n, d_out) array.
     """
-    if n_layers is None:
-        n_layers = len(layer_sizes) - 1
     chunks = row_chunks(len(x))
     ws = Workspace(layer_sizes, chunks[-1][1] - chunks[-1][0])     # the tallest chunk
     if out is None:
-        out = np.empty((len(x), layer_sizes[n_layers]))
+        out = np.empty((len(x), layer_sizes[-1]))
     for lo, hi in chunks:
-        out[lo:hi] = forward_cached(layer_sizes, w, x[lo:hi], n_layers, ws)[0]
+        out[lo:hi] = forward_cached(layer_sizes, w, x[lo:hi], ws)[0]
     return out
 
 
-def forward_cached(layer_sizes, w, x, n_layers=None, ws=None):
+def forward_cached(layer_sizes, w, x, ws=None):
     """Forward pass keeping per layer activations for backprop.
 
-    The activations are views into ws (a temporary workspace when None).
+    ReLU after every layer but the last. The activations are views into ws
+    (a temporary workspace when None).
     """
     a = np.asarray(x, dtype=np.float64)
     ws = ws or Workspace(layer_sizes, len(a))
-    if n_layers is None:
-        n_layers = len(ws.slices)
+    n_layers = len(ws.slices)
     cache = [a]
     for li in range(n_layers):
         w_sl, b_sl = ws.slices[li]

@@ -221,10 +221,17 @@ def coverage_sim(rng, n_trials=200, m=150, n_hypotheses=8, lam=2.0, delta=0.05, 
 
 
 def _min_hidden_preact(layer_sizes, w, x):
-    """Smallest |z| over the hidden layer ReLU preactivations of a batch."""
-    # the first n layers end without a ReLU: their output is layer n's preactivation
-    return min((float(np.min(np.abs(network.forward(layer_sizes, w, x, n_layers=n))))
-                for n in range(1, len(layer_sizes) - 1)), default=math.inf)
+    """Smallest |z| over the hidden layer ReLU preactivations of a batch.
+
+    Its own loop: the oracle does not run the network code it checks.
+    """
+    smallest, a, off = math.inf, x, 0
+    for fan_in, fan_out in zip(layer_sizes[:-2], layer_sizes[1:-1]):
+        n_w = fan_in * fan_out
+        z = a @ w[off : off + n_w].reshape(fan_out, fan_in).T + w[off + n_w : off + n_w + fan_out]
+        smallest = min(smallest, float(np.min(np.abs(z))))
+        a, off = np.maximum(z, 0.0), off + n_w + fan_out
+    return smallest
 
 
 def _well_conditioned_problem(objective, rng):

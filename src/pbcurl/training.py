@@ -14,6 +14,10 @@ train() owns theta = [mu_q | log sigma2_q | log sigma2_p], one float64 vector
 the posterior and prior read as views. The optimizers keep flat state and
 write each step into a reused buffer; they step theta[:n_train]: n entries for
 erm, 2n + 1 otherwise.
+
+grid_search trains each config at most twice: on train + valid for the pb
+criterion, scored by its certificate, and on train for the validation criteria
+s-valid (sampled loss) and det-valid (posterior-mean loss), which share the run.
 """
 
 import dataclasses
@@ -38,7 +42,6 @@ class NumericAbort(RuntimeError):
 OBJECTIVES = ("iid", "noniid", "erm")
 OPTIMIZERS = ("sgd", "rmsprop", "adam")
 LOSS_KINDS = ("logistic", "hinge")
-VALID_METRICS = ("mc", "map")
 
 
 @dataclass
@@ -59,8 +62,6 @@ class TrainConfig:
     batch_size: int = 100
     lr_drop_frac: float = 0.75
     patience: int = 20
-    early_stop: bool = True
-    valid_metric: str = "mc"
     n_valid_samples: int = 10
     seed: int = 0
 
@@ -74,8 +75,6 @@ class TrainConfig:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
-        if self.valid_metric not in VALID_METRICS:
-            raise ValueError(f"valid_metric must be one of {VALID_METRICS}")
         for name in ("lam", "grid_b", "lr"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -290,6 +289,13 @@ def map_dataset_loss(layer_sizes, w, ds, loss_kind):
     return float(np.mean(evaluation.tuple_risks(out, ds, "loss", loss_kind)))
 
 
+# the run mode each selection criterion trains and ranks; the validation
+# criteria share one run
+CRITERION_MODES = {"s-valid": "valid-mc", "det-valid": "valid-map", "pb": "pb"}
+CRITERIA = tuple(CRITERION_MODES)
+VALID_CRITERIA = ("s-valid", "det-valid")
+
+
 @dataclass
 class RunRecord:
     run_id: str
@@ -365,13 +371,22 @@ def _lap(clock, phase, since):
     return now
 
 
-def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
-    """Minimise cfg.objective on data; early stop on valid when configured.
+def train(cfg, data, valid=None, criteria=("pb",), run_dir=None, run_id="run"):
+    """Minimise cfg.objective on data; returns {criterion: RunRecord}.
 
-    data and valid are ContrastiveDatasets. Returns a RunRecord; the
-    checkpoint is written under run_dir when given (best validation epoch if
-    early stopping is active, else the final epoch).
+    data and valid are ContrastiveDatasets. Without valid the only criterion
+    is pb, which keeps the final epoch. With valid every epoch logs valid_mc
+    (stochastic objectives only) and valid_map, and each criterion keeps its
+    best epoch: s-valid by valid_mc (valid_map when None), det-valid by
+    valid_map. A criterion closes its record after cfg.patience epochs without
+    a new best; training ends when all have closed. A NumericAbort marks the
+    open records aborted. The others write run_dir/<run_id>-<criterion>.ckpt.json
+    when run_dir is given.
     """
+    allowed = VALID_CRITERIA if valid is not None else ("pb",)
+    if not criteria or not set(criteria) <= set(allowed):
+        raise ValueError(f"criteria {list(criteria)} must be some of {list(allowed)} when "
+                         f"the validation split is {'given' if valid is not None else 'None'}")
     t0 = time.perf_counter()
     root = np.random.SeedSequence(cfg.seed)
     init_rng, batch_rng, eps_rng, valid_rng = (
@@ -396,14 +411,45 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
 
     n_steps = max(1, math.ceil(m / cfg.batch_size))
     drop_epoch = math.ceil(cfg.lr_drop_frac * cfg.epochs)
-    early_stop = cfg.early_stop and valid is not None
 
-    mode = mode or ("valid-" + cfg.valid_metric if early_stop else "pb")
-    record = RunRecord(run_id=run_id, mode=mode, config=cfg.to_dict())
-    best_metric, best_state, best_epoch = math.inf, None, 0
-    since_best = 0
-    epochs_done = 0
+    records = {
+        c: RunRecord(run_id=f"{run_id}-{c}", mode=CRITERION_MODES[c], config=cfg.to_dict())
+        for c in criteria
+    }
+    best = dict.fromkeys(criteria, (math.inf, None, 0))    # metric, (post, prior), epoch
+    still_open = list(criteria)
+    entries = []
     clamp_count = 0
+
+    def close(criterion):
+        """Fill the criterion's record from the run so far; write its checkpoint."""
+        rec = records[criterion]
+        still_open.remove(criterion)
+        rec.epochs, rec.stopped_epoch = list(entries), len(entries)
+        metric, state, rec.best_epoch = best[criterion]
+        if state is None:       # the final epoch, detached from theta
+            state, rec.best_epoch = (post.copy(), prior.copy()), len(entries)
+        else:
+            rec.metric = metric
+        rec.final_posterior, rec.final_prior = state
+        rec.extras["clamp_count"] = clamp_count
+        rec.wall_time = time.perf_counter() - t0
+        if run_dir is not None and not rec.aborted:
+            os.makedirs(run_dir, exist_ok=True)
+            path = os.path.join(run_dir, f"{rec.run_id}.ckpt.json")
+            network.save_checkpoint(
+                path,
+                network.Checkpoint(
+                    layer_sizes=list(layer_sizes),
+                    posterior=rec.final_posterior,
+                    prior=rec.final_prior,
+                    seed=cfg.seed,
+                    epoch=rec.best_epoch,
+                    config=rec.config,
+                ),
+            )
+            rec.checkpoint_path = path
+
     try:
         for epoch in range(1, cfg.epochs + 1):
             lr = cfg.lr / 10.0 if epoch >= drop_epoch else cfg.lr
@@ -460,7 +506,6 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
                     stat_sums[key] = stat_sums.get(key, 0.0) + val
                 t = _lap(clock, "update_s", t)
 
-            epochs_done = epoch
             entry = {
                 "epoch": epoch,
                 "lr": lr,
@@ -484,50 +529,24 @@ def train(cfg, data, valid=None, run_dir=None, run_id="run", mode=None):
                 entry["valid_map"] = valid_map
             _lap(clock, "validation_s", t)
             entry["time"] = clock
-            record.epochs.append(entry)
+            entries.append(entry)
 
-            if early_stop:
-                metric = valid_mc if (cfg.valid_metric == "mc" and valid_mc is not None) else valid_map
-                if metric < best_metric:
-                    best_metric, best_state, best_epoch = metric, (post.copy(), prior.copy()), epoch
-                    since_best = 0
-                else:
-                    since_best += 1
-                    if since_best >= cfg.patience:
-                        break
+            for c in [c for c in still_open if c in VALID_CRITERIA]:
+                metric = valid_mc if c == "s-valid" and valid_mc is not None else valid_map
+                if metric < best[c][0]:
+                    best[c] = (metric, (post.copy(), prior.copy()), epoch)
+                elif epoch - best[c][2] >= cfg.patience:
+                    close(c)
+            if not still_open:
+                break
     except NumericAbort as exc:
-        record.aborted = True
-        record.abort_reason = str(exc)
+        for c in still_open:
+            records[c].aborted = True
+            records[c].abort_reason = str(exc)
 
-    record.stopped_epoch = epochs_done
-    if early_stop and best_state is not None:
-        post, prior = best_state
-        record.best_epoch = best_epoch
-        record.metric = best_metric
-    else:
-        post, prior = post.copy(), prior.copy()      # detached from theta
-        record.best_epoch = epochs_done
-
-    record.wall_time = time.perf_counter() - t0
-    if run_dir is not None and not record.aborted:
-        os.makedirs(run_dir, exist_ok=True)
-        path = os.path.join(run_dir, f"{run_id}.ckpt.json")
-        network.save_checkpoint(
-            path,
-            network.Checkpoint(
-                layer_sizes=list(layer_sizes),
-                posterior=post,
-                prior=prior,
-                seed=cfg.seed,
-                epoch=record.best_epoch,
-                config=cfg.to_dict(),
-            ),
-        )
-        record.checkpoint_path = path
-    record.final_posterior = post
-    record.final_prior = prior
-    record.extras["clamp_count"] = clamp_count
-    return record
+    for c in list(still_open):
+        close(c)
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -632,11 +651,6 @@ def loss_certificate(layer_sizes, post, prior, ds, *, grid_b, grid_c, delta, los
 # grid search over configs and selection criteria
 
 
-# the run mode each selection criterion trains and ranks
-CRITERION_MODES = {"s-valid": "valid-mc", "det-valid": "valid-map", "pb": "pb"}
-CRITERIA = tuple(CRITERION_MODES)
-
-
 def pb_certificate(layer_sizes, post, prior, ds, config, n_samples, seed):
     """The selection certificate that ranks a pb run; config is the run's config dict."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xCE27]).generate_state(1)[0])
@@ -675,44 +689,37 @@ def rank_runs(records, criteria, out_dir):
 
 
 def grid_search(configs, criteria, data, valid, out_dir, cert_samples=10):
-    """Run every (config, criterion) pair and rank runs per criterion.
+    """Train every config under the criteria and rank the runs per criterion.
 
-    s-valid and det-valid train on data with early stopping on the matching
-    validation metric; pb trains on data + valid with early stopping off and
-    scores by the model-selection certificate. Rewrites runs.jsonl with one
-    line per run, ranks them with rank_runs and returns {criterion: best
-    RunRecord}.
+    Each config trains at most twice. The validation criteria asked for share
+    one run on data that stops early on valid (see train). pb trains on
+    data + valid to the last epoch and scores by the model-selection
+    certificate. Rewrites runs.jsonl with one record per config and
+    criterion, config by config, ranks them with rank_runs and returns
+    {criterion: best RunRecord}.
     """
     for c in criteria:
         if c not in CRITERIA:
             raise ValueError(f"unknown criterion {c!r}, expected one of {CRITERIA}")
     os.makedirs(out_dir, exist_ok=True)
     pb_data = concat_contrastive(data, valid) if valid is not None and "pb" in criteria else data
+    by_valid = [c for c in criteria if c in VALID_CRITERIA]
     runs, docs = {}, []
     with open(os.path.join(out_dir, "runs.jsonl"), "w") as runs_fh:
-        for criterion in criteria:
-            mode = CRITERION_MODES[criterion]
-            for gi, cfg in enumerate(configs):
-                run_id = f"c{gi:03d}-{criterion}"
-                if criterion == "pb":
-                    cfg_run = dataclasses.replace(cfg, early_stop=False)
-                    rec = train(cfg_run, pb_data, None, run_dir=out_dir,
-                                run_id=run_id, mode=mode)
-                    if not rec.aborted:
-                        report = pb_certificate(
-                            cfg.layer_sizes, rec.final_posterior, rec.final_prior, pb_data,
-                            rec.config, cert_samples, cfg.seed,
-                        )
-                        rec.metric = report.bound_value
-                        rec.selection = report.to_dict()
-                else:
-                    cfg_run = dataclasses.replace(
-                        cfg, valid_metric="mc" if criterion == "s-valid" else "map",
-                        early_stop=True,
+        for gi, cfg in enumerate(configs):
+            run_id = f"c{gi:03d}"
+            recs = train(cfg, data, valid, by_valid, out_dir, run_id) if by_valid else {}
+            if "pb" in criteria:
+                rec = recs["pb"] = train(cfg, pb_data, run_dir=out_dir, run_id=run_id)["pb"]
+                if not rec.aborted:
+                    report = pb_certificate(
+                        cfg.layer_sizes, rec.final_posterior, rec.final_prior, pb_data,
+                        rec.config, cert_samples, cfg.seed,
                     )
-                    rec = train(cfg_run, data, valid, run_dir=out_dir,
-                                run_id=run_id, mode=mode)
+                    rec.metric = report.bound_value
+                    rec.selection = report.to_dict()
+            for rec in recs.values():
                 docs.append(rec.to_dict())
                 runs_fh.write(json.dumps(docs[-1], sort_keys=True) + "\n")
-                runs[run_id] = rec
+                runs[rec.run_id] = rec
     return {c: runs[doc["run_id"]] for c, doc in rank_runs(docs, criteria, out_dir).items()}

@@ -357,6 +357,22 @@ def test_train_bad_grid_entry(tmp_path, data_dir, capsys):
     assert "config.grid[0]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("early_stop", False), ("valid_metric", "map")])
+def test_train_rejects_deleted_run_policy_keys(tmp_path, data_dir, capsys, key, value):
+    # the criteria decide how a run stops; a grid entry cannot
+    cfg = write_json(
+        tmp_path / "t.json",
+        {
+            "dataset": {"kind": "manifests", "train": str(data_dir / "train.json")},
+            "grid": [{"layer_sizes": [3, 4, 2], "k": 2, "block_size": 2, "epochs": 1,
+                      key: value}],
+        },
+    )
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config.grid[0]" in err and "unknown config fields" in err and repr(key) in err
+
+
 def test_train_rejects_supervised_grid_entry(tmp_path, data_dir, capsys):
     # "supervised" is an unknown objective like any other name
     cfg = write_json(
@@ -630,6 +646,21 @@ def test_eval_metrics(tmp_path, data_dir, train_dir, capsys):
     for line in rows[1:]:
         _, name, value = line.strip().split(",")
         assert float(value) == metrics[name]
+
+
+def test_eval_applies_the_network_once_per_split(tmp_path, data_dir, train_dir, monkeypatch):
+    best = json.loads((train_dir / "best.json").read_text())
+    ckpts = sorted({entry["checkpoint"] for entry in best.values()})
+    forwards, forward = [], network.forward
+    monkeypatch.setattr(network, "forward",
+                        lambda *args, **kw: forwards.append(1) or forward(*args, **kw))
+    assert main([
+        "eval", "--checkpoint", *ckpts,
+        "--train-csv", str(data_dir / "labeled_train.csv"),
+        "--test-csv", str(data_dir / "labeled_test.csv"),
+        "--out", str(tmp_path / "m"),
+    ]) == 0
+    assert len(forwards) == 2 * len(ckpts)
 
 
 def test_eval_dim_mismatch(tmp_path, data_dir, rng, capsys):

@@ -9,10 +9,6 @@ from test_network import (
 )
 
 
-def identity(x):
-    return np.asarray(x, dtype=np.float64)
-
-
 def separated_labeled(rng, n_classes=3, n_per_class=30, spread=0.05):
     means = 10.0 * np.eye(n_classes)
     y = np.repeat(np.arange(n_classes), n_per_class)
@@ -24,7 +20,7 @@ def test_build_mean_classifier_single_point_classes(rng):
     ds = data.LabeledDataset(
         x=np.array([[1.0, 2.0], [5.0, -1.0]]), y=np.array([3, 7])
     )
-    mc = evaluation.build_mean_classifier(identity, ds)
+    mc = evaluation.build_mean_classifier(ds)
     assert np.array_equal(mc.classes, [3, 7])
     assert np.array_equal(mc.means, ds.x)
 
@@ -34,32 +30,32 @@ def test_build_mean_classifier_subsample_equals_full_when_duplicated(rng):
     dup = data.LabeledDataset(
         x=np.tile(base.x[: 1], (6, 1)), y=np.zeros(6, dtype=np.int64)
     )
-    full = evaluation.build_mean_classifier(identity, dup)
-    sub = evaluation.build_mean_classifier(identity, dup, samples_per_class=3, rng=rng)
+    full = evaluation.build_mean_classifier(dup)
+    sub = evaluation.build_mean_classifier(dup, samples_per_class=3, rng=rng)
     assert np.allclose(full.means, sub.means)
 
 
 def test_build_mean_classifier_small_class_uses_all(rng):
     ds = separated_labeled(rng, n_classes=2, n_per_class=2)
-    mc = evaluation.build_mean_classifier(identity, ds, samples_per_class=10, rng=rng)
-    full = evaluation.build_mean_classifier(identity, ds)
+    mc = evaluation.build_mean_classifier(ds, samples_per_class=10, rng=rng)
+    full = evaluation.build_mean_classifier(ds)
     assert np.array_equal(mc.means, full.means)
 
 
 def test_avg2_perfect_on_separated_classes(rng):
     train = separated_labeled(rng)
     test = separated_labeled(rng)
-    mc = evaluation.build_mean_classifier(identity, train)
-    assert evaluation.avg2_accuracy(mc, identity, test) == 1.0
+    mc = evaluation.build_mean_classifier(train)
+    assert evaluation.avg2_accuracy(mc, test) == 1.0
 
 
 def test_avg2_negated_features_invert_accuracy(rng):
     train = separated_labeled(rng)
     test = separated_labeled(rng)
-    mc = evaluation.build_mean_classifier(identity, train)
-    acc = evaluation.avg2_accuracy(mc, identity, test)
+    mc = evaluation.build_mean_classifier(train)
+    acc = evaluation.avg2_accuracy(mc, test)
     flipped = evaluation.avg2_accuracy(
-        evaluation.MeanClassifier(mc.classes, -mc.means), identity, test
+        evaluation.MeanClassifier(mc.classes, -mc.means), test
     )
     # zero scores count correct on both sides, none occur here
     assert flipped == pytest.approx(1.0 - acc, abs=1e-12)
@@ -67,8 +63,8 @@ def test_avg2_negated_features_invert_accuracy(rng):
 
 def test_avg2_zero_scores_count_correct():
     ds = data.LabeledDataset(x=np.zeros((4, 2)), y=np.array([0, 0, 1, 1]))
-    mc = evaluation.build_mean_classifier(identity, ds)
-    assert evaluation.avg2_accuracy(mc, identity, ds) == 1.0
+    mc = evaluation.build_mean_classifier(ds)
+    assert evaluation.avg2_accuracy(mc, ds) == 1.0
 
 
 def test_avg2_two_class_equals_binary_accuracy(rng):
@@ -77,10 +73,10 @@ def test_avg2_two_class_equals_binary_accuracy(rng):
     x = rng.normal(size=(100, 2))
     y = rng.integers(0, 2, size=100).astype(np.int64)
     test = data.LabeledDataset(x=x, y=y)
-    mc = evaluation.build_mean_classifier(identity, train)
+    mc = evaluation.build_mean_classifier(train)
     scores = x @ mc.means.T
     pred = np.where(scores[:, 0] - scores[:, 1] >= 0.0, 0, 1)
-    assert evaluation.avg2_accuracy(mc, identity, test) == pytest.approx(
+    assert evaluation.avg2_accuracy(mc, test) == pytest.approx(
         np.mean(pred == y), abs=1e-12
     )
 
@@ -92,16 +88,16 @@ def test_avg2_random_features_near_half(rng):
     test = data.LabeledDataset(
         x=rng.standard_normal((2000, 8)), y=rng.integers(0, 2, 2000).astype(np.int64)
     )
-    mc = evaluation.build_mean_classifier(identity, train)
-    acc = evaluation.avg2_accuracy(mc, identity, test)
+    mc = evaluation.build_mean_classifier(train)
+    acc = evaluation.avg2_accuracy(mc, test)
     assert abs(acc - 0.5) < 3.5 * np.sqrt(0.25 / 2000)
 
 
 def test_topk_full_k_is_one(rng):
     test = separated_labeled(rng)
-    mc = evaluation.build_mean_classifier(identity, test)
-    assert evaluation.topk_accuracy(mc, identity, test, 3) == 1.0
-    assert evaluation.topk_accuracy(mc, identity, test, 99) == 1.0
+    mc = evaluation.build_mean_classifier(test)
+    assert evaluation.topk_accuracy(mc, test, 3) == 1.0
+    assert evaluation.topk_accuracy(mc, test, 99) == 1.0
 
 
 def test_topk_monotone_in_k(rng):
@@ -111,8 +107,8 @@ def test_topk_monotone_in_k(rng):
     test = data.LabeledDataset(
         x=rng.standard_normal((300, 4)), y=rng.integers(0, 6, 300).astype(np.int64)
     )
-    mc = evaluation.build_mean_classifier(identity, train)
-    accs = [evaluation.topk_accuracy(mc, identity, test, k) for k in range(1, 7)]
+    mc = evaluation.build_mean_classifier(train)
+    accs = [evaluation.topk_accuracy(mc, test, k) for k in range(1, 7)]
     assert all(b >= a for a, b in zip(accs, accs[1:]))
     assert accs[-1] == 1.0
 
@@ -121,14 +117,14 @@ def test_topk_ties_prefer_lower_class_index():
     # all scores equal: stable order keeps class 0 first
     ds = data.LabeledDataset(x=np.zeros((2, 2)), y=np.array([0, 1]))
     mc = evaluation.MeanClassifier(classes=np.array([0, 1]), means=np.zeros((2, 2)))
-    assert evaluation.topk_accuracy(mc, identity, ds, 1) == 0.5
+    assert evaluation.topk_accuracy(mc, ds, 1) == 0.5
 
 
 def test_evaluate_representation_keys_and_ranges(rng):
     train = separated_labeled(rng, n_classes=4, n_per_class=12)
     test = separated_labeled(rng, n_classes=4, n_per_class=8)
     out = evaluation.evaluate_representation(
-        identity, train, test, rng, samples_per_class=5, n_variants=3
+        train, test, rng, samples_per_class=5, n_variants=3
     )
     assert set(out) == {"avg2", "top1", "top5", "mu5_avg2", "mu5_top1", "mu5_top5"}
     for v in out.values():

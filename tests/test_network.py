@@ -51,17 +51,6 @@ def test_forward_identity_single_layer():
     assert np.array_equal(network.forward((d, d), w, x), x)
 
 
-def test_forward_n_layers_strips_head(rng):
-    sizes = (3, 5, 4, 2)
-    w = rng.normal(size=network.param_count(sizes))
-    x = rng.normal(size=(4, 3))
-    feats = network.forward(sizes, w, x, n_layers=2)
-    assert feats.shape == (4, 4)
-    # the truncated output is the penultimate layer pre-activation (no relu)
-    full, cache = network.forward_cached(sizes, w, x)
-    assert np.array_equal(np.maximum(feats, 0.0), cache[2])
-
-
 def test_backprop_matches_finite_differences(rng):
     sizes = (4, 6, 3)
     w = rng.normal(scale=0.7, size=network.param_count(sizes))

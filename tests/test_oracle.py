@@ -133,6 +133,17 @@ def test_finite_diff_gradients(objective, rng):
     assert oracle.finite_diff_check(objective, rng) < 1e-4
 
 
+def test_min_hidden_preact_hand_case():
+    # 1-2-1 by hand: W1=[[1],[-0.5]] b1=[0.1,0.2], x=0.7 -> z1 = (0.8, -0.15)
+    w = np.array([1.0, -0.5, 0.1, 0.2, 2.0, 3.0, -0.25])
+    assert oracle._min_hidden_preact((1, 2, 1), w, np.array([[0.7]])) == pytest.approx(0.15)
+    # 1-2-1-1: W2=[[2,3]] b2=[-1.55] reads relu(z1), so z2 = 1.6 - 1.55 = 0.05
+    # (without the ReLU it would be -0.4); the output layer, 5 z2 - 0.25 = 0,
+    # has no ReLU and is not counted
+    w = np.array([1.0, -0.5, 0.1, 0.2, 2.0, 3.0, -1.55, 5.0, -0.25])
+    assert oracle._min_hidden_preact((1, 2, 1, 1), w, np.array([[0.7]])) == pytest.approx(0.05)
+
+
 def test_verify_suite_structure():
     out = oracle.run_verify_suite(
         seed=7, n_lemma=10, n_divergence=3, mc_samples=20_000, coverage_trials=20

@@ -58,7 +58,7 @@ def test_config_defaults_depend_on_objective(rng):
         {"objective": "nope"},
         {"optimizer": "adagrad"},
         {"loss_kind": "square"},
-        {"valid_metric": "auc"},
+        {"n_valid_samples": 0},
         {"objective": "supervised"},
         {"lam": 0.0},
         {"lr": -1.0},
@@ -307,7 +307,7 @@ def test_noniid_objective_overflow_returns_inf(rng):
 def test_train_objective_decreases(rng):
     ds = make_iid_dataset(rng, m=120, separation=6.0)
     cfg = base_config(epochs=15, batch_size=40, lr=5e-3)
-    rec = training.train(cfg, ds)
+    rec = training.train(cfg, ds)["pb"]
     assert not rec.aborted
     curve = [e["train_objective"] for e in rec.epochs]
     assert min(curve) < curve[0]
@@ -317,8 +317,8 @@ def test_train_objective_decreases(rng):
 def test_train_is_deterministic(rng):
     ds = make_iid_dataset(rng, m=50)
     cfg = base_config(epochs=4)
-    r1 = training.train(cfg, ds)
-    r2 = training.train(cfg, ds)
+    r1 = training.train(cfg, ds)["pb"]
+    r2 = training.train(cfg, ds)["pb"]
     assert np.array_equal(r1.final_posterior.mu, r2.final_posterior.mu)
     assert np.array_equal(r1.final_posterior.log_sigma2, r2.final_posterior.log_sigma2)
     assert [e["train_objective"] for e in r1.epochs] == [
@@ -329,7 +329,7 @@ def test_train_is_deterministic(rng):
 def test_train_learning_rate_drop(rng):
     ds = make_iid_dataset(rng, m=30)
     cfg = base_config(epochs=4, lr=2e-3, lr_drop_frac=0.75)
-    rec = training.train(cfg, ds)
+    rec = training.train(cfg, ds)["pb"]
     lrs = [e["lr"] for e in rec.epochs]
     assert lrs == [2e-3, 2e-3, 2e-4, 2e-4]   # drop at ceil(0.75 * 4) = 3
 
@@ -337,9 +337,10 @@ def test_train_learning_rate_drop(rng):
 def test_train_early_stopping_keeps_best_epoch(rng, tmp_path):
     ds = make_iid_dataset(rng, m=100, separation=6.0)
     valid = make_iid_dataset(rng, m=60, separation=6.0)
-    cfg = base_config(epochs=40, patience=2, lr=5e-3, n_valid_samples=1,
-                      valid_metric="mc")
-    rec = training.train(cfg, ds, valid, run_dir=str(tmp_path), run_id="es")
+    cfg = base_config(epochs=40, patience=2, lr=5e-3, n_valid_samples=1)
+    rec = training.train(
+        cfg, ds, valid, ["s-valid"], run_dir=str(tmp_path), run_id="es"
+    )["s-valid"]
     assert not rec.aborted
     assert rec.mode == "valid-mc"
     metrics = [e["valid_mc"] for e in rec.epochs]
@@ -347,19 +348,95 @@ def test_train_early_stopping_keeps_best_epoch(rng, tmp_path):
     assert rec.best_epoch == int(np.argmin(metrics)) + 1
     assert rec.metric == min(metrics)
     # the checkpoint stores the best epoch's posterior, not the last one
-    ckpt = network.load_checkpoint(os.path.join(str(tmp_path), "es.ckpt.json"))
+    ckpt = network.load_checkpoint(os.path.join(str(tmp_path), "es-s-valid.ckpt.json"))
     assert ckpt.epoch == rec.best_epoch
     assert np.array_equal(ckpt.posterior.mu, rec.final_posterior.mu)
+
+
+def stopping_problem():
+    """A config and splits where s-valid stops at epoch 4 and det-valid at 8."""
+    rng = np.random.default_rng(3)
+    ds = make_iid_dataset(rng, m=100, separation=6.0)
+    valid = make_iid_dataset(rng, m=60, separation=6.0)
+    return base_config(epochs=40, patience=2, lr=5e-3, n_valid_samples=1), ds, valid
+
+
+def without_times(epochs):
+    return [{key: val for key, val in e.items() if key != "time"} for e in epochs]
+
+
+def test_train_shared_run_matches_single_criterion_runs(tmp_path):
+    cfg, ds, valid = stopping_problem()
+    shared = training.train(cfg, ds, valid, training.VALID_CRITERIA,
+                            run_dir=str(tmp_path / "both"), run_id="r")
+    assert list(shared) == ["s-valid", "det-valid"]
+    assert (shared["s-valid"].stopped_epoch, shared["det-valid"].stopped_epoch) == (4, 8)
+    for criterion, both in shared.items():
+        alone = training.train(cfg, ds, valid, [criterion],
+                               run_dir=str(tmp_path / criterion), run_id="r")[criterion]
+        assert both.run_id == alone.run_id == f"r-{criterion}"
+        assert without_times(both.epochs) == without_times(alone.epochs)
+        assert (both.stopped_epoch, both.best_epoch, both.metric, both.extras) == (
+            alone.stopped_epoch, alone.best_epoch, alone.metric, alone.extras)
+        with open(both.checkpoint_path, "rb") as fa, open(alone.checkpoint_path, "rb") as fb:
+            assert fa.read() == fb.read()
+
+
+def test_train_stops_when_its_criteria_have_closed(monkeypatch):
+    cfg, ds, valid = stopping_problem()
+    passes = []
+    map_loss = training.map_dataset_loss
+    monkeypatch.setattr(training, "map_dataset_loss",
+                        lambda *args: passes.append(1) or map_loss(*args))
+    rec = training.train(cfg, ds, valid, ["s-valid"])["s-valid"]
+    assert rec.stopped_epoch == len(rec.epochs) == len(passes) == 4
+    passes.clear()
+    training.train(cfg, ds, valid, training.VALID_CRITERIA)
+    assert len(passes) == 8
+
+
+def test_train_abort_spares_a_criterion_that_already_stopped(monkeypatch, tmp_path):
+    cfg, ds, valid = stopping_problem()
+    clean = training.train(cfg, ds, valid, training.VALID_CRITERIA)["s-valid"]
+    steps_per_epoch = math.ceil(len(ds) / cfg.batch_size)
+    objective, calls = training.iid_objective, []
+
+    def nan_after_epoch_4(*args, **kwargs):
+        value, grad, stats = objective(*args, **kwargs)
+        calls.append(1)
+        return (math.nan if len(calls) > 4 * steps_per_epoch else value), grad, stats
+
+    monkeypatch.setattr(training, "iid_objective", nan_after_epoch_4)
+    recs = training.train(cfg, ds, valid, training.VALID_CRITERIA,
+                          run_dir=str(tmp_path), run_id="r")
+    s_valid, det_valid = recs["s-valid"], recs["det-valid"]
+    assert not s_valid.aborted
+    assert (s_valid.stopped_epoch, s_valid.best_epoch, s_valid.metric) == (
+        clean.stopped_epoch, clean.best_epoch, clean.metric)
+    assert network.load_checkpoint(s_valid.checkpoint_path).epoch == clean.best_epoch
+    assert det_valid.aborted
+    assert det_valid.abort_reason == "objective is NaN at epoch 5 step 0"
+    assert det_valid.stopped_epoch == 4
+    assert det_valid.checkpoint_path is None
+    assert not (tmp_path / "r-det-valid.ckpt.json").exists()
+
+
+def test_train_criteria_must_match_the_splits(rng):
+    ds = make_iid_dataset(rng, m=20)
+    cfg = base_config(epochs=1)
+    for valid, criteria in ((None, ["s-valid"]), (ds, ["pb"]), (ds, [])):
+        with pytest.raises(ValueError, match="validation split"):
+            training.train(cfg, ds, valid, criteria)
 
 
 def test_train_without_valid_uses_final_epoch(rng, tmp_path):
     ds = make_iid_dataset(rng, m=40)
     cfg = base_config(epochs=2)
-    rec = training.train(cfg, ds, run_dir=str(tmp_path), run_id="final")
+    rec = training.train(cfg, ds, run_dir=str(tmp_path), run_id="final")["pb"]
     assert rec.mode == "pb"
     assert rec.best_epoch == rec.stopped_epoch == 2
     assert rec.metric is None
-    assert rec.checkpoint_path.endswith("final.ckpt.json")
+    assert rec.checkpoint_path.endswith("final-pb.ckpt.json")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -367,18 +444,18 @@ def test_train_aborts_on_nan_without_checkpoint(rng, tmp_path):
     ds = make_iid_dataset(rng, m=20)
     ds.features[0, 0] = math.nan
     cfg = base_config(epochs=2)
-    rec = training.train(cfg, ds, run_dir=str(tmp_path), run_id="bad")
+    rec = training.train(cfg, ds, run_dir=str(tmp_path), run_id="bad")["pb"]
     assert rec.aborted
     assert "NaN" in rec.abort_reason
     assert rec.checkpoint_path is None
-    assert not os.path.exists(os.path.join(str(tmp_path), "bad.ckpt.json"))
+    assert not os.path.exists(os.path.join(str(tmp_path), "bad-pb.ckpt.json"))
 
 
 def test_train_clamps_prior_to_grid_interior(rng, tmp_path):
     ds = make_iid_dataset(rng, m=30)
     cap = 0.1 * math.exp(-1.0 / 100.0)
     cfg = base_config(epochs=3, sigma2_p_init=cap * 0.999, lr=0.05)
-    rec = training.train(cfg, ds)
+    rec = training.train(cfg, ds)["pb"]
     assert not rec.aborted
     assert rec.extras["clamp_count"] >= 1
     assert rec.final_prior.sigma2 <= cap * (1.0 + 1e-9)
@@ -393,7 +470,7 @@ def test_train_clamps_prior_to_grid_interior(rng, tmp_path):
 def test_train_erm_keeps_variances_fixed(rng):
     ds = make_iid_dataset(rng, m=40)
     cfg = base_config(objective="erm", epochs=3)
-    rec = training.train(cfg, ds)
+    rec = training.train(cfg, ds)["pb"]
     assert not rec.aborted
     assert np.all(rec.final_posterior.log_sigma2 == math.log(cfg.sigma2_p_init))
 
@@ -406,7 +483,7 @@ def test_train_erm_keeps_variances_fixed(rng):
 def test_epoch_log_splits_the_objective(rng, objective, terms):
     ds = make_noniid_dataset(rng) if objective == "noniid" else make_iid_dataset(rng, m=60)
     cfg = base_config(objective=objective, epochs=3, batch_size=20)
-    rec = training.train(cfg, ds)
+    rec = training.train(cfg, ds)["pb"]
     assert not rec.aborted
     base = {"epoch", "lr", "train_objective", "rejections", "log_sigma2_p", "time"}
     for entry in rec.epochs:
@@ -565,6 +642,24 @@ def test_grid_search_artifacts(rng, tmp_path):
         assert metrics == sorted(metrics)
         ckpt = ranked[0].split(",")[4]
         assert os.path.exists(ckpt)
+
+
+def test_grid_search_trains_once_per_config_for_validation_criteria(rng, tmp_path,
+                                                                   monkeypatch):
+    ds = make_iid_dataset(rng, m=40)
+    valid = make_iid_dataset(rng, m=20)
+    configs = [base_config(epochs=2, seed=1), base_config(epochs=2, seed=2)]
+    calls, train = [], training.train
+    monkeypatch.setattr(training, "train", lambda *a, **kw: calls.append(1) or train(*a, **kw))
+    training.grid_search(configs, ["s-valid", "det-valid"], ds, valid, str(tmp_path / "v"))
+    assert len(calls) == 2
+    calls.clear()
+    out = tmp_path / "all"
+    training.grid_search(configs, list(training.CRITERIA), ds, valid, str(out))
+    assert len(calls) == 4
+    # records come config by config
+    run_ids = [json.loads(line)["run_id"] for line in open(out / "runs.jsonl")]
+    assert run_ids == [f"c{gi:03d}-{c}" for gi in range(2) for c in training.CRITERIA]
 
 
 def test_grid_search_restricted_criteria(rng, tmp_path):
