@@ -401,46 +401,81 @@ def build_noniid_from_sequences(
 
 
 # ---------------------------------------------------------------------------
-# CSV ingestion (numeric features, final integer label column)
+# CSV ingestion: comma separated, no comments or quotes, empty lines skipped.
+# A file is parsed by one np.loadtxt call; only a file numpy rejects, or one
+# with a non-finite cell, is read again line by line to name the bad line.
 
 
-def _csv_cells(path):
-    """(line number, cells) of every non-blank line of a rectangular CSV."""
-    width = None
+def _csv_lines(path):
+    """(line number, cells) of every non-empty line of a CSV."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {width} columns, got {len(cells)}"
-                )
-            yield lineno, cells
+            line = line.rstrip("\n")
+            if line:
+                yield lineno, line.split(",")
+
+
+def _check_csv_lines(path, labeled):
+    """Raise the line-numbered DataFormatError of the first bad line, if any."""
+    kind = "feature cell" if labeled else "cell"
+    width = None
+    for lineno, cells in _csv_lines(path):
+        where = f"{path}:{lineno}"
+        width = width or len(cells)
+        if len(cells) != width:
+            raise DataFormatError(f"{where}: expected {width} columns, got {len(cells)}")
+        if labeled and width < 2:
+            raise DataFormatError(f"{where}: need at least one feature column")
+        features = cells[:-1] if labeled else cells
+        try:
+            finite = all(math.isfinite(float(c)) for c in features)
+        except ValueError:
+            raise DataFormatError(f"{where}: non-numeric {kind}") from None
+        if not finite:
+            raise DataFormatError(f"{where}: non-finite {kind}")
+        if labeled:
+            try:
+                label = int(cells[-1])
+            except ValueError:
+                raise DataFormatError(f"{where}: label column must be integer") from None
+            if not -(2**63) <= label < 2**63:
+                raise DataFormatError(f"{where}: label outside the int64 range")
+
+
+def _read_csv(path, labeled):
+    """(features (n, d) float64, int64 labels or None) of a rectangular numeric CSV.
+
+    With labeled set the last column is the label. The width is taken from the
+    first non-empty line.
+    """
+    first = next(_csv_lines(path), None)
+    if first is None:
+        raise DataFormatError(f"{path}: empty {'file' if labeled else 'sequence'}")
+    n_features = len(first[1]) - 1 if labeled else len(first[1])
+    fields = [("x", np.float64, (n_features,))]
+    if labeled:
+        fields.append(("y", np.int64))
+    problem = "need at least one feature column"
+    if n_features:
+        try:
+            rows = np.loadtxt(path, dtype=fields, delimiter=",", comments=None, ndmin=1)
+        except ValueError as exc:
+            problem = str(exc)
+        else:
+            problem = None if np.isfinite(rows["x"]).all() else "non-finite cell"
+    if problem:
+        _check_csv_lines(path, labeled)
+        raise DataFormatError(f"{path}: {problem}")
+    return np.ascontiguousarray(rows["x"]), np.ascontiguousarray(rows["y"]) if labeled else None
 
 
 def read_labeled_csv(path):
-    """Raw rows of a rectangular numeric CSV whose last column is an integer label."""
-    rows, labels = [], []
-    for lineno, cells in _csv_cells(path):
-        if len(cells) < 2:
-            raise DataFormatError(f"{path}:{lineno}: need at least one feature column")
-        try:
-            rows.append([float(c) for c in cells[:-1]])
-        except ValueError:
-            raise DataFormatError(f"{path}:{lineno}: non-numeric feature cell") from None
-        try:
-            labels.append(int(cells[-1]))
-        except ValueError:
-            raise DataFormatError(f"{path}:{lineno}: label column must be integer") from None
-    if not rows:
-        raise DataFormatError(f"{path}: empty file")
-    return LabeledDataset(
-        x=np.asarray(rows, dtype=np.float64), y=np.asarray(labels, dtype=np.int64)
-    )
+    """A rectangular numeric CSV whose last column is an int64 label.
+
+    Features must be finite floats. A bad file raises DataFormatError.
+    """
+    x, y = _read_csv(path, labeled=True)
+    return LabeledDataset(x=x, y=y)
 
 
 def load_feature_csv(path, stats=None):
@@ -555,16 +590,8 @@ def load_contrastive(json_path):
 
 
 def load_sequence_csv(path):
-    """Frames of one sequence: rectangular numeric CSV, no label column."""
-    rows = []
-    for lineno, cells in _csv_cells(path):
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError:
-            raise DataFormatError(f"{path}:{lineno}: non-numeric cell") from None
-    if not rows:
-        raise DataFormatError(f"{path}: empty sequence")
-    return np.asarray(rows, dtype=np.float64)
+    """Frames of one sequence: rectangular numeric CSV of finite floats, no label."""
+    return _read_csv(path, labeled=False)[0]
 
 
 def prep_sequence_corpus(manifest, first_steps, train_per_class):

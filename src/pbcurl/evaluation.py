@@ -26,47 +26,56 @@ def build_mean_classifier(reps, samples_per_class=None, rng=None):
     With samples_per_class set, a random subset of that size per class is
     used (all points when a class has fewer).
     """
-    classes = reps.classes
+    classes, cls = np.unique(reps.y, return_inverse=True)
     means = np.empty((classes.size, reps.dim))
-    for i, c in enumerate(classes):
-        idx = np.nonzero(reps.y == c)[0]
+    for i in range(classes.size):
+        idx = np.nonzero(cls == i)[0]
         if samples_per_class is not None and idx.size > samples_per_class:
             idx = rng.choice(idx, size=samples_per_class, replace=False)
         means[i] = reps.x[idx].mean(axis=0)
     return MeanClassifier(classes=classes, means=means)
 
 
+def _scores(mc, reps):
+    """(n, C) inner products; per point its class index, own score and whether
+    mc has its class (a point whose label mc lacks gets index 0, known False).
+    """
+    scores = reps.x @ mc.means.T
+    cls = np.minimum(np.searchsorted(mc.classes, reps.y), mc.classes.size - 1)
+    own = scores[np.arange(len(cls)), cls]
+    return scores, cls, own[:, None], mc.classes[cls] == reps.y
+
+
 def avg2_accuracy(mc, reps):
     """One minus the mean binary risk over unordered class pairs.
 
     For a pair (c+, c-) the classifier is sign((mu_c+ - mu_c-) . f(x)); a
-    zero score counts as correct.
+    zero score counts as correct. A point of class c errs against class o iff
+    s_c - s_o < 0, so one (C, C) count of errors covers every pair.
     """
-    scores = reps.x @ mc.means.T                     # (n, C)
-    risks = []
-    pos = {c: np.nonzero(reps.y == c)[0] for c in mc.classes}
-    for i in range(mc.classes.size):
-        for jj in range(i + 1, mc.classes.size):
-            idx_i, idx_j = pos[mc.classes[i]], pos[mc.classes[jj]]
-            if idx_i.size == 0 and idx_j.size == 0:
-                continue
-            g_i = scores[idx_i, i] - scores[idx_i, jj]   # should be > 0
-            g_j = scores[idx_j, i] - scores[idx_j, jj]   # should be < 0
-            errs = int(np.sum(g_i < 0.0)) + int(np.sum(g_j > 0.0))
-            risks.append(errs / (idx_i.size + idx_j.size))
+    scores, cls, own, known = _scores(mc, reps)
+    n_cls = mc.classes.size
+    errs = (own - scores < 0.0) & known[:, None]
+    cell = (cls[:, None] * n_cls + np.arange(n_cls))[errs]
+    err = np.bincount(cell, minlength=n_cls * n_cls).reshape(n_cls, n_cls)
+    count = np.bincount(cls[known], minlength=n_cls)
+    i, j = np.triu_indices(n_cls, 1)      # i < j, row-major: np.mean's rounding depends on it
+    size = count[i] + count[j]
+    seen = size > 0
+    risks = (err[i, j] + err[j, i])[seen] / size[seen]
     return 1.0 - float(np.mean(risks))
 
 
 def topk_accuracy(mc, reps, top_k):
     """Fraction of points whose label is among the top_k scoring classes.
 
-    Score ties resolve toward the lower class index (stable ordering).
+    Score ties resolve toward the lower class index (stable ordering): the
+    rank of class c is #(s_o > s_c) + #(s_o == s_c and o < c).
     """
-    scores = reps.x @ mc.means.T
-    top_k = min(top_k, mc.classes.size)
-    order = np.argsort(-scores, axis=1, kind="stable")[:, :top_k]
-    top_labels = mc.classes[order]
-    hits = np.any(top_labels == reps.y[:, None], axis=1)
+    scores, cls, own, known = _scores(mc, reps)
+    lower = np.arange(mc.classes.size) < cls[:, None]
+    rank = np.sum(scores > own, axis=1) + np.sum((scores == own) & lower, axis=1)
+    hits = known & (rank < min(top_k, mc.classes.size))
     return float(np.mean(hits))
 
 

@@ -681,6 +681,43 @@ def test_eval_dim_mismatch(tmp_path, data_dir, rng, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+def corrupt_csv(src, dst, line, cell, value):
+    rows = [r.split(",") for r in src.read_text().splitlines()]
+    rows[line - 1][cell] = value
+    dst.write_text("".join(",".join(r) + "\n" for r in rows))
+    return str(dst)
+
+
+@pytest.mark.parametrize("cell,value,fragment", [
+    (1, "nan", ":7: non-finite feature cell"),
+    (0, "1e400", ":7: non-finite feature cell"),
+    (-1, "99999999999999999999", ":7: label outside the int64 range"),
+])
+def test_eval_rejects_bad_cells_with_their_line(tmp_path, data_dir, train_dir, capsys,
+                                                cell, value, fragment):
+    # a nan cell read without --norm-stats makes every score nan, which
+    # avg2 counts as correct
+    bad = corrupt_csv(data_dir / "labeled_train.csv", tmp_path / "bad.csv", 7, cell, value)
+    assert main([
+        "eval", "--checkpoint", best_pb_checkpoint(train_dir),
+        "--train-csv", bad, "--test-csv", str(data_dir / "labeled_test.csv"),
+        "--out", str(tmp_path / "m"),
+    ]) == 2
+    assert f"{bad}{fragment}" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("which", ["train_csv", "test_csv"])
+def test_files_kind_rejects_non_finite_cells(tmp_path, rng, capsys, which):
+    spec = generative_spec("files", tmp_path, rng)
+    spec[which] = corrupt_csv(
+        tmp_path / f"src_{which[:-4]}.csv", tmp_path / "bad.csv", 3, 0, "-inf"
+    )
+    cfg = write_json(tmp_path / "g.json", {"dataset": spec})
+    assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "ds")]) == 2
+    assert "bad.csv:3: non-finite feature cell" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # select
 

@@ -82,6 +82,18 @@ def test_load_feature_csv_self_normalises(tmp_path, rng):
         (["1.0,2.0,0", "1.0,2.0,1.5"], ":2: label column must be integer"),
         (["5"], ":1: need at least one feature column"),
         ([], "empty file"),
+        # empty lines are skipped but still counted
+        (["1.0,2.0,0", "", "", "1.0,oops,1"], ":4: non-numeric feature"),
+        # no comment character: a '#' line is a row like any other
+        (["1.0,2.0,0", "#1.0,2.0,1"], ":2: non-numeric feature"),
+        (["1.0,2.0,0", "1.0,2.0,1.0"], ":2: label column must be integer"),
+        (["1.0,2.0,0", "1.0,nan,1"], ":2: non-finite feature cell"),
+        (["1.0,2.0,0", "-inf,2.0,1"], ":2: non-finite feature cell"),
+        (["1.0,2.0,0", "1e400,2.0,1"], ":2: non-finite feature cell"),
+        (["1.0,2.0,0", "1.0,2.0,99999999999999999999"], ":2: label outside the int64 range"),
+        (["1.0,2.0,0", "1.0,2.0,-9223372036854775809"], ":2: label outside the int64 range"),
+        # a line of spaces is not empty: one cell
+        (["1.0,2.0,0", "   ", "1.0,2.0,1"], ":2: expected 3 columns, got 1"),
     ],
 )
 def test_load_feature_csv_errors(tmp_path, lines, fragment):
@@ -91,6 +103,39 @@ def test_load_feature_csv_errors(tmp_path, lines, fragment):
         data.load_feature_csv(path)
     assert fragment in str(exc.value)
     assert str(path) in str(exc.value)
+
+
+def test_labeled_csv_int64_label_extremes(tmp_path):
+    path = tmp_path / "ext.csv"
+    path.write_text("1.5,-9223372036854775808\n 2.5 , 9223372036854775807 \n")
+    ds = data.read_labeled_csv(path)
+    assert ds.y.tolist() == [-(2**63), 2**63 - 1]
+    assert ds.x.tolist() == [[1.5], [2.5]]
+
+
+def test_labeled_csv_rejected_only_by_numpy_names_the_file(tmp_path):
+    # python's float() takes '1_0', numpy does not: the line check finds
+    # nothing, so numpy's own message is reported under the path
+    path = tmp_path / "under.csv"
+    path.write_text("1.0,2.0,0\n1_0,2.0,1\n")
+    with pytest.raises(data.DataFormatError, match="^" + str(path) + ": "):
+        data.read_labeled_csv(path)
+
+
+def test_labeled_csv_crlf_parses_like_lf(tmp_path, rng):
+    ds = data.LabeledDataset(
+        x=rng.normal(size=(30, 4)), y=rng.integers(-3, 5, size=30).astype(np.int64)
+    )
+    lf = tmp_path / "lf.csv"
+    data.save_labeled_csv(ds, lf)
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n") + b"\r\n")
+    for path in (lf, crlf):
+        back = data.read_labeled_csv(path)
+        assert back.x.flags.c_contiguous and back.x.dtype == np.float64
+        assert back.y.dtype == np.int64
+        assert np.array_equal(back.x.view(np.int64), ds.x.view(np.int64))
+        assert np.array_equal(back.y, ds.y)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +518,8 @@ def test_load_sequence_csv(tmp_path, rng):
         ("1.0,2.0\n1.0\n", ":2: expected 2 columns"),
         ("1.0,x\n", ":1: non-numeric cell"),
         ("", "empty sequence"),
+        ("1.0,2.0\n\n3.0,inf\n", ":3: non-finite cell"),
+        ("nan\n", ":1: non-finite cell"),
     ],
 )
 def test_load_sequence_csv_errors(tmp_path, text, fragment):
@@ -481,6 +528,14 @@ def test_load_sequence_csv_errors(tmp_path, text, fragment):
     with pytest.raises(data.DataFormatError) as exc:
         data.load_sequence_csv(path)
     assert fragment in str(exc.value)
+
+
+def test_load_sequence_csv_single_row_and_column(tmp_path):
+    path = tmp_path / "seq.csv"
+    path.write_text("1.0,2.0,3.0\n")
+    assert data.load_sequence_csv(path).tolist() == [[1.0, 2.0, 3.0]]
+    path.write_text("1.0\n2.0\n")
+    assert data.load_sequence_csv(path).tolist() == [[1.0], [2.0]]
 
 
 def test_prep_sequence_corpus_split_and_truncate(tmp_path, rng):

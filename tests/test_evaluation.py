@@ -132,6 +132,112 @@ def test_evaluate_representation_keys_and_ranges(rng):
     assert out["avg2"] == 1.0 and out["top1"] == 1.0
 
 
+# ---------------------------------------------------------------------------
+# the one-pass metrics against the pairwise loop and the stable argsort they
+# replaced, bit for bit
+
+
+def loop_avg2_accuracy(mc, reps):
+    scores = reps.x @ mc.means.T
+    risks = []
+    pos = {c: np.nonzero(reps.y == c)[0] for c in mc.classes}
+    for i in range(mc.classes.size):
+        for jj in range(i + 1, mc.classes.size):
+            idx_i, idx_j = pos[mc.classes[i]], pos[mc.classes[jj]]
+            if idx_i.size == 0 and idx_j.size == 0:
+                continue
+            g_i = scores[idx_i, i] - scores[idx_i, jj]
+            g_j = scores[idx_j, i] - scores[idx_j, jj]
+            errs = int(np.sum(g_i < 0.0)) + int(np.sum(g_j > 0.0))
+            risks.append(errs / (idx_i.size + idx_j.size))
+    return 1.0 - float(np.mean(risks))
+
+
+def argsort_topk_accuracy(mc, reps, top_k):
+    scores = reps.x @ mc.means.T
+    order = np.argsort(-scores, axis=1, kind="stable")[:, :min(top_k, mc.classes.size)]
+    return float(np.mean(np.any(mc.classes[order] == reps.y[:, None], axis=1)))
+
+
+def assert_metrics_match_reference(mc, reps):
+    assert evaluation.avg2_accuracy(mc, reps).hex() == loop_avg2_accuracy(mc, reps).hex()
+    for k in (1, 2, 5, mc.classes.size, mc.classes.size + 3):
+        got = evaluation.topk_accuracy(mc, reps, k)
+        assert got.hex() == argsort_topk_accuracy(mc, reps, k).hex()
+
+
+def labeled(x, labels, rng):
+    return data.LabeledDataset(x=x, y=rng.choice(labels, size=len(x)).astype(np.int64))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_metrics_match_reference_on_random_representations(seed):
+    rng = np.random.default_rng(seed)
+    labels = np.array([-4, 0, 3, 7, 8, 11, 20, 100, 101, 250])
+    train = labeled(rng.standard_normal((400, 6)), labels, rng)
+    test = labeled(rng.standard_normal((700, 6)), labels, rng)
+    assert_metrics_match_reference(evaluation.build_mean_classifier(train), test)
+    for _ in range(5):   # few-shot classifiers
+        mc = evaluation.build_mean_classifier(train, samples_per_class=5, rng=rng)
+        assert_metrics_match_reference(mc, test)
+
+
+def test_metrics_match_reference_on_tied_scores(rng):
+    # small integers make many exact ties
+    means = rng.integers(-1, 2, size=(8, 3)).astype(float)
+    mc = evaluation.MeanClassifier(classes=np.arange(8) * 3, means=means)
+    reps = labeled(rng.integers(-2, 3, size=(600, 3)).astype(float), mc.classes, rng)
+    scores = reps.x @ mc.means.T
+    assert np.mean(scores[:, :, None] == scores[:, None, :]) > 0.2
+    assert_metrics_match_reference(mc, reps)
+
+
+class GivenScores(np.ndarray):
+    """Representation rows whose product with any classifier is self.scores."""
+
+    def __matmul__(self, other):
+        return self.scores
+
+
+def test_metrics_match_reference_on_signed_zero_scores(rng):
+    # a matrix product never yields -0.0, so the scores are given directly:
+    # +0.0 and -0.0 compare equal, and s_c - s_o is +0.0 for either order
+    scores = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(500, 6))
+    x = np.zeros((500, 1)).view(GivenScores)
+    x.scores = scores
+    mc = evaluation.MeanClassifier(classes=np.arange(6), means=np.zeros((6, 1)))
+    assert_metrics_match_reference(mc, labeled(x, mc.classes, rng))
+
+
+def test_metrics_match_reference_with_absent_and_unknown_classes(rng):
+    train = labeled(rng.standard_normal((300, 4)), np.arange(6), rng)
+    mc = evaluation.build_mean_classifier(train)
+    # class 2 has no test points; label 9 is not a class of the classifier,
+    # and -1 sorts below every class
+    test = labeled(rng.standard_normal((500, 4)), np.array([0, 1, 3, 4, 5, 9, -1]), rng)
+    assert_metrics_match_reference(mc, test)
+    # two classes, neither with a test point: that pair is left out of avg2
+    only = data.LabeledDataset(x=test.x, y=np.where(np.isin(test.y, [4, 5]), 0, test.y))
+    assert_metrics_match_reference(mc, only)
+
+
+def test_evaluate_representation_matches_reference(rng):
+    labels = np.arange(20)
+    train = labeled(rng.standard_normal((900, 8)), labels, rng)
+    test = labeled(rng.standard_normal((400, 8)), labels, rng)
+    out = evaluation.evaluate_representation(train, test, np.random.default_rng(3))
+    draws = np.random.default_rng(3)
+    mcs = [evaluation.build_mean_classifier(train)] + [
+        evaluation.build_mean_classifier(train, samples_per_class=5, rng=draws)
+        for _ in range(5)
+    ]
+    ref = [(loop_avg2_accuracy(mc, test), argsort_topk_accuracy(mc, test, 1),
+            argsort_topk_accuracy(mc, test, 5)) for mc in mcs]
+    assert (out["avg2"], out["top1"], out["top5"]) == ref[0]
+    few = np.mean(ref[1:], axis=0)
+    assert (out["mu5_avg2"], out["mu5_top1"], out["mu5_top5"]) == tuple(few)
+
+
 def test_mc_posterior_risk_zero_variance_equals_map(rng):
     layer_sizes = (3, 5, 2)
     post, _ = network.init_network(layer_sizes, 1e-2, rng)
