@@ -60,10 +60,6 @@ class LabeledDataset:
     def dim(self):
         return self.x.shape[1]
 
-    @property
-    def classes(self):
-        return np.unique(self.y)
-
 
 class TupleBatch(tuple):
     """(anchor (n, d), pos (n, b, d), neg (n, k, b, d)) as views into rows.
@@ -251,8 +247,7 @@ def build_iid_from_labeled(labeled, m, k, block_size, rng):
     latent class process with D_c replaced by the empirical conditional.
     """
     b = block_size
-    classes = labeled.classes
-    counts = np.array([(labeled.y == c).sum() for c in classes], dtype=np.float64)
+    classes, counts = np.unique(labeled.y, return_counts=True)
     rho = counts / counts.sum()
     pools = [np.nonzero(labeled.y == c)[0] for c in classes]
 
@@ -327,8 +322,8 @@ def build_noniid_from_sequences(
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     features = np.vstack(frames)
 
-    classes = np.unique(labels)
-    counts = np.array([(labels == c).sum() for c in classes], dtype=np.float64)
+    # np.unique without counts or an inverse imports numpy.ma (12-21 ms)
+    classes, counts = np.unique(labels, return_counts=True)
     rho = counts / counts.sum()
     rows_by_class = {
         c: np.concatenate(
@@ -374,10 +369,10 @@ def build_noniid_from_sequences(
     bad = (negatives >= win_lo) & (negatives <= win_lo + b)
     while np.any(bad):
         idx = np.nonzero(bad)
-        redraw_classes = neg_classes[idx[0], idx[1]]
-        for c in np.unique(redraw_classes):
+        redraw_classes, which = np.unique(neg_classes[idx[0], idx[1]], return_inverse=True)
+        for ci, c in enumerate(redraw_classes):
             pool = rows_by_class[c]
-            sel = redraw_classes == c
+            sel = which == ci
             rows = pool[rng.integers(0, pool.size, size=int(sel.sum()))]
             flat = (idx[0][sel], idx[1][sel], idx[2][sel])
             negatives[flat] = rows

@@ -37,23 +37,21 @@ def build_mean_classifier(reps, samples_per_class=None, rng=None):
 
 
 def _scores(mc, reps):
-    """(n, C) inner products; per point its class index, own score and whether
-    mc has its class (a point whose label mc lacks gets index 0, known False).
+    """(n, C) inner products; per point its class index, own score, whether mc
+    has its class (a point whose label mc lacks gets index 0, known False) and
+    the rank of that class. Score ties rank the lower class index first: the
+    rank of class c is #(s_o > s_c) + #(s_o == s_c and o < c).
     """
     scores = reps.x @ mc.means.T
     cls = np.minimum(np.searchsorted(mc.classes, reps.y), mc.classes.size - 1)
-    own = scores[np.arange(len(cls)), cls]
-    return scores, cls, own[:, None], mc.classes[cls] == reps.y
+    own = scores[np.arange(len(cls)), cls][:, None]
+    lower = np.arange(mc.classes.size) < cls[:, None]
+    rank = np.sum(scores > own, axis=1) + np.sum((scores == own) & lower, axis=1)
+    return scores, cls, own, mc.classes[cls] == reps.y, rank
 
 
-def avg2_accuracy(mc, reps):
-    """One minus the mean binary risk over unordered class pairs.
-
-    For a pair (c+, c-) the classifier is sign((mu_c+ - mu_c-) . f(x)); a
-    zero score counts as correct. A point of class c errs against class o iff
-    s_c - s_o < 0, so one (C, C) count of errors covers every pair.
-    """
-    scores, cls, own, known = _scores(mc, reps)
+def _avg2(mc, scored):
+    scores, cls, own, known, _ = scored
     n_cls = mc.classes.size
     errs = (own - scores < 0.0) & known[:, None]
     cell = (cls[:, None] * n_cls + np.arange(n_cls))[errs]
@@ -66,17 +64,32 @@ def avg2_accuracy(mc, reps):
     return 1.0 - float(np.mean(risks))
 
 
-def topk_accuracy(mc, reps, top_k):
-    """Fraction of points whose label is among the top_k scoring classes.
+def _topk(mc, scored, top_k):
+    *_, known, rank = scored
+    return float(np.mean(known & (rank < min(top_k, mc.classes.size))))
 
-    Score ties resolve toward the lower class index (stable ordering): the
-    rank of class c is #(s_o > s_c) + #(s_o == s_c and o < c).
+
+def avg2_accuracy(mc, reps):
+    """One minus the mean binary risk over unordered class pairs.
+
+    For a pair (c+, c-) the classifier is sign((mu_c+ - mu_c-) . f(x)); a
+    zero score counts as correct. A point of class c errs against class o iff
+    s_c - s_o < 0, so one (C, C) count of errors covers every pair.
     """
-    scores, cls, own, known = _scores(mc, reps)
-    lower = np.arange(mc.classes.size) < cls[:, None]
-    rank = np.sum(scores > own, axis=1) + np.sum((scores == own) & lower, axis=1)
-    hits = known & (rank < min(top_k, mc.classes.size))
-    return float(np.mean(hits))
+    return _avg2(mc, _scores(mc, reps))
+
+
+def topk_accuracy(mc, reps, top_k):
+    """Fraction of points whose label is among the top_k scoring classes,
+    score ties resolved toward the lower class index (stable ordering)."""
+    return _topk(mc, _scores(mc, reps), top_k)
+
+
+def _metrics(mc, reps):
+    """avg2, top1 and top5 of one classifier from one scoring."""
+    scored = _scores(mc, reps)
+    return {"avg2": _avg2(mc, scored), "top1": _topk(mc, scored, 1),
+            "top5": _topk(mc, scored, 5)}
 
 
 def evaluate_representation(reps_train, reps_test, rng, samples_per_class=5, n_variants=5):
@@ -86,42 +99,57 @@ def evaluate_representation(reps_train, reps_test, rng, samples_per_class=5, n_v
     few-shot variant: samples_per_class training points per class, metrics
     averaged over n_variants independent draws.
     """
-    mc = build_mean_classifier(reps_train)
-    out = {
-        "avg2": avg2_accuracy(mc, reps_test),
-        "top1": topk_accuracy(mc, reps_test, 1),
-        "top5": topk_accuracy(mc, reps_test, 5),
-    }
-    few = {"avg2": [], "top1": [], "top5": []}
-    for _ in range(n_variants):
-        mc_f = build_mean_classifier(reps_train, samples_per_class=samples_per_class, rng=rng)
-        few["avg2"].append(avg2_accuracy(mc_f, reps_test))
-        few["top1"].append(topk_accuracy(mc_f, reps_test, 1))
-        few["top5"].append(topk_accuracy(mc_f, reps_test, 5))
-    tag = f"mu{samples_per_class}"
-    for key, vals in few.items():
-        out[f"{tag}_{key}"] = float(np.mean(vals))
+    out = _metrics(build_mean_classifier(reps_train), reps_test)
+    few = [
+        _metrics(build_mean_classifier(reps_train, samples_per_class=samples_per_class,
+                                       rng=rng), reps_test)
+        for _ in range(n_variants)
+    ]
+    for key in list(out):
+        out[f"mu{samples_per_class}_{key}"] = float(np.mean([f[key] for f in few]))
     return out
 
 
-def tuple_risks(out, ds, kind, loss_kind):
-    """Per-tuple risk of ds, given out = the network applied to ds.features.
+def _streams(ds):
+    """Whether tuple_risks forwards each chunk's gathered input rows.
 
-    Computed in chunks of tuples that span about network.CHUNK_ROWS rows: each
-    chunk's output rows are stacked in one reused buffer and its margins
-    computed in another, into one (m,) array. Callers average it in one
-    np.mean: averaging chunk means would round differently.
+    That needs every chunk GEMM to span at least network.STABLE_ROWS rows, so
+    its rows round as in a whole-matrix forward, and it must forward no more
+    rows than the matrix has: tuples that share rows (sequence windows) take
+    the whole-matrix path.
+    """
+    refs = len(ds) * (1 + ds.block_size * (1 + ds.k))
+    return network.STABLE_ROWS <= refs <= len(ds.features)
+
+
+def tuple_risks(layer_sizes, w, ds, kind, loss_kind, out=None):
+    """Per-tuple risk of ds under the network with flat weights w.
+
+    Computed in chunks of tuples that span about network.CHUNK_ROWS rows, into
+    one (m,) array; callers average it in one np.mean, as averaging chunk
+    means would round differently. When _streams(ds), each chunk's input rows
+    are stacked in one reused buffer and forwarded through one workspace, and
+    no (rows, d_out) output is made. Otherwise ds.features goes through the
+    network once, into out when given, and each chunk's output rows are
+    stacked instead. Both paths give the same bits.
     """
     per_tuple = 1 + ds.block_size * (1 + ds.k)
     chunks = network.row_chunks(len(ds), max(1, network.CHUNK_ROWS // per_tuple))
     tallest = chunks[-1][1] - chunks[-1][0]
-    rows = np.empty((tallest * per_tuple, out.shape[1]))
-    diff = np.empty((tallest, ds.k, out.shape[1]))
+    if _streams(ds):
+        source, ws = ds.features, network.Workspace(layer_sizes, tallest * per_tuple)
+    else:
+        source, ws = network.forward(layer_sizes, w, ds.features, out=out), None
+    rows = np.empty((tallest * per_tuple, source.shape[1]))
+    diff = np.empty((tallest, ds.k, layer_sizes[-1]))
     risks = np.empty(len(ds))
     for lo, hi in chunks:
         batch = data.take_tuples(
-            out, ds.anchors[lo:hi], ds.positives[lo:hi], ds.negatives[lo:hi], rows
+            source, ds.anchors[lo:hi], ds.positives[lo:hi], ds.negatives[lo:hi], rows
         )
+        if ws is not None:
+            out_rows = network.forward_cached(layer_sizes, w, batch.rows, ws)[0]
+            batch = data.TupleBatch(out_rows, hi - lo, ds.k, ds.block_size)
         margins = losses.contrastive_margins(*batch, diff[: hi - lo])
         risks[lo:hi] = (losses.loss_value(margins, loss_kind) if kind == "loss"
                         else losses.zero_one_risk(margins))
@@ -132,17 +160,16 @@ def mc_posterior_risk(layer_sizes, post, ds, n_samples, kind, loss_kind, rng):
     """Posterior-expected dataset risk, Monte Carlo over weight draws.
 
     kind "loss" evaluates the configured tuple loss, "zero-one" the ranking
-    error with ties counted correct. The feature matrix is pushed through the
-    network once per draw, in row chunks into one output buffer. Returns
-    (mean, per-draw array).
+    error with ties counted correct. Each draw runs tuple_risks; on its
+    whole-matrix path every draw writes one (rows, d_out) output buffer.
+    Returns (mean, per-draw array).
     """
     if kind not in ("loss", "zero-one"):
         raise ValueError(f"unknown risk kind: {kind!r}")
     vals = np.empty(n_samples)
-    out = np.empty((len(ds.features), layer_sizes[-1]))
+    out = None if _streams(ds) else np.empty((len(ds.features), layer_sizes[-1]))
     for s in range(n_samples):
         eps = network.sample_eps(post.n_params, rng)
         w = network.sample_weights(post, eps)
-        network.forward(layer_sizes, w, ds.features, out=out)
-        vals[s] = np.mean(tuple_risks(out, ds, kind, loss_kind))
+        vals[s] = np.mean(tuple_risks(layer_sizes, w, ds, kind, loss_kind, out))
     return float(np.mean(vals)), vals

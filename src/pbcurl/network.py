@@ -103,8 +103,10 @@ def map_weights(post):
 
 # whole-matrix forwards run in row chunks of this height. The remainder folds
 # into the last chunk: OpenBLAS rounds a GEMM over 75 rows or fewer differently
-# from one over the whole matrix, so a short tail chunk would change the output
+# from one over the whole matrix, so a short tail chunk would change the output.
+# From STABLE_ROWS rows up, a row's output bits depend on that row alone
 CHUNK_ROWS = 2048
+STABLE_ROWS = 76
 
 
 def row_chunks(n, chunk=CHUNK_ROWS):
@@ -149,13 +151,23 @@ def forward(layer_sizes, w, x, out=None):
     -------
     (n, d_out) array.
     """
-    chunks = row_chunks(len(x))
-    ws = Workspace(layer_sizes, chunks[-1][1] - chunks[-1][0])     # the tallest chunk
     if out is None:
         out = np.empty((len(x), layer_sizes[-1]))
-    for lo, hi in chunks:
-        out[lo:hi] = forward_cached(layer_sizes, w, x[lo:hi], ws)[0]
+    for lo, hi, chunk in _forward_chunks(layer_sizes, w, x):
+        out[lo:hi] = chunk
     return out
+
+
+def _forward_chunks(layer_sizes, w, x):
+    """Yield (lo, hi, output rows of x[lo:hi]) over row_chunks(len(x)).
+
+    Every chunk runs through one workspace, so each output is a view that the
+    next one overwrites.
+    """
+    chunks = row_chunks(len(x))
+    ws = Workspace(layer_sizes, chunks[-1][1] - chunks[-1][0])     # the tallest chunk
+    for lo, hi in chunks:
+        yield lo, hi, forward_cached(layer_sizes, w, x[lo:hi], ws)[0]
 
 
 def forward_cached(layer_sizes, w, x, ws=None):
@@ -213,9 +225,13 @@ def posterior_grads_from_weight_grad(post, eps, d_w):
 
 
 def feature_bound(layer_sizes, w, features):
-    """B = max_x ||f(x)||_2 over the given input rows."""
-    out = forward(layer_sizes, w, features)
-    return float(np.sqrt(np.max(np.sum(out * out, axis=1))))
+    """B = max_x ||f(x)||_2 over the given input rows (NaN if a row's is).
+
+    Keeps only each row chunk's largest squared norm, not the output matrix.
+    """
+    sq = [np.max(np.sum(out * out, axis=1))
+          for _, _, out in _forward_chunks(layer_sizes, w, features)]
+    return float(np.sqrt(np.max(sq)))
 
 
 @dataclass

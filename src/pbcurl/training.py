@@ -285,8 +285,7 @@ def erm_objective(layer_sizes, post, prior, batch, eps, *, loss_kind, ws=None):
 
 
 def map_dataset_loss(layer_sizes, w, ds, loss_kind):
-    out = network.forward(layer_sizes, w, ds.features)
-    return float(np.mean(evaluation.tuple_risks(out, ds, "loss", loss_kind)))
+    return float(np.mean(evaluation.tuple_risks(layer_sizes, w, ds, "loss", loss_kind)))
 
 
 # the run mode each selection criterion trains and ranks; the validation
@@ -376,9 +375,9 @@ def train(cfg, data, valid=None, criteria=("pb",), run_dir=None, run_id="run"):
 
     data and valid are ContrastiveDatasets. Without valid the only criterion
     is pb, which keeps the final epoch. With valid every epoch logs valid_mc
-    (stochastic objectives only) and valid_map, and each criterion keeps its
-    best epoch: s-valid by valid_mc (valid_map when None), det-valid by
-    valid_map. A criterion closes its record after cfg.patience epochs without
+    (drawn for stochastic objectives under s-valid only, else None) and
+    valid_map, and each criterion keeps its best epoch: s-valid by valid_mc
+    (valid_map when None), det-valid by valid_map. A criterion closes its record after cfg.patience epochs without
     a new best; training ends when all have closed. A NumericAbort marks the
     open records aborted. The others write run_dir/<run_id>-<criterion>.ckpt.json
     when run_dir is given.
@@ -519,7 +518,7 @@ def train(cfg, data, valid=None, criteria=("pb",), run_dir=None, run_id="run"):
 
             valid_mc = valid_map = None
             if valid is not None:
-                if stochastic:
+                if stochastic and "s-valid" in criteria:
                     valid_mc, _ = evaluation.mc_posterior_risk(
                         layer_sizes, post, valid, cfg.n_valid_samples,
                         "loss", cfg.loss_kind, valid_rng,

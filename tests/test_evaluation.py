@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -356,22 +357,81 @@ def test_chunked_paths_match_whole_matrix(rng, extra):
         assert np.array_equal(vals, ref)
 
 
+def whole_matrix_risks(layer_sizes, w, ds, kind, loss_kind):
+    """The reference: one forward of the whole matrix, margins by np.mean."""
+    out, _ = alloc_forward_cached(layer_sizes, w, ds.features)
+    margins = mean_formula_margins(out[ds.anchors], out[ds.positives], out[ds.negatives])[0]
+    return losses.loss_value(margins, loss_kind) if kind == "loss" else losses.zero_one_risk(margins)
+
+
+def assert_risks_bitwise(layer_sizes, w, ds, loss_kind, kinds=("zero-one", "loss")):
+    for kind in kinds:
+        risks = evaluation.tuple_risks(layer_sizes, w, ds, kind, loss_kind)
+        ref = whole_matrix_risks(layer_sizes, w, ds, kind, loss_kind)
+        assert np.array_equal(risks.view(np.int64), ref.view(np.int64))
+        assert float(np.mean(risks)).hex() == float(np.mean(ref)).hex()
+
+
 @pytest.mark.parametrize("kind", ["zero-one", "loss"])
 def test_tuple_risks_blocks_of_three(rng, kind):
     # blocks of 3 and k=2 give 10 rows per tuple: 204 tuples per chunk, and
-    # 700 tuples fold into chunks of 204, 204 and 292
-    ds = random_tuples(rng, 900, 700, dim=5, k=2, block_size=3)
-    ds.features[rng.random(ds.features.shape) < 0.1] = 0.0
-    out = ds.features * rng.choice([-1.0, 1.0], size=ds.features.shape)
-    margins = mean_formula_margins(out[ds.anchors], out[ds.positives], out[ds.negatives])[0]
-    ref = losses.loss_value(margins, "hinge") if kind == "loss" else losses.zero_one_risk(margins)
-    risks = evaluation.tuple_risks(out, ds, kind, "hinge")
-    assert np.array_equal(risks.view(np.int64), ref.view(np.int64))
+    # 700 tuples fold into chunks of 204, 204 and 292. The 7,000 references
+    # share 900 rows (whole-matrix path) or stream from 7,000
+    sizes = (5, 8, 4)
+    for rows, streams in ((900, False), (7000, True)):
+        ds = random_tuples(rng, rows, 700, dim=5, k=2, block_size=3)
+        ds.features[rng.random(ds.features.shape) < 0.1] = 0.0
+        assert evaluation._streams(ds) == streams
+        w = rng.normal(scale=0.5, size=network.param_count(sizes))
+        assert_risks_bitwise(sizes, w, ds, "hinge", kinds=[kind])
+
+
+@pytest.mark.parametrize("m, k, block_size, streams", [
+    (15, 3, 1, False),     # 15 tuples of 5 rows: 75 references, too few to stream
+    (19, 2, 1, True),      # 19 tuples of 4 rows: 76, one 76-row chunk
+    (1000, 4, 2, True),    # chunks of 186 tuples; the last folds in 70 more
+])
+def test_streamed_tuple_risks_match_whole_matrix(rng, m, k, block_size, streams):
+    # 3,000 rows, so the reference forwards a taller matrix than any chunk
+    rows = max(3000, m * (1 + block_size * (1 + k)))
+    ds = random_tuples(rng, rows, m, k=k, block_size=block_size)
+    assert evaluation._streams(ds) == streams
+    w = rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
+    for loss_kind in ("logistic", "hinge"):
+        assert_risks_bitwise(ACCEPTANCE_SIZES, w, ds, loss_kind)
+
+
+def test_concatenated_iid_sets_stream_bitwise(rng):
+    # train + valid as the pb criterion certifies them: the second set's
+    # indices are offset, so the gathered rows are not the matrix in order
+    model = data.random_gaussian_model(5, 20, 3.0, 1.0, rng)
+    ds = data.concat_contrastive(data.sample_contrastive_iid(model, 700, 4, 2, rng),
+                                 data.sample_contrastive_iid(model, 300, 4, 2, rng))
+    assert evaluation._streams(ds)
+    gathered = np.concatenate([ds.anchors, ds.positives.ravel(), ds.negatives.ravel()])
+    assert not np.array_equal(gathered, np.arange(len(ds.features)))
+    w = rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
+    assert_risks_bitwise(ACCEPTANCE_SIZES, w, ds, "logistic")
+
+
+def test_tuples_sharing_rows_keep_the_whole_matrix_path(rng, monkeypatch):
+    forwarded, forward_cached = [], network.forward_cached
+    monkeypatch.setattr(network, "forward_cached",
+                        lambda *args: forwarded.append(len(args[2])) or forward_cached(*args))
+    w = rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
+    # 2,200 references: to 500 shared rows the matrix goes through once; of
+    # 3,000 rows only the 2,200 referenced ones go through
+    for rows, expect in ((500, 500), (3000, 2200)):
+        forwarded.clear()
+        ds = random_tuples(rng, rows, 200)
+        evaluation.tuple_risks(ACCEPTANCE_SIZES, w, ds, "zero-one", "logistic")
+        assert sum(forwarded) == expect
 
 
 def test_mc_draw_over_a_large_matrix_allocates_little(rng):
-    # acceptance scale: 20k tuples over a 220k-row matrix. The (rows, 16)
-    # output is 28 MB; the whole-matrix forward also held every layer (170 MB)
+    # acceptance scale: 20k tuples over a 220k-row matrix, which they stream.
+    # The (rows, 16) output would be 28 MB; the whole-matrix forward once also
+    # held every layer (170 MB)
     ds = random_tuples(rng, 220_000, 20_000)
     post, _ = network.init_network(ACCEPTANCE_SIZES, 1e-2, rng)
     tracemalloc.start()
@@ -380,4 +440,26 @@ def test_mc_draw_over_a_large_matrix_allocates_little(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+    assert peak < 8e6
+
+
+def test_feature_bound_over_a_large_matrix_allocates_little(rng):
+    # the (rows, 16) output and its square would be 28 MB each
+    x = rng.standard_normal((220_000, 20))
+    post, _ = network.init_network(ACCEPTANCE_SIZES, 1e-2, rng)
+    tracemalloc.start()
+    try:
+        network.feature_bound(ACCEPTANCE_SIZES, post.mu, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("bad_row", [0, 2047, 2048, 4999])
+def test_feature_bound_passes_a_non_finite_row_through(rng, bad_row):
+    # rows at the ends of both chunks of 5,000; max(0.0, nan) would drop it
+    x = rng.standard_normal((5000, 20))
+    x[bad_row, 3] = np.nan
+    w = rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
+    assert math.isnan(network.feature_bound(ACCEPTANCE_SIZES, w, x))

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from pbcurl import bounds, data, divergences, losses, network, training
+from pbcurl import bounds, data, divergences, evaluation, losses, network, training
 
 ADAM_UNIT_STEP = -0.09999999900000002    # g=1, lr=0.1, first step
 RMSPROP_UNIT_STEP = -0.09999999000000095   # g=1, lr=0.01, first step
@@ -375,11 +375,32 @@ def test_train_shared_run_matches_single_criterion_runs(tmp_path):
         alone = training.train(cfg, ds, valid, [criterion],
                                run_dir=str(tmp_path / criterion), run_id="r")[criterion]
         assert both.run_id == alone.run_id == f"r-{criterion}"
+        if criterion == "det-valid":    # a det-valid run alone draws no valid_mc
+            assert all(e["valid_mc"] is None for e in alone.epochs)
+            for e in both.epochs:
+                e["valid_mc"] = None
         assert without_times(both.epochs) == without_times(alone.epochs)
         assert (both.stopped_epoch, both.best_epoch, both.metric, both.extras) == (
             alone.stopped_epoch, alone.best_epoch, alone.metric, alone.extras)
         with open(both.checkpoint_path, "rb") as fa, open(alone.checkpoint_path, "rb") as fb:
             assert fa.read() == fb.read()
+
+
+def test_det_valid_alone_draws_no_posterior_risk(tmp_path, monkeypatch):
+    cfg, ds, valid = stopping_problem()
+    shared = training.train(cfg, ds, valid, training.VALID_CRITERIA,
+                            run_dir=str(tmp_path / "both"), run_id="r")["det-valid"]
+    draws, mc_posterior_risk = [], evaluation.mc_posterior_risk
+    monkeypatch.setattr(evaluation, "mc_posterior_risk",
+                        lambda *args: draws.append(1) or mc_posterior_risk(*args))
+    alone = training.train(cfg, ds, valid, ["det-valid"],
+                           run_dir=str(tmp_path / "alone"), run_id="r")["det-valid"]
+    assert draws == []
+    assert [e["valid_mc"] for e in alone.epochs] == [None] * alone.stopped_epoch
+    # the shared run draws valid_mc, as every det-valid run once did: the
+    # skipped draws change no checkpoint byte
+    with open(shared.checkpoint_path, "rb") as fa, open(alone.checkpoint_path, "rb") as fb:
+        assert fa.read() == fb.read()
 
 
 def test_train_stops_when_its_criteria_have_closed(monkeypatch):
