@@ -243,10 +243,20 @@ def _build_dataset(spec, seed):
         known = sorted(_DATASET_BUILDERS) + ["manifests"]
         raise ConfigError(f"dataset.kind must be one of {known}, got {kind!r}")
     out = builder(spec, seed)
-    out["stats"] = data.NormStats.from_data(out["train"].features)
+    stats = data.NormStats.from_data(out["train"].features)
     for name in ("train", "valid", "test"):
         if name in out:
-            out[name].features = out["stats"].apply(out[name].features)
+            x = out[name].features
+            # a split that owns its matrix is normalised in place; the files
+            # kind's tuple sets share the labeled pool's, which stays raw
+            others = [v.x if isinstance(v, data.LabeledDataset) else v.features
+                      for key, v in out.items() if key != name]
+            if x.flags.owndata and not any(np.may_share_memory(x, o) for o in others):
+                x -= stats.mean
+                x /= stats.std
+            else:
+                out[name].features = stats.apply(x)
+    out["stats"] = stats
     return out
 
 

@@ -21,6 +21,8 @@ import numpy as np
 MAGIC = b"PBCURLF1"
 
 STD_FLOOR = 1e-8
+# sample_points shifts its draws by the class means this many rows at a time
+SAMPLE_BLOCK_ROWS = 8192
 
 
 class DataFormatError(ValueError):
@@ -185,10 +187,19 @@ class LatentClassModel:
         return rng.choice(self.n_classes, size=shape, p=self.rho)
 
     def sample_points(self, classes, rng):
-        """One draw from D_c for every entry of the integer array classes."""
+        """One draw from D_c for every entry of the integer array classes.
+
+        The normals are drawn into the output, then scaled and shifted in
+        place in row blocks, so no other array of the output's size is made.
+        """
         classes = np.asarray(classes)
-        eps = rng.standard_normal(classes.shape + (self.dim,))
-        return self.means[classes] + self.std * eps
+        out = rng.standard_normal(classes.shape + (self.dim,))
+        rows, cls = out.reshape(-1, self.dim), classes.ravel()
+        for lo in range(0, len(rows), SAMPLE_BLOCK_ROWS):
+            block = rows[lo:lo + SAMPLE_BLOCK_ROWS]
+            block *= self.std
+            block += self.means[cls[lo:lo + SAMPLE_BLOCK_ROWS]]
+        return out
 
 
 def random_gaussian_model(n_classes, dim, separation, std, rng):
@@ -210,15 +221,11 @@ def sample_contrastive_iid(model, m, k, block_size, rng):
     b = block_size
     c_pos = model.sample_classes(m, rng)
     c_neg = model.sample_classes((m, k), rng)
-    anchors = model.sample_points(c_pos, rng)
-    positives = model.sample_points(np.repeat(c_pos[:, None], b, axis=1), rng)
-    negatives = model.sample_points(np.repeat(c_neg[:, :, None], b, axis=2), rng)
-    d = anchors.shape[1]
-    features = np.concatenate(
-        [anchors, positives.reshape(m * b, d), negatives.reshape(m * k * b, d)]
-    )
+    # the anchors, positive blocks and negative blocks in one draw: the
+    # normals come in the same order as three draws of the three parts
+    row_classes = np.concatenate([c_pos, np.repeat(c_pos, b), np.repeat(c_neg, b)])
     return ContrastiveDataset(
-        features=features,
+        features=model.sample_points(row_classes, rng),
         anchors=np.arange(m, dtype=np.int64),
         positives=np.arange(m, m + m * b, dtype=np.int64).reshape(m, b),
         negatives=np.arange(m + m * b, m + m * b + m * k * b, dtype=np.int64).reshape(m, k, b),

@@ -7,6 +7,7 @@ Deterministic metrics use the posterior mean network; posterior risks are
 Monte Carlo averages over weight draws.
 """
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,54 +123,84 @@ def _streams(ds):
     return network.STABLE_ROWS <= refs <= len(ds.features)
 
 
-def tuple_risks(layer_sizes, w, ds, kind, loss_kind, out=None):
+def tuple_risks(layer_sizes, w, ds, kind, loss_kind):
     """Per-tuple risk of ds under the network with flat weights w.
 
     Computed in chunks of tuples that span about network.CHUNK_ROWS rows, into
     one (m,) array; callers average it in one np.mean, as averaging chunk
-    means would round differently. When _streams(ds), each chunk's input rows
-    are stacked in one reused buffer and forwarded through one workspace, and
-    no (rows, d_out) output is made. Otherwise ds.features goes through the
-    network once, into out when given, and each chunk's output rows are
-    stacked instead. Both paths give the same bits.
+    means would round differently. See _risk_pass for the two paths.
+    """
+    with _risk_pass(layer_sizes, ds) as risks:
+        return risks(w, kind, loss_kind)
+
+
+@contextlib.contextmanager
+def _risk_pass(layer_sizes, ds):
+    """Yield risks(w, kind, loss_kind), the (m,) per-tuple risks under weights w.
+
+    Its buffers live for the with block, and each call overwrites the array it
+    returns. When _streams(ds), each chunk's input rows are stacked in a reused
+    buffer and forwarded through a forward-only workspace, and no
+    (rows, d_out) output is made; the chunks run on network.worker_count
+    threads, worker i taking chunks[i::n] with its own buffers, which are
+    allocated in the calling thread (see network.feature_bound). Otherwise
+    ds.features goes through the network once per call, into one buffer, and
+    each chunk's output rows are stacked instead, in the calling thread. Each
+    chunk runs the same operations on the same rows on either path and any
+    worker count, so all give the same bits.
     """
     per_tuple = 1 + ds.block_size * (1 + ds.k)
     chunks = network.row_chunks(len(ds), max(1, network.CHUNK_ROWS // per_tuple))
-    tallest = chunks[-1][1] - chunks[-1][0]
-    if _streams(ds):
-        source, ws = ds.features, network.Workspace(layer_sizes, tallest * per_tuple)
-    else:
-        source, ws = network.forward(layer_sizes, w, ds.features, out=out), None
-    rows = np.empty((tallest * per_tuple, source.shape[1]))
-    diff = np.empty((tallest, ds.k, layer_sizes[-1]))
+    streams = _streams(ds)
+    n = network.worker_count(len(chunks)) if streams else 1
+    parts = [chunks[i::n] for i in range(n)]
+    out = None if streams else np.empty((len(ds.features), layer_sizes[-1]))
+    width = ds.dim if streams else layer_sizes[-1]
+    bufs = []
+    for part in parts:
+        tallest = max(hi - lo for lo, hi in part)
+        ws = (network.Workspace(layer_sizes, tallest * per_tuple, forward_only=True)
+              if streams else None)
+        bufs.append((ws, np.empty((tallest * per_tuple, width)),
+                     np.empty((tallest, ds.k, layer_sizes[-1]))))
     risks = np.empty(len(ds))
-    for lo, hi in chunks:
-        batch = data.take_tuples(
-            source, ds.anchors[lo:hi], ds.positives[lo:hi], ds.negatives[lo:hi], rows
-        )
-        if ws is not None:
-            out_rows = network.forward_cached(layer_sizes, w, batch.rows, ws)[0]
-            batch = data.TupleBatch(out_rows, hi - lo, ds.k, ds.block_size)
-        margins = losses.contrastive_margins(*batch, diff[: hi - lo])
-        risks[lo:hi] = (losses.loss_value(margins, loss_kind) if kind == "loss"
-                        else losses.zero_one_risk(margins))
-    return risks
+
+    def chunk_risks(w, source, kind, loss_kind, i):
+        ws, rows, diff = bufs[i]
+        for lo, hi in parts[i]:
+            batch = data.take_tuples(
+                source, ds.anchors[lo:hi], ds.positives[lo:hi], ds.negatives[lo:hi], rows
+            )
+            if ws is not None:
+                out_rows = network.forward_cached(layer_sizes, w, batch.rows, ws)[0]
+                batch = data.TupleBatch(out_rows, hi - lo, ds.k, ds.block_size)
+            margins = losses.contrastive_margins(*batch, diff[: hi - lo])
+            risks[lo:hi] = (losses.loss_value(margins, loss_kind) if kind == "loss"
+                            else losses.zero_one_risk(margins))
+
+    with network.worker_threads(n) as run:
+        def risks_of(w, kind, loss_kind):
+            source = ds.features if streams else network.forward(layer_sizes, w, ds.features, out)
+            run(lambda i: chunk_risks(w, source, kind, loss_kind, i))
+            return risks
+
+        yield risks_of
 
 
 def mc_posterior_risk(layer_sizes, post, ds, n_samples, kind, loss_kind, rng):
     """Posterior-expected dataset risk, Monte Carlo over weight draws.
 
     kind "loss" evaluates the configured tuple loss, "zero-one" the ranking
-    error with ties counted correct. Each draw runs tuple_risks; on its
-    whole-matrix path every draw writes one (rows, d_out) output buffer.
+    error with ties counted correct. The draws are made in the calling thread
+    and share one _risk_pass, so its buffers and threads live for this call.
     Returns (mean, per-draw array).
     """
     if kind not in ("loss", "zero-one"):
         raise ValueError(f"unknown risk kind: {kind!r}")
     vals = np.empty(n_samples)
-    out = None if _streams(ds) else np.empty((len(ds.features), layer_sizes[-1]))
-    for s in range(n_samples):
-        eps = network.sample_eps(post.n_params, rng)
-        w = network.sample_weights(post, eps)
-        vals[s] = np.mean(tuple_risks(layer_sizes, w, ds, kind, loss_kind, out))
+    with _risk_pass(layer_sizes, ds) as risks:
+        for s in range(n_samples):
+            eps = network.sample_eps(post.n_params, rng)
+            w = network.sample_weights(post, eps)
+            vals[s] = np.mean(risks(w, kind, loss_kind))
     return float(np.mean(vals)), vals

@@ -6,7 +6,9 @@ variance. Posterior variances are kept in log space. Forward and backward
 passes are hand written numpy on a flat parameter vector.
 """
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,6 +117,50 @@ def row_chunks(n, chunk=CHUNK_ROWS):
     return list(zip(edges, edges[1:] + [n]))
 
 
+def worker_count(n_chunks):
+    """Threads for n_chunks independent chunks: min(n_chunks, usable CPUs // BLAS threads).
+
+    BLAS threads is the first positive integer among OPENBLAS_NUM_THREADS,
+    GOTO_NUM_THREADS and OMP_NUM_THREADS, the order OpenBLAS reads them in.
+    With none set, BLAS already runs on every CPU, so the count is 1.
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            blas = int(value)
+            break
+    else:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:                 # no affinity outside Linux
+        cpus = os.cpu_count() or 1
+    return max(1, min(n_chunks, cpus // blas))
+
+
+@contextlib.contextmanager
+def worker_threads(n):
+    """Yield run(task), which calls task(i) for each worker i < n; results in order.
+
+    The calling thread runs task(0) and a pool of n - 1 threads the others,
+    so numpy, which releases the GIL in matmul, take and its ufunc loops, can
+    run them at once. The pool lives for the with block, so no thread outlives
+    it, and an exception in any task reaches the caller of run.
+    """
+    if n == 1:
+        yield lambda task: [task(0)]
+        return
+    # imported on first use: it loads logging, 2-3 ms of every CLI start
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(n - 1) as pool:
+        def run(task):
+            futures = [pool.submit(task, i) for i in range(1, n)]
+            return [task(0)] + [f.result() for f in futures]
+
+        yield run
+
+
 class Workspace:
     """Per-layer buffers for forward and backprop over at most `rows` input rows.
 
@@ -123,13 +169,16 @@ class Workspace:
     2n + 1 gradient of a training objective w.r.t. (posterior means, posterior
     log variances, prior log variance). forward_cached and backprop return
     views into them that the next call overwrites. scratch is a flat buffer of
-    rows * d_out floats for the loss on top of the network.
+    rows * d_out floats for the loss on top of the network. A forward_only
+    workspace holds the activations alone.
     """
 
-    def __init__(self, layer_sizes, rows):
+    def __init__(self, layer_sizes, rows, forward_only=False):
         self.slices = _layer_slices(layer_sizes)
         widths = layer_sizes[1:]
         self.acts = [np.empty((rows, n)) for n in widths]
+        if forward_only:
+            return
         self.deltas = [np.empty((rows, n)) for n in widths]
         self.masks = [np.empty((rows, n), dtype=bool) for n in widths[:-1]]
         self.grad = np.empty(param_count(layer_sizes))
@@ -153,21 +202,11 @@ def forward(layer_sizes, w, x, out=None):
     """
     if out is None:
         out = np.empty((len(x), layer_sizes[-1]))
-    for lo, hi, chunk in _forward_chunks(layer_sizes, w, x):
-        out[lo:hi] = chunk
-    return out
-
-
-def _forward_chunks(layer_sizes, w, x):
-    """Yield (lo, hi, output rows of x[lo:hi]) over row_chunks(len(x)).
-
-    Every chunk runs through one workspace, so each output is a view that the
-    next one overwrites.
-    """
     chunks = row_chunks(len(x))
-    ws = Workspace(layer_sizes, chunks[-1][1] - chunks[-1][0])     # the tallest chunk
+    ws = Workspace(layer_sizes, chunks[-1][1] - chunks[-1][0], forward_only=True)  # the tallest
     for lo, hi in chunks:
-        yield lo, hi, forward_cached(layer_sizes, w, x[lo:hi], ws)[0]
+        out[lo:hi] = forward_cached(layer_sizes, w, x[lo:hi], ws)[0]
+    return out
 
 
 def forward_cached(layer_sizes, w, x, ws=None):
@@ -228,10 +267,26 @@ def feature_bound(layer_sizes, w, features):
     """B = max_x ||f(x)||_2 over the given input rows (NaN if a row's is).
 
     Keeps only each row chunk's largest squared norm, not the output matrix.
+    Worker i of worker_count takes the chunks [i::n]; the maximum is exact, so
+    the split does not change it. The workspaces are allocated here, in the
+    calling thread: what a worker thread allocates stays in its own malloc
+    arena after the thread ends.
     """
-    sq = [np.max(np.sum(out * out, axis=1))
-          for _, _, out in _forward_chunks(layer_sizes, w, features)]
-    return float(np.sqrt(np.max(sq)))
+    chunks = row_chunks(len(features))
+    n = worker_count(len(chunks))
+    parts = [chunks[i::n] for i in range(n)]
+    wss = [Workspace(layer_sizes, max(hi - lo for lo, hi in part), forward_only=True)
+           for part in parts]
+
+    def task(i):
+        sq = []
+        for lo, hi in parts[i]:
+            out = forward_cached(layer_sizes, w, features[lo:hi], wss[i])[0]
+            sq.append(np.max(np.sum(np.square(out, out=out), axis=1)))
+        return sq
+
+    with worker_threads(n) as run:
+        return float(np.sqrt(np.max(sum(run(task), []))))
 
 
 @dataclass

@@ -265,6 +265,24 @@ def test_gen_data_round_trips_the_tuples(tmp_path, rng, kind):
             assert np.array_equal(loaded, getattr(built[split], name))
 
 
+@pytest.mark.parametrize("kind", ["synthetic-iid", "synthetic-sequences", "files"])
+def test_build_dataset_normalises_each_split_once(tmp_path, rng, kind):
+    # splits that own their matrix are normalised in place; the files kind's
+    # tuple sets share the labeled pool, which must stay raw
+    spec = generative_spec(kind, tmp_path, rng)
+    if kind == "synthetic-iid":
+        spec = {**spec, "m_valid": 20, "m_test": 30}
+    raw = cli._DATASET_BUILDERS[kind](spec, 6)
+    built = cli._build_dataset(spec, 6)
+    stats = data.NormStats.from_data(raw["train"].features)
+    for name, ds in raw.items():
+        if name.startswith("labeled"):
+            assert np.array_equal(built[name].x, ds.x)
+        else:
+            want = (ds.features - stats.mean) / stats.std
+            assert np.array_equal(built[name].features.view(np.int64), want.view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # train
 

@@ -193,6 +193,35 @@ def test_sample_contrastive_iid_deterministic():
     assert data.dataset_hash(d1) != data.dataset_hash(d3)
 
 
+def test_sample_contrastive_iid_matches_per_part_draws(rng):
+    # the parts drawn one by one as separate arrays, shifted by their class means
+    model = small_gaussian_model(rng, n_classes=4, dim=3, std=0.7)
+    m, k, b = 3000, 3, 2
+    ds = data.sample_contrastive_iid(model, m, k, b, np.random.default_rng(8))
+    draw = np.random.default_rng(8)
+    c_pos = model.sample_classes(m, draw)
+    c_neg = model.sample_classes((m, k), draw)
+    parts = [model.means[c] + model.std * draw.standard_normal(c.shape + (3,))
+             for c in (c_pos, np.repeat(c_pos[:, None], b, axis=1),
+                       np.repeat(c_neg[:, :, None], b, axis=2))]
+    want = np.concatenate([p.reshape(-1, 3) for p in parts])
+    assert np.array_equal(ds.features.view(np.int64), want.view(np.int64))
+
+
+def test_sample_contrastive_iid_allocates_little_beyond_its_matrix():
+    # 20k tuples of 11 rows: a 35 MB matrix. Drawing the parts separately and
+    # concatenating them peaked at 88 MB
+    model = data.random_gaussian_model(10, 20, 3.0, 1.0, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        ds = data.sample_contrastive_iid(model, 20_000, 4, 2, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.features.nbytes == 35_200_000
+    assert peak < 45e6
+
+
 def test_sample_labeled_frequencies(rng):
     model = data.LatentClassModel(rho=np.array([0.0, 1.0, 0.0]), means=np.zeros((3, 2)))
     ds = data.sample_labeled(model, 50, rng)

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -428,10 +431,20 @@ def test_tuples_sharing_rows_keep_the_whole_matrix_path(rng, monkeypatch):
         assert sum(forwarded) == expect
 
 
-def test_mc_draw_over_a_large_matrix_allocates_little(rng):
+@pytest.fixture
+def pin_workers(monkeypatch):
+    """Fix the worker count of chunked inference, whatever the machine."""
+    def pin(n):
+        monkeypatch.setattr(network, "worker_count", lambda n_chunks: min(n_chunks, n))
+    return pin
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_mc_draw_over_a_large_matrix_allocates_little(rng, pin_workers, workers):
     # acceptance scale: 20k tuples over a 220k-row matrix, which they stream.
     # The (rows, 16) output would be 28 MB; the whole-matrix forward once also
-    # held every layer (170 MB)
+    # held every layer (170 MB). Each worker holds its own chunk buffers
+    pin_workers(workers)
     ds = random_tuples(rng, 220_000, 20_000)
     post, _ = network.init_network(ACCEPTANCE_SIZES, 1e-2, rng)
     tracemalloc.start()
@@ -463,3 +476,120 @@ def test_feature_bound_passes_a_non_finite_row_through(rng, bad_row):
     x[bad_row, 3] = np.nan
     w = rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
     assert math.isnan(network.feature_bound(ACCEPTANCE_SIZES, w, x))
+
+
+def record_threads(monkeypatch):
+    """Patch network.forward_cached to record the threads that call it."""
+    seen, forward_cached = set(), network.forward_cached
+    monkeypatch.setattr(network, "forward_cached", lambda *args: seen.add(
+        threading.get_ident()) or forward_cached(*args))
+    return seen
+
+
+def test_results_do_not_depend_on_the_worker_count(rng, monkeypatch, pin_workers):
+    # 1,000 tuples of 11 rows: 5 chunks of 186 tuples, the last folding in 70
+    # more; the concatenated set's second half has offset indices
+    model = data.random_gaussian_model(5, 20, 3.0, 1.0, rng)
+    sets = [random_tuples(rng, 11_000, 1000),
+            data.concat_contrastive(data.sample_contrastive_iid(model, 700, 4, 2, rng),
+                                    data.sample_contrastive_iid(model, 300, 4, 2, rng))]
+    post, _ = network.init_network(ACCEPTANCE_SIZES, 1e-2, rng)
+    post.mu = rng.normal(scale=0.3, size=post.n_params)
+    x = rng.standard_normal((5 * network.CHUNK_ROWS + 100, 20))
+    threads = record_threads(monkeypatch)
+    results = {}
+    for workers in (1, 2, 3):
+        pin_workers(workers)
+
+        def on_workers(fn, *args):
+            threads.clear()
+            value = fn(*args)
+            # the caller runs worker 0 and a pool thread worker 1 at least
+            assert min(workers, 2) <= len(threads) <= workers
+            return value
+
+        got = [on_workers(network.feature_bound, ACCEPTANCE_SIZES, post.mu, x).hex()]
+        for ds in sets:
+            assert evaluation._streams(ds)
+            for kind in ("zero-one", "loss"):
+                mean, vals = on_workers(evaluation.mc_posterior_risk, ACCEPTANCE_SIZES, post,
+                                        ds, 3, kind, "logistic", np.random.default_rng(5))
+                got += [mean.hex()] + [v.hex() for v in vals]
+            got.append(on_workers(training.map_dataset_loss, ACCEPTANCE_SIZES, post.mu, ds,
+                                  "hinge").hex())
+        results[workers] = got
+    assert results[1] == results[2] == results[3]
+
+
+def test_more_workers_than_cores_under_fast_thread_switching(rng, pin_workers):
+    # the workers write disjoint slices of one risks array and share nothing
+    # else; switching threads every microsecond would expose a shared buffer
+    workers = max(4, (os.cpu_count() or 1) + 1)
+    ds = random_tuples(rng, 2 * workers * 186 * 11, 2 * workers * 186)
+    w = rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
+    want = evaluation.tuple_risks(ACCEPTANCE_SIZES, w, ds, "loss", "logistic")
+    pin_workers(workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            got = evaluation.tuple_risks(ACCEPTANCE_SIZES, w, ds, "loss", "logistic")
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("bad_row", [network.CHUNK_ROWS + 7, 5 * network.CHUNK_ROWS + 50])
+def test_feature_bound_passes_a_worker_s_non_finite_row_through(rng, pin_workers, workers,
+                                                               bad_row):
+    # the second chunk and the folded last one (the fifth) of 5 chunks: worker
+    # 1 takes both at 3 workers, and the second at 2
+    pin_workers(workers)
+    x = rng.standard_normal((5 * network.CHUNK_ROWS + 100, 20))
+    x[bad_row, 3] = np.nan
+    w = rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
+    assert math.isnan(network.feature_bound(ACCEPTANCE_SIZES, w, x))
+
+
+def test_a_worker_s_exception_reaches_the_caller(rng, monkeypatch, pin_workers):
+    pin_workers(2)
+    ds = random_tuples(rng, 11_000, 1000)
+    post, _ = network.init_network(ACCEPTANCE_SIZES, 1e-2, rng)
+    zero_one_risk = losses.zero_one_risk
+
+    def failing(margins):
+        if threading.current_thread() is not threading.main_thread():    # worker 1
+            raise RuntimeError("worker failed")
+        return zero_one_risk(margins)
+
+    monkeypatch.setattr(losses, "zero_one_risk", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="worker failed"):
+        evaluation.mc_posterior_risk(ACCEPTANCE_SIZES, post, ds, 2, "zero-one", "logistic", rng)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("env, cpus, n_chunks, expect", [
+    ({}, 2, 10, 1),                                   # BLAS unpinned uses every CPU
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 10, 2),
+    ({"OMP_NUM_THREADS": "2"}, 2, 10, 1),
+    ({"OMP_NUM_THREADS": "4"}, 2, 10, 1),            # more BLAS threads than CPUs
+    ({"OPENBLAS_NUM_THREADS": "1"}, 8, 3, 3),        # no more workers than chunks
+    # the first positive value in OpenBLAS's order wins
+    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 8, 10, 4),
+    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 3, 10, 3),
+])
+@pytest.mark.parametrize("affinity", [True, False])
+def test_worker_count_rule(monkeypatch, env, cpus, n_chunks, expect, affinity):
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert network.worker_count(n_chunks) == expect
