@@ -7,7 +7,7 @@ diverging chi-square yields an infinite (vacuous) bound instead of an
 overflow error.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import comb, exp, expm1, inf, isfinite, log, log1p, pi, sqrt
 
 import numpy as np
@@ -173,25 +173,7 @@ class BoundReport:
     provenance: dict = field(default_factory=dict)
 
     def to_dict(self):
-        doc = {
-            "format": "pbcurl-bound-v1",
-            "bound_kind": self.bound_kind,
-            "bound_value": self.bound_value,
-            "empirical_risk": self.empirical_risk,
-            "risk_kind": self.risk_kind,
-            "loss_kind": self.loss_kind,
-            "divergence_kind": self.divergence_kind,
-            "divergence_value": self.divergence_value,
-            "j": self.j,
-            "m": self.m,
-            "delta": self.delta,
-            "n_risk_samples": self.n_risk_samples,
-            "lambda": self.lam,
-            "tau": self.tau,
-            "loss_sup": self.loss_sup,
-            "feature_bound": self.feature_bound,
-            "dependency_t": self.dependency_t,
-            "extras": self.extras,
-            "provenance": self.provenance,
-        }
+        """The pbcurl-bound-v1 document: every field, lam under the key "lambda"."""
+        doc = {"format": "pbcurl-bound-v1", **asdict(self)}
+        doc["lambda"] = doc.pop("lam")
         return doc

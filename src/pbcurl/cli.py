@@ -328,6 +328,9 @@ def _cmd_train(args):
     out_dir = args.out or cfg.get("out_dir")
     if not out_dir:
         raise ConfigError("--out (or config out_dir) is required")
+    cert_samples = int(cfg.get("cert_samples", 10))
+    if cert_samples < 1:
+        raise ConfigError("config.cert_samples must be >= 1")
 
     built = _build_dataset(_require(cfg, "dataset", "config"), seed)
     train_ds = built["train"]
@@ -359,8 +362,7 @@ def _cmd_train(args):
             raise ConfigError(f"criterion {c!r} needs a validation split in the dataset")
 
     best = training.grid_search(
-        configs, criteria, train_ds, valid_ds, out_dir,
-        cert_samples=int(cfg.get("cert_samples", 10)),
+        configs, criteria, train_ds, valid_ds, out_dir, cert_samples=cert_samples
     )
     if not best:
         raise training.NumericAbort("every grid run aborted")
@@ -397,24 +399,15 @@ def _cmd_bound(args):
     loss_kind = ckpt.config.get("loss_kind", "logistic")
     layer_sizes = tuple(ckpt.layer_sizes)
 
-    if args.risk == "zero-one":
-        report = training.selection_certificate(
-            layer_sizes, ckpt.posterior, ckpt.prior, ds,
-            grid_b=grid_b, grid_c=grid_c, delta=delta, loss_kind=loss_kind,
-            objective=objective, n_samples=args.samples, rng=rng,
-        )
-    else:
-        if objective == "iid" and args.lam is None:
-            raise ConfigError("--risk loss with --iid needs --lam")
-        try:
-            report = training.loss_certificate(
-                layer_sizes, ckpt.posterior, ckpt.prior, ds,
-                grid_b=grid_b, grid_c=grid_c, delta=delta, loss_kind=loss_kind,
-                objective=objective, n_samples=args.samples, rng=rng,
-                lam=args.lam, tau=args.tau,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    if args.risk == "loss" and objective == "iid" and args.lam is None:
+        raise ConfigError("--risk loss with --iid needs --lam")
+    certify = (training.selection_certificate if args.risk == "zero-one"
+               else training.loss_certificate)
+    report = certify(
+        layer_sizes, ckpt.posterior, ckpt.prior, ds,
+        grid_b=grid_b, grid_c=grid_c, delta=delta, loss_kind=loss_kind,
+        objective=objective, n_samples=args.samples, rng=rng, lam=args.lam, tau=args.tau,
+    )
 
     report.provenance = {
         "checkpoint": args.checkpoint,

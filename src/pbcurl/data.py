@@ -141,10 +141,13 @@ class ContrastiveDataset:
 
 
 def concat_contrastive(a, b):
-    """Stack two tuple sets (train + valid for certificate-criterion runs)."""
+    """Stack two tuple sets (train + valid for pb runs), keeping a tau both record."""
     if a.k != b.k or a.block_size != b.block_size or a.dim != b.dim:
         raise ValueError("tuple shapes differ, cannot concatenate")
     off = a.features.shape[0]
+    provenance = {"kind": "concat", "parts": [a.provenance, b.provenance]}
+    if "tau" in a.provenance and a.provenance["tau"] == b.provenance.get("tau"):
+        provenance["tau"] = a.provenance["tau"]
     return ContrastiveDataset(
         features=np.vstack([a.features, b.features]),
         anchors=np.concatenate([a.anchors, b.anchors + off]),
@@ -153,7 +156,7 @@ def concat_contrastive(a, b):
         k=a.k,
         block_size=a.block_size,
         dependency_t=max(a.dependency_t, b.dependency_t),
-        provenance={"kind": "concat", "parts": [a.provenance, b.provenance]},
+        provenance=provenance,
     )
 
 

@@ -552,98 +552,80 @@ def train(cfg, data, valid=None, criteria=("pb",), run_dir=None, run_id="run"):
 # certificates on trained posteriors
 
 
-def _divergence_fields(post, prior, ds, noniid):
-    """BoundReport fields of the divergence term: chi-square if noniid, else KL."""
-    if noniid:
-        chi2 = divergences.chi2_gaussian(post.mu, post.log_sigma2, prior.mu, prior.log_sigma2)
-        return {
-            "divergence_kind": "chi2",
-            "divergence_value": chi2.value,
-            "dependency_t": ds.dependency_t,
-            "extras": {
-                "chi2_log1p": chi2.log1p,
-                "chi2_overflowed": chi2.overflowed,
-                "chi2_n_guarded": chi2.n_guarded,
-            },
-        }
-    kl = divergences.kl_gaussian(post.mu, post.log_sigma2, prior.mu, prior.log_sigma2)
-    return {"divergence_kind": "kl", "divergence_value": kl, "extras": {}}
+# (form, risk) -> bound(report) -> (bound value, the lambda it reports); the
+# iid zero-one bound reports the lambda at which the Catoni form equals it
+_BOUNDS = {
+    ("iid", "zero-one"): lambda r: bounds.selection_bound_iid(
+        r.empirical_risk, r.divergence_value, r.j, r.m, r.delta
+    ),
+    ("iid", "loss"): lambda r: (bounds.iid_supervised_bound(
+        r.empirical_risk, r.divergence_value, r.m, r.lam, r.delta, r.tau, r.loss_sup
+    ), r.lam),
+    ("noniid", "zero-one"): lambda r: (bounds.selection_bound_noniid(
+        r.empirical_risk, r.j, r.extras["chi2_log1p"], r.m, r.delta, r.dependency_t
+    ), None),
+    ("noniid", "loss"): lambda r: (bounds.noniid_bound(
+        r.empirical_risk, r.j, r.extras["chi2_log1p"], r.m, r.delta, r.dependency_t, r.loss_sup
+    ), None),
+}
 
 
-def selection_certificate(layer_sizes, post, prior, ds, *, grid_b, grid_c, delta,
-                          loss_kind, objective, n_samples, rng):
-    """Model-selection certificate (zero-one risk) for a trained posterior."""
-    m = len(ds)
-    j = bounds.j_index(grid_b, grid_c, prior.log_sigma2)
-    r_hat, draws = evaluation.mc_posterior_risk(
-        layer_sizes, post, ds, n_samples, "zero-one", loss_kind, rng
-    )
-    noniid = objective == "noniid"
-    div = _divergence_fields(post, prior, ds, noniid)
-    div["extras"]["risk_per_draw"] = [float(v) for v in draws]
-    if noniid:
-        lam = None
-        value = bounds.selection_bound_noniid(
-            r_hat, j, div["extras"]["chi2_log1p"], m, delta, ds.dependency_t
-        )
-    else:
-        value, lam = bounds.selection_bound_iid(r_hat, div["divergence_value"], j, m, delta)
-    return bounds.BoundReport(
-        bound_kind="noniid-selection" if noniid else "iid-selection",
-        bound_value=value,
-        empirical_risk=r_hat,
-        risk_kind="zero-one",
-        loss_kind=loss_kind,
-        j=j, m=m, delta=delta,
-        n_risk_samples=n_samples,
-        lam=lam,
-        **div,
-    )
+def _certificate(layer_sizes, post, prior, ds, *, risk, objective, grid_b, grid_c, delta,
+                 loss_kind, n_samples, rng, lam=None, tau=None):
+    """The certificate of one risk kind for a trained posterior.
 
-
-def loss_certificate(layer_sizes, post, prior, ds, *, grid_b, grid_c, delta, loss_kind,
-                     objective, n_samples, rng, lam=None, tau=None):
-    """Bounded-loss certificate: supervised transfer (iid) or chi-square form."""
-    m = len(ds)
-    j = bounds.j_index(grid_b, grid_c, prior.log_sigma2)
-    l_hat, draws = evaluation.mc_posterior_risk(
-        layer_sizes, post, ds, n_samples, "loss", loss_kind, rng
-    )
-    b_feat = network.feature_bound(layer_sizes, post.mu, ds.features)
-    loss_sup = losses.loss_range(loss_kind, b_feat, ds.k)
-    noniid = objective == "noniid"
-    if not noniid:
+    risk "zero-one" is the model-selection certificate, "loss" the bounded-loss
+    one; objective "noniid" takes the chi-square form, any other the KL form.
+    Only the iid loss certificate reads lam and tau (default: the dataset's
+    provenance tau).
+    """
+    form = "noniid" if objective == "noniid" else "iid"
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    if (form, risk) == ("iid", "loss"):
         if lam is None:
             raise ValueError("iid loss certificate needs lambda")
+        tau = ds.provenance.get("tau") if tau is None else tau
         if tau is None:
-            tau = ds.provenance.get("tau")
-            if tau is None:
-                raise ValueError("iid loss certificate needs tau (class collision probability)")
-    div = _divergence_fields(post, prior, ds, noniid)
-    div["extras"]["risk_per_draw"] = [float(v) for v in draws]
-    if noniid:
-        lam = tau = None          # the chi-square form uses neither
-        value = bounds.noniid_bound(
-            l_hat, j, div["extras"]["chi2_log1p"], m, delta, ds.dependency_t, loss_sup
-        )
+            raise ValueError("iid loss certificate needs tau (class collision probability)")
     else:
-        value = bounds.iid_supervised_bound(
-            l_hat, div["divergence_value"], m, lam, delta, tau, loss_sup
-        )
-    return bounds.BoundReport(
-        bound_kind="noniid-loss" if noniid else "iid-loss",
-        bound_value=value,
-        empirical_risk=l_hat,
-        risk_kind="loss",
-        loss_kind=loss_kind,
-        j=j, m=m, delta=delta,
-        n_risk_samples=n_samples,
-        lam=lam,
-        tau=tau,
-        loss_sup=loss_sup,
-        feature_bound=b_feat,
-        **div,
+        lam = tau = None
+    j = bounds.j_index(grid_b, grid_c, prior.log_sigma2)
+    r_hat, draws = evaluation.mc_posterior_risk(
+        layer_sizes, post, ds, n_samples, risk, loss_kind, rng
     )
+    rep = bounds.BoundReport(     # the divergence and the bound are filled in below
+        bound_kind=f"{form}-{'selection' if risk == 'zero-one' else 'loss'}",
+        bound_value=None, divergence_kind=None, divergence_value=None,
+        empirical_risk=r_hat, risk_kind=risk, loss_kind=loss_kind,
+        j=j, m=len(ds), delta=delta,
+        n_risk_samples=n_samples, lam=lam, tau=tau,
+        extras={"risk_per_draw": [float(v) for v in draws]},
+    )
+    if risk == "loss":
+        rep.feature_bound = network.feature_bound(layer_sizes, post.mu, ds.features)
+        rep.loss_sup = losses.loss_range(loss_kind, rep.feature_bound, ds.k)
+    gaussians = (post.mu, post.log_sigma2, prior.mu, prior.log_sigma2)
+    if form == "noniid":
+        chi2 = divergences.chi2_gaussian(*gaussians)
+        rep.divergence_kind, rep.divergence_value = "chi2", chi2.value
+        rep.dependency_t = ds.dependency_t
+        rep.extras.update(chi2_log1p=chi2.log1p, chi2_overflowed=chi2.overflowed,
+                          chi2_n_guarded=chi2.n_guarded)
+    else:
+        rep.divergence_kind, rep.divergence_value = "kl", divergences.kl_gaussian(*gaussians)
+    rep.bound_value, rep.lam = _BOUNDS[form, risk](rep)
+    return rep
+
+
+def selection_certificate(layer_sizes, post, prior, ds, **kw):
+    """Model-selection certificate (zero-one risk) for a trained posterior."""
+    return _certificate(layer_sizes, post, prior, ds, risk="zero-one", **kw)
+
+
+def loss_certificate(layer_sizes, post, prior, ds, **kw):
+    """Bounded-loss certificate: supervised transfer (iid) or chi-square form."""
+    return _certificate(layer_sizes, post, prior, ds, risk="loss", **kw)
 
 
 # ---------------------------------------------------------------------------

@@ -412,6 +412,21 @@ def test_train_rejects_supervised_grid_entry(tmp_path, data_dir, capsys):
     assert not (tmp_path / "o" / "runs.jsonl").exists()
 
 
+@pytest.mark.parametrize("cert_samples", [0, -3])
+def test_train_rejects_cert_samples_below_one(tmp_path, data_dir, capsys, cert_samples):
+    cfg = write_json(
+        tmp_path / "t.json",
+        {
+            "dataset": {"kind": "manifests", "train": str(data_dir / "train.json")},
+            "grid": [{"layer_sizes": [3, 4, 2], "k": 2, "block_size": 2, "epochs": 1}],
+            "cert_samples": cert_samples,
+        },
+    )
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config.cert_samples must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()          # rejected before training
+
+
 def test_train_validation_criterion_needs_split(tmp_path, data_dir, capsys):
     cfg = write_json(
         tmp_path / "t.json",
@@ -564,6 +579,35 @@ def test_bound_concatenates_data(tmp_path, data_dir, train_dir):
     ]) == 0
     doc = json.loads((tmp_path / "bound_cat.json").read_text())
     assert doc["m"] == 120
+
+
+def test_bound_iid_loss_reads_the_tau_concatenated_manifests_share(tmp_path, data_dir,
+                                                                   train_dir):
+    ckpt = best_pb_checkpoint(train_dir)
+    assert main([
+        "bound", "--checkpoint", ckpt,
+        "--data", str(data_dir / "valid.json"), str(data_dir / "test.json"),
+        "--out", str(tmp_path), "--iid", "--risk", "loss", "--lam", "1.0",
+        "--deterministic", "--id", "cat-loss",
+    ]) == 0
+    doc = json.loads((tmp_path / "bound_cat-loss.json").read_text())
+    tau = data.load_contrastive(str(data_dir / "test.json")).provenance["tau"]
+    assert doc["tau"] == tau
+    assert doc["m"] == 120
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+@pytest.mark.parametrize("risk", ["zero-one", "loss"])
+def test_bound_rejects_a_sample_count_below_one(tmp_path, data_dir, train_dir, capsys,
+                                                samples, risk):
+    ckpt = best_pb_checkpoint(train_dir)
+    assert main([
+        "bound", "--checkpoint", ckpt, "--data", str(data_dir / "test.json"),
+        "--out", str(tmp_path / "b"), "--iid", "--risk", risk, "--lam", "1.0",
+        "--samples", samples,
+    ]) == 2
+    assert "error: n_samples must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
 
 
 def test_bound_missing_checkpoint(tmp_path, data_dir, capsys):
@@ -816,6 +860,21 @@ def test_select_recomputes_missing_certificate(tmp_path, data_dir, train_dir):
     best = json.loads((out / "best.json").read_text())
     ours = json.loads((train_dir / "best.json").read_text())
     assert best["pb"]["metric"] == pytest.approx(ours["pb"]["metric"])
+
+
+def test_select_rejects_a_sample_count_below_one(tmp_path, data_dir, train_dir, capsys):
+    stripped = tmp_path / "runs.jsonl"
+    with open(train_dir / "runs.jsonl") as fh, open(stripped, "w") as out_fh:
+        for line in fh:
+            rec = json.loads(line)
+            rec["selection"] = None
+            out_fh.write(json.dumps(rec) + "\n")
+    assert main([
+        "select", "--runs", str(stripped), "--out", str(tmp_path / "s"), "--criteria", "pb",
+        "--data", str(data_dir / "train.json"), str(data_dir / "valid.json"), "--samples", "0",
+    ]) == 2
+    assert "error: n_samples must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "s" / "best.json").exists()
 
 
 def test_select_missing_certificate_without_data(tmp_path, train_dir, capsys):

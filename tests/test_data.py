@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import struct
@@ -513,6 +514,21 @@ def test_concat_contrastive(rng):
     a2, p2, n2 = both.gather(np.arange(len(a), len(both)))
     a1, p1, n1 = b.gather()
     assert np.array_equal(a2, a1) and np.array_equal(p2, p1) and np.array_equal(n2, n1)
+
+
+def test_concat_contrastive_keeps_a_shared_tau(rng):
+    model = small_gaussian_model(rng)
+    a, b = (data.sample_contrastive_iid(model, 6, 2, 2, rng) for _ in range(2))
+    tau = a.provenance["tau"]
+    assert b.provenance["tau"] == tau
+    assert data.concat_contrastive(a, b).provenance["tau"] == tau
+    # a chain of concatenations keeps it too
+    assert data.concat_contrastive(data.concat_contrastive(a, b), a).provenance["tau"] == tau
+    other = dataclasses.replace(b, provenance={**b.provenance, "tau": tau / 2})
+    assert "tau" not in data.concat_contrastive(a, other).provenance
+    bare = dataclasses.replace(b, provenance={})
+    assert "tau" not in data.concat_contrastive(a, bare).provenance
+    assert "tau" not in data.concat_contrastive(bare, a).provenance
 
 
 def test_concat_contrastive_mismatch(rng):

@@ -528,46 +528,6 @@ def test_epoch_log_splits_the_objective(rng, objective, terms):
 # certificates
 
 
-def test_selection_certificate_untrained_iid(rng):
-    ds = make_iid_dataset(rng, m=80)
-    layer_sizes = (3, 5, 2)
-    post, prior = network.init_network(layer_sizes, math.exp(-8.0), rng)
-    rep = training.selection_certificate(
-        layer_sizes, post, prior, ds,
-        grid_b=100.0, grid_c=0.1, delta=0.05, loss_kind="logistic",
-        objective="iid", n_samples=4, rng=rng,
-    )
-    assert rep.bound_kind == "iid-selection"
-    assert rep.divergence_value == 0.0    # posterior equals prior at init
-    assert rep.empirical_risk == pytest.approx(
-        np.mean(rep.extras["risk_per_draw"]), rel=1e-12
-    )
-    expect, lam = bounds.selection_bound_iid(
-        rep.empirical_risk, 0.0, rep.j, len(ds), 0.05
-    )
-    assert rep.bound_value == pytest.approx(expect, rel=1e-12)
-    assert rep.lam == pytest.approx(lam, rel=1e-9)
-    assert len(rep.extras["risk_per_draw"]) == 4
-
-
-def test_selection_certificate_noniid(rng):
-    ds = make_noniid_dataset(rng)
-    layer_sizes = (3, 4, 2)
-    post, prior = network.init_network(layer_sizes, math.exp(-5.0), rng)
-    post.mu = post.mu + 0.01 * rng.standard_normal(post.n_params)
-    rep = training.selection_certificate(
-        layer_sizes, post, prior, ds,
-        grid_b=100.0, grid_c=0.1, delta=0.05, loss_kind="logistic",
-        objective="noniid", n_samples=3, rng=rng,
-    )
-    assert rep.bound_kind == "noniid-selection"
-    assert rep.dependency_t == ds.dependency_t == 2
-    expect = bounds.selection_bound_noniid(
-        rep.empirical_risk, rep.j, rep.extras["chi2_log1p"], len(ds), 0.05, 2
-    )
-    assert rep.bound_value == pytest.approx(expect, rel=1e-12)
-
-
 def test_loss_certificate_iid_requires_lambda_and_tau(rng):
     ds = make_iid_dataset(rng, m=40)
     layer_sizes = (3, 5, 2)
@@ -590,39 +550,101 @@ def test_loss_certificate_iid_requires_lambda_and_tau(rng):
     assert "tau" in str(exc.value)
 
 
-def test_loss_certificate_iid_consistent(rng):
-    ds = make_iid_dataset(rng, m=60)
+REPORT_KEYS = {
+    "format", "bound_kind", "bound_value", "empirical_risk", "risk_kind", "loss_kind",
+    "divergence_kind", "divergence_value", "j", "m", "delta", "n_risk_samples", "lambda",
+    "tau", "loss_sup", "feature_bound", "dependency_t", "extras", "provenance",
+}
+
+
+@pytest.mark.parametrize("objective, risk", [
+    ("iid", "zero-one"), ("iid", "loss"), ("noniid", "zero-one"), ("noniid", "loss"),
+])
+def test_certificate_recomputes_through_its_bound(rng, objective, risk):
+    iid, loss = objective == "iid", risk == "loss"
+    ds = make_iid_dataset(rng, m=80) if iid else make_noniid_dataset(rng)
+    layer_sizes = (3, 5, 2) if iid else (3, 4, 2)
+    post, prior = network.init_network(layer_sizes, math.exp(-8.0 if iid else -5.0), rng)
+    if not iid:
+        post.mu = post.mu + 0.01 * rng.standard_normal(post.n_params)
+    loss_kind = "logistic" if iid else "hinge"
+    # the chi-square loss certificate ignores lam
+    certify, extra = ((training.loss_certificate, {"lam": 2.0}) if loss
+                      else (training.selection_certificate, {}))
+    rep = certify(
+        layer_sizes, post, prior, ds,
+        grid_b=100.0, grid_c=0.1, delta=0.05, loss_kind=loss_kind,
+        objective=objective, n_samples=4, rng=rng, **extra,
+    )
+    assert rep.bound_kind == f"{objective}-{'loss' if loss else 'selection'}"
+    assert rep.risk_kind == risk and rep.m == len(ds) and rep.n_risk_samples == 4
+    assert len(rep.extras["risk_per_draw"]) == 4
+    assert rep.empirical_risk == pytest.approx(
+        np.mean(rep.extras["risk_per_draw"]), rel=1e-12
+    )
+    assert rep.j == bounds.j_index(100.0, 0.1, prior.log_sigma2)
+    if iid:
+        assert rep.divergence_kind == "kl"
+        assert rep.divergence_value == 0.0    # posterior equals prior at init
+        assert rep.dependency_t is None
+        assert set(rep.extras) == {"risk_per_draw"}
+    else:
+        assert rep.divergence_kind == "chi2" and rep.divergence_value > 0.0
+        assert rep.dependency_t == ds.dependency_t == 2
+        assert set(rep.extras) == {"risk_per_draw", "chi2_log1p", "chi2_overflowed",
+                                   "chi2_n_guarded"}
+    if loss:
+        assert rep.feature_bound > 0.0
+        assert rep.loss_sup == losses.loss_range(loss_kind, rep.feature_bound, ds.k)
+    else:
+        assert rep.feature_bound is None and rep.loss_sup is None
+    assert rep.tau == (ds.provenance["tau"] if iid and loss else None)
+
+    if (objective, risk) == ("iid", "zero-one"):
+        expect = bounds.selection_bound_iid(rep.empirical_risk, 0.0, rep.j, len(ds), 0.05)
+    elif (objective, risk) == ("iid", "loss"):
+        expect = bounds.iid_supervised_bound(
+            rep.empirical_risk, rep.divergence_value, len(ds), 2.0, 0.05, rep.tau,
+            rep.loss_sup,
+        ), 2.0
+    elif (objective, risk) == ("noniid", "zero-one"):
+        expect = bounds.selection_bound_noniid(
+            rep.empirical_risk, rep.j, rep.extras["chi2_log1p"], len(ds), 0.05, 2
+        ), None
+    else:
+        expect = bounds.noniid_bound(
+            rep.empirical_risk, rep.j, rep.extras["chi2_log1p"], len(ds), 0.05,
+            ds.dependency_t, rep.loss_sup,
+        ), None
+    assert (rep.bound_value, rep.lam) == expect
+
+    doc = rep.to_dict()
+    assert set(doc) == REPORT_KEYS
+    assert doc["format"] == "pbcurl-bound-v1" and doc["lambda"] == rep.lam
+
+
+@pytest.mark.parametrize("certify, over, message", [
+    ("loss_certificate", {}, "needs lambda"),
+    ("loss_certificate", {"lam": 1.0, "provenance": {}}, "needs tau"),
+    ("loss_certificate", {"lam": 1.0, "n_samples": 0}, "n_samples must be >= 1"),
+    ("selection_certificate", {"n_samples": 0}, "n_samples must be >= 1"),
+    ("selection_certificate", {"n_samples": -1, "objective": "noniid"}, "n_samples must be >= 1"),
+], ids=["no-lambda", "no-tau", "loss-zero-samples", "zero-samples", "negative-samples"])
+def test_certificate_checks_its_inputs_before_drawing(rng, monkeypatch, certify, over, message):
+    def never(*args, **kwargs):
+        raise AssertionError("the certificate did its work before checking its inputs")
+
+    monkeypatch.setattr(evaluation, "mc_posterior_risk", never)
+    monkeypatch.setattr(network, "feature_bound", never)
+    ds = make_iid_dataset(rng, m=40)
     layer_sizes = (3, 5, 2)
     post, prior = network.init_network(layer_sizes, math.exp(-8.0), rng)
-    rep = training.loss_certificate(
-        layer_sizes, post, prior, ds,
-        grid_b=100.0, grid_c=0.1, delta=0.05, loss_kind="logistic",
-        objective="iid", n_samples=3, rng=rng, lam=2.0,
-    )
-    assert rep.tau == ds.provenance["tau"]
-    assert rep.loss_sup == losses.loss_range("logistic", rep.feature_bound, ds.k)
-    expect = bounds.iid_supervised_bound(
-        rep.empirical_risk, rep.divergence_value, len(ds), 2.0, 0.05, rep.tau,
-        rep.loss_sup,
-    )
-    assert rep.bound_value == pytest.approx(expect, rel=1e-12)
-
-
-def test_loss_certificate_noniid_consistent(rng):
-    ds = make_noniid_dataset(rng)
-    layer_sizes = (3, 4, 2)
-    post, prior = network.init_network(layer_sizes, math.exp(-5.0), rng)
-    rep = training.loss_certificate(
-        layer_sizes, post, prior, ds,
-        grid_b=100.0, grid_c=0.1, delta=0.05, loss_kind="hinge",
-        objective="noniid", n_samples=3, rng=rng,
-    )
-    assert rep.bound_kind == "noniid-loss"
-    expect = bounds.noniid_bound(
-        rep.empirical_risk, rep.j, rep.extras["chi2_log1p"], len(ds), 0.05,
-        ds.dependency_t, rep.loss_sup,
-    )
-    assert rep.bound_value == pytest.approx(expect, rel=1e-12)
+    kw = dict(grid_b=100.0, grid_c=0.1, delta=0.05, loss_kind="logistic", objective="iid",
+              n_samples=2, rng=rng)
+    kw.update(over)
+    ds = dataclasses.replace(ds, provenance=kw.pop("provenance", ds.provenance))
+    with pytest.raises(ValueError, match=message):
+        getattr(training, certify)(layer_sizes, post, prior, ds, **kw)
 
 
 # ---------------------------------------------------------------------------
