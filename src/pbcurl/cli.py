@@ -388,6 +388,8 @@ def _cmd_bound(args):
     ckpt = network.load_checkpoint(args.checkpoint)
     ds = _load_manifests(args.data)
     if args.T is not None:
+        if args.T < 0:
+            raise ConfigError(f"--T must be >= 0, got {args.T}")
         ds.dependency_t = int(args.T)
     objective = "noniid" if args.noniid else "iid"
     seed = _resolve_seed(args.seed, ckpt.seed)

@@ -118,6 +118,8 @@ class ContrastiveDataset:
                 raise DataFormatError(f"{name} index shape mismatch: {arr.shape}, expected {shape}")
             if arr.size and (arr.min() < 0 or arr.max() >= rows):
                 raise DataFormatError(f"{name} tuple index out of range [0, {rows})")
+        if self.dependency_t < 0:
+            raise DataFormatError(f"dependency_t must be >= 0, got {self.dependency_t}")
 
     def __len__(self):
         return self.anchors.shape[0]
@@ -496,10 +498,22 @@ def load_feature_csv(path, stats=None):
     return LabeledDataset(x=stats.apply(raw.x), y=raw.y), stats
 
 
+# save_labeled_csv converts this many rows to Python objects at a time
+CSV_BLOCK_ROWS = 1024
+
+
 def save_labeled_csv(ds, path):
+    """One row per point: its features in repr, then its integer label.
+
+    Each block of rows becomes Python floats and ints, which print as
+    repr(float(v)) and int(label) do, and one writelines call.
+    """
     with open(path, "w") as fh:
-        for row, label in zip(ds.x, ds.y):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{int(label)}\n")
+        for lo in range(0, len(ds), CSV_BLOCK_ROWS):
+            rows = ds.x[lo:lo + CSV_BLOCK_ROWS].astype(np.float64, copy=False).tolist()
+            labels = ds.y[lo:lo + CSV_BLOCK_ROWS].astype(np.int64, copy=False).tolist()
+            fh.writelines(",".join(map(repr, row)) + f",{label}\n"
+                          for row, label in zip(rows, labels))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ Deterministic metrics use the posterior mean network; posterior risks are
 Monte Carlo averages over weight draws.
 """
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,7 +111,7 @@ def evaluate_representation(reps_train, reps_test, rng, samples_per_class=5, n_v
 
 
 def _streams(ds):
-    """Whether tuple_risks forwards each chunk's gathered input rows.
+    """Whether draw_risks forwards each chunk's gathered input rows.
 
     That needs every chunk GEMM to span at least network.STABLE_ROWS rows, so
     its rows round as in a whole-matrix forward, and it must forward no more
@@ -124,37 +123,31 @@ def _streams(ds):
 
 
 def tuple_risks(layer_sizes, w, ds, kind, loss_kind):
-    """Per-tuple risk of ds under the network with flat weights w.
-
-    Computed in chunks of tuples that span about network.CHUNK_ROWS rows, into
-    one (m,) array; callers average it in one np.mean, as averaging chunk
-    means would round differently. See _risk_pass for the two paths.
-    """
-    with _risk_pass(layer_sizes, ds) as risks:
-        return risks(w, kind, loss_kind)
+    """(m,) per-tuple risks of ds under flat weights w: draw_risks for one w."""
+    return draw_risks(layer_sizes, [w], ds, kind, loss_kind)[0]
 
 
-@contextlib.contextmanager
-def _risk_pass(layer_sizes, ds):
-    """Yield risks(w, kind, loss_kind), the (m,) per-tuple risks under weights w.
+def draw_risks(layer_sizes, weights, ds, kind, loss_kind):
+    """(len(weights), m) per-tuple risks of ds, one row per flat weight vector.
 
-    Its buffers live for the with block, and each call overwrites the array it
-    returns. When _streams(ds), each chunk's input rows are stacked in a reused
-    buffer and forwarded through a forward-only workspace, and no
-    (rows, d_out) output is made; the chunks run on network.worker_count
-    threads, worker i taking chunks[i::n] with its own buffers, which are
-    allocated in the calling thread (see network.feature_bound). Otherwise
-    ds.features goes through the network once per call, into one buffer, and
-    each chunk's output rows are stacked instead, in the calling thread. Each
-    chunk runs the same operations on the same rows on either path and any
-    worker count, so all give the same bits.
+    Computed in chunks of tuples that span about network.CHUNK_ROWS rows;
+    callers average a row in one np.mean, as averaging chunk means would round
+    differently. When _streams(ds), each chunk's input rows are stacked once in
+    a reused buffer, and every weight vector forwards them through a
+    forward-only workspace while they are in cache; no (rows, d_out) output is
+    made. The chunks run on network.worker_count threads, worker i taking
+    chunks[i::n] with its own buffers, which are allocated in the calling
+    thread (see network.feature_bound). Otherwise ds.features goes through the
+    network once per weight vector, into one buffer, and each chunk's output
+    rows are stacked instead, in the calling thread. Each chunk runs the same
+    operations on the same rows on either path and any worker count, so all
+    give the same bits.
     """
     per_tuple = 1 + ds.block_size * (1 + ds.k)
     chunks = network.row_chunks(len(ds), max(1, network.CHUNK_ROWS // per_tuple))
     streams = _streams(ds)
     n = network.worker_count(len(chunks)) if streams else 1
     parts = [chunks[i::n] for i in range(n)]
-    out = None if streams else np.empty((len(ds.features), layer_sizes[-1]))
     width = ds.dim if streams else layer_sizes[-1]
     bufs = []
     for part in parts:
@@ -163,44 +156,51 @@ def _risk_pass(layer_sizes, ds):
               if streams else None)
         bufs.append((ws, np.empty((tallest * per_tuple, width)),
                      np.empty((tallest, ds.k, layer_sizes[-1]))))
-    risks = np.empty(len(ds))
+    risks = np.empty((len(weights), len(ds)))
 
-    def chunk_risks(w, source, kind, loss_kind, i):
+    def take(source, lo, hi, rows):
+        return data.take_tuples(
+            source, ds.anchors[lo:hi], ds.positives[lo:hi], ds.negatives[lo:hi], rows
+        )
+
+    def score(s, batch, lo, hi, diff):
+        margins = losses.contrastive_margins(*batch, diff[: hi - lo])
+        risks[s, lo:hi] = (losses.loss_value(margins, loss_kind) if kind == "loss"
+                           else losses.zero_one_risk(margins))
+
+    def stream(i):
         ws, rows, diff = bufs[i]
         for lo, hi in parts[i]:
-            batch = data.take_tuples(
-                source, ds.anchors[lo:hi], ds.positives[lo:hi], ds.negatives[lo:hi], rows
-            )
-            if ws is not None:
-                out_rows = network.forward_cached(layer_sizes, w, batch.rows, ws)[0]
-                batch = data.TupleBatch(out_rows, hi - lo, ds.k, ds.block_size)
-            margins = losses.contrastive_margins(*batch, diff[: hi - lo])
-            risks[lo:hi] = (losses.loss_value(margins, loss_kind) if kind == "loss"
-                            else losses.zero_one_risk(margins))
+            x = take(ds.features, lo, hi, rows).rows
+            for s, w in enumerate(weights):
+                out_rows = network.forward_cached(layer_sizes, w, x, ws)[0]
+                score(s, data.TupleBatch(out_rows, hi - lo, ds.k, ds.block_size), lo, hi, diff)
 
-    with network.worker_threads(n) as run:
-        def risks_of(w, kind, loss_kind):
-            source = ds.features if streams else network.forward(layer_sizes, w, ds.features, out)
-            run(lambda i: chunk_risks(w, source, kind, loss_kind, i))
-            return risks
-
-        yield risks_of
+    if streams:
+        with network.worker_threads(n) as run:
+            run(stream)
+        return risks
+    _, rows, diff = bufs[0]
+    out = np.empty((len(ds.features), layer_sizes[-1]))
+    for s, w in enumerate(weights):
+        source = network.forward(layer_sizes, w, ds.features, out)
+        for lo, hi in chunks:
+            score(s, take(source, lo, hi, rows), lo, hi, diff)
+    return risks
 
 
 def mc_posterior_risk(layer_sizes, post, ds, n_samples, kind, loss_kind, rng):
     """Posterior-expected dataset risk, Monte Carlo over weight draws.
 
     kind "loss" evaluates the configured tuple loss, "zero-one" the ranking
-    error with ties counted correct. The draws are made in the calling thread
-    and share one _risk_pass, so its buffers and threads live for this call.
-    Returns (mean, per-draw array).
+    error with ties counted correct. Every draw is made first, in the calling
+    thread, and one draw_risks pass scores them all. Returns (mean, per-draw
+    array).
     """
     if kind not in ("loss", "zero-one"):
         raise ValueError(f"unknown risk kind: {kind!r}")
-    vals = np.empty(n_samples)
-    with _risk_pass(layer_sizes, ds) as risks:
-        for s in range(n_samples):
-            eps = network.sample_eps(post.n_params, rng)
-            w = network.sample_weights(post, eps)
-            vals[s] = np.mean(risks(w, kind, loss_kind))
+    weights = [network.sample_weights(post, network.sample_eps(post.n_params, rng))
+               for _ in range(n_samples)]
+    risks = draw_risks(layer_sizes, weights, ds, kind, loss_kind)
+    vals = np.array([np.mean(r) for r in risks])
     return float(np.mean(vals)), vals

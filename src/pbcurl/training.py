@@ -582,9 +582,13 @@ def _certificate(layer_sizes, post, prior, ds, *, risk, objective, grid_b, grid_
     form = "noniid" if objective == "noniid" else "iid"
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if (form, risk) == ("iid", "loss"):
         if lam is None:
             raise ValueError("iid loss certificate needs lambda")
+        if not lam > 0.0:
+            raise ValueError(f"lambda must be > 0, got {lam}")
         tau = ds.provenance.get("tau") if tau is None else tau
         if tau is None:
             raise ValueError("iid loss certificate needs tau (class collision probability)")

@@ -610,6 +610,24 @@ def test_bound_rejects_a_sample_count_below_one(tmp_path, data_dir, train_dir, c
     assert not (tmp_path / "b").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--delta", "1.5"], "delta must lie in (0, 1), got 1.5"),
+    (["--delta", "0"], "delta must lie in (0, 1), got 0.0"),
+    (["--risk", "loss", "--lam", "-1"], "lambda must be > 0, got -1.0"),
+    (["--noniid", "--T", "-1"], "--T must be >= 0, got -1"),
+], ids=["delta-above-one", "delta-zero", "negative-lambda", "negative-T"])
+def test_bound_rejects_an_out_of_range_parameter(tmp_path, data_dir, train_dir, capsys,
+                                                 flags, message):
+    ckpt = best_pb_checkpoint(train_dir)
+    forms = [] if "--noniid" in flags else ["--iid"]
+    assert main([
+        "bound", "--checkpoint", ckpt, "--data", str(data_dir / "test.json"),
+        "--out", str(tmp_path / "b"), *forms, *flags,
+    ]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
 def test_bound_missing_checkpoint(tmp_path, data_dir, capsys):
     assert main([
         "bound", "--checkpoint", str(tmp_path / "no.ckpt.json"),

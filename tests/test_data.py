@@ -59,6 +59,23 @@ def test_labeled_csv_round_trip_exact(tmp_path, rng):
     assert np.array_equal(back.y, ds.y)
 
 
+@pytest.mark.parametrize("block", [None, 2], ids=["one-block", "blocks-of-2"])
+def test_labeled_csv_bytes_match_the_per_cell_repr(tmp_path, monkeypatch, block):
+    # signed zero, the smallest subnormal, exponent forms, an integral float
+    # and the int64 extremes as labels; 5 rows, so blocks of 2 leave one over
+    x = np.array([[-0.0, 5e-324], [1e16, 1e-05], [3.0, -1.5], [0.1, 2.0 ** 70],
+                  [-5e-324, 123456.789]])
+    y = np.array([-2**63, 2**63 - 1, 0, -7, 3], dtype=np.int64)
+    path = tmp_path / "pts.csv"
+    if block is not None:
+        monkeypatch.setattr(data, "CSV_BLOCK_ROWS", block)
+    data.save_labeled_csv(data.LabeledDataset(x=x, y=y), path)
+    want = "".join(",".join(repr(float(v)) for v in row) + f",{int(label)}\n"
+                   for row, label in zip(x, y))
+    assert path.read_bytes() == want.encode()
+    assert "-0.0,5e-324,-9223372036854775808\n1e+16,1e-05,9223372036854775807\n" in want
+
+
 def test_load_feature_csv_self_normalises(tmp_path, rng):
     ds = data.LabeledDataset(
         x=rng.normal(loc=5.0, scale=3.0, size=(200, 2)),
@@ -410,6 +427,20 @@ def test_load_contrastive_index_out_of_range(tmp_path, rng):
     with pytest.raises(data.DataFormatError) as exc:
         data.load_contrastive(str(path))
     assert "index out of range" in str(exc.value) and str(path) in str(exc.value)
+
+
+def test_load_contrastive_rejects_a_negative_dependency_range(tmp_path, rng):
+    ds = data.sample_contrastive_iid(small_gaussian_model(rng), 5, 1, 1, rng)
+    path = tmp_path / "ds.json"
+    data.save_contrastive(ds, str(path))
+    doc = json.loads(path.read_text())
+    doc["dependency_t"] = -1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(data.DataFormatError) as exc:
+        data.load_contrastive(str(path))
+    assert "dependency_t must be >= 0, got -1" in str(exc.value) and str(path) in str(exc.value)
+    with pytest.raises(data.DataFormatError, match="dependency_t must be >= 0, got -2"):
+        dataclasses.replace(ds, dependency_t=-2)
 
 
 def test_load_contrastive_truncated(tmp_path, rng):

@@ -439,21 +439,24 @@ def pin_workers(monkeypatch):
     return pin
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_mc_draw_over_a_large_matrix_allocates_little(rng, pin_workers, workers):
+@pytest.mark.parametrize("workers, draws", [(1, 1), (2, 1), (3, 1), (1, 10), (2, 10), (3, 10)],
+                         ids=["1", "2", "3", "1-10-draws", "2-10-draws", "3-10-draws"])
+def test_mc_draw_over_a_large_matrix_allocates_little(rng, pin_workers, workers, draws):
     # acceptance scale: 20k tuples over a 220k-row matrix, which they stream.
     # The (rows, 16) output would be 28 MB; the whole-matrix forward once also
-    # held every layer (170 MB). Each worker holds its own chunk buffers
+    # held every layer (170 MB). Each worker holds its own chunk buffers, and
+    # the pass one (draws, m) array of risks
     pin_workers(workers)
     ds = random_tuples(rng, 220_000, 20_000)
     post, _ = network.init_network(ACCEPTANCE_SIZES, 1e-2, rng)
     tracemalloc.start()
     try:
-        evaluation.mc_posterior_risk(ACCEPTANCE_SIZES, post, ds, 1, "zero-one", "logistic", rng)
+        evaluation.mc_posterior_risk(ACCEPTANCE_SIZES, post, ds, draws, "zero-one", "logistic",
+                                     rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8e6
+    assert peak < 8e6 + draws * len(ds) * 8
 
 
 def test_feature_bound_over_a_large_matrix_allocates_little(rng):
@@ -488,37 +491,71 @@ def record_threads(monkeypatch):
 
 def test_results_do_not_depend_on_the_worker_count(rng, monkeypatch, pin_workers):
     # 1,000 tuples of 11 rows: 5 chunks of 186 tuples, the last folding in 70
-    # more; the concatenated set's second half has offset indices
+    # more; the concatenated set's second half has offset indices. The last
+    # set's 11,000 references share 2,000 rows, so it takes the whole-matrix path
     model = data.random_gaussian_model(5, 20, 3.0, 1.0, rng)
     sets = [random_tuples(rng, 11_000, 1000),
             data.concat_contrastive(data.sample_contrastive_iid(model, 700, 4, 2, rng),
-                                    data.sample_contrastive_iid(model, 300, 4, 2, rng))]
+                                    data.sample_contrastive_iid(model, 300, 4, 2, rng)),
+            random_tuples(rng, 2000, 1000)]
+    assert [evaluation._streams(ds) for ds in sets] == [True, True, False]
     post, _ = network.init_network(ACCEPTANCE_SIZES, 1e-2, rng)
     post.mu = rng.normal(scale=0.3, size=post.n_params)
+    redraw = np.random.default_rng(5)
+    weights = [network.sample_weights(post, network.sample_eps(post.n_params, redraw))
+               for _ in range(3)]
     x = rng.standard_normal((5 * network.CHUNK_ROWS + 100, 20))
     threads = record_threads(monkeypatch)
     results = {}
     for workers in (1, 2, 3):
         pin_workers(workers)
 
-        def on_workers(fn, *args):
+        def on_workers(fn, *args, pooled=True):
             threads.clear()
             value = fn(*args)
-            # the caller runs worker 0 and a pool thread worker 1 at least
-            assert min(workers, 2) <= len(threads) <= workers
+            # the caller runs worker 0 and a pool thread worker 1 at least; the
+            # whole-matrix path runs in the caller alone
+            assert (min(workers, 2) <= len(threads) <= workers) if pooled else len(threads) == 1
             return value
 
         got = [on_workers(network.feature_bound, ACCEPTANCE_SIZES, post.mu, x).hex()]
         for ds in sets:
-            assert evaluation._streams(ds)
+            pooled = evaluation._streams(ds)
             for kind in ("zero-one", "loss"):
                 mean, vals = on_workers(evaluation.mc_posterior_risk, ACCEPTANCE_SIZES, post,
-                                        ds, 3, kind, "logistic", np.random.default_rng(5))
+                                        ds, 3, kind, "logistic", np.random.default_rng(5),
+                                        pooled=pooled)
+                # each draw as its own one-weight pass over the same weights
+                assert [v.hex() for v in vals] == [
+                    float(np.mean(evaluation.tuple_risks(ACCEPTANCE_SIZES, w, ds, kind,
+                                                         "logistic"))).hex()
+                    for w in weights]
                 got += [mean.hex()] + [v.hex() for v in vals]
             got.append(on_workers(training.map_dataset_loss, ACCEPTANCE_SIZES, post.mu, ds,
-                                  "hinge").hex())
+                                  "hinge", pooled=pooled).hex())
         results[workers] = got
     assert results[1] == results[2] == results[3]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mc_draws_gather_each_streamed_chunk_once(rng, monkeypatch, pin_workers, workers):
+    # 1,000 tuples of 11 rows stream in 5 chunks (186 tuples each, the last
+    # 256): 10 draws gather each chunk once and forward it 10 times
+    pin_workers(workers)
+    ds = random_tuples(rng, 11_000, 1000)
+    assert evaluation._streams(ds)
+    taken, take_tuples = [], data.take_tuples
+    monkeypatch.setattr(data, "take_tuples",
+                        lambda *args: taken.append(len(args[1])) or take_tuples(*args))
+    forwarded, forward_cached = [], network.forward_cached
+    monkeypatch.setattr(network, "forward_cached",
+                        lambda *args: forwarded.append(len(args[2])) or forward_cached(*args))
+    post, _ = network.init_network(ACCEPTANCE_SIZES, 1e-2, rng)
+    _, vals = evaluation.mc_posterior_risk(ACCEPTANCE_SIZES, post, ds, 10, "zero-one",
+                                           "logistic", rng)
+    assert len(vals) == 10
+    assert sorted(taken) == [186] * 4 + [256]
+    assert sorted(forwarded) == [186 * 11] * 40 + [256 * 11] * 10
 
 
 def test_more_workers_than_cores_under_fast_thread_switching(rng, pin_workers):
@@ -526,14 +563,16 @@ def test_more_workers_than_cores_under_fast_thread_switching(rng, pin_workers):
     # else; switching threads every microsecond would expose a shared buffer
     workers = max(4, (os.cpu_count() or 1) + 1)
     ds = random_tuples(rng, 2 * workers * 186 * 11, 2 * workers * 186)
-    w = rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
-    want = evaluation.tuple_risks(ACCEPTANCE_SIZES, w, ds, "loss", "logistic")
+    weights = [rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
+               for _ in range(2)]
+    want = np.stack([evaluation.tuple_risks(ACCEPTANCE_SIZES, w, ds, "loss", "logistic")
+                     for w in weights])
     pin_workers(workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            got = evaluation.tuple_risks(ACCEPTANCE_SIZES, w, ds, "loss", "logistic")
+            got = evaluation.draw_risks(ACCEPTANCE_SIZES, weights, ds, "loss", "logistic")
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
     finally:
         sys.setswitchinterval(interval)

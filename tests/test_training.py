@@ -629,7 +629,15 @@ def test_certificate_recomputes_through_its_bound(rng, objective, risk):
     ("loss_certificate", {"lam": 1.0, "n_samples": 0}, "n_samples must be >= 1"),
     ("selection_certificate", {"n_samples": 0}, "n_samples must be >= 1"),
     ("selection_certificate", {"n_samples": -1, "objective": "noniid"}, "n_samples must be >= 1"),
-], ids=["no-lambda", "no-tau", "loss-zero-samples", "zero-samples", "negative-samples"])
+    ("selection_certificate", {"delta": 1.5}, r"delta must lie in \(0, 1\), got 1.5"),
+    ("selection_certificate", {"delta": 0.0}, r"delta must lie in \(0, 1\), got 0.0"),
+    ("loss_certificate", {"delta": 1.0, "objective": "noniid"}, r"delta must lie in \(0, 1\)"),
+    ("selection_certificate", {"delta": math.nan}, r"delta must lie in \(0, 1\), got nan"),
+    ("loss_certificate", {"lam": -1.0}, r"lambda must be > 0, got -1.0"),
+    ("loss_certificate", {"lam": 0.0}, r"lambda must be > 0, got 0.0"),
+], ids=["no-lambda", "no-tau", "loss-zero-samples", "zero-samples", "negative-samples",
+        "delta-above-one", "delta-zero", "noniid-delta-one", "delta-nan", "negative-lambda",
+        "zero-lambda"])
 def test_certificate_checks_its_inputs_before_drawing(rng, monkeypatch, certify, over, message):
     def never(*args, **kwargs):
         raise AssertionError("the certificate did its work before checking its inputs")
