@@ -328,7 +328,7 @@ def _cmd_train(args):
     out_dir = args.out or cfg.get("out_dir")
     if not out_dir:
         raise ConfigError("--out (or config out_dir) is required")
-    cert_samples = int(cfg.get("cert_samples", 10))
+    cert_samples = int(cfg.get("cert_samples", training.CERT_SAMPLES))
     if cert_samples < 1:
         raise ConfigError("config.cert_samples must be >= 1")
 
@@ -353,14 +353,6 @@ def _cmd_train(args):
     criteria = cfg.get("criteria")
     if criteria is None:
         criteria = list(training.CRITERIA) if valid_ds is not None else ["pb"]
-    for c in criteria:
-        if c not in training.CRITERIA:
-            raise ConfigError(
-                f"config.criteria entry {c!r} must be one of {list(training.CRITERIA)}"
-            )
-        if c != "pb" and valid_ds is None:
-            raise ConfigError(f"criterion {c!r} needs a validation split in the dataset")
-
     best = training.grid_search(
         configs, criteria, train_ds, valid_ds, out_dir, cert_samples=cert_samples
     )
@@ -395,10 +387,12 @@ def _cmd_bound(args):
     seed = _resolve_seed(args.seed, ckpt.seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB0]).generate_state(1)[0])
 
-    grid_b = float(args.grid_b if args.grid_b is not None else ckpt.config.get("grid_b", 100.0))
-    grid_c = float(args.grid_c if args.grid_c is not None else ckpt.config.get("grid_c", 0.1))
-    delta = float(args.delta if args.delta is not None else ckpt.config.get("delta", 0.05))
-    loss_kind = ckpt.config.get("loss_kind", "logistic")
+    def setting(key):   # the flag, else the checkpoint's config, else TrainConfig's default
+        flag = getattr(args, key, None)
+        return ckpt.config.get(key, getattr(training.TrainConfig, key)) if flag is None else flag
+
+    grid_b, grid_c, delta = (float(setting(key)) for key in ("grid_b", "grid_c", "delta"))
+    loss_kind = setting("loss_kind")
     layer_sizes = tuple(ckpt.layer_sizes)
 
     if args.risk == "loss" and objective == "iid" and args.lam is None:
@@ -575,7 +569,8 @@ def _build_parser():
     p.add_argument("--delta", type=float, help="confidence level override")
     p.add_argument("--grid-b", type=float, dest="grid_b")
     p.add_argument("--grid-c", type=float, dest="grid_c")
-    p.add_argument("--samples", type=int, default=10, help="posterior draws for the risk")
+    p.add_argument("--samples", type=int, default=training.CERT_SAMPLES,
+                   help="posterior draws for the risk")
     p.add_argument("--id", help="report id (bound_<id>.json); default: checkpoint stem")
     p.add_argument("--seed", type=int, help="override the risk-estimate seed")
     p.add_argument("--deterministic", action="store_true",
@@ -600,7 +595,7 @@ def _build_parser():
     p.add_argument("--data", nargs="+",
                    help="contrastive manifest(s) for recomputing certificates")
     p.add_argument("--criteria", default="s-valid,det-valid,pb")
-    p.add_argument("--samples", type=int, default=10)
+    p.add_argument("--samples", type=int, default=training.CERT_SAMPLES)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_select)
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import bounds
+
 MAGIC = b"PBCURLF1"
 
 STD_FLOOR = 1e-8
@@ -80,6 +82,11 @@ class TupleBatch(tuple):
         batch.rows = rows
         return batch
 
+    @staticmethod
+    def rows_per_tuple(k, block_size):
+        """Stacked rows of one tuple: its anchor, positive block and k negative blocks."""
+        return 1 + block_size * (1 + k)
+
 
 def take_tuples(features, anchors, positives, negatives, out):
     """Stack the rows of features named by the tuple index arrays.
@@ -89,7 +96,7 @@ def take_tuples(features, anchors, positives, negatives, out):
     ContrastiveDataset's are): mode="clip" skips the check and buffered copy.
     """
     n, k, b = negatives.shape
-    batch = TupleBatch(out[: n * (1 + b * (1 + k))], n, k, b)
+    batch = TupleBatch(out[: n * TupleBatch.rows_per_tuple(k, b)], n, k, b)
     for part, idx in zip(batch, (anchors, positives, negatives)):
         np.take(features, idx, axis=0, out=part, mode="clip")
     return batch
@@ -137,7 +144,7 @@ class ContrastiveDataset:
         index = [part if idx is None else part[idx]
                  for part in (self.anchors, self.positives, self.negatives)]
         if out is None:
-            rows = len(index[0]) * (1 + self.block_size * (1 + self.k))
+            rows = len(index[0]) * TupleBatch.rows_per_tuple(self.k, self.block_size)
             out = np.empty((rows, self.dim), dtype=self.features.dtype)
         return take_tuples(self.features, *index, out)
 
@@ -240,7 +247,7 @@ def sample_contrastive_iid(model, m, k, block_size, rng):
         provenance={
             "kind": "synthetic-iid",
             "rho": model.rho.tolist(),
-            "tau": float(np.sum(model.rho**2)),
+            "tau": bounds.tau_collision(model.rho),
         },
     )
 
@@ -286,7 +293,7 @@ def build_iid_from_labeled(labeled, m, k, block_size, rng):
         provenance={
             "kind": "labeled-iid",
             "rho": rho.tolist(),
-            "tau": float(np.sum(rho**2)),
+            "tau": bounds.tau_collision(rho),
         },
     )
 
@@ -401,7 +408,7 @@ def build_noniid_from_sequences(
         provenance={
             "kind": "sequences",
             "rho": rho.tolist(),
-            "tau": float(np.sum(rho**2)),
+            "tau": bounds.tau_collision(rho),
             "n_sequences": len(frames),
         },
     )

@@ -118,7 +118,7 @@ def _streams(ds):
     rows than the matrix has: tuples that share rows (sequence windows) take
     the whole-matrix path.
     """
-    refs = len(ds) * (1 + ds.block_size * (1 + ds.k))
+    refs = len(ds) * data.TupleBatch.rows_per_tuple(ds.k, ds.block_size)
     return network.STABLE_ROWS <= refs <= len(ds.features)
 
 
@@ -135,15 +135,16 @@ def draw_risks(layer_sizes, weights, ds, kind, loss_kind):
     differently. When _streams(ds), each chunk's input rows are stacked once in
     a reused buffer, and every weight vector forwards them through a
     forward-only workspace while they are in cache; no (rows, d_out) output is
-    made. The chunks run on network.worker_count threads, worker i taking
-    chunks[i::n] with its own buffers, which are allocated in the calling
-    thread (see network.feature_bound). Otherwise ds.features goes through the
-    network once per weight vector, into one buffer, and each chunk's output
-    rows are stacked instead, in the calling thread. Each chunk runs the same
-    operations on the same rows on either path and any worker count, so all
-    give the same bits.
+    made. These chunks run on network.worker_count threads, worker i taking
+    chunks[i::n] with its own buffers. The calling thread is worker 0 and
+    allocates every worker's buffers: what a worker thread allocates stays in
+    its own malloc arena after the thread ends. Otherwise ds.features goes
+    through the network once per weight vector, into one buffer, and each
+    chunk's output rows are stacked instead, in the calling thread. Each chunk
+    runs the same operations on the same rows on either path and any worker
+    count, so all give the same bits.
     """
-    per_tuple = 1 + ds.block_size * (1 + ds.k)
+    per_tuple = data.TupleBatch.rows_per_tuple(ds.k, ds.block_size)
     chunks = network.row_chunks(len(ds), max(1, network.CHUNK_ROWS // per_tuple))
     streams = _streams(ds)
     n = network.worker_count(len(chunks)) if streams else 1
@@ -176,16 +177,23 @@ def draw_risks(layer_sizes, weights, ds, kind, loss_kind):
                 out_rows = network.forward_cached(layer_sizes, w, x, ws)[0]
                 score(s, data.TupleBatch(out_rows, hi - lo, ds.k, ds.block_size), lo, hi, diff)
 
-    if streams:
-        with network.worker_threads(n) as run:
-            run(stream)
-        return risks
-    _, rows, diff = bufs[0]
-    out = np.empty((len(ds.features), layer_sizes[-1]))
-    for s, w in enumerate(weights):
-        source = network.forward(layer_sizes, w, ds.features, out)
-        for lo, hi in chunks:
-            score(s, take(source, lo, hi, rows), lo, hi, diff)
+    if not streams:
+        # on 2 worker threads 10 draws over 4.3k tuples of 4.5k rows took 67-78 ms, not 45-52
+        _, rows, diff = bufs[0]
+        out = np.empty((len(ds.features), layer_sizes[-1]))
+        for s, w in enumerate(weights):
+            source = network.forward(layer_sizes, w, ds.features, out)
+            for lo, hi in chunks:
+                score(s, take(source, lo, hi, rows), lo, hi, diff)
+    elif n == 1:
+        stream(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor    # loads logging, a few ms: only here
+        with ThreadPoolExecutor(n - 1) as pool:     # lives for this call; no thread outlives it
+            futures = [pool.submit(stream, i) for i in range(1, n)]
+            stream(0)
+            for future in futures:
+                future.result()                     # re-raises a worker's exception here
     return risks
 
 

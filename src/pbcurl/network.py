@@ -6,7 +6,6 @@ variance. Posterior variances are kept in log space. Forward and backward
 passes are hand written numpy on a flat parameter vector.
 """
 
-import contextlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -138,29 +137,6 @@ def worker_count(n_chunks):
     return max(1, min(n_chunks, cpus // blas))
 
 
-@contextlib.contextmanager
-def worker_threads(n):
-    """Yield run(task), which calls task(i) for each worker i < n; results in order.
-
-    The calling thread runs task(0) and a pool of n - 1 threads the others,
-    so numpy, which releases the GIL in matmul, take and its ufunc loops, can
-    run them at once. The pool lives for the with block, so no thread outlives
-    it, and an exception in any task reaches the caller of run.
-    """
-    if n == 1:
-        yield lambda task: [task(0)]
-        return
-    # imported on first use: it loads logging, 2-3 ms of every CLI start
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(n - 1) as pool:
-        def run(task):
-            futures = [pool.submit(task, i) for i in range(1, n)]
-            return [task(0)] + [f.result() for f in futures]
-
-        yield run
-
-
 class Workspace:
     """Per-layer buffers for forward and backprop over at most `rows` input rows.
 
@@ -267,26 +243,14 @@ def feature_bound(layer_sizes, w, features):
     """B = max_x ||f(x)||_2 over the given input rows (NaN if a row's is).
 
     Keeps only each row chunk's largest squared norm, not the output matrix.
-    Worker i of worker_count takes the chunks [i::n]; the maximum is exact, so
-    the split does not change it. The workspaces are allocated here, in the
-    calling thread: what a worker thread allocates stays in its own malloc
-    arena after the thread ends.
     """
     chunks = row_chunks(len(features))
-    n = worker_count(len(chunks))
-    parts = [chunks[i::n] for i in range(n)]
-    wss = [Workspace(layer_sizes, max(hi - lo for lo, hi in part), forward_only=True)
-           for part in parts]
-
-    def task(i):
-        sq = []
-        for lo, hi in parts[i]:
-            out = forward_cached(layer_sizes, w, features[lo:hi], wss[i])[0]
-            sq.append(np.max(np.sum(np.square(out, out=out), axis=1)))
-        return sq
-
-    with worker_threads(n) as run:
-        return float(np.sqrt(np.max(sum(run(task), []))))
+    ws = Workspace(layer_sizes, chunks[-1][1] - chunks[-1][0], forward_only=True)  # the tallest
+    sq = []
+    for lo, hi in chunks:
+        out = forward_cached(layer_sizes, w, features[lo:hi], ws)[0]
+        sq.append(np.max(np.sum(np.square(out, out=out), axis=1)))
+    return float(np.sqrt(np.max(sq)))
 
 
 @dataclass

@@ -402,7 +402,7 @@ def train(cfg, data, valid=None, criteria=("pb",), run_dir=None, run_id="run"):
     m = len(data)
     # one workspace and row buffer per run, sized to a full batch; a partial
     # last batch uses their leading rows
-    rows = min(cfg.batch_size, m) * (1 + data.block_size * (1 + data.k))
+    rows = min(cfg.batch_size, m) * TupleBatch.rows_per_tuple(data.k, data.block_size)
     batch_rows = np.empty((rows, data.dim))
     objective, begin_epoch = _step_objective(
         cfg, layer_sizes, post, prior, data, network.Workspace(layer_sizes, rows)
@@ -635,6 +635,8 @@ def loss_certificate(layer_sizes, post, prior, ds, **kw):
 # ---------------------------------------------------------------------------
 # grid search over configs and selection criteria
 
+CERT_SAMPLES = 10      # posterior draws behind a certificate's Monte Carlo risk
+
 
 def pb_certificate(layer_sizes, post, prior, ds, config, n_samples, seed):
     """The selection certificate that ranks a pb run; config is the run's config dict."""
@@ -673,7 +675,7 @@ def rank_runs(records, criteria, out_dir):
     return best
 
 
-def grid_search(configs, criteria, data, valid, out_dir, cert_samples=10):
+def grid_search(configs, criteria, data, valid, out_dir, cert_samples=CERT_SAMPLES):
     """Train every config under the criteria and rank the runs per criterion.
 
     Each config trains at most twice. The validation criteria asked for share
@@ -686,6 +688,8 @@ def grid_search(configs, criteria, data, valid, out_dir, cert_samples=10):
     for c in criteria:
         if c not in CRITERIA:
             raise ValueError(f"unknown criterion {c!r}, expected one of {CRITERIA}")
+        if c != "pb" and valid is None:
+            raise ValueError(f"criterion {c!r} needs a validation split in the dataset")
     os.makedirs(out_dir, exist_ok=True)
     pb_data = concat_contrastive(data, valid) if valid is not None and "pb" in criteria else data
     by_valid = [c for c in criteria if c in VALID_CRITERIA]

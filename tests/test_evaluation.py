@@ -472,10 +472,25 @@ def test_feature_bound_over_a_large_matrix_allocates_little(rng):
     assert peak < 8e6
 
 
-@pytest.mark.parametrize("bad_row", [0, 2047, 2048, 4999])
+@pytest.mark.parametrize("bad_row", [0, 2047, 2048, 4999, 5 * network.CHUNK_ROWS + 99])
 def test_feature_bound_passes_a_non_finite_row_through(rng, bad_row):
-    # rows at the ends of both chunks of 5,000; max(0.0, nan) would drop it
-    x = rng.standard_normal((5000, 20))
+    # of 5 chunks: both ends of the first, rows inside the second and third,
+    # and the last row of the folded fifth; max(0.0, nan) would drop it
+    x = rng.standard_normal((5 * network.CHUNK_ROWS + 100, 20))
+    x[bad_row, 3] = np.nan
+    w = rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
+    assert math.isnan(network.feature_bound(ACCEPTANCE_SIZES, w, x))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("bad_row", [network.CHUNK_ROWS + 7, 5 * network.CHUNK_ROWS + 50])
+def test_feature_bound_passes_a_worker_s_non_finite_row_through(rng, pin_workers, workers,
+                                                               bad_row):
+    # the second chunk and the folded last one (the fifth) of 5 chunks, which
+    # worker 1 would take at 2 or 3 workers; feature_bound runs them all in
+    # the caller whatever the worker count
+    pin_workers(workers)
+    x = rng.standard_normal((5 * network.CHUNK_ROWS + 100, 20))
     x[bad_row, 3] = np.nan
     w = rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
     assert math.isnan(network.feature_bound(ACCEPTANCE_SIZES, w, x))
@@ -513,12 +528,13 @@ def test_results_do_not_depend_on_the_worker_count(rng, monkeypatch, pin_workers
         def on_workers(fn, *args, pooled=True):
             threads.clear()
             value = fn(*args)
-            # the caller runs worker 0 and a pool thread worker 1 at least; the
-            # whole-matrix path runs in the caller alone
+            # the caller runs worker 0 and a pool thread worker 1 at least;
+            # feature_bound and the whole-matrix path run in the caller alone
             assert (min(workers, 2) <= len(threads) <= workers) if pooled else len(threads) == 1
             return value
 
-        got = [on_workers(network.feature_bound, ACCEPTANCE_SIZES, post.mu, x).hex()]
+        got = [on_workers(network.feature_bound, ACCEPTANCE_SIZES, post.mu, x,
+                          pooled=False).hex()]
         for ds in sets:
             pooled = evaluation._streams(ds)
             for kind in ("zero-one", "loss"):
@@ -576,19 +592,6 @@ def test_more_workers_than_cores_under_fast_thread_switching(rng, pin_workers):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
     finally:
         sys.setswitchinterval(interval)
-
-
-@pytest.mark.parametrize("workers", [2, 3])
-@pytest.mark.parametrize("bad_row", [network.CHUNK_ROWS + 7, 5 * network.CHUNK_ROWS + 50])
-def test_feature_bound_passes_a_worker_s_non_finite_row_through(rng, pin_workers, workers,
-                                                               bad_row):
-    # the second chunk and the folded last one (the fifth) of 5 chunks: worker
-    # 1 takes both at 3 workers, and the second at 2
-    pin_workers(workers)
-    x = rng.standard_normal((5 * network.CHUNK_ROWS + 100, 20))
-    x[bad_row, 3] = np.nan
-    w = rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
-    assert math.isnan(network.feature_bound(ACCEPTANCE_SIZES, w, x))
 
 
 def test_a_worker_s_exception_reaches_the_caller(rng, monkeypatch, pin_workers):

@@ -713,6 +713,15 @@ def test_grid_search_trains_once_per_config_for_validation_criteria(rng, tmp_pat
     assert run_ids == [f"c{gi:03d}-{c}" for gi in range(2) for c in training.CRITERIA]
 
 
+@pytest.mark.parametrize("criteria", [["s-valid"], ["pb", "det-valid"]])
+def test_grid_search_rejects_a_validation_criterion_without_a_split(rng, tmp_path, criteria):
+    ds = make_iid_dataset(rng, m=40)
+    out = tmp_path / "g"
+    with pytest.raises(ValueError, match="needs a validation split in the dataset"):
+        training.grid_search([base_config(epochs=1)], criteria, ds, None, str(out))
+    assert not out.exists()         # no out_dir, no runs.jsonl
+
+
 def test_grid_search_restricted_criteria(rng, tmp_path):
     ds = make_iid_dataset(rng, m=40)
     best = training.grid_search(
