@@ -38,15 +38,15 @@ print("hinge collision term is always 1:", bounds.collision_term(rho, 3, "hinge"
 inst = oracle.random_instance(rng, max_classes=3, max_support=4, max_dim=3)
 for kind in ("logistic", "hinge"):
     lhs, rhs, ok = oracle.check_collision_transfer(inst, kind)
-    print(f"{kind}: unsup loss {lhs:.4f} <= transfer bound {rhs:.4f}  ({ok})")
+    print(f"{kind}: supervised mean-classifier loss {lhs:.4f} <= transfer bound {rhs:.4f}  ({ok})")
 
-# A collapsed representation (every input mapped to the same point) makes
-# the unsupervised loss hit its ceiling exactly.
+# A collapsed representation (every input mapped to the same point) leaves
+# the mean classifier no signal: its supervised loss meets the bound exactly.
 inst_flat = dataclasses.replace(
     inst, f_table=np.tile(inst.f_table[:1], (inst.f_table.shape[0], 1))
 )
 lhs, rhs, _ = oracle.check_collision_transfer(inst_flat, "logistic")
-print(f"collapsed features: loss = bound = {lhs:.4f}")
+print(f"collapsed features: supervised mean-classifier loss = bound = {lhs:.4f}")
 
 # And a point-mass marginal makes collision certain: tau_k = 1 whatever k is.
 print("point mass tau_k:", bounds.tau_k(np.array([1.0, 0.0]), 5))

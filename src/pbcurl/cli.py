@@ -290,6 +290,7 @@ def _cmd_gen_data(args):
             path = os.path.join(out_dir, f"{name}.csv")
             data.save_labeled_csv(built[name], path)
             artifacts[name] = path
+            artifacts[name + "_twin"] = data.labeled_twin_path(path)
     if "stats" in built:
         path = os.path.join(out_dir, "norm_stats.json")
         _write_json(path, built["stats"].to_dict())

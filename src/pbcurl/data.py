@@ -7,6 +7,12 @@ manifest next to one file: a 16 byte header (magic ``PBCURLF1``, u32 row
 count, u32 dim), the little-endian float64 matrix, then the anchor, positive
 and negative arrays as little-endian int64. Indices are checked once, when a
 ContrastiveDataset is built, so row gathers do not check them.
+
+A labeled CSV written by save_labeled_csv gets a binary twin with the same
+stem and a .bin suffix: a 48 byte header (magic ``PBCURLL1``, u32 row count,
+u32 dim, the sha256 of the CSV bytes), the little-endian float64 matrix, then
+the int64 labels. read_labeled_csv takes the twin only while it pins the
+CSV's current bytes, so the CSV stays the source of truth.
 """
 
 import hashlib
@@ -21,6 +27,7 @@ import numpy as np
 from . import bounds
 
 MAGIC = b"PBCURLF1"
+LABELED_MAGIC = b"PBCURLL1"
 
 STD_FLOOR = 1e-8
 # sample_points shifts its draws by the class means this many rows at a time
@@ -418,6 +425,11 @@ def build_noniid_from_sequences(
 # CSV ingestion: comma separated, no comments or quotes, empty lines skipped.
 # A file is parsed by one np.loadtxt call; only a file numpy rejects, or one
 # with a non-finite cell, is read again line by line to name the bad line.
+# A labeled CSV whose binary twin pins its bytes is not parsed at all.
+
+TWIN_HEADER = struct.Struct("<8sII32s")
+# the CSV is hashed this many bytes at a time, so it is never held whole
+HASH_READ_BYTES = 1 << 20
 
 
 def _csv_lines(path):
@@ -483,11 +495,51 @@ def _read_csv(path, labeled):
     return np.ascontiguousarray(rows["x"]), np.ascontiguousarray(rows["y"]) if labeled else None
 
 
+def labeled_twin_path(path):
+    """The binary twin save_labeled_csv writes next to the CSV at path."""
+    return os.path.splitext(path)[0] + ".bin"
+
+
+def _read_labeled_twin(path):
+    """The twin's rows if it pins the CSV's current bytes, else None.
+
+    The magic and the size are checked before the CSV is hashed, and the
+    features must be finite, as the parse requires.
+    """
+    with open(labeled_twin_path(path), "rb") as fh:
+        header = fh.read(TWIN_HEADER.size)
+        if len(header) < TWIN_HEADER.size:
+            return None
+        magic, rows, dim, digest = TWIN_HEADER.unpack(header)
+        size = TWIN_HEADER.size + 8 * rows * (dim + 1)
+        if magic != LABELED_MAGIC or not rows or not dim or os.fstat(fh.fileno()).st_size != size:
+            return None
+        h = hashlib.sha256()
+        with open(path, "rb") as csv_fh:
+            while block := csv_fh.read(HASH_READ_BYTES):
+                h.update(block)
+        if h.digest() != digest:
+            return None
+        x = np.fromfile(fh, dtype="<f8", count=rows * dim).reshape(rows, dim)
+        y = np.fromfile(fh, dtype="<i8", count=rows)
+    if not np.isfinite(x).all():
+        return None
+    return LabeledDataset(x=x.astype(np.float64, copy=False), y=y.astype(np.int64, copy=False))
+
+
 def read_labeled_csv(path):
     """A rectangular numeric CSV whose last column is an int64 label.
 
-    Features must be finite floats. A bad file raises DataFormatError.
+    Features must be finite floats. A bad file raises DataFormatError. The
+    rows come from the binary twin when it pins the CSV's bytes; a twin that
+    is missing, unreadable or fails a check is ignored and the CSV parsed.
     """
+    try:
+        twin = _read_labeled_twin(path)
+    except OSError:
+        twin = None
+    if twin is not None:
+        return twin
     x, y = _read_csv(path, labeled=True)
     return LabeledDataset(x=x, y=y)
 
@@ -513,14 +565,27 @@ def save_labeled_csv(ds, path):
     """One row per point: its features in repr, then its integer label.
 
     Each block of rows becomes Python floats and ints, which print as
-    repr(float(v)) and int(label) do, and one writelines call.
+    repr(float(v)) and int(label) do, and is encoded once, hashed and
+    written. The binary twin (labeled_twin_path) then pins those bytes by
+    their sha256 and holds the same float64 rows and int64 labels.
     """
-    with open(path, "w") as fh:
+    twin = labeled_twin_path(path)
+    if twin == os.fspath(path):
+        raise ValueError(f"{path}: the twin would overwrite the CSV; name it other than .bin")
+    h = hashlib.sha256()
+    with open(path, "wb") as fh:
         for lo in range(0, len(ds), CSV_BLOCK_ROWS):
             rows = ds.x[lo:lo + CSV_BLOCK_ROWS].astype(np.float64, copy=False).tolist()
             labels = ds.y[lo:lo + CSV_BLOCK_ROWS].astype(np.int64, copy=False).tolist()
-            fh.writelines(",".join(map(repr, row)) + f",{label}\n"
-                          for row, label in zip(rows, labels))
+            block = "".join(",".join(map(repr, row)) + f",{label}\n"
+                            for row, label in zip(rows, labels)).encode()
+            h.update(block)
+            fh.write(block)
+    x = np.ascontiguousarray(ds.x, dtype="<f8")
+    with open(twin, "wb") as fh:
+        fh.write(TWIN_HEADER.pack(LABELED_MAGIC, *x.shape, h.digest()))
+        fh.write(x)
+        fh.write(np.ascontiguousarray(ds.y, dtype="<i8"))
 
 
 # ---------------------------------------------------------------------------

@@ -685,6 +685,8 @@ def grid_search(configs, criteria, data, valid, out_dir, cert_samples=CERT_SAMPL
     criterion, config by config, ranks them with rank_runs and returns
     {criterion: best RunRecord}.
     """
+    if not criteria:
+        raise ValueError(f"criteria must name at least one of {CRITERIA}")
     for c in criteria:
         if c not in CRITERIA:
             raise ValueError(f"unknown criterion {c!r}, expected one of {CRITERIA}")

@@ -90,12 +90,18 @@ def train_dir(tmp_path_factory, data_dir):
 def test_gen_data_artifacts(data_dir):
     names = [
         "train.json", "train.bin", "valid.json", "test.json",
-        "labeled_train.csv", "labeled_test.csv", "norm_stats.json", "dataset.json",
+        "labeled_train.csv", "labeled_test.csv", "labeled_train.bin", "labeled_test.bin",
+        "norm_stats.json", "dataset.json",
     ]
     for name in names:
         assert (data_dir / name).exists(), name
     summary = json.loads((data_dir / "dataset.json").read_text())
     assert summary["format"] == "pbcurl-dataset-v1"
+    for split in ("labeled_train", "labeled_test"):
+        twin = summary["artifacts"][f"{split}_twin"]
+        assert twin == data.labeled_twin_path(summary["artifacts"][split])
+        assert twin.endswith(f"{split}.bin")
+        assert (data_dir / f"{split}.bin").read_bytes()[:8] == b"PBCURLL1"
     for split in ("train", "valid", "test"):
         ds = data.load_contrastive(str(data_dir / f"{split}.json"))
         assert summary["hashes"][split] == data.dataset_hash(ds)
@@ -109,10 +115,12 @@ def test_gen_data_deterministic(tmp_path):
     cfg = write_json(tmp_path / "g.json", iid_config())
     assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "a"), "--seed", "9"]) == 0
     assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "b"), "--seed", "9"]) == 0
-    for name in ("train.json", "train.bin", "labeled_train.csv"):
+    for name in ("train.json", "train.bin", "labeled_train.csv", "labeled_train.bin",
+                 "labeled_test.bin"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "c"), "--seed", "10"]) == 0
-    assert (tmp_path / "a" / "train.bin").read_bytes() != (tmp_path / "c" / "train.bin").read_bytes()
+    for name in ("train.bin", "labeled_train.bin"):
+        assert (tmp_path / "a" / name).read_bytes() != (tmp_path / "c" / name).read_bytes()
 
 
 def test_gen_data_seed_env_matches_flag(tmp_path, monkeypatch):
@@ -246,6 +254,20 @@ def generative_spec(kind, tmp_path, rng):
     return {"kind": "files", "train_csv": str(tmp_path / "src_train.csv"),
             "test_csv": str(tmp_path / "src_test.csv"), "m_train": 50, "m_valid": 20,
             "k": 2, "block_size": 2}
+
+
+@pytest.mark.parametrize("kind", ["synthetic-iid", "synthetic-sequences", "files"])
+def test_gen_data_labeled_twins_hold_the_parsed_rows(tmp_path, rng, kind):
+    spec = generative_spec(kind, tmp_path, rng)
+    cfg = write_json(tmp_path / "g.json", {"dataset": spec})
+    assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "ds"), "--seed", "6"]) == 0
+    for split in ("labeled_train", "labeled_test"):
+        path = str(tmp_path / "ds" / f"{split}.csv")
+        twin = data._read_labeled_twin(path)
+        x, y = data._read_csv(path, labeled=True)
+        assert twin is not None
+        assert twin.x.dtype == x.dtype and twin.y.dtype == y.dtype
+        assert twin.x.tobytes() == x.tobytes() and twin.y.tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["synthetic-iid", "synthetic-sequences", "files"])
@@ -438,6 +460,20 @@ def test_train_validation_criterion_needs_split(tmp_path, data_dir, capsys):
     )
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "needs a validation split" in capsys.readouterr().err
+
+
+def test_train_empty_criteria_exits_two(tmp_path, data_dir, capsys):
+    cfg = write_json(
+        tmp_path / "t.json",
+        {
+            "dataset": {"kind": "manifests", "train": str(data_dir / "train.json")},
+            "grid": [{"layer_sizes": [3, 4, 2], "k": 2, "block_size": 2, "epochs": 1}],
+            "criteria": [],
+        },
+    )
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "criteria must name at least one" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()          # rejected before training
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -786,6 +822,38 @@ def test_eval_dim_mismatch(tmp_path, data_dir, rng, capsys):
         "--out", str(tmp_path / "m"),
     ]) == 2
     assert "does not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stats", [False, True], ids=["own-stats", "norm-stats"])
+def test_eval_metrics_bytes_do_not_depend_on_the_twin(tmp_path, data_dir, train_dir, stats):
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    for split in ("labeled_train", "labeled_test"):
+        (bare / f"{split}.csv").write_bytes((data_dir / f"{split}.csv").read_bytes())
+    extra = ["--norm-stats", str(data_dir / "norm_stats.json")] if stats else []
+    metrics = []
+    for tag, src in (("twin", data_dir), ("parsed", bare)):
+        assert main([
+            "eval", "--checkpoint", best_pb_checkpoint(train_dir),
+            "--train-csv", str(src / "labeled_train.csv"),
+            "--test-csv", str(src / "labeled_test.csv"),
+            "--out", str(tmp_path / tag), "--seed", "3", *extra,
+        ]) == 0
+        metrics.append((tmp_path / tag / "metrics.json").read_bytes())
+    assert not (bare / "labeled_train.bin").exists()
+    assert metrics[0] == metrics[1]
+
+
+def test_eval_rejects_an_edited_csv_beside_its_twin(tmp_path, data_dir, train_dir, capsys):
+    bad = corrupt_csv(data_dir / "labeled_train.csv", tmp_path / "labeled_train.csv", 7, 1, "nan")
+    (tmp_path / "labeled_train.bin").write_bytes((data_dir / "labeled_train.bin").read_bytes())
+    assert main([
+        "eval", "--checkpoint", best_pb_checkpoint(train_dir),
+        "--train-csv", bad, "--test-csv", str(data_dir / "labeled_test.csv"),
+        "--out", str(tmp_path / "m"),
+    ]) == 2
+    assert f"{bad}:7: non-finite feature cell" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 def corrupt_csv(src, dst, line, cell, value):

@@ -74,6 +74,10 @@ def test_labeled_csv_bytes_match_the_per_cell_repr(tmp_path, monkeypatch, block)
                    for row, label in zip(x, y))
     assert path.read_bytes() == want.encode()
     assert "-0.0,5e-324,-9223372036854775808\n1e+16,1e-05,9223372036854775807\n" in want
+    # the twin holds the bits the parse gives, signed zero and subnormals too
+    twin, (px, py) = data.read_labeled_csv(path), data._read_csv(path, labeled=True)
+    assert twin.x.tobytes() == px.tobytes() == x.tobytes()
+    assert twin.y.tobytes() == py.tobytes() == y.tobytes()
 
 
 def test_load_feature_csv_self_normalises(tmp_path, rng):
@@ -154,6 +158,120 @@ def test_labeled_csv_crlf_parses_like_lf(tmp_path, rng):
         assert back.y.dtype == np.int64
         assert np.array_equal(back.x.view(np.int64), ds.x.view(np.int64))
         assert np.array_equal(back.y, ds.y)
+
+
+# ---------------------------------------------------------------------------
+# binary twin of a labeled CSV
+
+
+def counting_parse(monkeypatch):
+    """Count the CSV parses read_labeled_csv falls back to."""
+    calls, parse = [], data._read_csv
+    monkeypatch.setattr(data, "_read_csv", lambda *a, **kw: calls.append(a) or parse(*a, **kw))
+    return calls
+
+
+def saved_labeled(tmp_path, rng, n=30, d=3, name="pts.csv"):
+    ds = data.LabeledDataset(x=rng.normal(size=(n, d)), y=rng.integers(-3, 9, size=n))
+    path = tmp_path / name
+    data.save_labeled_csv(ds, path)
+    return ds, path
+
+
+def test_labeled_twin_layout(tmp_path, rng):
+    ds, path = saved_labeled(tmp_path, rng, n=7, d=2)
+    raw = (tmp_path / "pts.bin").read_bytes()
+    assert data.labeled_twin_path(str(path)) == str(tmp_path / "pts.bin")
+    assert raw[:8] == b"PBCURLL1" and raw[:8] != data.MAGIC
+    assert struct.unpack("<II", raw[8:16]) == (7, 2)
+    assert raw[16:48] == hashlib.sha256(path.read_bytes()).digest()
+    assert raw[48:] == ds.x.astype("<f8").tobytes() + ds.y.astype("<i8").tobytes()
+
+
+def test_labeled_twin_is_read_instead_of_the_csv(tmp_path, rng, monkeypatch):
+    # blocks of 100 bytes: the CSV is hashed in many reads
+    monkeypatch.setattr(data, "HASH_READ_BYTES", 100)
+    ds, path = saved_labeled(tmp_path, rng, n=50)
+    parses = counting_parse(monkeypatch)
+    back = data.read_labeled_csv(path)
+    assert parses == []
+    assert back.x.dtype == np.float64 and back.x.flags.c_contiguous and back.y.dtype == np.int64
+    assert back.x.tobytes() == ds.x.tobytes() and back.y.tobytes() == ds.y.tobytes()
+
+
+def test_labeled_twin_is_ignored_once_the_csv_is_edited(tmp_path, rng, monkeypatch):
+    ds, path = saved_labeled(tmp_path, rng)
+    parses = counting_parse(monkeypatch)
+    lines = path.read_text().splitlines()
+    lines[2] = "123.5," + lines[2].split(",", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    back = data.read_labeled_csv(path)
+    assert len(parses) == 1
+    assert back.x[2, 0] == 123.5 and np.array_equal(back.x[3:], ds.x[3:])
+    lines[6] = "nan," + lines[6].split(",", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(data.DataFormatError) as exc:
+        data.read_labeled_csv(path)
+    assert str(exc.value) == f"{path}:7: non-finite feature cell"
+
+
+@pytest.mark.parametrize("damage", ["truncated", "header-only", "empty", "wrong-magic",
+                                    "contrastive-magic", "zero-rows", "directory"])
+def test_damaged_labeled_twin_is_ignored(tmp_path, rng, monkeypatch, damage):
+    ds, path = saved_labeled(tmp_path, rng)
+    twin = tmp_path / "pts.bin"
+    raw = twin.read_bytes()
+    if damage == "directory":
+        twin.unlink()
+        twin.mkdir()
+    else:
+        twin.write_bytes({
+            "truncated": raw[:-8],
+            "header-only": raw[:48],
+            "empty": b"",
+            "wrong-magic": b"PBCURLX1" + raw[8:],
+            "contrastive-magic": data.MAGIC + raw[8:],
+            "zero-rows": raw[:8] + struct.pack("<II", 0, 3) + raw[16:48],
+        }[damage])
+    parses = counting_parse(monkeypatch)
+    back = data.read_labeled_csv(path)
+    assert len(parses) == 1
+    assert back.x.tobytes() == ds.x.tobytes() and back.y.tobytes() == ds.y.tobytes()
+
+
+@pytest.mark.parametrize("x,fragment", [
+    (np.array([[1.0, 2.0], [np.nan, 0.5]]), ":2: non-finite feature cell"),
+    (np.array([[1.0, -np.inf]]), ":1: non-finite feature cell"),
+    (np.empty((0, 2)), ": empty file"),
+])
+def test_labeled_twin_never_accepts_what_the_parse_rejects(tmp_path, x, fragment):
+    path = tmp_path / "bad.csv"
+    data.save_labeled_csv(data.LabeledDataset(x=x, y=np.zeros(len(x), dtype=np.int64)), path)
+    assert (tmp_path / "bad.bin").exists()
+    with pytest.raises(data.DataFormatError) as exc:
+        data.read_labeled_csv(path)
+    assert str(exc.value) == f"{path}{fragment}"
+
+
+def test_labeled_csv_named_like_its_twin_is_refused(tmp_path):
+    path = tmp_path / "pts.bin"
+    with pytest.raises(ValueError, match="twin would overwrite the CSV"):
+        data.save_labeled_csv(data.LabeledDataset(x=np.ones((2, 2)), y=np.zeros(2)), path)
+    assert not path.exists()
+
+
+def test_labeled_csv_beside_a_contrastive_bin_parses(tmp_path, rng, monkeypatch):
+    model = small_gaussian_model(rng)
+    tuples = data.sample_contrastive_iid(model, 5, 2, 1, rng)
+    data.save_contrastive(tuples, str(tmp_path / "train.json"))
+    csv = tmp_path / "train.csv"
+    csv.write_text("1.5,2.5,0\n-0.5,3.0,1\n")
+    parses = counting_parse(monkeypatch)
+    back = data.read_labeled_csv(csv)
+    assert len(parses) == 1
+    assert back.x.tolist() == [[1.5, 2.5], [-0.5, 3.0]] and back.y.tolist() == [0, 1]
+    assert data.dataset_hash(data.load_contrastive(str(tmp_path / "train.json"))) == \
+        data.dataset_hash(tuples)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,16 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+# lines a demo must print: check_collision_transfer's left side is the
+# supervised mean-classifier loss, including on collapsed features
+EXPECTED_LINES = {
+    "collision_floor": [
+        "logistic: supervised mean-classifier loss ",
+        "hinge: supervised mean-classifier loss ",
+        "collapsed features: supervised mean-classifier loss = bound = 1.0000",
+    ],
+}
+
 
 @pytest.mark.parametrize("demo", ["collision_floor", "divergences_vs_monte_carlo",
                                   "iid_certificate_pipeline", "sequence_pipeline"])
@@ -22,3 +32,7 @@ def test_demo_runs(tmp_path, demo):
                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip()
+    lines = out.stdout.splitlines()
+    for start in EXPECTED_LINES.get(demo, []):
+        assert any(line.startswith(start) for line in lines), start
+    assert "unsup loss" not in out.stdout

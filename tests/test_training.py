@@ -722,6 +722,14 @@ def test_grid_search_rejects_a_validation_criterion_without_a_split(rng, tmp_pat
     assert not out.exists()         # no out_dir, no runs.jsonl
 
 
+def test_grid_search_rejects_an_empty_criteria_list(rng, tmp_path):
+    ds = make_iid_dataset(rng, m=40)
+    out = tmp_path / "g"
+    with pytest.raises(ValueError, match="criteria must name at least one"):
+        training.grid_search([base_config(epochs=1)], [], ds, None, str(out))
+    assert not out.exists()
+
+
 def test_grid_search_restricted_criteria(rng, tmp_path):
     ds = make_iid_dataset(rng, m=40)
     best = training.grid_search(
