@@ -128,6 +128,8 @@ def _build_synthetic_sequences(spec, seed):
     sep = float(spec.get("separation", 1.0))
     std = float(spec.get("std", 1.0))
     phi = float(spec.get("ar_coeff", 0.7))
+    if not -1.0 <= phi <= 1.0:      # NaN fails too
+        raise ConfigError(f"dataset.ar_coeff must lie in [-1, 1], got {phi}")
     allow_same = bool(spec.get("allow_same_class_negatives", True))
 
     r_model, *rngs = _spawn_rngs(seed, 7)

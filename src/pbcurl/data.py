@@ -142,14 +142,30 @@ class ContrastiveDataset:
     def dim(self):
         return self.features.shape[1]
 
-    def gather(self, idx=None, out=None):
+    def index_buffers(self, n):
+        """Empty anchor, positive and negative index arrays for n tuples, for gather."""
+        return [np.empty((n,) + part.shape[1:], dtype=part.dtype)
+                for part in (self.anchors, self.positives, self.negatives)]
+
+    def gather(self, idx=None, out=None, index_out=None):
         """Materialise (anchor, positive, negative) arrays for tuple indices.
 
         The rows are stacked in one matrix: the leading rows of out when
-        given, else a new array. Returns a TupleBatch of views into it.
+        given, else a new array. Returns a TupleBatch of views into it. The
+        tuples' row indices go to the leading entries of index_out
+        (index_buffers of at least len(idx) tuples) when given, else to new
+        buffers.
         """
-        index = [part if idx is None else part[idx]
-                 for part in (self.anchors, self.positives, self.negatives)]
+        index = (self.anchors, self.positives, self.negatives)
+        if idx is not None:
+            idx = np.asarray(idx)
+            if idx.size and (idx.min() < 0 or idx.max() >= len(self)):
+                raise IndexError(f"tuple index out of range [0, {len(self)})")
+            if index_out is None:
+                index_out = self.index_buffers(len(idx))
+            # mode="clip" skips the range check and the buffered copy
+            index = [np.take(part, idx, axis=0, out=buf[: len(idx)], mode="clip")
+                     for part, buf in zip(index, index_out)]
         if out is None:
             rows = len(index[0]) * TupleBatch.rows_per_tuple(self.k, self.block_size)
             out = np.empty((rows, self.dim), dtype=self.features.dtype)
@@ -313,16 +329,16 @@ def gen_sequences(model, n_per_class, length, ar_coeff, rng):
     Returns (list of (length, d) arrays, label list), grouped by class.
     """
     phi = float(ar_coeff)
+    scale = np.sqrt(1.0 - phi * phi)
     seqs, labels = [], []
     for c in range(model.n_classes):
-        for _ in range(n_per_class):
-            eps = rng.standard_normal((length, model.dim))
-            u = np.empty_like(eps)
-            u[0] = eps[0]
-            for t in range(1, length):
-                u[t] = phi * u[t - 1] + np.sqrt(1.0 - phi * phi) * eps[t]
-            seqs.append(model.means[c] + model.std * u)
-            labels.append(c)
+        # one draw per class is the per-sequence draws' stream, in their order
+        u = rng.standard_normal((n_per_class, length, model.dim))
+        for t in range(1, length):
+            u[:, t] *= scale
+            u[:, t] += phi * u[:, t - 1]
+        seqs.extend(model.means[c] + model.std * u)
+        labels.extend([c] * n_per_class)
     return seqs, labels
 
 

@@ -51,23 +51,28 @@ def contrastive_margins(anchor_out, pos_out, neg_out, diff=None):
     return np.einsum("nd,nkd->nk", np.asarray(anchor_out, dtype=np.float64), diff)
 
 
+def _log1p_sum_exp(neg_v):
+    """log(1 + sum_i exp(-v_i)) = logaddexp(0, logsumexp(-v)), overflow safe."""
+    return np.logaddexp(0.0, np.logaddexp.reduce(neg_v, axis=-1))
+
+
 def logistic_loss(margins):
     """log2(1 + sum_i exp(-v_i)) per tuple, overflow safe.
 
     margins: (..., k). Returns array of shape margins.shape[:-1].
     """
-    v = np.asarray(margins, dtype=np.float64)
-    # log(1 + sum exp(-v)) = logaddexp(0, logsumexp(-v))
-    ls = np.logaddexp.reduce(-v, axis=-1)
-    return np.logaddexp(0.0, ls) / LN2
+    return _log1p_sum_exp(-np.asarray(margins, dtype=np.float64)) / LN2
 
 
-def logistic_margin_grad(margins):
-    """d loss / d v_i for the logistic loss. Shape preserved."""
-    v = np.asarray(margins, dtype=np.float64)
-    ls = np.logaddexp.reduce(-v, axis=-1)
-    total = np.logaddexp(0.0, ls)                          # log(1 + sum exp(-v))
-    return -np.exp(-v - total[..., None]) / LN2
+def logistic_loss_and_grad(margins):
+    """The logistic loss per tuple and d loss / d v_i (margins' shape), one reduction."""
+    g = np.negative(np.asarray(margins, dtype=np.float64))
+    total = _log1p_sum_exp(g)
+    g -= total[..., None]                   # g = -exp(-v - total) / ln 2, in place
+    np.exp(g, out=g)
+    np.negative(g, out=g)
+    g /= LN2
+    return total / LN2, g
 
 
 def hinge_loss(margins):
@@ -76,30 +81,39 @@ def hinge_loss(margins):
     return np.maximum(0.0, 1.0 - np.min(v, axis=-1))
 
 
-def hinge_margin_grad(margins):
-    """Subgradient of the hinge loss; ties resolved to the first minimum."""
+def hinge_loss_and_grad(margins):
+    """The hinge loss per tuple and its subgradient; ties resolved to the first minimum."""
     v = np.asarray(margins, dtype=np.float64)
     flat = v.reshape(-1, v.shape[-1])
+    first = np.argmin(flat, axis=-1)
+    loss = np.maximum(0.0, 1.0 - flat[np.arange(len(flat)), first])
     g = np.zeros_like(flat)
-    rows = np.nonzero(1.0 - np.min(flat, axis=-1) > 0.0)[0]
-    g[rows, np.argmin(flat, axis=-1)[rows]] = -1.0
-    return g.reshape(v.shape)
+    rows = np.nonzero(loss > 0.0)[0]
+    g[rows, first[rows]] = -1.0
+    return loss.reshape(v.shape[:-1]), g.reshape(v.shape)
+
+
+_KINDS = {"logistic": (logistic_loss, logistic_loss_and_grad),
+          "hinge": (hinge_loss, hinge_loss_and_grad)}
+
+
+def _kind(kind):
+    if kind not in _KINDS:
+        raise ValueError(f"unknown loss kind: {kind!r}")
+    return _KINDS[kind]
 
 
 def loss_value(margins, kind):
-    if kind == "logistic":
-        return logistic_loss(margins)
-    if kind == "hinge":
-        return hinge_loss(margins)
-    raise ValueError(f"unknown loss kind: {kind!r}")
+    return _kind(kind)[0](margins)
+
+
+def loss_and_margin_grad(margins, kind):
+    """(loss per tuple, d loss / d margins): loss_value's and loss_margin_grad's bits."""
+    return _kind(kind)[1](margins)
 
 
 def loss_margin_grad(margins, kind):
-    if kind == "logistic":
-        return logistic_margin_grad(margins)
-    if kind == "hinge":
-        return hinge_margin_grad(margins)
-    raise ValueError(f"unknown loss kind: {kind!r}")
+    return loss_and_margin_grad(margins, kind)[1]
 
 
 def zero_one_risk(margins):

@@ -145,8 +145,9 @@ class Workspace:
     2n + 1 gradient of a training objective w.r.t. (posterior means, posterior
     log variances, prior log variance). forward_cached and backprop return
     views into them that the next call overwrites. scratch is a flat buffer of
-    rows * d_out floats for the loss on top of the network. A forward_only
-    workspace holds the activations alone.
+    rows * d_out floats for the loss on top of the network, and ones a vector
+    of rows ones that turns the bias gradients' column sums into one GEMV each.
+    A forward_only workspace holds the activations alone.
     """
 
     def __init__(self, layer_sizes, rows, forward_only=False):
@@ -160,6 +161,7 @@ class Workspace:
         self.grad = np.empty(param_count(layer_sizes))
         self.dtheta = np.empty(2 * self.grad.size + 1)
         self.scratch = np.empty(rows * widths[-1])
+        self.ones = np.ones(rows)
 
 
 def forward(layer_sizes, w, x, out=None):
@@ -224,7 +226,7 @@ def backprop(layer_sizes, w, cache, d_out, ws=None):
         if li < n_layers - 1:
             np.multiply(delta, np.greater(cache[li + 1], 0.0, out=ws.masks[li][:n]), out=delta)
         np.matmul(delta.T, cache[li], out=ws.grad[w_sl].reshape(wm.shape))
-        np.sum(delta, axis=0, out=ws.grad[b_sl])
+        np.matmul(ws.ones[:n], delta, out=ws.grad[b_sl])      # the column sums
         if li > 0:
             delta = np.matmul(delta, wm, out=ws.deltas[li - 1][:n])
     return ws.grad

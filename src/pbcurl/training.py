@@ -194,9 +194,10 @@ def contrastive_loss_and_wgrad(layer_sizes, w, batch, loss_kind, ws=None):
     pos_term = ws.scratch[n * k * d : n * (k + 1) * d].reshape(n, d)
 
     margins = losses.contrastive_margins(a_out, p_out, g_out, diff)
-    loss = float(np.mean(losses.loss_value(margins, loss_kind)))
+    tuple_loss, dv = losses.loss_and_margin_grad(margins, loss_kind)
+    loss = float(np.mean(tuple_loss))
 
-    dv = losses.loss_margin_grad(margins, loss_kind) * (1.0 / n)   # (n, k)
+    dv *= 1.0 / n                                               # (n, k)
     d_out = TupleBatch(ws.deltas[-1][: len(out)], n, k, b)
     np.einsum("nk,nkd->nd", dv, diff, out=d_out[0])
     np.multiply(np.sum(dv, axis=1)[:, None], a_out, out=pos_term)
@@ -231,8 +232,8 @@ def iid_objective(layer_sizes, post, prior, batch, eps, *, lam, m, grid_b, grid_
     w = network.sample_weights(post, eps)
     loss, d_w, _ = contrastive_loss_and_wgrad(layer_sizes, w, batch, loss_kind, ws)
     kl = divergences.kl_gaussian(post.mu, post.log_sigma2, prior.mu, prior.log_sigma2)
-    log_j = math.log(grid_b) + math.log(math.log(grid_c) - prior.log_sigma2)
-    value = lam * m * loss + kl + 2.0 * log_j
+    j = bounds.j_index(grid_b, grid_c, prior.log_sigma2)
+    value = lam * m * loss + kl + 2.0 * math.log(j)
 
     d_mu, d_ls_q = network.posterior_grads_from_weight_grad(post, eps, lam * m * d_w)
     kl_mu, kl_ls_q, kl_ls_p = divergences.kl_gaussian_grads(
@@ -241,7 +242,7 @@ def iid_objective(layer_sizes, post, prior, batch, eps, *, lam, m, grid_b, grid_
     n, grad = post.n_params, ws.dtheta
     np.add(d_mu, kl_mu, out=grad[:n])
     np.add(d_ls_q, kl_ls_q, out=grad[n:-1])
-    grad[-1] = kl_ls_p - 2.0 / (math.log(grid_c) - prior.log_sigma2)
+    grad[-1] = kl_ls_p - 2.0 * grid_b / j          # dj/dt = -grid_b, as in noniid
     return value, grad, {"loss": loss, "kl": kl}
 
 
@@ -400,10 +401,13 @@ def train(cfg, data, valid=None, criteria=("pb",), run_dir=None, run_id="run"):
     opt = make_optimizer(cfg.optimizer, n_train)
     last_step = np.empty(n_train)   # halved in place when the next objective overflows
     m = len(data)
-    # one workspace and row buffer per run, sized to a full batch; a partial
-    # last batch uses their leading rows
-    rows = min(cfg.batch_size, m) * TupleBatch.rows_per_tuple(data.k, data.block_size)
+    # one workspace, row buffer and set of index buffers per run, sized to a
+    # full batch; a partial last batch uses their leading entries
+    n_batch = min(cfg.batch_size, m)
+    rows = n_batch * TupleBatch.rows_per_tuple(data.k, data.block_size)
     batch_rows = np.empty((rows, data.dim))
+    batch_index = data.index_buffers(n_batch)
+    eps = np.zeros(post.n_params)   # erm ignores eps: it stays zero, its stream unread
     objective, begin_epoch = _step_objective(
         cfg, layer_sizes, post, prior, data, network.Workspace(layer_sizes, rows)
     )
@@ -462,10 +466,10 @@ def train(cfg, data, valid=None, criteria=("pb",), run_dir=None, run_id="run"):
 
             for step in range(n_steps):
                 batch = data.gather(order[step * cfg.batch_size : (step + 1) * cfg.batch_size],
-                                    out=batch_rows)
+                                    out=batch_rows, index_out=batch_index)
                 t = _lap(clock, "gather_s", t)
-                # erm ignores eps; its stream feeds nothing else
-                eps = network.sample_eps(post.n_params, eps_rng)
+                if stochastic:
+                    eps_rng.standard_normal(out=eps)    # sample_eps's stream, no new array
 
                 retries = 0
                 while True:

@@ -242,6 +242,30 @@ def test_gen_data_sequences(tmp_path):
     assert len(train) == 3 * 2 * (8 - 2)
 
 
+@pytest.mark.parametrize("phi", [1.5, -1.01, math.nan, math.inf])
+def test_gen_data_sequences_rejects_ar_coeff_outside_unit_interval(tmp_path, capsys, phi):
+    # |phi| > 1 makes sqrt(1 - phi^2) NaN, and every frame after the first with it
+    with open(sequence_config(tmp_path)) as fh:
+        doc = json.load(fh)
+    doc["dataset"]["ar_coeff"] = phi
+    cfg = write_json(tmp_path / "g.json", doc)
+    out = tmp_path / "seq"
+    assert main(["gen-data", "--config", cfg, "--out", str(out), "--seed", "4"]) == 2
+    assert "ar_coeff" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("phi", [-1.0, 0.0, 1.0])
+def test_gen_data_sequences_accepts_ar_coeff_on_the_unit_interval(tmp_path, phi):
+    with open(sequence_config(tmp_path)) as fh:
+        doc = json.load(fh)
+    doc["dataset"]["ar_coeff"] = phi
+    cfg = write_json(tmp_path / "g.json", doc)
+    out = tmp_path / "seq"
+    assert main(["gen-data", "--config", cfg, "--out", str(out), "--seed", "4"]) == 0
+    assert np.all(np.isfinite(data.load_contrastive(str(out / "train.json")).features))
+
+
 def generative_spec(kind, tmp_path, rng):
     if kind == "synthetic-iid":
         return iid_config()["dataset"]

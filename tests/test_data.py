@@ -396,6 +396,32 @@ def test_gen_sequences_shapes_and_labels(rng):
     assert all(s.shape == (10, 2) for s in seqs)
 
 
+def loop_gen_sequences(model, n_per_class, length, ar_coeff, rng):
+    """One draw and one recurrence per sequence: the reference."""
+    phi = float(ar_coeff)
+    seqs, labels = [], []
+    for c in range(model.n_classes):
+        for _ in range(n_per_class):
+            eps = rng.standard_normal((length, model.dim))
+            u = np.empty_like(eps)
+            u[0] = eps[0]
+            for t in range(1, length):
+                u[t] = phi * u[t - 1] + np.sqrt(1.0 - phi * phi) * eps[t]
+            seqs.append(model.means[c] + model.std * u)
+            labels.append(c)
+    return seqs, labels
+
+
+@pytest.mark.parametrize("phi", [0.7, -0.3, 1.0])
+def test_gen_sequences_matches_the_per_sequence_loop(phi):
+    model = data.random_gaussian_model(5, 6, 3.0, 0.8, np.random.default_rng(3))
+    seqs, labels = data.gen_sequences(model, 4, 45, phi, np.random.default_rng(9))
+    ref_seqs, ref_labels = loop_gen_sequences(model, 4, 45, phi, np.random.default_rng(9))
+    assert labels == ref_labels
+    assert len(seqs) == len(ref_seqs)
+    assert all(s.tobytes() == r.tobytes() for s, r in zip(seqs, ref_seqs))
+
+
 def test_gen_sequences_stationary_marginal(rng):
     # AR(1) with unit innovations keeps the marginal spread at std
     model = data.LatentClassModel(rho=np.array([1.0]), means=np.zeros((1, 1)), std=2.0)

@@ -197,6 +197,35 @@ def _near_tie(v):
     return bool(np.min(np.diff(s)) < 1e-3)
 
 
+def separate_margin_grad(margins, kind):
+    """The margin gradient by its own reduction, apart from the loss: the reference."""
+    v = np.asarray(margins, dtype=np.float64)
+    if kind == "logistic":
+        total = np.logaddexp(0.0, np.logaddexp.reduce(-v, axis=-1))
+        return -np.exp(-v - total[..., None]) / losses.LN2
+    flat = v.reshape(-1, v.shape[-1])
+    g = np.zeros_like(flat)
+    rows = np.nonzero(1.0 - np.min(flat, axis=-1) > 0.0)[0]
+    g[rows, np.argmin(flat, axis=-1)[rows]] = -1.0
+    return g.reshape(v.shape)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "hinge"])
+def test_shared_loss_pass_matches_the_separate_formulas(rng, kind):
+    # batch and single-tuple shapes; ties, saturated tuples and margins far
+    # past exp's range, where the reductions must agree bit for bit
+    batch = rng.normal(scale=2.0, size=(250, 4))
+    batch[:20, 1] = batch[:20, 2]
+    batch[20:30] = 1.5
+    batch[30:40] = -800.0
+    for v in (batch, batch[7], np.array([0.0]), np.array([np.nan, 1.0])):
+        with np.errstate(invalid="ignore"):
+            loss, grad = losses.loss_and_margin_grad(v, kind)
+            ref_loss, ref_grad = losses.loss_value(v, kind), separate_margin_grad(v, kind)
+        assert np.asarray(loss).tobytes() == np.asarray(ref_loss).tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+
+
 def test_hinge_grad_zero_when_saturated():
     g = losses.loss_margin_grad(np.array([2.0, 3.0]), "hinge")
     assert np.all(g == 0.0)
