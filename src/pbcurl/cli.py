@@ -433,6 +433,10 @@ def _cmd_bound(args):
 
 
 def _cmd_eval(args):
+    for flag, value in (("--samples-per-class", args.samples_per_class),
+                        ("--variants", args.variants)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     seed = _resolve_seed(args.seed, 0)
     stats = None
     if args.norm_stats:

@@ -76,15 +76,17 @@ class TupleBatch(tuple):
     """(anchor (n, d), pos (n, b, d), neg (n, k, b, d)) as views into rows.
 
     rows is the stacked (n (1 + b + k b), d) matrix: anchors, then positive
-    blocks, then negative blocks, so one forward pass covers the batch.
+    blocks, then negative blocks, so one forward pass covers the batch. Axes
+    before those two (a block of draws' outputs) lead every view too.
     """
 
     def __new__(cls, rows, n, k, block_size):
-        d, nb = rows.shape[1], n * block_size
+        *lead, _, d = rows.shape
+        nb = n * block_size
         batch = super().__new__(cls, (
-            rows[:n],
-            rows[n:n + nb].reshape(n, block_size, d),
-            rows[n + nb:].reshape(n, k, block_size, d),
+            rows[..., :n, :],
+            rows[..., n:n + nb, :].reshape(*lead, n, block_size, d),
+            rows[..., n + nb:, :].reshape(*lead, n, k, block_size, d),
         ))
         batch.rows = rows
         return batch

@@ -7,6 +7,7 @@ Deterministic metrics use the posterior mean network; posterior risks are
 Monte Carlo averages over weight draws.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,37 +128,52 @@ def tuple_risks(layer_sizes, w, ds, kind, loss_kind):
     return draw_risks(layer_sizes, [w], ds, kind, loss_kind)[0]
 
 
+# posterior draws a streamed chunk scores together: one margin and one risk
+# pass per block, not per draw
+DRAW_BLOCK = 5
+# rows a whole-matrix chunk of tuples stacks. It gathers output rows, not
+# inputs, and each chunk costs a fixed amount of work: 10 draws over 4.3k
+# tuples of 4.5k rows took 30 % longer in chunks of 1,024 rows
+SCORE_ROWS = 2048
+
+
 def draw_risks(layer_sizes, weights, ds, kind, loss_kind):
     """(len(weights), m) per-tuple risks of ds, one row per flat weight vector.
 
-    Computed in chunks of tuples that span about network.CHUNK_ROWS rows;
-    callers average a row in one np.mean, as averaging chunk means would round
-    differently. When _streams(ds), each chunk's input rows are stacked once in
-    a reused buffer, and every weight vector forwards them through a
-    forward-only workspace while they are in cache; no (rows, d_out) output is
-    made. These chunks run on network.worker_count threads, worker i taking
-    chunks[i::n] with its own buffers. The calling thread is worker 0 and
-    allocates every worker's buffers: what a worker thread allocates stays in
-    its own malloc arena after the thread ends. Otherwise ds.features goes
-    through the network once per weight vector, into one buffer, and each
-    chunk's output rows are stacked instead, in the calling thread. Each chunk
-    runs the same operations on the same rows on either path and any worker
-    count, so all give the same bits.
+    Computed in chunks of tuples that span about network.CHUNK_ROWS rows when
+    streamed, SCORE_ROWS otherwise; callers average a row in one np.mean, as
+    averaging chunk means would round differently. Each weight vector is
+    packed once. When _streams(ds), each chunk's input rows are gathered once
+    into a reused buffer and loaded into a forward-only workspace. Then every
+    block of DRAW_BLOCK weight vectors forwards them while they are in cache,
+    into one (draws, rows, d_out) buffer, and one margin and one risk pass
+    cover the block. These chunks run on network.worker_count threads, worker
+    i taking chunks[i::n] with its own buffers. The calling thread is worker
+    0 and allocates every worker's buffers: what a worker thread allocates
+    stays in its own malloc arena after the thread ends. Otherwise
+    ds.features goes through the network once per weight vector, into one
+    buffer, and each chunk's output rows are stacked instead, in the calling
+    thread. Each draw runs the same operations on the same rows on either
+    path, in any block and on any worker count, so all give the same bits.
     """
     per_tuple = data.TupleBatch.rows_per_tuple(ds.k, ds.block_size)
-    chunks = network.row_chunks(len(ds), max(1, network.CHUNK_ROWS // per_tuple))
     streams = _streams(ds)
+    chunk_rows = network.CHUNK_ROWS if streams else SCORE_ROWS
+    chunks = network.row_chunks(len(ds), max(1, chunk_rows // per_tuple))
     n = network.worker_count(len(chunks)) if streams else 1
     parts = [chunks[i::n] for i in range(n)]
-    width = ds.dim if streams else layer_sizes[-1]
+    block = min(DRAW_BLOCK, len(weights)) if streams else 1
+    d_out = layer_sizes[-1]
     bufs = []
     for part in parts:
         tallest = max(hi - lo for lo, hi in part)
-        ws = (network.Workspace(layer_sizes, tallest * per_tuple, forward_only=True)
-              if streams else None)
-        bufs.append((ws, np.empty((tallest * per_tuple, width)),
-                     np.empty((tallest, ds.k, layer_sizes[-1]))))
+        rows = tallest * per_tuple
+        bufs.append((network.Workspace(layer_sizes, rows, forward_only=True) if streams else None,
+                     np.empty((rows, ds.dim if streams else d_out)),
+                     np.empty(block * rows * d_out if streams else 0),
+                     np.empty(block * tallest * ds.k * d_out)))
     risks = np.empty((len(weights), len(ds)))
+    mats = [network.pack(layer_sizes, w) for w in weights]
 
     def take(source, lo, hi, rows):
         return data.take_tuples(
@@ -165,23 +181,30 @@ def draw_risks(layer_sizes, weights, ds, kind, loss_kind):
         )
 
     def score(s, batch, lo, hi, diff):
-        margins = losses.contrastive_margins(*batch, diff[: hi - lo])
-        risks[s, lo:hi] = (losses.loss_value(margins, loss_kind) if kind == "loss"
-                           else losses.zero_one_risk(margins))
+        """Risks of tuples lo:hi under draws s, s + 1, ...: batch is the TupleBatch
+        of their outputs, with a leading draw axis unless it holds one draw."""
+        shape = batch[0].shape[:-1] + (ds.k, d_out)         # ([draws,] n, k, d_out)
+        margins = losses.contrastive_margins(*batch, diff[: math.prod(shape)].reshape(shape))
+        risk = (losses.loss_value(margins, loss_kind) if kind == "loss"
+                else losses.zero_one_risk(margins)).reshape(-1, hi - lo)
+        risks[s : s + len(risk), lo:hi] = risk
 
     def stream(i):
-        ws, rows, diff = bufs[i]
+        ws, rows, outs, diff = bufs[i]
         for lo, hi in parts[i]:
-            x = take(ds.features, lo, hi, rows).rows
-            for s, w in enumerate(weights):
-                out_rows = network.forward_cached(layer_sizes, w, x, ws)[0]
-                score(s, data.TupleBatch(out_rows, hi - lo, ds.k, ds.block_size), lo, hi, diff)
+            x = ws.load(take(ds.features, lo, hi, rows).rows)
+            for s in range(0, len(mats), DRAW_BLOCK):
+                draws = mats[s : s + DRAW_BLOCK]
+                out = outs[: len(draws) * len(x) * d_out].reshape(len(draws), len(x), d_out)
+                for j, w in enumerate(draws):
+                    network.forward_cached(layer_sizes, w, x, ws, out[j])
+                score(s, data.TupleBatch(out, hi - lo, ds.k, ds.block_size), lo, hi, diff)
 
     if not streams:
         # on 2 worker threads 10 draws over 4.3k tuples of 4.5k rows took 67-78 ms, not 45-52
-        _, rows, diff = bufs[0]
-        out = np.empty((len(ds.features), layer_sizes[-1]))
-        for s, w in enumerate(weights):
+        _, rows, _, diff = bufs[0]
+        out = np.empty((len(ds.features), d_out))
+        for s, w in enumerate(mats):
             source = network.forward(layer_sizes, w, ds.features, out)
             for lo, hi in chunks:
                 score(s, take(source, lo, hi, rows), lo, hi, diff)

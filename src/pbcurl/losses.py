@@ -21,34 +21,36 @@ def contrastive_margins(anchor_out, pos_out, neg_out, diff=None):
 
     Parameters
     ----------
-    anchor_out : (n, d) array, f(x) per tuple.
-    pos_out : (n, b, d) array, f of each positive in the block.
-    neg_out : (n, k, b, d) array, f of each negative, per negative block.
-    diff : optional (n, k, d) array to work in; on return it holds
+    anchor_out : (..., n, d) array, f(x) per tuple.
+    pos_out : (..., n, b, d) array, f of each positive in the block.
+    neg_out : (..., n, k, b, d) array, f of each negative, per negative block.
+    diff : optional (..., n, k, d) array to work in; on return it holds
         mean_b f(x+) - mean_b f(x-_i).
 
-    Each block mean is summed member by member from +0.0 and then divided by
-    b, which is np.mean's order over a middle axis, so the margins are bitwise
-    those of np.mean(pos_out, 1)[:, None] - np.mean(neg_out, 2).
+    Leading axes (a block of posterior draws) are batched over; each element
+    gets the bits it would get on its own. Each block mean is summed member
+    by member from +0.0 and then divided by b, which is np.mean's order over a
+    middle axis, so the margins are bitwise those of
+    np.mean(pos_out, -2)[..., None, :] - np.mean(neg_out, -2).
 
     Returns
     -------
-    (n, k) array of margins, one per negative block.
+    (..., n, k) array of margins, one per negative block.
     """
     pos_out = np.asarray(pos_out, dtype=np.float64)
     neg_out = np.asarray(neg_out, dtype=np.float64)
-    b = pos_out.shape[1]
+    b = pos_out.shape[-2]
     if diff is None:
-        diff = np.empty(neg_out.shape[:2] + neg_out.shape[3:])
-    pos_mean = pos_out[:, 0] + 0.0                         # (n, d); +0.0 turns -0.0 into 0.0
-    np.add(neg_out[:, :, 0], 0.0, out=diff)                # negative block sums, (n, k, d)
+        diff = np.empty(neg_out.shape[:-2] + neg_out.shape[-1:])
+    pos_mean = pos_out[..., 0, :] + 0.0                    # (..., n, d); +0.0 turns -0.0 into 0.0
+    np.add(neg_out[..., 0, :], 0.0, out=diff)              # negative block sums, (..., n, k, d)
     for j in range(1, b):
-        pos_mean += pos_out[:, j]
-        diff += neg_out[:, :, j]
+        pos_mean += pos_out[..., j, :]
+        diff += neg_out[..., j, :]
     pos_mean /= b
     diff /= b
-    np.subtract(pos_mean[:, None, :], diff, out=diff)
-    return np.einsum("nd,nkd->nk", np.asarray(anchor_out, dtype=np.float64), diff)
+    np.subtract(pos_mean[..., None, :], diff, out=diff)
+    return np.einsum("...nd,...nkd->...nk", np.asarray(anchor_out, dtype=np.float64), diff)
 
 
 def _log1p_sum_exp(neg_v):

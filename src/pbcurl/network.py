@@ -102,11 +102,13 @@ def map_weights(post):
     return post.mu.copy()
 
 
-# whole-matrix forwards run in row chunks of this height. The remainder folds
-# into the last chunk: OpenBLAS rounds a GEMM over 75 rows or fewer differently
-# from one over the whole matrix, so a short tail chunk would change the output.
-# From STABLE_ROWS rows up, a row's output bits depend on that row alone
-CHUNK_ROWS = 2048
+# whole-matrix forwards and Monte Carlo chunks run in row chunks of this
+# height, whose input and activations stay in cache. The remainder folds into
+# the last chunk: OpenBLAS rounds a GEMM over 75 rows or fewer differently
+# from one over the whole matrix, and a folded bias from x @ W.T + b, so a
+# short tail chunk would change the output. From STABLE_ROWS rows up, a row's
+# output bits depend on that row alone, with or without the bias folded in
+CHUNK_ROWS = 1024
 STABLE_ROWS = 76
 
 
@@ -140,28 +142,53 @@ def worker_count(n_chunks):
 class Workspace:
     """Per-layer buffers for forward and backprop over at most `rows` input rows.
 
-    Activations, deltas and ReLU masks are one (rows, width) array per layer
-    (deltas[-1] holds d_out), grad is the flat weight gradient and dtheta the
-    2n + 1 gradient of a training objective w.r.t. (posterior means, posterior
-    log variances, prior log variance). forward_cached and backprop return
-    views into them that the next call overwrites. scratch is a flat buffer of
-    rows * d_out floats for the loss on top of the network, and ones a vector
-    of rows ones that turns the bias gradients' column sums into one GEMV each.
-    A forward_only workspace holds the activations alone.
+    ins[li] is layer li's input with a trailing column of ones, which folds the
+    layer's bias into its GEMM: ins[0] takes the network input (load), ins[li]
+    holds the ReLU output of layer li - 1. out holds the last layer's output.
+    Deltas are one (rows, width) array per layer (deltas[-1] holds d_out), the
+    ReLU masks one (rows, width + 1) array per hidden layer. grad is the flat
+    weight gradient and dtheta the 2n + 1 gradient of a training objective
+    w.r.t. (posterior means, posterior log variances, prior log variance).
+    forward_cached and backprop return views into them that the next call
+    overwrites. scratch is a flat buffer of rows * d_out floats for the loss
+    on top of the network, and ones a vector of rows ones that turns the bias
+    gradients' column sums into one GEMV each. A forward_only workspace holds
+    ins alone: its callers give the last layer's output buffer.
     """
 
     def __init__(self, layer_sizes, rows, forward_only=False):
         self.slices = _layer_slices(layer_sizes)
         widths = layer_sizes[1:]
-        self.acts = [np.empty((rows, n)) for n in widths]
+        self.ins = [np.empty((rows, n + 1)) for n in layer_sizes[:-1]]
+        for buf in self.ins:
+            buf[:, -1] = 1.0
         if forward_only:
             return
+        self.out = np.empty((rows, widths[-1]))
         self.deltas = [np.empty((rows, n)) for n in widths]
-        self.masks = [np.empty((rows, n), dtype=bool) for n in widths[:-1]]
+        self.masks = [np.empty((rows, n + 1), dtype=bool) for n in widths[:-1]]
         self.grad = np.empty(param_count(layer_sizes))
         self.dtheta = np.empty(2 * self.grad.size + 1)
         self.scratch = np.empty(rows * widths[-1])
         self.ones = np.ones(rows)
+
+    def load(self, x):
+        """Copy input rows into ins[0], beside its ones column; returns that view."""
+        x_in = self.ins[0][: len(x)]
+        x_in[:, :-1] = x
+        return x_in
+
+
+def pack(layer_sizes, w):
+    """Each layer's (fan_out, fan_in + 1) matrix [W | b] of a flat weight vector.
+
+    Applied to an input row that ends in a one it gives W x + b in one GEMM.
+    A list is taken to be packed already and returned as it is.
+    """
+    if isinstance(w, list):
+        return w
+    return [np.column_stack((w[w_sl].reshape(b_sl.stop - b_sl.start, -1), w[b_sl]))
+            for w_sl, b_sl in _layer_slices(layer_sizes)]
 
 
 def forward(layer_sizes, w, x, out=None):
@@ -170,7 +197,7 @@ def forward(layer_sizes, w, x, out=None):
     Parameters
     ----------
     layer_sizes : sequence of ints, input dim first.
-    w : flat parameter vector.
+    w : flat parameter vector, or its pack.
     x : (n, d_in) array.
     out : optional (n, d_out) array to write into.
 
@@ -182,39 +209,49 @@ def forward(layer_sizes, w, x, out=None):
         out = np.empty((len(x), layer_sizes[-1]))
     chunks = row_chunks(len(x))
     ws = Workspace(layer_sizes, chunks[-1][1] - chunks[-1][0], forward_only=True)  # the tallest
+    mats = pack(layer_sizes, w)
     for lo, hi in chunks:
-        out[lo:hi] = forward_cached(layer_sizes, w, x[lo:hi], ws)[0]
+        forward_cached(layer_sizes, mats, x[lo:hi], ws, out[lo:hi])
     return out
 
 
-def forward_cached(layer_sizes, w, x, ws=None):
-    """Forward pass keeping per layer activations for backprop.
+def forward_cached(layer_sizes, w, x, ws=None, out=None):
+    """Forward pass keeping each layer's input for backprop.
 
-    ReLU after every layer but the last. The activations are views into ws
-    (a temporary workspace when None).
+    w is a flat weight vector or its pack. x is (n, d_in) rows, copied into
+    ws.ins[0], or the view ws.load returned, which skips the copy when one
+    chunk goes through several weight vectors. Each layer multiplies its
+    ones-extended input by [W | b]: bitwise x @ W.T + b from STABLE_ROWS rows
+    up. ReLU follows every layer but the last, over the whole buffer, where
+    the ones stay 1. The last layer writes into out ((n, d_out)) when given,
+    else ws.out (not in a forward_only workspace). Returns the output and
+    the cache: every layer's (n, fan_in + 1) input, ones column included,
+    then the output, all views into ws (a temporary workspace when None).
     """
-    a = np.asarray(x, dtype=np.float64)
-    ws = ws or Workspace(layer_sizes, len(a))
-    n_layers = len(ws.slices)
+    x = np.asarray(x, dtype=np.float64)
+    ws = ws or Workspace(layer_sizes, len(x))
+    mats = pack(layer_sizes, w)
+    n = len(x)
+    a = x if x.base is ws.ins[0] else ws.load(x)
     cache = [a]
-    for li in range(n_layers):
-        w_sl, b_sl = ws.slices[li]
-        z = ws.acts[li][: len(a)]
-        np.matmul(a, w[w_sl].reshape(layer_sizes[li + 1], layer_sizes[li]).T, out=z)
-        z += w[b_sl]
-        if li < n_layers - 1:
-            np.maximum(z, 0.0, out=z)
+    for li, m in enumerate(mats[:-1]):
+        z = ws.ins[li + 1][:n]
+        np.matmul(a, m.T, out=z[:, :-1])
+        np.maximum(z, 0.0, out=z)
         cache.append(z)
         a = z
-    return a, cache
+    z = ws.out[:n] if out is None else out
+    np.matmul(a, mats[-1].T, out=z)
+    cache.append(z)
+    return z, cache
 
 
 def backprop(layer_sizes, w, cache, d_out, ws=None):
     """Gradient of sum(output * d_out) with respect to the flat weights.
 
-    cache is the activation list from forward_cached on the same inputs.
-    ReLU subgradient at 0 is 0. Returns ws.grad (a temporary workspace's
-    when ws is None).
+    cache is forward_cached's on the same inputs: the layer inputs with their
+    ones columns, which the weight gradients leave out. ReLU subgradient at 0
+    is 0. Returns ws.grad (a temporary workspace's when ws is None).
     """
     delta = np.asarray(d_out, dtype=np.float64)
     n = len(delta)
@@ -224,8 +261,10 @@ def backprop(layer_sizes, w, cache, d_out, ws=None):
         w_sl, b_sl = ws.slices[li]
         wm = w[w_sl].reshape(layer_sizes[li + 1], layer_sizes[li])
         if li < n_layers - 1:
-            np.multiply(delta, np.greater(cache[li + 1], 0.0, out=ws.masks[li][:n]), out=delta)
-        np.matmul(delta.T, cache[li], out=ws.grad[w_sl].reshape(wm.shape))
+            # the mask over the whole contiguous buffer, ones column too: 4x faster than its view
+            mask = np.greater(cache[li + 1], 0.0, out=ws.masks[li][:n])
+            np.multiply(delta, mask[:, :-1], out=delta)
+        np.matmul(delta.T, cache[li][:, :-1], out=ws.grad[w_sl].reshape(wm.shape))
         np.matmul(ws.ones[:n], delta, out=ws.grad[b_sl])      # the column sums
         if li > 0:
             delta = np.matmul(delta, wm, out=ws.deltas[li - 1][:n])
@@ -247,10 +286,13 @@ def feature_bound(layer_sizes, w, features):
     Keeps only each row chunk's largest squared norm, not the output matrix.
     """
     chunks = row_chunks(len(features))
-    ws = Workspace(layer_sizes, chunks[-1][1] - chunks[-1][0], forward_only=True)  # the tallest
+    tallest = chunks[-1][1] - chunks[-1][0]
+    ws = Workspace(layer_sizes, tallest, forward_only=True)
+    buf = np.empty((tallest, layer_sizes[-1]))
+    mats = pack(layer_sizes, w)
     sq = []
     for lo, hi in chunks:
-        out = forward_cached(layer_sizes, w, features[lo:hi], ws)[0]
+        out = forward_cached(layer_sizes, mats, features[lo:hi], ws, buf[: hi - lo])[0]
         sq.append(np.max(np.sum(np.square(out, out=out), axis=1)))
     return float(np.sqrt(np.max(sq)))
 

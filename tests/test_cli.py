@@ -830,6 +830,28 @@ def test_eval_applies_the_network_once_per_split(tmp_path, data_dir, train_dir, 
     assert len(forwards) == 2 * len(ckpts)
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--samples-per-class", "0"), ("--samples-per-class", "-1"),
+    ("--variants", "0"), ("--variants", "-1"),
+])
+def test_eval_rejects_an_empty_few_shot_setting(tmp_path, data_dir, train_dir, monkeypatch,
+                                                capsys, flag, value):
+    # no samples per class scored every few-shot metric a perfect 1.0, and no
+    # variants gave NaN means; the check comes before any file is read
+    read, load_feature_csv = [], data.load_feature_csv
+    monkeypatch.setattr(data, "load_feature_csv",
+                        lambda *args, **kw: read.append(args[0]) or load_feature_csv(*args, **kw))
+    assert main([
+        "eval", "--checkpoint", best_pb_checkpoint(train_dir),
+        "--train-csv", str(data_dir / "labeled_train.csv"),
+        "--test-csv", str(data_dir / "labeled_test.csv"),
+        "--out", str(tmp_path / "m"), flag, value,
+    ]) == 2
+    assert f"error: {flag} must be >= 1, got {value}" in capsys.readouterr().err
+    assert not read
+    assert not (tmp_path / "m").exists()
+
+
 def test_eval_dim_mismatch(tmp_path, data_dir, rng, capsys):
     post, prior = network.init_network((7, 3), 1e-3, rng)
     path = tmp_path / "wide.ckpt.json"

@@ -321,10 +321,11 @@ def test_mc_posterior_risk_checks_kind_before_drawing(rng):
 # ---------------------------------------------------------------------------
 # chunked whole-matrix paths against one whole-matrix forward, bit for bit.
 # A remainder chunk of 1 or 75 rows would round differently from the whole
-# matrix, so these row counts fail unless the remainder folds into the last chunk
+# matrix, so these row counts (1 or 3 chunks) fail unless the remainder folds
+# into the last chunk
 
 
-@pytest.mark.parametrize("extra", [1, network.CHUNK_ROWS + 75])
+@pytest.mark.parametrize("extra", [1, 2 * network.CHUNK_ROWS + 75])
 def test_chunked_paths_match_whole_matrix(rng, extra):
     rows = network.CHUNK_ROWS + extra
     ds = random_tuples(rng, rows, rows)
@@ -377,9 +378,9 @@ def assert_risks_bitwise(layer_sizes, w, ds, loss_kind, kinds=("zero-one", "loss
 
 @pytest.mark.parametrize("kind", ["zero-one", "loss"])
 def test_tuple_risks_blocks_of_three(rng, kind):
-    # blocks of 3 and k=2 give 10 rows per tuple: 204 tuples per chunk, and
-    # 700 tuples fold into chunks of 204, 204 and 292. The 7,000 references
-    # share 900 rows (whole-matrix path) or stream from 7,000
+    # blocks of 3 and k=2 give 10 rows per tuple. The 7,000 references share
+    # 900 rows (whole-matrix path: 700 tuples fold into chunks of 204, 204 and
+    # 292) or stream from 7,000 (five chunks of 102 tuples and one of 190)
     sizes = (5, 8, 4)
     for rows, streams in ((900, False), (7000, True)):
         ds = random_tuples(rng, rows, 700, dim=5, k=2, block_size=3)
@@ -392,7 +393,7 @@ def test_tuple_risks_blocks_of_three(rng, kind):
 @pytest.mark.parametrize("m, k, block_size, streams", [
     (15, 3, 1, False),     # 15 tuples of 5 rows: 75 references, too few to stream
     (19, 2, 1, True),      # 19 tuples of 4 rows: 76, one 76-row chunk
-    (1000, 4, 2, True),    # chunks of 186 tuples; the last folds in 70 more
+    (1000, 4, 2, True),    # chunks of 93 tuples; the last folds in 70 more
 ])
 def test_streamed_tuple_risks_match_whole_matrix(rng, m, k, block_size, streams):
     # 3,000 rows, so the reference forwards a taller matrix than any chunk
@@ -472,25 +473,28 @@ def test_feature_bound_over_a_large_matrix_allocates_little(rng):
     assert peak < 8e6
 
 
-@pytest.mark.parametrize("bad_row", [0, 2047, 2048, 4999, 5 * network.CHUNK_ROWS + 99])
+@pytest.mark.parametrize("bad_row", [0, 2047, 2048, 4999, 10 * network.CHUNK_ROWS + 99])
 def test_feature_bound_passes_a_non_finite_row_through(rng, bad_row):
-    # of 5 chunks: both ends of the first, rows inside the second and third,
-    # and the last row of the folded fifth; max(0.0, nan) would drop it
-    x = rng.standard_normal((5 * network.CHUNK_ROWS + 100, 20))
+    # of 10 chunks: the first row of the first, the last of the second, the
+    # first of the third, a row inside the fifth and the last row of the
+    # folded tenth; max(0.0, nan) would drop it
+    assert network.CHUNK_ROWS == 1024
+    x = rng.standard_normal((10 * network.CHUNK_ROWS + 100, 20))
     x[bad_row, 3] = np.nan
     w = rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
     assert math.isnan(network.feature_bound(ACCEPTANCE_SIZES, w, x))
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-@pytest.mark.parametrize("bad_row", [network.CHUNK_ROWS + 7, 5 * network.CHUNK_ROWS + 50])
+@pytest.mark.parametrize("bad_row", [2 * network.CHUNK_ROWS + 7, 10 * network.CHUNK_ROWS + 50])
 def test_feature_bound_passes_a_worker_s_non_finite_row_through(rng, pin_workers, workers,
                                                                bad_row):
-    # the second chunk and the folded last one (the fifth) of 5 chunks, which
-    # worker 1 would take at 2 or 3 workers; feature_bound runs them all in
-    # the caller whatever the worker count
+    # the third chunk and the folded last one (the tenth) of 10 chunks: dealt
+    # out as chunks[i::n], worker 2 would take the third at 3 workers and
+    # worker 1 the tenth at 2; feature_bound runs them all in the caller
+    # whatever the worker count
     pin_workers(workers)
-    x = rng.standard_normal((5 * network.CHUNK_ROWS + 100, 20))
+    x = rng.standard_normal((10 * network.CHUNK_ROWS + 100, 20))
     x[bad_row, 3] = np.nan
     w = rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
     assert math.isnan(network.feature_bound(ACCEPTANCE_SIZES, w, x))
@@ -505,7 +509,7 @@ def record_threads(monkeypatch):
 
 
 def test_results_do_not_depend_on_the_worker_count(rng, monkeypatch, pin_workers):
-    # 1,000 tuples of 11 rows: 5 chunks of 186 tuples, the last folding in 70
+    # 1,000 tuples of 11 rows: 10 chunks of 93 tuples, the last folding in 70
     # more; the concatenated set's second half has offset indices. The last
     # set's 11,000 references share 2,000 rows, so it takes the whole-matrix path
     model = data.random_gaussian_model(5, 20, 3.0, 1.0, rng)
@@ -553,10 +557,31 @@ def test_results_do_not_depend_on_the_worker_count(rng, monkeypatch, pin_workers
     assert results[1] == results[2] == results[3]
 
 
+def test_draw_blocks_give_each_draw_its_own_bits(rng, pin_workers):
+    # 1, 2, 5, 7 and 10 draws: one block, a part block, one full block, a full
+    # and a part block, two full blocks; each row must be that draw's risks
+    # scored alone, at any worker count
+    ds = random_tuples(rng, 11_000, 1000)
+    assert evaluation._streams(ds)
+    weights = [rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
+               for _ in range(10)]
+    pin_workers(1)
+    alone = {kind: [evaluation.tuple_risks(ACCEPTANCE_SIZES, w, ds, kind, "logistic")
+                    for w in weights] for kind in ("zero-one", "loss")}
+    for workers in (1, 2, 3):
+        pin_workers(workers)
+        for draws in (1, 2, 5, 7, 10):
+            for kind, want in alone.items():
+                got = evaluation.draw_risks(ACCEPTANCE_SIZES, weights[:draws], ds, kind,
+                                            "logistic")
+                assert np.array_equal(got.view(np.int64),
+                                      np.stack(want[:draws]).view(np.int64)), (workers, draws)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_mc_draws_gather_each_streamed_chunk_once(rng, monkeypatch, pin_workers, workers):
-    # 1,000 tuples of 11 rows stream in 5 chunks (186 tuples each, the last
-    # 256): 10 draws gather each chunk once and forward it 10 times
+    # 1,000 tuples of 11 rows stream in 10 chunks (93 tuples each, the last
+    # 163): 10 draws gather each chunk once and forward it 10 times
     pin_workers(workers)
     ds = random_tuples(rng, 11_000, 1000)
     assert evaluation._streams(ds)
@@ -570,8 +595,8 @@ def test_mc_draws_gather_each_streamed_chunk_once(rng, monkeypatch, pin_workers,
     _, vals = evaluation.mc_posterior_risk(ACCEPTANCE_SIZES, post, ds, 10, "zero-one",
                                            "logistic", rng)
     assert len(vals) == 10
-    assert sorted(taken) == [186] * 4 + [256]
-    assert sorted(forwarded) == [186 * 11] * 40 + [256 * 11] * 10
+    assert sorted(taken) == [93] * 9 + [163]
+    assert sorted(forwarded) == [93 * 11] * 90 + [163 * 11] * 10
 
 
 def test_more_workers_than_cores_under_fast_thread_switching(rng, pin_workers):

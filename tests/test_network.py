@@ -267,9 +267,34 @@ def test_forward_without_workspace_matches_allocating_math(rng):
     d_out = rng.standard_normal((300, 16))
     out, cache = network.forward_cached(ACCEPTANCE_SIZES, w, x)
     ref_out, ref_cache = alloc_forward_cached(ACCEPTANCE_SIZES, w, x)
-    assert all(np.array_equal(a, b) for a, b in zip(cache, ref_cache))
+    # each layer input carries a column of ones, the output none
+    assert all(np.array_equal(a[:, :-1], b) and np.all(a[:, -1] == 1.0)
+               for a, b in zip(cache[:-1], ref_cache[:-1]))
+    assert np.array_equal(cache[-1], ref_cache[-1])
     assert np.array_equal(network.backprop(ACCEPTANCE_SIZES, w, cache, d_out),
                           alloc_backprop(ACCEPTANCE_SIZES, w, ref_cache, d_out))
+
+
+@pytest.mark.parametrize("rows", [network.STABLE_ROWS, 77, 1000, network.CHUNK_ROWS])
+def test_folded_forward_matches_the_bias_add_math(rng, rows):
+    # each acceptance layer, 20 -> 32 with ReLU and 32 -> 16, against x @ W.T
+    # + b on the same layer input, bit for bit; the workspace is one chunk
+    # high, so every height but the last is a partial chunk
+    ws = network.Workspace(ACCEPTANCE_SIZES, network.CHUNK_ROWS, forward_only=True)
+    w = rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
+    x = rng.standard_normal((rows, 20))
+    out, cache = network.forward_cached(ACCEPTANCE_SIZES, w, x, ws, np.empty((rows, 16)))
+    for li, (w_sl, b_sl) in enumerate(ws.slices):
+        fan_in, fan_out = ACCEPTANCE_SIZES[li], ACCEPTANCE_SIZES[li + 1]
+        z = cache[li][:, :-1] @ w[w_sl].reshape(fan_out, fan_in).T + w[b_sl]
+        want = np.maximum(z, 0.0) if li == 0 else z
+        got = cache[li + 1][:, :-1] if li == 0 else out
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), li
+    assert np.array_equal(cache[0][:, :-1], x) and np.all(cache[0][:, -1] == 1.0)
+    # rows already loaded into the workspace skip the copy and keep the bits
+    again = network.forward_cached(ACCEPTANCE_SIZES, network.pack(ACCEPTANCE_SIZES, w),
+                                   ws.load(x), ws, np.empty((rows, 16)))[0]
+    assert np.array_equal(again.view(np.int64), out.view(np.int64))
 
 
 def test_gemv_bias_grads_match_row_sums(rng):
@@ -289,8 +314,8 @@ def test_gemv_bias_grads_match_row_sums(rng):
         for li in (1, 0):
             w_sl, b_sl = ws.slices[li]
             if li == 0:
-                delta = (delta @ w[ws.slices[1][0]].reshape(16, 32)) * (cache[1] > 0.0)
-            ref[w_sl] = (delta.T @ cache[li]).ravel()
+                delta = (delta @ w[ws.slices[1][0]].reshape(16, 32)) * (cache[1][:, :-1] > 0.0)
+            ref[w_sl] = (delta.T @ cache[li][:, :-1]).ravel()
             ref[b_sl] = np.sum(delta, axis=0)
             scale[b_sl] = np.sum(np.abs(delta), axis=0)
         for w_sl, b_sl in ws.slices:
