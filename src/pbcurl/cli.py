@@ -379,9 +379,17 @@ def _write_best(out_dir, best):
     return 0
 
 
+def _check_input_width(ckpt_path, ckpt, dim):
+    """Reject a checkpoint whose network does not take rows of width dim."""
+    if ckpt.layer_sizes[0] != dim:
+        raise ConfigError(f"{ckpt_path}: network input width {ckpt.layer_sizes[0]} does not "
+                          f"match feature dim {dim}")
+
+
 def _cmd_bound(args):
     ckpt = network.load_checkpoint(args.checkpoint)
     ds = _load_manifests(args.data)
+    _check_input_width(args.checkpoint, ckpt, ds.dim)
     if args.T is not None:
         if args.T < 0:
             raise ConfigError(f"--T must be >= 0, got {args.T}")
@@ -447,12 +455,8 @@ def _cmd_eval(args):
     results = {}
     for i, ckpt_path in enumerate(args.checkpoint):
         ckpt = network.load_checkpoint(ckpt_path)
+        _check_input_width(ckpt_path, ckpt, labeled_train.dim)
         layer_sizes = tuple(ckpt.layer_sizes)
-        if layer_sizes[0] != labeled_train.dim:
-            raise ConfigError(
-                f"{ckpt_path}: network input width {layer_sizes[0]} does not match "
-                f"feature dim {labeled_train.dim}"
-            )
         w = network.map_weights(ckpt.posterior)
         reps_train, reps_test = (
             data.LabeledDataset(network.forward(layer_sizes, w, split.x), split.y)
@@ -513,6 +517,7 @@ def _cmd_select(args):
                     "pass --data to recompute"
                 )
             ckpt = network.load_checkpoint(rec["checkpoint_path"])
+            _check_input_width(rec["checkpoint_path"], ckpt, ds.dim)
             cfg = rec["config"]
             rec["selection"] = training.pb_certificate(
                 tuple(ckpt.layer_sizes), ckpt.posterior, ckpt.prior, ds, cfg,

@@ -684,7 +684,7 @@ def load_contrastive(json_path):
         index = np.fromfile(fh, dtype="<i8", count=sum(sizes)).astype(np.int64, copy=False)
     parts = np.split(index, np.cumsum(sizes)[:-1])
     try:
-        return ContrastiveDataset(
+        ds = ContrastiveDataset(
             features.astype(np.float64, copy=False),      # native byte order
             *(part.reshape(shape) for part, shape in zip(parts, shapes)),
             k=k, block_size=block_size, dependency_t=dependency_t,
@@ -692,6 +692,9 @@ def load_contrastive(json_path):
         )
     except DataFormatError as exc:
         raise DataFormatError(f"{json_path}: {exc}") from None
+    if len(ds) == 0:
+        raise DataFormatError(f"{json_path}: the manifest holds no tuples")
+    return ds
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ Monte Carlo averages over weight draws.
 """
 
 import math
+import mmap
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,32 +151,24 @@ def draw_risks(layer_sizes, weights, ds, kind, loss_kind):
     into a reused buffer and loaded into a forward-only workspace. Then every
     block of DRAW_BLOCK weight vectors forwards them while they are in cache,
     into one (draws, rows, d_out) buffer, and one margin and one risk pass
-    cover the block. These chunks run on network.worker_count threads, worker
-    i taking chunks[i::n] with its own buffers. The calling thread is worker
-    0 and allocates every worker's buffers: what a worker thread allocates
-    stays in its own malloc arena after the thread ends. Otherwise
-    ds.features goes through the network once per weight vector, into one
-    buffer, and each chunk's output rows are stacked instead, in the calling
-    thread. Each draw runs the same operations on the same rows on either
-    path, in any block and on any worker count, so all give the same bits.
+    cover the block; worker i takes chunks[i::n]. Otherwise worker i forwards
+    ds.features once for each of draws i, i + n, ... into its own buffer and
+    scores each chunk's stacked output rows. The n = network.worker_count
+    workers are forked processes (see _on_workers), each allocating its own
+    buffers, and write disjoint slices of one risk matrix in shared memory.
+    Each draw runs the same operations on the same rows on either path, in
+    any block and on any worker count, so all give the same bits.
     """
     per_tuple = data.TupleBatch.rows_per_tuple(ds.k, ds.block_size)
     streams = _streams(ds)
     chunk_rows = network.CHUNK_ROWS if streams else SCORE_ROWS
     chunks = network.row_chunks(len(ds), max(1, chunk_rows // per_tuple))
-    n = network.worker_count(len(chunks)) if streams else 1
-    parts = [chunks[i::n] for i in range(n)]
-    block = min(DRAW_BLOCK, len(weights)) if streams else 1
+    n = network.worker_count(len(chunks) if streams else len(weights))
     d_out = layer_sizes[-1]
-    bufs = []
-    for part in parts:
-        tallest = max(hi - lo for lo, hi in part)
-        rows = tallest * per_tuple
-        bufs.append((network.Workspace(layer_sizes, rows, forward_only=True) if streams else None,
-                     np.empty((rows, ds.dim if streams else d_out)),
-                     np.empty(block * rows * d_out if streams else 0),
-                     np.empty(block * tallest * ds.k * d_out)))
-    risks = np.empty((len(weights), len(ds)))
+    size = len(weights) * len(ds)
+    # anonymous and shared: what a forked worker writes here, the caller reads
+    risks = np.frombuffer(mmap.mmap(-1, 8 * max(1, size)), count=size)
+    risks = risks.reshape(len(weights), len(ds))
     mats = [network.pack(layer_sizes, w) for w in weights]
 
     def take(source, lo, hi, rows):
@@ -189,9 +185,22 @@ def draw_risks(layer_sizes, weights, ds, kind, loss_kind):
                 else losses.zero_one_risk(margins)).reshape(-1, hi - lo)
         risks[s : s + len(risk), lo:hi] = risk
 
-    def stream(i):
-        ws, rows, outs, diff = bufs[i]
-        for lo, hi in parts[i]:
+    def work(i):
+        part = chunks[i::n] if streams else chunks
+        tallest = max(hi - lo for lo, hi in part)
+        rows = np.empty((tallest * per_tuple, ds.dim if streams else d_out))
+        block = min(DRAW_BLOCK, len(weights)) if streams else 1
+        diff = np.empty(block * tallest * ds.k * d_out)
+        if not streams:
+            out = np.empty((len(ds.features), d_out))
+            for s in range(i, len(mats), n):
+                source = network.forward(layer_sizes, mats[s], ds.features, out)
+                for lo, hi in chunks:
+                    score(s, take(source, lo, hi, rows), lo, hi, diff)
+            return
+        ws = network.Workspace(layer_sizes, len(rows), forward_only=True)
+        outs = np.empty(block * len(rows) * d_out)
+        for lo, hi in part:
             x = ws.load(take(ds.features, lo, hi, rows).rows)
             for s in range(0, len(mats), DRAW_BLOCK):
                 draws = mats[s : s + DRAW_BLOCK]
@@ -200,24 +209,71 @@ def draw_risks(layer_sizes, weights, ds, kind, loss_kind):
                     network.forward_cached(layer_sizes, w, x, ws, out[j])
                 score(s, data.TupleBatch(out, hi - lo, ds.k, ds.block_size), lo, hi, diff)
 
-    if not streams:
-        # on 2 worker threads 10 draws over 4.3k tuples of 4.5k rows took 67-78 ms, not 45-52
-        _, rows, _, diff = bufs[0]
-        out = np.empty((len(ds.features), d_out))
-        for s, w in enumerate(mats):
-            source = network.forward(layer_sizes, w, ds.features, out)
-            for lo, hi in chunks:
-                score(s, take(source, lo, hi, rows), lo, hi, diff)
-    elif n == 1:
-        stream(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor    # loads logging, a few ms: only here
-        with ThreadPoolExecutor(n - 1) as pool:     # lives for this call; no thread outlives it
-            futures = [pool.submit(stream, i) for i in range(1, n)]
-            stream(0)
-            for future in futures:
-                future.result()                     # re-raises a worker's exception here
+    _on_workers(n, work)
     return risks
+
+
+def _on_workers(n, work):
+    """Run work(0), ..., work(n - 1): work(0) here, the rest in forked children.
+
+    Children leave only through os._exit, after sending a raised exception
+    back pickled through a pipe; every child is reaped before this returns
+    or raises, and killed first if this process raises. A child's exception
+    is re-raised here with its type and message; one that cannot be pickled,
+    or a child killed by a signal, gives a RuntimeError naming the worker.
+    Where os.fork fails, this process runs that worker's share itself.
+    """
+    children = []                           # (worker, pid, read end of its pipe)
+    try:
+        for i in range(1, n):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                work(i)
+                continue
+            if pid == 0:                    # the child
+                code = 1
+                try:
+                    os.close(read)
+                    work(i)
+                    code = 0
+                except BaseException as exc:
+                    try:
+                        payload = pickle.dumps(exc)
+                    except Exception:
+                        payload = pickle.dumps(RuntimeError(
+                            f"Monte Carlo worker {i} raised {type(exc).__name__}: {exc}"))
+                    with os.fdopen(write, "wb") as pipe:
+                        pipe.write(payload)
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children.append((i, pid, read))
+        work(0)
+    except BaseException:
+        for _, pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        failures = []
+        for i, pid, read in children:
+            with os.fdopen(read, "rb") as pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            if os.WIFSIGNALED(status):
+                sig = signal.Signals(os.WTERMSIG(status)).name
+                failures.append(RuntimeError(f"Monte Carlo worker {i} was killed by {sig}"))
+            elif os.WEXITSTATUS(status):
+                try:
+                    failures.append(pickle.loads(payload))
+                except Exception:
+                    failures.append(RuntimeError(
+                        f"Monte Carlo worker {i} failed and its exception could not be read"))
+    if failures:
+        raise failures[0]
 
 
 def mc_posterior_risk(layer_sizes, post, ds, n_samples, kind, loss_kind, rng):

@@ -118,13 +118,16 @@ def row_chunks(n, chunk=CHUNK_ROWS):
     return list(zip(edges, edges[1:] + [n]))
 
 
-def worker_count(n_chunks):
-    """Threads for n_chunks independent chunks: min(n_chunks, usable CPUs // BLAS threads).
+def worker_count(n_jobs):
+    """Worker processes for n_jobs independent jobs: min(n_jobs, usable CPUs // BLAS threads).
 
     BLAS threads is the first positive integer among OPENBLAS_NUM_THREADS,
     GOTO_NUM_THREADS and OMP_NUM_THREADS, the order OpenBLAS reads them in.
-    With none set, BLAS already runs on every CPU, so the count is 1.
+    With none set, BLAS already runs on every CPU, so the count is 1. It is
+    1 too where os.fork does not exist, as the workers are forked.
     """
+    if not hasattr(os, "fork"):
+        return 1
     for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         value = os.environ.get(name, "").strip()
         if value.isdigit() and int(value) > 0:
@@ -136,7 +139,7 @@ def worker_count(n_chunks):
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:                 # no affinity outside Linux
         cpus = os.cpu_count() or 1
-    return max(1, min(n_chunks, cpus // blas))
+    return max(1, min(n_jobs, cpus // blas))
 
 
 class Workspace:

@@ -740,6 +740,84 @@ def test_manifest_missing_key_exits_two_and_names_it(tmp_path, data_dir, train_d
     assert not (tmp_path / "b").exists()
 
 
+def write_zero_tuple_manifest(tmp_path, rng):
+    empty = data.ContrastiveDataset(
+        features=rng.standard_normal((12, 3)), anchors=np.zeros(0, np.int64),
+        positives=np.zeros((0, 2), np.int64), negatives=np.zeros((0, 2, 2), np.int64),
+        k=2, block_size=2,
+    )
+    data.save_contrastive(empty, str(tmp_path / "empty.json"))
+    assert json.loads((tmp_path / "empty.json").read_text())["n_tuples"] == 0
+    return str(tmp_path / "empty.json")
+
+
+def test_zero_tuple_manifest_exits_two_before_any_work(tmp_path, train_dir, capsys):
+    empty = write_zero_tuple_manifest(tmp_path, np.random.default_rng(0))
+    assert main([
+        "bound", "--checkpoint", best_pb_checkpoint(train_dir), "--data", empty,
+        "--out", str(tmp_path / "b"), "--iid",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert f"{empty}: the manifest holds no tuples" in err and "Traceback" not in err
+    cfg = write_json(tmp_path / "t.json", {
+        "dataset": {"kind": "manifests", "train": empty},
+        "grid": [{"layer_sizes": [3, 4, 2], "k": 2, "block_size": 2, "epochs": 1}],
+    })
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "t")]) == 2
+    err = capsys.readouterr().err
+    assert f"{empty}: the manifest holds no tuples" in err and "Traceback" not in err
+    assert not (tmp_path / "b").exists() and not (tmp_path / "t").exists()
+
+
+def write_wide_checkpoint(tmp_path, rng, width=20):
+    post, prior = network.init_network((width, 3), 1e-3, rng)
+    path = tmp_path / "wide.ckpt.json"
+    network.save_checkpoint(
+        str(path),
+        network.Checkpoint(
+            layer_sizes=[width, 3], posterior=post, prior=prior, seed=0, epoch=0, config={},
+        ),
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("manifest", ["iid", "sequence"])
+def test_bound_rejects_a_checkpoint_of_another_input_width(tmp_path, data_dir, rng, capsys,
+                                                           manifest):
+    wide = write_wide_checkpoint(tmp_path, rng)
+    if manifest == "iid":
+        path, dim, flag = str(data_dir / "test.json"), 3, "--iid"
+    else:
+        seq = tmp_path / "seq"
+        assert main(["gen-data", "--config", sequence_config(tmp_path), "--out", str(seq),
+                     "--seed", "4"]) == 0
+        path, dim, flag = str(seq / "train.json"), 2, "--noniid"
+    capsys.readouterr()
+    assert main(["bound", "--checkpoint", wide, "--data", path, "--out", str(tmp_path / "b"),
+                 flag]) == 2
+    err = capsys.readouterr().err
+    assert f"{wide}: network input width 20 does not match feature dim {dim}" in err
+    assert "Traceback" not in err and not (tmp_path / "b").exists()
+
+
+def test_select_rejects_a_checkpoint_of_another_input_width(tmp_path, data_dir, train_dir, rng,
+                                                            capsys):
+    wide = write_wide_checkpoint(tmp_path, rng)
+    stripped = tmp_path / "runs.jsonl"
+    with open(train_dir / "runs.jsonl") as fh, open(stripped, "w") as out_fh:
+        for line in fh:
+            rec = json.loads(line)
+            rec["selection"], rec["checkpoint_path"] = None, wide
+            out_fh.write(json.dumps(rec) + "\n")
+    assert main([
+        "select", "--runs", str(stripped), "--out", str(tmp_path / "s"), "--criteria", "pb",
+        "--data", str(data_dir / "train.json"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert f"{wide}: network input width 20 does not match feature dim 3" in err
+    assert "Traceback" not in err and not (tmp_path / "s").exists()
+
+
 def test_cli_import_leaves_scipy_out():
     # the runtime needs numpy only; scipy is a test oracle
     code = "import sys, pbcurl.cli; print('scipy' in sys.modules)"

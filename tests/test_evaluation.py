@@ -1,6 +1,6 @@
 import math
 import os
-import sys
+import signal
 import threading
 import tracemalloc
 
@@ -418,18 +418,44 @@ def test_concatenated_iid_sets_stream_bitwise(rng):
     assert_risks_bitwise(ACCEPTANCE_SIZES, w, ds, "logistic")
 
 
-def test_tuples_sharing_rows_keep_the_whole_matrix_path(rng, monkeypatch):
-    forwarded, forward_cached = [], network.forward_cached
-    monkeypatch.setattr(network, "forward_cached",
-                        lambda *args: forwarded.append(len(args[2])) or forward_cached(*args))
+def record_calls(monkeypatch, path, owner, name, size):
+    """Patch owner.name to append "<pid> <size(args)>" to path on every call.
+
+    Forked workers inherit the patch; the file collects the calls of every
+    process. Returns a function that reads the (pid, size) pairs so far.
+    """
+    fn = getattr(owner, name)
+
+    def recorded(*args):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()} {size(args)}\n")
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, recorded)
+
+    def read():
+        if not path.exists():
+            return []
+        return [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
+    return read
+
+
+def record_forwards(monkeypatch, path):
+    """The (pid, rows) of every network.forward_cached call."""
+    return record_calls(monkeypatch, path, network, "forward_cached", lambda args: len(args[2]))
+
+
+def test_tuples_sharing_rows_keep_the_whole_matrix_path(rng, monkeypatch, tmp_path):
+    log = tmp_path / "forwards"
+    forwarded = record_forwards(monkeypatch, log)      # by every worker process
     w = rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
     # 2,200 references: to 500 shared rows the matrix goes through once; of
     # 3,000 rows only the 2,200 referenced ones go through
     for rows, expect in ((500, 500), (3000, 2200)):
-        forwarded.clear()
+        log.unlink(missing_ok=True)
         ds = random_tuples(rng, rows, 200)
         evaluation.tuple_risks(ACCEPTANCE_SIZES, w, ds, "zero-one", "logistic")
-        assert sum(forwarded) == expect
+        assert sum(size for _, size in forwarded()) == expect
 
 
 @pytest.fixture
@@ -500,15 +526,7 @@ def test_feature_bound_passes_a_worker_s_non_finite_row_through(rng, pin_workers
     assert math.isnan(network.feature_bound(ACCEPTANCE_SIZES, w, x))
 
 
-def record_threads(monkeypatch):
-    """Patch network.forward_cached to record the threads that call it."""
-    seen, forward_cached = set(), network.forward_cached
-    monkeypatch.setattr(network, "forward_cached", lambda *args: seen.add(
-        threading.get_ident()) or forward_cached(*args))
-    return seen
-
-
-def test_results_do_not_depend_on_the_worker_count(rng, monkeypatch, pin_workers):
+def test_results_do_not_depend_on_the_worker_count(rng, monkeypatch, pin_workers, tmp_path):
     # 1,000 tuples of 11 rows: 10 chunks of 93 tuples, the last folding in 70
     # more; the concatenated set's second half has offset indices. The last
     # set's 11,000 references share 2,000 rows, so it takes the whole-matrix path
@@ -524,53 +542,55 @@ def test_results_do_not_depend_on_the_worker_count(rng, monkeypatch, pin_workers
     weights = [network.sample_weights(post, network.sample_eps(post.n_params, redraw))
                for _ in range(3)]
     x = rng.standard_normal((5 * network.CHUNK_ROWS + 100, 20))
-    threads = record_threads(monkeypatch)
+    log = tmp_path / "forwards"
+    forwards = record_forwards(monkeypatch, log)
     results = {}
     for workers in (1, 2, 3):
         pin_workers(workers)
 
-        def on_workers(fn, *args, pooled=True):
-            threads.clear()
+        def on_workers(fn, *args, fewest, most):
+            log.unlink(missing_ok=True)
             value = fn(*args)
-            # the caller runs worker 0 and a pool thread worker 1 at least;
-            # feature_bound and the whole-matrix path run in the caller alone
-            assert (min(workers, 2) <= len(threads) <= workers) if pooled else len(threads) == 1
+            processes = {pid for pid, _ in forwards()}
+            # the caller runs worker 0, each other worker is a child process
+            assert os.getpid() in processes
+            assert fewest <= len(processes) <= most
             return value
 
         got = [on_workers(network.feature_bound, ACCEPTANCE_SIZES, post.mu, x,
-                          pooled=False).hex()]
+                          fewest=1, most=1).hex()]     # feature_bound runs in the caller
         for ds in sets:
-            pooled = evaluation._streams(ds)
+            # the streamed path splits 10 chunks, the whole-matrix path 3 draws
+            # and one map network
+            span = ((min(workers, 2), workers) if evaluation._streams(ds)
+                    else (min(workers, 3), min(workers, 3)))
             for kind in ("zero-one", "loss"):
                 mean, vals = on_workers(evaluation.mc_posterior_risk, ACCEPTANCE_SIZES, post,
                                         ds, 3, kind, "logistic", np.random.default_rng(5),
-                                        pooled=pooled)
+                                        fewest=span[0], most=span[1])
                 # each draw as its own one-weight pass over the same weights
                 assert [v.hex() for v in vals] == [
                     float(np.mean(evaluation.tuple_risks(ACCEPTANCE_SIZES, w, ds, kind,
                                                          "logistic"))).hex()
                     for w in weights]
                 got += [mean.hex()] + [v.hex() for v in vals]
+            one = span if evaluation._streams(ds) else (1, 1)
             got.append(on_workers(training.map_dataset_loss, ACCEPTANCE_SIZES, post.mu, ds,
-                                  "hinge", pooled=pooled).hex())
+                                  "hinge", fewest=one[0], most=one[1]).hex())
         results[workers] = got
     assert results[1] == results[2] == results[3]
 
 
-def test_draw_blocks_give_each_draw_its_own_bits(rng, pin_workers):
-    # 1, 2, 5, 7 and 10 draws: one block, a part block, one full block, a full
-    # and a part block, two full blocks; each row must be that draw's risks
-    # scored alone, at any worker count
-    ds = random_tuples(rng, 11_000, 1000)
-    assert evaluation._streams(ds)
+def assert_draws_do_not_depend_on_the_worker_count(rng, pin_workers, ds, draw_counts):
+    """Each row of draw_risks is that draw's risks scored alone, on 1, 2 and 3 workers."""
     weights = [rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
-               for _ in range(10)]
+               for _ in range(max(draw_counts))]
     pin_workers(1)
     alone = {kind: [evaluation.tuple_risks(ACCEPTANCE_SIZES, w, ds, kind, "logistic")
                     for w in weights] for kind in ("zero-one", "loss")}
     for workers in (1, 2, 3):
         pin_workers(workers)
-        for draws in (1, 2, 5, 7, 10):
+        for draws in draw_counts:
             for kind, want in alone.items():
                 got = evaluation.draw_risks(ACCEPTANCE_SIZES, weights[:draws], ds, kind,
                                             "logistic")
@@ -578,30 +598,45 @@ def test_draw_blocks_give_each_draw_its_own_bits(rng, pin_workers):
                                       np.stack(want[:draws]).view(np.int64)), (workers, draws)
 
 
+def test_draw_blocks_give_each_draw_its_own_bits(rng, pin_workers):
+    # 1, 2, 5, 7 and 10 draws: one block, a part block, one full block, a full
+    # and a part block, two full blocks
+    ds = random_tuples(rng, 11_000, 1000)
+    assert evaluation._streams(ds)
+    assert_draws_do_not_depend_on_the_worker_count(rng, pin_workers, ds, (1, 2, 5, 7, 10))
+
+
+def test_whole_matrix_draws_do_not_depend_on_the_worker_count(rng, pin_workers):
+    # 1,000 tuples over 2,000 shared rows: worker i scores draws i, i + n, ...,
+    # so 1 and 2 draws leave workers idle, 3 fill them and 10 deal unevenly
+    ds = random_tuples(rng, 2000, 1000)
+    assert not evaluation._streams(ds)
+    assert_draws_do_not_depend_on_the_worker_count(rng, pin_workers, ds, (1, 2, 3, 10))
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_mc_draws_gather_each_streamed_chunk_once(rng, monkeypatch, pin_workers, workers):
+def test_mc_draws_gather_each_streamed_chunk_once(rng, monkeypatch, pin_workers, workers,
+                                                  tmp_path):
     # 1,000 tuples of 11 rows stream in 10 chunks (93 tuples each, the last
     # 163): 10 draws gather each chunk once and forward it 10 times
     pin_workers(workers)
     ds = random_tuples(rng, 11_000, 1000)
     assert evaluation._streams(ds)
-    taken, take_tuples = [], data.take_tuples
-    monkeypatch.setattr(data, "take_tuples",
-                        lambda *args: taken.append(len(args[1])) or take_tuples(*args))
-    forwarded, forward_cached = [], network.forward_cached
-    monkeypatch.setattr(network, "forward_cached",
-                        lambda *args: forwarded.append(len(args[2])) or forward_cached(*args))
+    taken = record_calls(monkeypatch, tmp_path / "taken", data, "take_tuples",
+                         lambda args: len(args[1]))
+    forwarded = record_forwards(monkeypatch, tmp_path / "forwarded")
     post, _ = network.init_network(ACCEPTANCE_SIZES, 1e-2, rng)
     _, vals = evaluation.mc_posterior_risk(ACCEPTANCE_SIZES, post, ds, 10, "zero-one",
                                            "logistic", rng)
     assert len(vals) == 10
-    assert sorted(taken) == [93] * 9 + [163]
-    assert sorted(forwarded) == [93 * 11] * 90 + [163 * 11] * 10
+    assert sorted(size for _, size in taken()) == [93] * 9 + [163]
+    assert sorted(size for _, size in forwarded()) == [93 * 11] * 90 + [163 * 11] * 10
+    assert len({pid for pid, _ in taken()}) == workers
 
 
-def test_more_workers_than_cores_under_fast_thread_switching(rng, pin_workers):
-    # the workers write disjoint slices of one risks array and share nothing
-    # else; switching threads every microsecond would expose a shared buffer
+def test_more_worker_processes_than_cores(rng, pin_workers):
+    # the workers write disjoint slices of one shared risks array and share
+    # nothing else; more processes than cores interleave their writes
     workers = max(4, (os.cpu_count() or 1) + 1)
     ds = random_tuples(rng, 2 * workers * 186 * 11, 2 * workers * 186)
     weights = [rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
@@ -609,32 +644,126 @@ def test_more_workers_than_cores_under_fast_thread_switching(rng, pin_workers):
     want = np.stack([evaluation.tuple_risks(ACCEPTANCE_SIZES, w, ds, "loss", "logistic")
                      for w in weights])
     pin_workers(workers)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(3):
-            got = evaluation.draw_risks(ACCEPTANCE_SIZES, weights, ds, "loss", "logistic")
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    finally:
-        sys.setswitchinterval(interval)
+    for _ in range(3):
+        got = evaluation.draw_risks(ACCEPTANCE_SIZES, weights, ds, "loss", "logistic")
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_in_worker_1(monkeypatch, fail):
+    """Patch losses.zero_one_risk to call fail() in any process but this one."""
+    caller, zero_one_risk = os.getpid(), losses.zero_one_risk
+
+    def failing(margins):
+        if os.getpid() != caller:                   # worker 1
+            fail()
+        return zero_one_risk(margins)
+
+    monkeypatch.setattr(losses, "zero_one_risk", failing)
+
+
+# 1,000 tuples streamed in 10 chunks, or over 2,000 shared rows by draw
+WORKER_SETS = {"streamed": 11_000, "whole-matrix": 2000}
 
 
 def test_a_worker_s_exception_reaches_the_caller(rng, monkeypatch, pin_workers):
     pin_workers(2)
     ds = random_tuples(rng, 11_000, 1000)
     post, _ = network.init_network(ACCEPTANCE_SIZES, 1e-2, rng)
-    zero_one_risk = losses.zero_one_risk
 
-    def failing(margins):
-        if threading.current_thread() is not threading.main_thread():    # worker 1
-            raise RuntimeError("worker failed")
-        return zero_one_risk(margins)
+    def fail():
+        raise RuntimeError("worker failed")
 
-    monkeypatch.setattr(losses, "zero_one_risk", failing)
+    fail_in_worker_1(monkeypatch, fail)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="worker failed"):
         evaluation.mc_posterior_risk(ACCEPTANCE_SIZES, post, ds, 2, "zero-one", "logistic", rng)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("rows", WORKER_SETS.values(), ids=WORKER_SETS.keys())
+def test_a_worker_s_value_error_keeps_its_type_and_message(rng, monkeypatch, pin_workers,
+                                                           rows):
+    pin_workers(2)
+    ds = random_tuples(rng, rows, 1000)
+    weights = [rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
+               for _ in range(2)]
+
+    def fail():
+        raise ValueError("bad margins in worker 1")
+
+    fail_in_worker_1(monkeypatch, fail)
+    with pytest.raises(ValueError, match="^bad margins in worker 1$"):
+        evaluation.draw_risks(ACCEPTANCE_SIZES, weights, ds, "zero-one", "logistic")
+    assert_no_child_left()
+
+
+def test_an_unpicklable_exception_names_the_worker(rng, monkeypatch, pin_workers):
+    pin_workers(2)
+    ds = random_tuples(rng, 11_000, 1000)
+    w = rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
+
+    class Local(Exception):                         # pickle cannot find a local class
+        pass
+
+    def fail():
+        raise Local("unreadable")
+
+    fail_in_worker_1(monkeypatch, fail)
+    with pytest.raises(RuntimeError, match="worker 1 raised Local: unreadable"):
+        evaluation.draw_risks(ACCEPTANCE_SIZES, [w], ds, "zero-one", "logistic")
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("rows", WORKER_SETS.values(), ids=WORKER_SETS.keys())
+def test_a_killed_worker_names_itself_and_the_signal(rng, monkeypatch, pin_workers, rows):
+    pin_workers(2)
+    ds = random_tuples(rng, rows, 1000)
+    weights = [rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
+               for _ in range(2)]
+    fail_in_worker_1(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with pytest.raises(RuntimeError, match="worker 1 was killed by SIGKILL"):
+        evaluation.draw_risks(ACCEPTANCE_SIZES, weights, ds, "zero-one", "logistic")
+    assert_no_child_left()
+
+
+def test_a_failing_worker_0_reaps_the_children(rng, monkeypatch, pin_workers):
+    pin_workers(3)
+    ds = random_tuples(rng, 11_000, 1000)
+    w = rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
+    caller, zero_one_risk = os.getpid(), losses.zero_one_risk
+
+    def failing(margins):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        return zero_one_risk(margins)
+
+    monkeypatch.setattr(losses, "zero_one_risk", failing)
+    with pytest.raises(KeyboardInterrupt):
+        evaluation.draw_risks(ACCEPTANCE_SIZES, [w], ds, "zero-one", "logistic")
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("rows", WORKER_SETS.values(), ids=WORKER_SETS.keys())
+def test_a_failed_fork_gives_the_one_worker_bits(rng, monkeypatch, pin_workers, rows):
+    ds = random_tuples(rng, rows, 1000)
+    weights = [rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
+               for _ in range(3)]
+    pin_workers(1)
+    want = evaluation.draw_risks(ACCEPTANCE_SIZES, weights, ds, "loss", "logistic")
+
+    def no_fork():
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    pin_workers(3)
+    got = evaluation.draw_risks(ACCEPTANCE_SIZES, weights, ds, "loss", "logistic")
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("env, cpus, n_chunks, expect", [
@@ -660,3 +789,11 @@ def test_worker_count_rule(monkeypatch, env, cpus, n_chunks, expect, affinity):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert network.worker_count(n_chunks) == expect
+
+
+def test_worker_count_is_one_without_fork(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert network.worker_count(10) == 8
+    monkeypatch.delattr(os, "fork")
+    assert network.worker_count(10) == 1
