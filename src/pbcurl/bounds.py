@@ -44,25 +44,18 @@ def collision_term(rho, k, loss_kind):
     return num / t_k
 
 
-def catoni_bound(r_hat, kl, m, lam, delta):
-    """Posterior-expected risk bound for a [0, 1] loss at fixed lambda > 0."""
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    # (1 - exp(-lam r - pen/m)) / (1 - exp(-lam)), via expm1 for stability
-    return expm1(-(lam * r_hat + (kl + log(1.0 / delta)) / m)) / expm1(-lam)
-
-
 def iid_supervised_bound(l_hat_un, kl, m, lam, delta, tau, loss_sup):
     """Supervised mean-classifier risk bound from the unsupervised loss.
 
-    Catoni-style bound on the rescaled loss (range loss_sup), then the
-    collision correction (subtract tau, divide by 1 - tau).
+    Catoni's bound at fixed lambda > 0 (Catoni 2007) on the rescaled loss
+    (range loss_sup), then the collision correction (subtract tau, divide by
+    1 - tau). At tau = 0 and loss_sup = 1 it is Catoni's bound itself, bit for
+    bit. The caller checks lambda > 0 and delta in (0, 1).
     """
     if tau >= 1.0:
         raise ValueError("tau must be < 1")
     pen = (kl + log(1.0 / delta)) / m
+    # loss_sup (1 - exp(-lam l / loss_sup - pen)) / (1 - exp(-lam)), via expm1 for stability
     inner = loss_sup * expm1(-((lam / loss_sup) * l_hat_un + pen)) / expm1(-lam)
     return (inner - tau) / (1.0 - tau)
 

@@ -46,19 +46,32 @@ def _write_json(path, doc):
 
 
 def _load_json(path, what):
+    """The JSON object in path; any other document is a ConfigError."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: {what} must be a JSON object")
+    return doc
 
 
 def _require(doc, key, where):
     if key not in doc:
         raise ConfigError(f"{where}.{key} is required")
     return doc[key]
+
+
+def _read(doc, key, cast, default=None, where="dataset"):
+    """where.key as cast (int or float): default when absent, required when that is None."""
+    raw = _require(doc, key, where) if default is None else doc.get(key, default)
+    try:
+        return cast(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}.{key} must be a number, got {raw!r}") from None
 
 
 def _resolve_seed(explicit, fallback):
@@ -86,23 +99,27 @@ def _spawn_rngs(seed, n):
 # standardises every tuple set by the train split's feature statistics.
 
 
+def _gaussian_model(spec, r_model):
+    n_classes, dim = _read(spec, "n_classes", int), _read(spec, "dim", int)
+    for key, value in (("n_classes", n_classes), ("dim", dim)):
+        if value < 1:
+            raise ConfigError(f"dataset.{key} must be >= 1, got {value}")
+    return data.random_gaussian_model(n_classes, dim, _read(spec, "separation", float, 1.0),
+                                      _read(spec, "std", float, 1.0), r_model)
+
+
 def _build_synthetic_iid(spec, seed):
-    n_classes = int(_require(spec, "n_classes", "dataset"))
-    dim = int(_require(spec, "dim", "dataset"))
     sizes = {
-        "train": int(_require(spec, "m_train", "dataset")),
-        "valid": int(spec.get("m_valid", 0)),
-        "test": int(spec.get("m_test", 0)),
-        "labeled_train": int(spec.get("n_labeled_train", 0)),
-        "labeled_test": int(spec.get("n_labeled_test", 0)),
+        "train": _read(spec, "m_train", int),
+        "valid": _read(spec, "m_valid", int, 0),
+        "test": _read(spec, "m_test", int, 0),
+        "labeled_train": _read(spec, "n_labeled_train", int, 0),
+        "labeled_test": _read(spec, "n_labeled_test", int, 0),
     }
-    k = int(_require(spec, "k", "dataset"))
-    block = int(spec.get("block_size", 1))
-    sep = float(spec.get("separation", 1.0))
-    std = float(spec.get("std", 1.0))
+    k, block = _read(spec, "k", int), _read(spec, "block_size", int, 1)
 
     r_model, *rngs = _spawn_rngs(seed, 6)
-    model = data.random_gaussian_model(n_classes, dim, sep, std, r_model)
+    model = _gaussian_model(spec, r_model)
     out = {}
     for (name, n), rng in zip(sizes.items(), rngs):
         if not n and name != "train":
@@ -115,33 +132,25 @@ def _build_synthetic_iid(spec, seed):
 
 
 def _build_synthetic_sequences(spec, seed):
-    n_classes = int(_require(spec, "n_classes", "dataset"))
-    dim = int(_require(spec, "dim", "dataset"))
-    length = int(_require(spec, "length", "dataset"))
+    length = _read(spec, "length", int)
     counts = {
-        "train": int(_require(spec, "n_train_seq_per_class", "dataset")),
-        "valid": int(spec.get("n_valid_seq_per_class", 0)),
-        "test": int(spec.get("n_test_seq_per_class", 0)),
+        "train": _read(spec, "n_train_seq_per_class", int),
+        "valid": _read(spec, "n_valid_seq_per_class", int, 0),
+        "test": _read(spec, "n_test_seq_per_class", int, 0),
     }
-    k = int(_require(spec, "k", "dataset"))
-    block = int(spec.get("block_size", 1))
-    sep = float(spec.get("separation", 1.0))
-    std = float(spec.get("std", 1.0))
-    phi = float(spec.get("ar_coeff", 0.7))
+    k, block = _read(spec, "k", int), _read(spec, "block_size", int, 1)
+    phi = _read(spec, "ar_coeff", float, 0.7)
     if not -1.0 <= phi <= 1.0:      # NaN fails too
         raise ConfigError(f"dataset.ar_coeff must lie in [-1, 1], got {phi}")
-    allow_same = bool(spec.get("allow_same_class_negatives", True))
 
     r_model, *rngs = _spawn_rngs(seed, 7)
-    model = data.random_gaussian_model(n_classes, dim, sep, std, r_model)
+    model = _gaussian_model(spec, r_model)
     out = {}
     for (name, n), r_seq, r_tuples in zip(counts.items(), rngs[:3], rngs[3:]):
         if not n and name != "train":
             continue
         seqs, labels = data.gen_sequences(model, n, length, phi, r_seq)
-        out[name] = data.build_noniid_from_sequences(
-            seqs, labels, k, block, r_tuples, allow_same_class_negatives=allow_same,
-        )
+        out[name] = data.build_noniid_from_sequences(seqs, labels, k, block, r_tuples)
         if name != "valid":
             out["labeled_" + name] = data.frames_as_labeled(seqs, labels)
     return out
@@ -149,10 +158,8 @@ def _build_synthetic_sequences(spec, seed):
 
 def _build_from_files(spec, seed):
     train_csv = _require(spec, "train_csv", "dataset")
-    sizes = {"train": int(_require(spec, "m_train", "dataset")),
-             "valid": int(spec.get("m_valid", 0))}
-    k = int(_require(spec, "k", "dataset"))
-    block = int(spec.get("block_size", 1))
+    sizes = {"train": _read(spec, "m_train", int), "valid": _read(spec, "m_valid", int, 0)}
+    k, block = _read(spec, "k", int), _read(spec, "block_size", int, 1)
 
     out = {"labeled_train": data.read_labeled_csv(train_csv)}
     for (name, m), rng in zip(sizes.items(), _spawn_rngs(seed, 2)):
@@ -165,53 +172,29 @@ def _build_from_files(spec, seed):
 
 def _build_from_sequence_manifest(spec, seed):
     manifest = _require(spec, "manifest", "dataset")
-    first_steps = int(_require(spec, "first_steps", "dataset"))
-    train_per_class = int(_require(spec, "train_per_class", "dataset"))
-    k = int(_require(spec, "k", "dataset"))
-    block = int(spec.get("block_size", 1))
+    first_steps = _read(spec, "first_steps", int)
+    train_per_class = _read(spec, "train_per_class", int)
+    k, block = _read(spec, "k", int), _read(spec, "block_size", int, 1)
     tuples = spec.get("tuples", "windowed")
-    valid_per_class = int(spec.get("valid_per_class", 0))
-    allow_same = bool(spec.get("allow_same_class_negatives", True))
     if tuples not in ("windowed", "iid"):
         raise ConfigError("dataset.tuples must be 'windowed' or 'iid'")
     if isinstance(manifest, str):
         manifest = _load_json(manifest, "sequence manifest")
-    if valid_per_class >= train_per_class:
-        raise ConfigError("dataset.valid_per_class must be smaller than train_per_class")
+    splits = data.prep_sequence_corpus(manifest, first_steps, train_per_class,
+                                       _read(spec, "valid_per_class", int, 0))
 
-    tr_seqs, tr_labels, te_seqs, te_labels = data.prep_sequence_corpus(
-        manifest, first_steps, train_per_class
-    )
-    # the last valid_per_class training sequences of each class become the
-    # validation split
-    va_seqs, va_labels = [], []
-    if valid_per_class:
-        keep_seqs, keep_labels = [], []
-        seen = {}
-        for seq, lab in zip(tr_seqs, tr_labels):
-            seen[lab] = seen.get(lab, 0) + 1
-            if seen[lab] > train_per_class - valid_per_class:
-                va_seqs.append(seq)
-                va_labels.append(lab)
-            else:
-                keep_seqs.append(seq)
-                keep_labels.append(lab)
-        tr_seqs, tr_labels = keep_seqs, keep_labels
-
-    out = {"labeled_train": data.frames_as_labeled(tr_seqs, tr_labels)}
-    if te_seqs:
-        out["labeled_test"] = data.frames_as_labeled(te_seqs, te_labels)
-    splits = (("train", tr_seqs, tr_labels), ("valid", va_seqs, va_labels))
-    for (name, seqs, labels), rng in zip(splits, _spawn_rngs(seed, 2)):
+    out = {"labeled_train": data.frames_as_labeled(*splits["train"])}
+    if splits["test"][0]:
+        out["labeled_test"] = data.frames_as_labeled(*splits["test"])
+    for name, rng in zip(("train", "valid"), _spawn_rngs(seed, 2)):
+        seqs, labels = splits[name]
         if not seqs:
             continue
         if tuples == "windowed":
-            out[name] = data.build_noniid_from_sequences(
-                seqs, labels, k, block, rng, allow_same_class_negatives=allow_same,
-            )
+            out[name] = data.build_noniid_from_sequences(seqs, labels, k, block, rng)
         else:
-            m_train = int(_require(spec, "m_train", "dataset"))
-            m = m_train if name == "train" else int(spec.get("m_valid", max(1, m_train // 10)))
+            m_train = _read(spec, "m_train", int)
+            m = m_train if name == "train" else _read(spec, "m_valid", int, max(1, m_train // 10))
             out[name] = data.build_iid_from_labeled(
                 data.frames_as_labeled(seqs, labels), m, k, block, rng
             )
@@ -224,6 +207,17 @@ _DATASET_BUILDERS = {
     "files": _build_from_files,
     "sequence-manifest": _build_from_sequence_manifest,
 }
+# every key some setting of a kind reads; any other key exits 2
+_DATASET_KEYS = {kind: {"kind", *keys.split()} for kind, keys in {
+    "synthetic-iid": "k block_size n_classes dim separation std m_train m_valid m_test "
+                     "n_labeled_train n_labeled_test",
+    "synthetic-sequences": "k block_size n_classes dim separation std length ar_coeff "
+                           "n_train_seq_per_class n_valid_seq_per_class n_test_seq_per_class",
+    "files": "k block_size train_csv test_csv m_train m_valid",
+    "sequence-manifest": "k block_size manifest first_steps train_per_class valid_per_class "
+                         "tuples m_train m_valid",
+    "manifests": "train valid",
+}.items()}
 
 
 def _load_manifests(paths):
@@ -235,16 +229,17 @@ def _build_dataset(spec, seed):
     if not isinstance(spec, dict):
         raise ConfigError("dataset must be a JSON object")
     kind = _require(spec, "kind", "dataset")
+    if not isinstance(kind, str) or kind not in _DATASET_KEYS:
+        raise ConfigError(f"dataset.kind must be one of {sorted(_DATASET_KEYS)}, got {kind!r}")
+    unknown = sorted(set(spec) - _DATASET_KEYS[kind])
+    if unknown:
+        raise ConfigError(f"dataset kind {kind!r} reads no key {', '.join(unknown)}")
     if kind == "manifests":
         out = {"train": data.load_contrastive(_require(spec, "train", "dataset"))}
         if "valid" in spec:
             out["valid"] = data.load_contrastive(spec["valid"])
         return out
-    builder = _DATASET_BUILDERS.get(kind)
-    if builder is None:
-        known = sorted(_DATASET_BUILDERS) + ["manifests"]
-        raise ConfigError(f"dataset.kind must be one of {known}, got {kind!r}")
-    out = builder(spec, seed)
+    out = _DATASET_BUILDERS[kind](spec, seed)
     stats = data.NormStats.from_data(out["train"].features)
     for name in ("train", "valid", "test"):
         if name in out:
@@ -331,7 +326,7 @@ def _cmd_train(args):
     out_dir = args.out or cfg.get("out_dir")
     if not out_dir:
         raise ConfigError("--out (or config out_dir) is required")
-    cert_samples = int(cfg.get("cert_samples", training.CERT_SAMPLES))
+    cert_samples = _read(cfg, "cert_samples", int, training.CERT_SAMPLES, "config")
     if cert_samples < 1:
         raise ConfigError("config.cert_samples must be >= 1")
 
@@ -344,8 +339,9 @@ def _cmd_train(args):
         raise ConfigError("config.grid must be a non-empty list of training configs")
     configs = []
     for i, entry in enumerate(grid_doc):
-        entry = dict(entry)
-        entry.setdefault("seed", seed)
+        if not isinstance(entry, dict):
+            raise ConfigError(f"config.grid[{i}] must be a JSON object, got {entry!r}")
+        entry = {"seed": seed, **entry}
         try:
             tc = training.TrainConfig.from_dict(entry)
         except (ValueError, TypeError) as exc:
@@ -457,9 +453,8 @@ def _cmd_eval(args):
         ckpt = network.load_checkpoint(ckpt_path)
         _check_input_width(ckpt_path, ckpt, labeled_train.dim)
         layer_sizes = tuple(ckpt.layer_sizes)
-        w = network.map_weights(ckpt.posterior)
-        reps_train, reps_test = (
-            data.LabeledDataset(network.forward(layer_sizes, w, split.x), split.y)
+        reps_train, reps_test = (      # the MAP network: the posterior mean
+            data.LabeledDataset(network.forward(layer_sizes, ckpt.posterior.mu, split.x), split.y)
             for split in (labeled_train, labeled_test)
         )
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]).generate_state(1)[0])
@@ -479,6 +474,13 @@ def _cmd_eval(args):
     _write_json(os.path.join(args.out, "metrics.json"), results)
     print(json.dumps(results, sort_keys=True, default=_json_default))
     return 0
+
+
+def _run_field(rec, doc, key, where=""):
+    """doc[key], where doc is the run record rec or a part of it; absent or null exits 2."""
+    if not isinstance(doc, dict) or doc.get(key) is None:
+        raise ConfigError(f"run {rec['run_id']!r} has no {where}{key}")
+    return doc[key]
 
 
 def _cmd_select(args):
@@ -516,14 +518,16 @@ def _cmd_select(args):
                     f"run {rec.get('run_id')!r} has no stored certificate; "
                     "pass --data to recompute"
                 )
-            ckpt = network.load_checkpoint(rec["checkpoint_path"])
-            _check_input_width(rec["checkpoint_path"], ckpt, ds.dim)
-            cfg = rec["config"]
+            path, cfg = _run_field(rec, rec, "checkpoint_path"), _run_field(rec, rec, "config")
+            for key in training.PB_SETTINGS:
+                _run_field(rec, cfg, key, "config.")
+            ckpt = network.load_checkpoint(path)
+            _check_input_width(path, ckpt, ds.dim)
             rec["selection"] = training.pb_certificate(
                 tuple(ckpt.layer_sizes), ckpt.posterior, ckpt.prior, ds, cfg,
                 args.samples, _resolve_seed(args.seed, cfg.get("seed", 0)),
             ).to_dict()
-        rec["metric"] = rec["selection"]["bound_value"]
+        rec["metric"] = _run_field(rec, rec["selection"], "bound_value", "selection.")
 
     os.makedirs(args.out, exist_ok=True)
     return _write_best(args.out, training.rank_runs(records, criteria, args.out))

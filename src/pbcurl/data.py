@@ -56,7 +56,16 @@ class NormStats:
 
     @classmethod
     def from_dict(cls, doc):
-        return cls(np.asarray(doc["mean"], float), np.asarray(doc["std"], float))
+        """to_dict's document; anything but finite mean and std > 0 of one length is an error."""
+        try:
+            mean, std = (np.asarray(doc[key], float) for key in ("mean", "std"))
+        except (KeyError, TypeError, ValueError):
+            mean = std = np.array(np.nan)
+        finite = np.isfinite(mean).all() and np.isfinite(std).all()
+        if mean.ndim != 1 or mean.shape != std.shape or not (finite and (std > 0).all()):
+            raise DataFormatError("norm stats need mean and std: finite vectors of one length, "
+                                  "std > 0")
+        return cls(mean, std)
 
 
 @dataclass
@@ -125,8 +134,13 @@ class ContrastiveDataset:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # the one check of the indices: row gathers trust them from here on
+        # the one check of the tuple shape and indices: row gathers trust them from here on
         m, k, b, rows = self.anchors.size, self.k, self.block_size, self.features.shape[0]
+        if not m:
+            raise DataFormatError("the manifest holds no tuples")
+        if k < 1 or b < 1:
+            raise DataFormatError(f"k and block_size must be >= 1, got k = {k}, "
+                                  f"block_size = {b}")
         for name, arr, shape in (("anchor", self.anchors, (m,)),
                                  ("positive", self.positives, (m, b)),
                                  ("negative", self.negatives, (m, k, b))):
@@ -344,16 +358,15 @@ def gen_sequences(model, n_per_class, length, ar_coeff, rng):
     return seqs, labels
 
 
-def build_noniid_from_sequences(
-    sequences, labels, k, block_size, rng, allow_same_class_negatives=True
-):
+def build_noniid_from_sequences(sequences, labels, k, block_size, rng):
     """Tuples from time ordered sequences; dependency range T = block_size.
 
     Every position t with a full lookahead window yields one tuple: anchor
     x_t, positive block x_{t+1} .. x_{t+block_size}. Negative block classes
-    are drawn from the empirical class frequencies (optionally excluding the
-    anchor's class); block members are uniform draws over that class's frames
-    anywhere in the corpus, never from the anchor's own tuple window.
+    are drawn iid from the empirical class frequencies, so a negative shares
+    the anchor's class with probability tau; block members are uniform draws
+    over that class's frames anywhere in the corpus, never from the anchor's
+    own tuple window.
     """
     b = block_size
     labels = np.asarray(labels, dtype=np.int64)
@@ -382,25 +395,9 @@ def build_noniid_from_sequences(
     t_of_tuple = np.arange(n_t.sum()) - np.repeat(np.cumsum(n_t) - n_t, n_t)
     anchors = offsets[seq_of_tuple] + t_of_tuple
     positives = anchors[:, None] + np.arange(1, b + 1)
-    tuple_class = labels[seq_of_tuple]
-    m = len(anchors)
+    neg_classes = classes[rng.choice(classes.size, size=(len(anchors), k), p=rho)]
 
-    if allow_same_class_negatives:
-        neg_classes = classes[rng.choice(classes.size, size=(m, k), p=rho)]
-    else:
-        if classes.size < 2:
-            raise ValueError("need at least two classes to exclude the anchor's")
-        neg_classes = np.empty((m, k), dtype=np.int64)
-        for ci, c in enumerate(classes):
-            sel = tuple_class == c
-            p = rho.copy()
-            p[ci] = 0.0
-            p /= p.sum()
-            n_sel = int(sel.sum())
-            if n_sel:
-                neg_classes[sel] = classes[rng.choice(classes.size, size=(n_sel, k), p=p)]
-
-    negatives = np.empty((m, k, b), dtype=np.int64)
+    negatives = np.empty((len(anchors), k, b), dtype=np.int64)
     for ci, c in enumerate(classes):
         pool = rows_by_class[c]
         sel = neg_classes == c
@@ -572,6 +569,9 @@ def load_feature_csv(path, stats=None):
     raw = read_labeled_csv(path)
     if stats is None:
         stats = NormStats.from_data(raw.x)
+    elif stats.mean.size != raw.dim:
+        raise DataFormatError(f"{path}: {raw.dim} feature columns, norm stats for "
+                              f"{stats.mean.size}")
     return LabeledDataset(x=stats.apply(raw.x), y=raw.y), stats
 
 
@@ -684,7 +684,7 @@ def load_contrastive(json_path):
         index = np.fromfile(fh, dtype="<i8", count=sum(sizes)).astype(np.int64, copy=False)
     parts = np.split(index, np.cumsum(sizes)[:-1])
     try:
-        ds = ContrastiveDataset(
+        return ContrastiveDataset(
             features.astype(np.float64, copy=False),      # native byte order
             *(part.reshape(shape) for part, shape in zip(parts, shapes)),
             k=k, block_size=block_size, dependency_t=dependency_t,
@@ -692,9 +692,6 @@ def load_contrastive(json_path):
         )
     except DataFormatError as exc:
         raise DataFormatError(f"{json_path}: {exc}") from None
-    if len(ds) == 0:
-        raise DataFormatError(f"{json_path}: the manifest holds no tuples")
-    return ds
 
 
 # ---------------------------------------------------------------------------
@@ -706,16 +703,18 @@ def load_sequence_csv(path):
     return _read_csv(path, labeled=False)[0]
 
 
-def prep_sequence_corpus(manifest, first_steps, train_per_class):
+def prep_sequence_corpus(manifest, first_steps, train_per_class, valid_per_class=0):
     """Slice and split a corpus of per class sequence files.
 
     manifest maps class id -> list of CSV paths. Each sequence is truncated
-    to its first first_steps frames (shorter sequences are rejected); per
-    class, the first train_per_class files go to the training split, the
-    rest to the test split. Returns (train_seqs, train_labels, test_seqs,
-    test_labels).
+    to its first first_steps frames (shorter sequences are rejected). Per
+    class, the first train_per_class files are training files, of which the
+    last valid_per_class go to the validation split, and the rest go to the
+    test split. Returns {"train", "valid", "test"} -> (sequences, labels).
     """
-    train_seqs, train_labels, test_seqs, test_labels = [], [], [], []
+    if not 0 <= valid_per_class < train_per_class:
+        raise ValueError("valid_per_class must lie in [0, train_per_class)")
+    splits = {name: ([], []) for name in ("train", "valid", "test")}
     for label in sorted(manifest, key=int):
         paths = manifest[label]
         if len(paths) <= train_per_class:
@@ -728,14 +727,11 @@ def prep_sequence_corpus(manifest, first_steps, train_per_class):
                 raise DataFormatError(
                     f"{p}: sequence has {seq.shape[0]} frames, need {first_steps}"
                 )
-            seq = seq[:first_steps]
-            if i < train_per_class:
-                train_seqs.append(seq)
-                train_labels.append(int(label))
-            else:
-                test_seqs.append(seq)
-                test_labels.append(int(label))
-    return train_seqs, train_labels, test_seqs, test_labels
+            name = ("train" if i < train_per_class - valid_per_class
+                    else "valid" if i < train_per_class else "test")
+            splits[name][0].append(seq[:first_steps])
+            splits[name][1].append(int(label))
+    return splits
 
 
 def frames_as_labeled(sequences, labels):

@@ -97,11 +97,6 @@ def sample_weights(post, eps):
     return post.mu + np.exp(0.5 * post.log_sigma2) * eps
 
 
-def map_weights(post):
-    """Posterior mean network f* (the MAP network under the Gaussian)."""
-    return post.mu.copy()
-
-
 # whole-matrix forwards and Monte Carlo chunks run in row chunks of this
 # height, whose input and activations stay in cache. The remainder folds into
 # the last chunk: OpenBLAS rounds a GEMM over 75 rows or fewer differently
@@ -329,27 +324,45 @@ def save_checkpoint(path, ckpt):
         fh.write("\n")
 
 
+def _checkpoint_array(path, doc, key, shape):
+    """doc[key] as a finite float64 array of the given shape, else ValueError."""
+    try:
+        value = np.asarray(doc[key], dtype=np.float64)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or value.shape != shape or not np.isfinite(value).all():
+        raise ValueError(f"{path}: {key} must be finite numbers of shape {shape}")
+    return value
+
+
 def load_checkpoint(path):
+    """Read a checkpoint; a malformed one raises ValueError naming the file and the field."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != "pbcurl-checkpoint-v1":
+    if not isinstance(doc, dict) or doc.get("format") != "pbcurl-checkpoint-v1":
         raise ValueError(f"{path}: not a checkpoint file")
     if doc.get("feature_layers") is not None:
         # older versions trained a supervised class head on top of the features
         raise ValueError(f"{path}: checkpoint has a supervised class head, not supported")
-    post = Posterior(
-        mu=np.asarray(doc["mu_q"], dtype=np.float64),
-        log_sigma2=np.asarray(doc["log_sigma2_q"], dtype=np.float64),
-    )
-    prior = Prior(
-        mu=np.asarray(doc["mu_p"], dtype=np.float64),
-        log_sigma2=float(doc["log_sigma2_p"]),
-    )
+    for key in ("layer_sizes", "mu_q", "log_sigma2_q", "mu_p", "log_sigma2_p", "seed", "epoch"):
+        if key not in doc:
+            raise ValueError(f"{path}: checkpoint has no {key}")
+    sizes = doc["layer_sizes"]
+    if not (isinstance(sizes, list) and len(sizes) >= 2
+            and all(type(s) is int and s >= 1 for s in sizes)):
+        raise ValueError(f"{path}: layer_sizes must be at least 2 positive integers")
+    if not all(type(doc[key]) is int for key in ("seed", "epoch")):
+        raise ValueError(f"{path}: seed and epoch must be integers")
+    n = (param_count(sizes),)
+    post = Posterior(mu=_checkpoint_array(path, doc, "mu_q", n),
+                     log_sigma2=_checkpoint_array(path, doc, "log_sigma2_q", n))
+    prior = Prior(mu=_checkpoint_array(path, doc, "mu_p", n),
+                  log_sigma2=float(_checkpoint_array(path, doc, "log_sigma2_p", ())))
     return Checkpoint(
-        layer_sizes=list(doc["layer_sizes"]),
+        layer_sizes=sizes,
         posterior=post,
         prior=prior,
-        seed=int(doc["seed"]),
-        epoch=int(doc["epoch"]),
+        seed=doc["seed"],
+        epoch=doc["epoch"],
         config=doc.get("config", {}),
     )

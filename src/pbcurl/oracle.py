@@ -211,7 +211,8 @@ def coverage_sim(rng, n_trials=200, m=150, n_hypotheses=8, lam=2.0, delta=0.05, 
             gram = f @ f.T
             margins = gram[x, x_pos][:, None] - gram[x[:, None], x_neg]
             r_hats[h] = np.mean(losses.zero_one_risk(margins))
-        bound = bounds.catoni_bound(float(q @ r_hats), kl, m, lam, delta)
+        # the iid loss certificate's bound at tau = 0 and range 1: Catoni's bound
+        bound = bounds.iid_supervised_bound(float(q @ r_hats), kl, m, lam, delta, 0.0, 1.0)
         covered += bound >= true_risk - 1e-12
     return covered / n_trials, true_risk
 

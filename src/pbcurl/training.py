@@ -69,6 +69,8 @@ class TrainConfig:
         self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
         if len(self.layer_sizes) < 2:
             raise ValueError("layer_sizes needs at least input and output width")
+        if min(self.layer_sizes) < 1:
+            raise ValueError(f"layer_sizes must all be >= 1, got {list(self.layer_sizes)}")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         if self.optimizer not in OPTIMIZERS:
@@ -640,17 +642,15 @@ def loss_certificate(layer_sizes, post, prior, ds, **kw):
 # grid search over configs and selection criteria
 
 CERT_SAMPLES = 10      # posterior draws behind a certificate's Monte Carlo risk
+# the run config settings the pb certificate reads
+PB_SETTINGS = ("grid_b", "grid_c", "delta", "loss_kind", "objective")
 
 
 def pb_certificate(layer_sizes, post, prior, ds, config, n_samples, seed):
     """The selection certificate that ranks a pb run; config is the run's config dict."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xCE27]).generate_state(1)[0])
-    return selection_certificate(
-        layer_sizes, post, prior, ds,
-        grid_b=config["grid_b"], grid_c=config["grid_c"], delta=config["delta"],
-        loss_kind=config["loss_kind"], objective=config["objective"],
-        n_samples=n_samples, rng=rng,
-    )
+    return selection_certificate(layer_sizes, post, prior, ds, n_samples=n_samples, rng=rng,
+                                 **{key: config[key] for key in PB_SETTINGS})
 
 
 def rank_runs(records, criteria, out_dir):

@@ -741,14 +741,22 @@ def test_manifest_missing_key_exits_two_and_names_it(tmp_path, data_dir, train_d
 
 
 def write_zero_tuple_manifest(tmp_path, rng):
-    empty = data.ContrastiveDataset(
-        features=rng.standard_normal((12, 3)), anchors=np.zeros(0, np.int64),
-        positives=np.zeros((0, 2), np.int64), negatives=np.zeros((0, 2, 2), np.int64),
+    # a ContrastiveDataset refuses to hold no tuples, so a one-tuple set's
+    # files are cut down to none: the manifest's shapes and the index bytes
+    one = data.ContrastiveDataset(
+        features=rng.standard_normal((12, 3)), anchors=np.zeros(1, np.int64),
+        positives=np.zeros((1, 2), np.int64), negatives=np.zeros((1, 2, 2), np.int64),
         k=2, block_size=2,
     )
-    data.save_contrastive(empty, str(tmp_path / "empty.json"))
-    assert json.loads((tmp_path / "empty.json").read_text())["n_tuples"] == 0
-    return str(tmp_path / "empty.json")
+    path = tmp_path / "empty.json"
+    data.save_contrastive(one, str(path))
+    doc = json.loads(path.read_text())
+    doc["n_tuples"] = 0
+    doc["shapes"] = {name: [0, *shape[1:]] for name, shape in doc["shapes"].items()}
+    path.write_text(json.dumps(doc))
+    bin_path = tmp_path / "empty.bin"
+    bin_path.write_bytes(bin_path.read_bytes()[: 16 + 8 * 12 * 3])
+    return str(path)
 
 
 def test_zero_tuple_manifest_exits_two_before_any_work(tmp_path, train_dir, capsys):
@@ -1125,3 +1133,187 @@ def test_select_rejects_record_without_run_id(tmp_path, capsys):
                     '{"mode": "valid-map", "metric": 0.5}\n')
     assert main(["select", "--runs", str(runs), "--out", str(tmp_path / "s")]) == 2
     assert f"{runs}:2: run record without run_id" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# dataset specs: unknown keys, wrong types, empty shapes
+
+
+def write_sequence_corpus(tmp_path, rng, n_files=4, frames=6):
+    manifest = {}
+    for label in ("0", "1"):
+        manifest[label] = []
+        for i in range(n_files):
+            path = tmp_path / f"c{label}_{i}.csv"
+            path.write_text("".join(",".join(map(repr, row)) + "\n"
+                                    for row in rng.normal(size=(frames, 2)).tolist()))
+            manifest[label].append(str(path))
+    return write_json(tmp_path / "corpus.json", manifest)
+
+
+def test_gen_data_rejects_the_removed_same_class_negative_switch(tmp_path, capsys):
+    with open(sequence_config(tmp_path)) as fh:
+        doc = json.load(fh)
+    doc["dataset"]["allow_same_class_negatives"] = False
+    cfg = write_json(tmp_path / "g.json", doc)
+    assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "seq")]) == 2
+    err = capsys.readouterr().err
+    assert "allow_same_class_negatives" in err and "synthetic-sequences" in err
+    assert not (tmp_path / "seq").exists()
+
+
+@pytest.mark.parametrize("kind", ["synthetic-iid", "synthetic-sequences", "files",
+                                  "sequence-manifest", "manifests"])
+def test_dataset_spec_rejects_a_key_its_kind_does_not_read(tmp_path, data_dir, rng, capsys,
+                                                           kind):
+    if kind == "sequence-manifest":
+        spec = {"kind": kind, "manifest": write_sequence_corpus(tmp_path, rng),
+                "first_steps": 5, "train_per_class": 3, "k": 2, "block_size": 2}
+    elif kind == "manifests":
+        spec = {"kind": kind, "train": str(data_dir / "train.json")}
+    else:
+        spec = generative_spec(kind, tmp_path, rng)
+    assert cli._build_dataset(spec, 1)["train"]        # the spec as given builds
+    misspelled = "m_tset" if kind == "synthetic-iid" else "n_valid_seqs"
+    doc = {"dataset": {**spec, misspelled: 100},
+           "grid": [{"layer_sizes": [3, 4, 2], "k": 2, "block_size": 2, "epochs": 1}]}
+    cfg = write_json(tmp_path / "c.json", doc)
+    command = "train" if kind == "manifests" else "gen-data"
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert misspelled in err and repr(kind) in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sequence_manifest_rejects_a_negative_valid_count(tmp_path, rng, capsys):
+    spec = {"kind": "sequence-manifest", "manifest": write_sequence_corpus(tmp_path, rng),
+            "first_steps": 5, "train_per_class": 3, "valid_per_class": -1, "k": 2,
+            "block_size": 2}
+    cfg = write_json(tmp_path / "g.json", {"dataset": spec})
+    assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "valid_per_class" in err and "Traceback" not in err
+
+
+def test_sequence_manifest_valid_split_holds_the_last_training_files(tmp_path, rng):
+    spec = {"kind": "sequence-manifest", "manifest": write_sequence_corpus(tmp_path, rng),
+            "first_steps": 5, "train_per_class": 3, "valid_per_class": 1, "k": 2,
+            "block_size": 2}
+    built = cli._DATASET_BUILDERS["sequence-manifest"](spec, 1)
+    # per class two training files, one validation file and one test file of
+    # five frames, each making 5 - 2 tuples; the labeled rows leave out valid
+    assert (len(built["train"]), len(built["valid"])) == (2 * 2 * 3, 2 * 1 * 3)
+    assert len(built["labeled_train"]) == 2 * 2 * 5 and len(built["labeled_test"]) == 2 * 5
+
+
+@pytest.mark.parametrize("key, value, fragment", [
+    ("k", 0, "k and block_size must be >= 1"),
+    ("block_size", 0, "k and block_size must be >= 1"),
+    ("m_train", 0, "holds no tuples"),
+    ("m_train", None, "dataset.m_train"),
+    ("separation", [1], "dataset.separation"),
+    ("n_classes", 0, "dataset.n_classes"),
+    ("dim", 0, "dataset.dim"),
+])
+def test_gen_data_rejects_an_unusable_dataset_value(tmp_path, capsys, key, value, fragment):
+    doc = iid_config()
+    doc["dataset"][key] = value
+    cfg = write_json(tmp_path / "g.json", doc)
+    assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert fragment in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+# ---------------------------------------------------------------------------
+# train configs of the wrong shape
+
+
+def train_doc(data_dir):
+    return {"dataset": {"kind": "manifests", "train": str(data_dir / "train.json")},
+            "grid": [{"layer_sizes": [3, 4, 2], "k": 2, "block_size": 2, "epochs": 1}]}
+
+
+@pytest.mark.parametrize("edit, fragment", [
+    (lambda doc: [doc], "config must be a JSON object"),
+    (lambda doc: {**doc, "grid": [5]}, "config.grid[0] must be a JSON object"),
+    (lambda doc: {**doc, "cert_samples": None}, "config.cert_samples"),
+    (lambda doc: {**doc, "grid": [{**doc["grid"][0], "layer_sizes": [3, 0, 2]}]},
+     "layer_sizes must all be >= 1"),
+])
+def test_train_rejects_a_config_of_the_wrong_shape(tmp_path, data_dir, capsys, edit, fragment):
+    cfg = write_json(tmp_path / "t.json", edit(train_doc(data_dir)))
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert fragment in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+# ---------------------------------------------------------------------------
+# malformed checkpoints, norm stats and run records
+
+
+@pytest.mark.parametrize("edit, fragment", [
+    (lambda doc: {k: v for k, v in doc.items() if k != "mu_q"}, "checkpoint has no mu_q"),
+    (lambda doc: {**doc, "mu_q": doc["mu_q"][:-3]}, "mu_q must be finite numbers of shape"),
+    (lambda doc: {**doc, "layer_sizes": [3, 5, 3]}, "mu_q must be finite numbers of shape"),
+    (lambda doc: {**doc, "log_sigma2_p": None}, "log_sigma2_p must be finite"),
+    (lambda doc: {**doc, "seed": None}, "seed and epoch must be integers"),
+    (lambda doc: [doc], "not a checkpoint file"),
+])
+def test_bound_and_eval_reject_a_malformed_checkpoint(tmp_path, data_dir, train_dir, capsys,
+                                                      edit, fragment):
+    doc = edit(json.loads(open(best_pb_checkpoint(train_dir)).read()))
+    ckpt = write_json(tmp_path / "bad.ckpt.json", doc)
+    assert main(["bound", "--checkpoint", ckpt, "--data", str(data_dir / "test.json"),
+                 "--out", str(tmp_path / "b"), "--iid"]) == 2
+    err = capsys.readouterr().err
+    assert f"{ckpt}: {fragment}" in err and "Traceback" not in err
+    assert main(["eval", "--checkpoint", ckpt, "--train-csv", str(data_dir / "labeled_train.csv"),
+                 "--test-csv", str(data_dir / "labeled_test.csv"),
+                 "--out", str(tmp_path / "e")]) == 2
+    err = capsys.readouterr().err
+    assert f"{ckpt}: {fragment}" in err and "Traceback" not in err
+    assert not (tmp_path / "b").exists() and not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize("stats, fragment", [
+    ({"mean": [0.0, 0.0, 0.0]}, "norm stats need mean and std"),
+    ({"mean": [0.0, 0.0, 0.0], "std": [1.0, 0.0, 1.0]}, "std > 0"),
+    ({"mean": [0.0, 0.0], "std": [1.0, 1.0, 1.0]}, "of one length"),
+    ({"mean": [0.0, 0.0], "std": [1.0, 1.0]}, "3 feature columns, norm stats for 2"),
+])
+def test_eval_rejects_unusable_norm_stats(tmp_path, data_dir, train_dir, capsys, stats,
+                                          fragment):
+    path = write_json(tmp_path / "stats.json", stats)
+    assert main(["eval", "--checkpoint", best_pb_checkpoint(train_dir),
+                 "--train-csv", str(data_dir / "labeled_train.csv"),
+                 "--test-csv", str(data_dir / "labeled_test.csv"), "--norm-stats", path,
+                 "--out", str(tmp_path / "e")]) == 2
+    err = capsys.readouterr().err
+    assert fragment in err and "Traceback" not in err
+    assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize("edit, fragment", [
+    (lambda rec: rec.pop("checkpoint_path"), "has no checkpoint_path"),
+    (lambda rec: rec.pop("config"), "has no config"),
+    (lambda rec: rec["config"].pop("grid_b"), "has no config.grid_b"),
+    (lambda rec: rec.update(selection={"bound_kind": "iid-selection"}),
+     "has no selection.bound_value"),
+])
+def test_select_rejects_a_pb_record_without_a_field_it_needs(tmp_path, data_dir, train_dir,
+                                                             capsys, edit, fragment):
+    runs = tmp_path / "runs.jsonl"
+    with open(train_dir / "runs.jsonl") as fh, open(runs, "w") as out_fh:
+        for line in fh:
+            rec = json.loads(line)
+            if rec["mode"] == "pb":
+                rec["selection"] = None
+                edit(rec)
+            out_fh.write(json.dumps(rec) + "\n")
+    assert main(["select", "--runs", str(runs), "--out", str(tmp_path / "s"), "--criteria", "pb",
+                 "--data", str(data_dir / "train.json"), str(data_dir / "valid.json")]) == 2
+    err = capsys.readouterr().err
+    assert "run 'c000-pb' " + fragment in err and "Traceback" not in err
+    assert not (tmp_path / "s").exists()

@@ -452,27 +452,6 @@ def test_noniid_window_exclusion(rng):
         assert not np.any((ds.negatives >= lo) & (ds.negatives <= lo + 2))
 
 
-def test_noniid_negative_class_exclusion(rng):
-    model = small_gaussian_model(rng, n_classes=3)
-    seqs, labels = data.gen_sequences(model, n_per_class=2, length=10, ar_coeff=0.7, rng=rng)
-    ds = data.build_noniid_from_sequences(
-        seqs, labels, k=2, block_size=1, rng=rng, allow_same_class_negatives=False
-    )
-    frame_label = np.concatenate([np.full(10, lab) for lab in labels])
-    anchor_class = frame_label[ds.anchors]
-    neg_class = frame_label[ds.negatives]
-    assert not np.any(neg_class == anchor_class[:, None, None])
-
-
-def test_noniid_single_class_exclusion_impossible(rng):
-    model = small_gaussian_model(rng, n_classes=1)
-    seqs, labels = data.gen_sequences(model, n_per_class=2, length=6, ar_coeff=0.7, rng=rng)
-    with pytest.raises(ValueError):
-        data.build_noniid_from_sequences(
-            seqs, labels, k=1, block_size=1, rng=rng, allow_same_class_negatives=False
-        )
-
-
 def test_noniid_short_sequence_rejected(rng):
     seqs = [np.zeros((2, 1))]
     with pytest.raises(ValueError):
@@ -621,6 +600,22 @@ def test_dataset_rejects_out_of_range_index_at_construction(rng, part, bad):
     assert "index out of range" in str(exc.value)
 
 
+@pytest.mark.parametrize("m, k, b, fragment", [
+    (0, 2, 2, "the manifest holds no tuples"),
+    (3, 0, 2, "k and block_size must be >= 1"),
+    (3, 2, 0, "k and block_size must be >= 1"),
+])
+def test_dataset_rejects_an_empty_tuple_shape(rng, m, k, b, fragment):
+    # k = 0 certified NaN and block_size = 0 crashed the risk estimate
+    with pytest.raises(data.DataFormatError) as exc:
+        data.ContrastiveDataset(
+            features=rng.standard_normal((30, 3)), anchors=np.zeros(m, np.int64),
+            positives=np.zeros((m, b), np.int64), negatives=np.zeros((m, k, b), np.int64),
+            k=k, block_size=b,
+        )
+    assert fragment in str(exc.value)
+
+
 def test_load_contrastive_shape_mismatch(tmp_path, rng):
     ds = data.sample_contrastive_iid(small_gaussian_model(rng), 5, 2, 2, rng)
     path = tmp_path / "ds.json"
@@ -758,19 +753,54 @@ def test_load_sequence_csv_single_row_and_column(tmp_path):
     assert data.load_sequence_csv(path).tolist() == [[1.0], [2.0]]
 
 
-def test_prep_sequence_corpus_split_and_truncate(tmp_path, rng):
+def write_corpus(tmp_path, rng, n_files=3):
     manifest = {}
     for label in ("0", "1"):
         paths = []
-        for i in range(3):
+        for i in range(n_files):
             p = tmp_path / f"c{label}_{i}.csv"
             write_seq_csv(p, rng.normal(size=(7 + i, 2)))
             paths.append(str(p))
         manifest[label] = paths
-    tr_s, tr_l, te_s, te_l = data.prep_sequence_corpus(manifest, first_steps=6, train_per_class=2)
+    return manifest
+
+
+def test_prep_sequence_corpus_split_and_truncate(tmp_path, rng):
+    manifest = write_corpus(tmp_path, rng)
+    splits = data.prep_sequence_corpus(manifest, first_steps=6, train_per_class=2)
+    (tr_s, tr_l), (va_s, va_l), (te_s, te_l) = (splits[k] for k in ("train", "valid", "test"))
     assert len(tr_s) == 4 and tr_l == [0, 0, 1, 1]
+    assert va_s == [] and va_l == []
     assert len(te_s) == 2 and te_l == [0, 1]
     assert all(s.shape == (6, 2) for s in tr_s + te_s)
+
+
+def test_prep_sequence_corpus_valid_split_is_the_last_training_files(tmp_path, rng):
+    # reference: the training split, then the last valid_per_class sequences
+    # of each class moved to the validation split in one more walk
+    manifest = write_corpus(tmp_path, rng, n_files=4)
+    whole = data.prep_sequence_corpus(manifest, first_steps=6, train_per_class=3)
+    seen, want = {}, {"train": ([], []), "valid": ([], [])}
+    for seq, lab in zip(*whole["train"]):
+        seen[lab] = seen.get(lab, 0) + 1
+        name = "valid" if seen[lab] > 3 - 1 else "train"
+        want[name][0].append(seq)
+        want[name][1].append(lab)
+    got = data.prep_sequence_corpus(manifest, first_steps=6, train_per_class=3, valid_per_class=1)
+    for name in ("train", "valid"):
+        assert got[name][1] == want[name][1]
+        assert all(np.array_equal(a, b) for a, b in zip(got[name][0], want[name][0]))
+    assert got["test"][1] == whole["test"][1] == [0, 1]
+
+
+@pytest.mark.parametrize("valid_per_class", [-1, 2, 3])
+def test_prep_sequence_corpus_rejects_a_valid_count_outside_the_training_files(
+        tmp_path, rng, valid_per_class):
+    manifest = write_corpus(tmp_path, rng)
+    with pytest.raises(ValueError) as exc:
+        data.prep_sequence_corpus(manifest, first_steps=6, train_per_class=2,
+                                  valid_per_class=valid_per_class)
+    assert "valid_per_class" in str(exc.value)
 
 
 def test_prep_sequence_corpus_too_short(tmp_path, rng):

@@ -102,7 +102,6 @@ def test_reparameterization_identity(rng):
     assert np.array_equal(w, rebuilt)
     # zero noise gives the MAP network
     assert np.array_equal(network.sample_weights(post, np.zeros_like(eps)), post.mu)
-    assert np.array_equal(network.map_weights(post), post.mu)
 
 
 def test_feature_bound_is_max_row_norm(rng):

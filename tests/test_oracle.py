@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pbcurl import losses, oracle
+from pbcurl import bounds, losses, oracle
 
 
 def mc_estimate(inst, loss_kind, k, m, rng):
@@ -126,6 +126,21 @@ def test_coverage_sim_deterministic_and_sane():
     assert (cov1, risk1) == (cov2, risk2)
     assert 0.0 <= risk1 <= 1.0
     assert 0.8 <= cov1 <= 1.0   # delta=0.05 and a conservative bound
+
+
+def test_coverage_sim_checks_the_iid_loss_bound(monkeypatch):
+    # verify's coverage gate runs the formula the iid loss certificate ships,
+    # at tau = 0 and loss range 1, once per trial
+    calls = []
+    real = bounds.iid_supervised_bound
+
+    def spy(*args):
+        calls.append(args[5:])
+        return real(*args)
+
+    monkeypatch.setattr(bounds, "iid_supervised_bound", spy)
+    oracle.coverage_sim(np.random.default_rng(5), n_trials=7, m=50)
+    assert calls == [(0.0, 1.0)] * 7
 
 
 @pytest.mark.parametrize("objective", ["iid", "noniid"])
