@@ -1,13 +1,12 @@
-"""Byte replay of the CLI: one fixed script of pbcurl commands, run against a
-source tree, and a comparison of the files two replays wrote.
+"""Byte replay of the CLI: one fixed script of pbcurl commands, run in one
+process through cli.main, and the sha256 of every file it writes.
 
-    python3 tools/replay.py --src <checkout>/src --out <dir>
-    python3 tools/replay.py --compare <dir-a> <dir-b>
+    python3 tools/replay.py [--src <checkout>/src] [--out <dir>]
+    python3 tools/replay.py --write-digests
 
 The script writes its own inputs (a labeled CSV pair and a corpus of sequence
-CSVs, from a fixed numpy seed), then runs, each as a subprocess with
-PYTHONPATH=<src>, one BLAS thread and the output directory as working
-directory (so every recorded path is relative):
+CSVs, from a fixed numpy seed), then runs, with the output directory as
+working directory (so every recorded path is relative):
 
 - gen-data of the four generative kinds, sequence-manifest both windowed and
   iid, each with a validation split;
@@ -19,20 +18,34 @@ directory (so every recorded path is relative):
 - select of every run file, once more with the stored certificates removed;
 - verify.
 
-Each call's argv, exit code and last stderr line go to calls.jsonl. --compare lists
-every file that is missing on one side or differs, and exits 1 if any does.
-It ignores only wall_time and each epoch's time in runs.jsonl and best.json.
-The replay takes about two minutes on one core.
+Each call's argv, exit code and last stderr line, and the sha256 of every
+written file, are compared with the digest file (default
+tests/replay_digests.json); timing fields (wall_time and each epoch's time in
+runs.jsonl and best.json) are left out of the hashes. The digest file also
+records the numeric environment the bytes depend on: the numpy version, the
+BLAS library and the BLAS thread variables. Run the replay with
+OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS set to 1. It prints
+every difference and exits 1 if there is one; a different environment fails
+before the replay, naming what differs. --write-digests writes the digest
+file instead. --src replays another source tree (default: this checkout's).
 """
 
 import argparse
+import contextlib
 import glob
+import hashlib
+import io
 import json
 import os
-import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DIGESTS = os.path.join(ROOT, "tests", "replay_digests.json")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 OBJECTIVES = ("iid", "noniid", "erm")
 OPTIMIZERS = ("sgd", "rmsprop", "adam")
@@ -110,27 +123,33 @@ def _trainings():
 
 
 class Replay:
-    def __init__(self, src, out):
-        self.out = out
-        self.env = {key: value for key, value in os.environ.items() if key != "PBCURL_SEED"}
-        self.env.update(PYTHONPATH=os.path.abspath(src), OMP_NUM_THREADS="1",
-                        OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        self.log = open(os.path.join(out, "calls.jsonl"), "w")
+    """Runs CLI calls in this process, in the output directory, and logs them."""
+
+    def __init__(self, cli):
+        self.cli, self.calls = cli, []
 
     def run(self, *argv):
-        proc = subprocess.run([sys.executable, "-m", "pbcurl.cli", *argv], cwd=self.out,
-                              env=self.env, capture_output=True, text=True)
-        # the last stderr line is the error; warnings above it name the source path
-        error = proc.stderr.strip().splitlines()[-1:]
-        self.log.write(json.dumps({"argv": list(argv), "exit": proc.returncode,
-                                   "error": error}, sort_keys=True) + "\n")
-        return proc.returncode
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("default")    # each call warns as a fresh process would
+            try:
+                code = self.cli.main(list(argv))
+            except SystemExit as exc:           # argparse
+                code = exc.code
+            except Exception as exc:            # a traceback: outside the CLI's exit codes
+                print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+                code = 1
+        # the last stderr line is the error
+        self.calls.append({"argv": list(argv), "exit": code,
+                           "error": err.getvalue().strip().splitlines()[-1:]})
+        return code
 
 
-def replay(src, out):
-    os.makedirs(out)
+def replay(cli, out):
+    """Run the script in the empty directory out; returns the calls' log."""
     _write_inputs(out)
-    r = Replay(src, out)
+    r = Replay(cli)
     os.makedirs(os.path.join(out, "configs"))
     for name, spec in _datasets().items():
         cfg = os.path.join("configs", f"gen-{name}.json")
@@ -183,7 +202,8 @@ def replay(src, out):
                   "--criteria", "pb", "--data", f"{ds}/train.json", f"{ds}/valid.json",
                   "--samples", "3")
     r.run("verify", "--out", "verify")
-    r.log.close()
+    return r.calls
+
 
 
 def _untimed(path, text):
@@ -198,49 +218,99 @@ def _untimed(path, text):
     return docs
 
 
-def _files(root):
-    return {os.path.relpath(os.path.join(d, f), root)
-            for d, _, names in os.walk(root) for f in names}
+def file_digests(root):
+    """{relative path: sha256} of every file under root, timing fields left out."""
+    digests = {}
+    for d, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(d, name)
+            with open(path, "rb") as fh:
+                raw = fh.read()
+            if name in TIMED_FILES:
+                raw = json.dumps(_untimed(path, raw.decode()), sort_keys=True).encode()
+            digests[os.path.relpath(path, root)] = hashlib.sha256(raw).hexdigest()
+    return dict(sorted(digests.items()))
 
 
-def compare(a, b):
-    """Relative paths of the files that differ between two replays."""
-    differ = []
-    for rel in sorted(_files(a) | _files(b)):
-        pa, pb = os.path.join(a, rel), os.path.join(b, rel)
-        if not (os.path.exists(pa) and os.path.exists(pb)):
-            differ.append(rel)
-            continue
-        with open(pa, "rb") as fa, open(pb, "rb") as fb:
-            ba, bb = fa.read(), fb.read()
-        if ba == bb:
-            continue
-        if os.path.basename(rel) in TIMED_FILES and (
-                _untimed(rel, ba.decode()) == _untimed(rel, bb.decode())):
-            continue
-        differ.append(rel)
-    return differ
+def environment():
+    """The numeric environment the replayed bytes depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
+            "threads": {name: os.environ.get(name) for name in THREAD_VARS}}
+
+
+def differences(want, got):
+    """One line per environment entry, call or file digest that differs."""
+    lines = [f"environment {key}: {want['environment'].get(key)!r} pinned, {value!r} here"
+             for key, value in got["environment"].items()
+             if want["environment"].get(key) != value]
+    if lines:
+        return lines
+    for i in range(max(len(want["calls"]), len(got["calls"]))):
+        a, b = (c[i] if i < len(c) else None for c in (want["calls"], got["calls"]))
+        if a != b:
+            lines.append(f"call {i}: {a} pinned, {b} here")
+    for rel in sorted(set(want["files"]) | set(got["files"])):
+        a, b = want["files"].get(rel), got["files"].get(rel)
+        if a != b:
+            lines.append(f"file {rel}: " + ("missing here" if b is None else
+                                             "not pinned" if a is None else "differs"))
+    return lines
+
+
+def _dump(doc):
+    """The digest document as JSON with one call or file per line, for a readable diff."""
+    calls = ",\n  ".join(json.dumps(call, sort_keys=True) for call in doc["calls"])
+    files = ",\n  ".join(f"{json.dumps(rel)}: {json.dumps(h)}" for rel, h in doc["files"].items())
+    return (f'{{"environment": {json.dumps(doc["environment"], sort_keys=True)},\n'
+            f' "calls": [\n  {calls}\n ],\n "files": {{\n  {files}\n }}\n}}\n')
+
+
+def run(src, out):
+    """Replay with the package under src in the empty directory out; the digest document."""
+    sys.path.insert(0, os.path.abspath(src))
+    from pbcurl import cli
+
+    os.environ.pop("PBCURL_SEED", None)
+    here = os.getcwd()
+    os.makedirs(out)
+    os.chdir(out)
+    try:
+        calls = replay(cli, ".")
+    finally:
+        os.chdir(here)
+    return {"environment": environment(), "calls": calls, "files": file_digests(out)}
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", help="the source tree to replay (the directory holding pbcurl/)")
-    parser.add_argument("--out", help="a directory that does not exist yet")
-    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
-                        help="two replay directories to compare")
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
+                        help="the source tree to replay (the directory holding pbcurl/)")
+    parser.add_argument("--out", help="a directory that does not exist yet, kept afterwards "
+                                      "(default: a temporary one)")
+    parser.add_argument("--digests", default=DIGESTS, help="the digest file")
+    parser.add_argument("--write-digests", action="store_true",
+                        help="write the digest file instead of comparing with it")
     args = parser.parse_args(argv)
-    if args.compare:
-        differ = compare(*args.compare)
-        total = len(_files(args.compare[0]) | _files(args.compare[1]))
-        for rel in differ:
-            print(f"differs: {rel}")
-        print(f"{len(differ)} of {total} files differ")
-        return 1 if differ else 0
-    if not (args.src and args.out):
-        parser.error("give --src and --out, or --compare A B")
-    replay(args.src, args.out)
-    print(f"replay written to {args.out}")
-    return 0
+    pinned = None
+    if not args.write_digests:
+        with open(args.digests) as fh:
+            pinned = json.load(fh)
+        lines = differences(pinned, {**pinned, "environment": environment()})
+        if lines:
+            print("\n".join(lines))
+            return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        got = run(args.src, args.out or os.path.join(tmp, "replay"))
+    if args.write_digests:
+        with open(args.digests, "w") as fh:
+            fh.write(_dump(got))
+        print(f"{len(got['calls'])} calls, {len(got['files'])} files: wrote {args.digests}")
+        return 0
+    lines = differences(pinned, got)
+    print("\n".join(lines + [f"{len(lines)} differences in {len(got['calls'])} calls and "
+                             f"{len(got['files'])} files"]))
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":
