@@ -120,6 +120,13 @@ def take_tuples(features, anchors, positives, negatives, out):
     return batch
 
 
+def _index_views(flat, n, k, b):
+    """[anchor (n,), positive (n, b), negative (n, k, b)] views of a flat index buffer."""
+    nb = n * b
+    return [flat[:n], flat[n : n + nb].reshape(n, b),
+            flat[n + nb : n * TupleBatch.rows_per_tuple(k, b)].reshape(n, k, b)]
+
+
 @dataclass
 class ContrastiveDataset:
     """m tuples referencing rows of one feature matrix."""
@@ -159,33 +166,41 @@ class ContrastiveDataset:
         return self.features.shape[1]
 
     def index_buffers(self, n):
-        """Empty anchor, positive and negative index arrays for n tuples, for gather."""
-        return [np.empty((n,) + part.shape[1:], dtype=part.dtype)
-                for part in (self.anchors, self.positives, self.negatives)]
+        """Anchor, positive and negative index arrays for n tuples, for gather.
+
+        They are views of one flat buffer of row indices in TupleBatch layout.
+        """
+        parts = (self.anchors, self.positives, self.negatives)
+        flat = np.empty(n * TupleBatch.rows_per_tuple(self.k, self.block_size),
+                        dtype=np.result_type(*parts))
+        return _index_views(flat, n, self.k, self.block_size)
 
     def gather(self, idx=None, out=None, index_out=None):
-        """Materialise (anchor, positive, negative) arrays for tuple indices.
+        """Materialise (anchor, positive, negative) arrays for tuple indices (default: all).
 
-        The rows are stacked in one matrix: the leading rows of out when
-        given, else a new array. Returns a TupleBatch of views into it. The
-        tuples' row indices go to the leading entries of index_out
-        (index_buffers of at least len(idx) tuples) when given, else to new
-        buffers.
+        The tuples' row indices go to index_out, the list index_buffers
+        returned for at least len(idx) tuples (else new buffers). When it is
+        for more, gather re-points its three views, in place, at the leading
+        entries of its flat buffer. One np.take then stacks the rows, in
+        TupleBatch layout, into the leading rows of out when given, else a new
+        array. Returns a TupleBatch of views into them.
         """
-        index = (self.anchors, self.positives, self.negatives)
-        if idx is not None:
-            idx = np.asarray(idx)
-            if idx.size and (idx.min() < 0 or idx.max() >= len(self)):
-                raise IndexError(f"tuple index out of range [0, {len(self)})")
-            if index_out is None:
-                index_out = self.index_buffers(len(idx))
-            # mode="clip" skips the range check and the buffered copy
-            index = [np.take(part, idx, axis=0, out=buf[: len(idx)], mode="clip")
-                     for part, buf in zip(index, index_out)]
+        n, k, b = len(self) if idx is None else len(idx), self.k, self.block_size
+        idx = np.arange(n) if idx is None else np.asarray(idx)
+        if idx.size and (idx.min() < 0 or idx.max() >= len(self)):
+            raise IndexError(f"tuple index out of range [0, {len(self)})")
+        if index_out is None:
+            index_out = self.index_buffers(n)
+        elif len(index_out[0]) != n:
+            index_out[:] = _index_views(index_out[0].base, n, k, b)
+        # mode="clip" skips the range check and the buffered copy
+        for part, buf in zip((self.anchors, self.positives, self.negatives), index_out):
+            part.take(idx, axis=0, out=buf, mode="clip")
+        rows = n * TupleBatch.rows_per_tuple(k, b)
         if out is None:
-            rows = len(index[0]) * TupleBatch.rows_per_tuple(self.k, self.block_size)
             out = np.empty((rows, self.dim), dtype=self.features.dtype)
-        return take_tuples(self.features, *index, out)
+        self.features.take(index_out[0].base[:rows], axis=0, out=out[:rows], mode="clip")
+        return TupleBatch(out[:rows], n, k, b)
 
 
 def concat_contrastive(a, b):

@@ -15,30 +15,38 @@ _LOG_HUGE = 700.0
 
 GUARD_EPS = 1e-6
 
+# np.sum's bits on a vector, without its Python-level wrapper: the training
+# step sums a few vectors of n entries each
+_sum = np.add.reduce
 
-def kl_gaussian(mu_q, log_sigma2_q, mu_p, log_sigma2_p):
-    """KL( N(mu_q, diag exp(log_sigma2_q)) || N(mu_p, exp(log_sigma2_p) I) )."""
+
+def kl_gaussian_and_grads(mu_q, log_sigma2_q, mu_p, log_sigma2_p):
+    """KL( N(mu_q, diag exp(log_sigma2_q)) || N(mu_p, exp(log_sigma2_p) I) ) and its
+    gradients w.r.t. (mu_q, log_sigma2_q, log_sigma2_p), in one pass that shares
+    exp(log_sigma2_q), mu_q - mu_p and its square norm: (value, g_mu, g_ls_q, g_ls_p).
+    """
     s_p = np.exp(log_sigma2_p)
     n = mu_q.size
     dmu = mu_q - mu_p
-    return 0.5 * (
-        dmu @ dmu / s_p
-        - n
-        + np.sum(np.exp(log_sigma2_q)) / s_p
-        + n * log_sigma2_p
-        - np.sum(log_sigma2_q)
-    )
+    dmu2 = dmu @ dmu
+    s_q = np.exp(log_sigma2_q)
+    sum_s_q = _sum(s_q)
+    value = 0.5 * (dmu2 / s_p - n + sum_s_q / s_p + n * log_sigma2_p - _sum(log_sigma2_q))
+    g_mu = np.divide(dmu, s_p, out=dmu)
+    g_ls_q = np.divide(s_q, s_p, out=s_q)           # 0.5 * (s_q / s_p - 1), in place
+    g_ls_q -= 1.0
+    g_ls_q *= 0.5
+    return value, g_mu, g_ls_q, float(0.5 * (n - (dmu2 + sum_s_q) / s_p))
+
+
+def kl_gaussian(mu_q, log_sigma2_q, mu_p, log_sigma2_p):
+    """KL( N(mu_q, diag exp(log_sigma2_q)) || N(mu_p, exp(log_sigma2_p) I) )."""
+    return kl_gaussian_and_grads(mu_q, log_sigma2_q, mu_p, log_sigma2_p)[0]
 
 
 def kl_gaussian_grads(mu_q, log_sigma2_q, mu_p, log_sigma2_p):
     """Gradients of kl_gaussian w.r.t. (mu_q, log_sigma2_q, log_sigma2_p)."""
-    s_p = np.exp(log_sigma2_p)
-    s_q = np.exp(log_sigma2_q)
-    dmu = mu_q - mu_p
-    g_mu = dmu / s_p
-    g_ls_q = 0.5 * (s_q / s_p - 1.0)
-    g_ls_p = 0.5 * (mu_q.size - (dmu @ dmu + np.sum(s_q)) / s_p)
-    return g_mu, g_ls_q, float(g_ls_p)
+    return kl_gaussian_and_grads(mu_q, log_sigma2_q, mu_p, log_sigma2_p)[1:]
 
 
 @dataclass
@@ -59,13 +67,13 @@ class Chi2Result:
 def _guard_variances(s_q, s_p):
     """Positive definiteness requires sigma2_q > sigma2_p / 2 coordinatewise.
 
-    Variances below the threshold are replaced by sigma2_p/2 * (1 + GUARD_EPS).
-    Returns the guarded variances and the mask of replaced coordinates.
+    Variances below the threshold are replaced, in place, by
+    sigma2_p/2 * (1 + GUARD_EPS). Returns s_q and the mask of replaced
+    coordinates.
     """
-    floor = 0.5 * s_p * (1.0 + GUARD_EPS)
     mask = s_q < 0.5 * s_p
-    out = np.where(mask, floor, s_q)
-    return out, mask
+    np.copyto(s_q, 0.5 * s_p * (1.0 + GUARD_EPS), where=mask)
+    return s_q, mask
 
 
 def _chi2_log1p_terms(mu_q, s_q, mu_p, s_p):
@@ -76,9 +84,14 @@ def _chi2_log1p_terms(mu_q, s_q, mu_p, s_p):
     """
     n = mu_q.size
     d = mu_q - mu_p
-    e = 2.0 * s_q - s_p
-    log_pref = -n * np.log(s_p) + np.sum(np.log(s_q)) - 0.5 * np.sum(np.log(2.0 * s_q / s_p - 1.0))
-    return float(log_pref + np.sum(d * d / e)), d, e
+    two_s_q = 2.0 * s_q
+    e = two_s_q - s_p
+    ratio = np.divide(two_s_q, s_p, out=two_s_q)    # log(2 s_q / s_p - 1), in place
+    ratio -= 1.0
+    log_pref = -n * np.log(s_p) + _sum(np.log(s_q)) - 0.5 * _sum(np.log(ratio, out=ratio))
+    d2 = np.multiply(d, d, out=ratio)
+    d2 /= e
+    return float(log_pref + _sum(d2)), d, e
 
 
 def chi2_gaussian(mu_q, log_sigma2_q, mu_p, log_sigma2_p):
@@ -114,20 +127,24 @@ def chi2_log1p_grads(mu_q, log_sigma2_q, mu_p, log_sigma2_p):
     s_p = float(np.exp(log_sigma2_p))
     if s_p == 0.0:
         return np.inf, None, None, None
-    s_q_raw = np.exp(log_sigma2_q)
-    s_q, mask = _guard_variances(s_q_raw, s_p)
+    s_q, mask = _guard_variances(np.exp(log_sigma2_q), s_p)
     log1p, d, e = _chi2_log1p_terms(mu_q, s_q, mu_p, s_p)
-    d_over_e = d / e
-
+    d_over_e = np.divide(d, e, out=d)
     g_mu = 2.0 * d_over_e
 
-    # d log1p / d s_q (guarded variance)
-    d_sq = 1.0 / s_q - 1.0 / e - 2.0 * d_over_e * d_over_e
-    g_ls_q = np.where(mask, 0.0, s_q_raw * d_sq)
-
     # direct d log1p / d s_p at fixed guarded variances
-    d_sp = -mu_q.size / s_p + np.sum(s_q / (s_p * e)) + d_over_e @ d_over_e
+    tmp = np.multiply(e, s_p)
+    d_sp = -mu_q.size / s_p + _sum(np.divide(s_q, tmp, out=tmp)) + d_over_e @ d_over_e
+
+    # d log1p / d s_q (guarded variance): 1 / s_q - 1 / e - 2 (d / e)^2
+    d_sq = np.divide(1.0, s_q, out=tmp)
+    d_sq -= np.divide(1.0, e, out=e)
+    d_sq -= np.multiply(g_mu, d_over_e, out=e)
+    # the raw variance where unguarded; guarded coordinates carry no gradient
+    g_ls_q = np.multiply(s_q, d_sq, out=s_q)
+    np.copyto(g_ls_q, 0.0, where=mask)
+
     # guarded coordinates track the floor, which moves with s_p
-    d_sp = d_sp + np.sum(d_sq[mask]) * 0.5 * (1.0 + GUARD_EPS)
+    d_sp = d_sp + _sum(d_sq[mask]) * 0.5 * (1.0 + GUARD_EPS)
     g_ls_p = float(s_p * d_sp)
     return log1p, g_mu, g_ls_q, g_ls_p

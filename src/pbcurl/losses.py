@@ -54,8 +54,15 @@ def contrastive_margins(anchor_out, pos_out, neg_out, diff=None):
 
 
 def _log1p_sum_exp(neg_v):
-    """log(1 + sum_i exp(-v_i)) = logaddexp(0, logsumexp(-v)), overflow safe."""
-    return np.logaddexp(0.0, np.logaddexp.reduce(neg_v, axis=-1))
+    """log(1 + sum_i exp(-v_i)) = logaddexp(0, logsumexp(-v)), overflow safe.
+
+    The logsumexp is np.logaddexp.reduce over the last axis, as a chain of
+    column logaddexp calls in its order, which gives its bits in fewer passes.
+    """
+    total = neg_v[..., 0].copy()
+    for i in range(1, neg_v.shape[-1]):
+        np.logaddexp(total, neg_v[..., i], out=total)
+    return np.logaddexp(0.0, total, out=total)
 
 
 def logistic_loss(margins):
@@ -74,7 +81,7 @@ def logistic_loss_and_grad(margins):
     np.exp(g, out=g)
     np.negative(g, out=g)
     g /= LN2
-    return total / LN2, g
+    return np.divide(total, LN2, out=total), g
 
 
 def hinge_loss(margins):

@@ -6,6 +6,7 @@ variance. Posterior variances are kept in log space. Forward and backward
 passes are hand written numpy on a flat parameter vector.
 """
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -92,9 +93,17 @@ def sample_eps(n_params, rng):
     return rng.standard_normal(n_params)
 
 
-def sample_weights(post, eps):
-    """Reparameterised draw w = mu + sigma * eps."""
-    return post.mu + np.exp(0.5 * post.log_sigma2) * eps
+def sample_weights(post, eps, ws=None):
+    """Reparameterised draw w = mu + sigma * eps, sigma = exp(log_sigma2 / 2).
+
+    With a workspace, sigma goes to ws.sigma, where posterior_grads_from_weight_grad
+    reads it, and w to ws.w, which the next draw overwrites.
+    """
+    sigma = np.multiply(post.log_sigma2, 0.5, out=None if ws is None else ws.sigma)
+    np.exp(sigma, out=sigma)
+    w = np.multiply(sigma, eps, out=None if ws is None else ws.w)
+    w += post.mu
+    return w
 
 
 # whole-matrix forwards and Monte Carlo chunks run in row chunks of this
@@ -143,15 +152,22 @@ class Workspace:
     ins[li] is layer li's input with a trailing column of ones, which folds the
     layer's bias into its GEMM: ins[0] takes the network input (load), ins[li]
     holds the ReLU output of layer li - 1. out holds the last layer's output.
-    Deltas are one (rows, width) array per layer (deltas[-1] holds d_out), the
-    ReLU masks one (rows, width + 1) array per hidden layer. grad is the flat
-    weight gradient and dtheta the 2n + 1 gradient of a training objective
-    w.r.t. (posterior means, posterior log variances, prior log variance).
-    forward_cached and backprop return views into them that the next call
-    overwrites. scratch is a flat buffer of rows * d_out floats for the loss
-    on top of the network, and ones a vector of rows ones that turns the bias
-    gradients' column sums into one GEMV each. A forward_only workspace holds
-    ins alone: its callers give the last layer's output buffer.
+    packed holds a flat weight vector in pack's layout, mats its per-layer
+    views. forward_cached returns views into ins and out that the next call
+    overwrites. A forward_only workspace holds only these: its callers give
+    the last layer's output buffer.
+
+    For training, backprop takes its deltas in the forward's own buffers: d_out
+    is given over out, and each hidden layer's delta goes into its ins buffer
+    (the ones column stays 1), once that buffer's weight gradient and ReLU mask
+    are taken. The masks are one (rows, width + 1) array per hidden layer, grad
+    the flat weight gradient and dtheta the 2n + 1 gradient of a training
+    objective w.r.t. (posterior means, posterior log variances, prior log
+    variance). w and sigma take sample_weights' draw and its standard
+    deviations. scratch is a flat buffer of rows * d_out floats for the loss on
+    top of the network, views the loss's views of out and scratch per batch
+    shape, and ones a vector of rows ones that turns the bias gradients' column
+    sums into one GEMV each.
     """
 
     def __init__(self, layer_sizes, rows, forward_only=False):
@@ -160,14 +176,18 @@ class Workspace:
         self.ins = [np.empty((rows, n + 1)) for n in layer_sizes[:-1]]
         for buf in self.ins:
             buf[:, -1] = 1.0
+        n_params = param_count(layer_sizes)
+        self.pack_index = _pack_index(tuple(layer_sizes))
+        self.packed = np.empty(n_params)
+        self.mats = _packed_views(layer_sizes, self.packed)
         if forward_only:
             return
         self.out = np.empty((rows, widths[-1]))
-        self.deltas = [np.empty((rows, n)) for n in widths]
         self.masks = [np.empty((rows, n + 1), dtype=bool) for n in widths[:-1]]
-        self.grad = np.empty(param_count(layer_sizes))
-        self.dtheta = np.empty(2 * self.grad.size + 1)
+        self.grad, self.w, self.sigma = (np.empty(n_params) for _ in range(3))
+        self.dtheta = np.empty(2 * n_params + 1)
         self.scratch = np.empty(rows * widths[-1])
+        self.views = {}
         self.ones = np.ones(rows)
 
     def load(self, x):
@@ -177,16 +197,32 @@ class Workspace:
         return x_in
 
 
-def pack(layer_sizes, w):
+@functools.lru_cache
+def _pack_index(layer_sizes):
+    """The flat indices that np.take turns a weight vector into pack's layout."""
+    index = np.arange(param_count(layer_sizes))
+    return np.concatenate([
+        np.column_stack((index[w_sl].reshape(b_sl.stop - b_sl.start, -1), index[b_sl])).ravel()
+        for w_sl, b_sl in _layer_slices(layer_sizes)])
+
+
+def _packed_views(layer_sizes, packed):
+    """Per-layer (fan_out, fan_in + 1) views of a vector in pack's layout."""
+    sizes = list(zip(layer_sizes[1:], layer_sizes[:-1]))
+    ends = np.cumsum([0] + [o * (i + 1) for o, i in sizes])
+    return [packed[lo:hi].reshape(o, i + 1) for (o, i), lo, hi in zip(sizes, ends, ends[1:])]
+
+
+def pack(layer_sizes, w, out=None):
     """Each layer's (fan_out, fan_in + 1) matrix [W | b] of a flat weight vector.
 
     Applied to an input row that ends in a one it gives W x + b in one GEMM.
+    The matrices are views of one vector that np.take fills: out when given.
     A list is taken to be packed already and returned as it is.
     """
     if isinstance(w, list):
         return w
-    return [np.column_stack((w[w_sl].reshape(b_sl.stop - b_sl.start, -1), w[b_sl]))
-            for w_sl, b_sl in _layer_slices(layer_sizes)]
+    return _packed_views(layer_sizes, np.take(w, _pack_index(tuple(layer_sizes)), out=out))
 
 
 def forward(layer_sizes, w, x, out=None):
@@ -228,7 +264,11 @@ def forward_cached(layer_sizes, w, x, ws=None, out=None):
     """
     x = np.asarray(x, dtype=np.float64)
     ws = ws or Workspace(layer_sizes, len(x))
-    mats = pack(layer_sizes, w)
+    if isinstance(w, list):
+        mats = w
+    else:
+        w.take(ws.pack_index, out=ws.packed)
+        mats = ws.mats
     n = len(x)
     a = x if x.base is ws.ins[0] else ws.load(x)
     cache = [a]
@@ -249,33 +289,40 @@ def backprop(layer_sizes, w, cache, d_out, ws=None):
 
     cache is forward_cached's on the same inputs: the layer inputs with their
     ones columns, which the weight gradients leave out. ReLU subgradient at 0
-    is 0. Returns ws.grad (a temporary workspace's when ws is None).
+    is 0. The hidden layers' inputs are used up: once a hidden input's weight
+    gradient and ReLU mask are taken, the delta of the layer below goes over
+    it, and only its ones column (where the mask is 1) keeps its value. cache[0]
+    and d_out are only read. Returns ws.grad (a temporary workspace's when ws
+    is None).
     """
     delta = np.asarray(d_out, dtype=np.float64)
     n = len(delta)
     ws = ws or Workspace(layer_sizes, n)
-    n_layers = len(ws.slices)
-    for li in range(n_layers - 1, -1, -1):
+    for li in range(len(ws.slices) - 1, -1, -1):
         w_sl, b_sl = ws.slices[li]
         wm = w[w_sl].reshape(layer_sizes[li + 1], layer_sizes[li])
-        if li < n_layers - 1:
-            # the mask over the whole contiguous buffer, ones column too: 4x faster than its view
-            mask = np.greater(cache[li + 1], 0.0, out=ws.masks[li][:n])
-            np.multiply(delta, mask[:, :-1], out=delta)
-        np.matmul(delta.T, cache[li][:, :-1], out=ws.grad[w_sl].reshape(wm.shape))
+        a = cache[li]
+        np.matmul(delta.T, a[:, :-1], out=ws.grad[w_sl].reshape(wm.shape))
         np.matmul(ws.ones[:n], delta, out=ws.grad[b_sl])      # the column sums
         if li > 0:
-            delta = np.matmul(delta, wm, out=ws.deltas[li - 1][:n])
+            mask = np.greater(a, 0.0, out=ws.masks[li - 1][:n])
+            np.matmul(delta, wm, out=a[:, :-1])
+            # the mask over the whole contiguous buffer, ones column too: 4x faster than its view
+            np.multiply(a, mask, out=a)
+            delta = a[:, :-1]
     return ws.grad
 
 
-def posterior_grads_from_weight_grad(post, eps, d_w):
-    """Chain d loss / d w through w = mu + exp(log_sigma2 / 2) * eps.
+def posterior_grads_from_weight_grad(sigma, eps, d_w, out=None):
+    """Chain d loss / d w through w = mu + sigma * eps, sigma = exp(log_sigma2 / 2).
 
-    Returns (d_mu, d_log_sigma2).
+    Returns (d_mu, d_log_sigma2): d_w itself and d_w * eps * sigma / 2, written
+    to out when given.
     """
-    sigma = np.exp(0.5 * post.log_sigma2)
-    return d_w, d_w * eps * sigma * 0.5
+    d_ls = np.multiply(d_w, eps, out=out)
+    d_ls *= sigma
+    d_ls *= 0.5
+    return d_w, d_ls
 
 
 def feature_bound(layer_sizes, w, features):

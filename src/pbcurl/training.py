@@ -178,37 +178,54 @@ def make_optimizer(kind, n):
 # loss + gradient w.r.t. the flat weight vector, batched over tuples
 
 
+def _loss_views(ws, n, k, b):
+    """The views the loss of n tuples works in, built once per batch shape.
+
+    ws.out's rows as a TupleBatch, then three views of ws.scratch: the (n, k, d)
+    block mean differences, and two (n, d) terms of d_out, the positive rows'
+    and the anchor rows'. They take n (k + 2) d of its n (1 + b + k b) d floats.
+    """
+    key = (n, k, b)
+    if key not in ws.views:
+        d, s = ws.out.shape[1], ws.scratch
+        ws.views[key] = (TupleBatch(ws.out[: n * TupleBatch.rows_per_tuple(k, b)], n, k, b),
+                         s[: n * k * d].reshape(n, k, d),
+                         s[n * k * d : n * (k + 1) * d].reshape(n, d),
+                         s[n * (k + 1) * d : n * (k + 2) * d].reshape(n, d))
+    return ws.views[key]
+
+
 def contrastive_loss_and_wgrad(layer_sizes, w, batch, loss_kind, ws=None):
     """Mean tuple loss over a TupleBatch and its gradient w.r.t. w.
 
-    One forward pass covers batch.rows. d_out is assembled in ws.deltas[-1]
-    from the margin kernel's block mean differences, kept in ws.scratch, and
-    the gradient returned is ws.grad (of a temporary workspace when ws is
-    None), so it lives until the next call with the same workspace.
+    One forward pass covers batch.rows. Once the margins are taken, d_out goes
+    over the network output in ws.out, the anchor rows last, as the block rows'
+    terms read the anchor outputs; the anchor term waits in ws.scratch beside
+    the block mean differences. backprop then takes its deltas in the forward's
+    buffers. The gradient returned is ws.grad (of a temporary workspace when ws
+    is None), so it lives until the next call with the same workspace.
     """
     _, pos, neg = batch
     n, k, b = len(pos), neg.shape[1], pos.shape[1]
     ws = ws or network.Workspace(layer_sizes, len(batch.rows))
+    out_batch, diff, pos_term, anchor_term = _loss_views(ws, n, k, b)
     out, cache = network.forward_cached(layer_sizes, w, batch.rows, ws=ws)
-    a_out, p_out, g_out = TupleBatch(out, n, k, b)
-    d = out.shape[1]
-    diff = ws.scratch[: n * k * d].reshape(n, k, d)
-    pos_term = ws.scratch[n * k * d : n * (k + 1) * d].reshape(n, d)
+    a_out, p_out, g_out = out_batch
 
     margins = losses.contrastive_margins(a_out, p_out, g_out, diff)
     tuple_loss, dv = losses.loss_and_margin_grad(margins, loss_kind)
-    loss = float(np.mean(tuple_loss))
+    loss = float(np.add.reduce(tuple_loss) / n)                # np.mean's bits
 
     dv *= 1.0 / n                                               # (n, k)
-    d_out = TupleBatch(ws.deltas[-1][: len(out)], n, k, b)
-    np.einsum("nk,nkd->nd", dv, diff, out=d_out[0])
-    np.multiply(np.sum(dv, axis=1)[:, None], a_out, out=pos_term)
+    np.einsum("nk,nkd->nd", dv, diff, out=anchor_term)
+    np.multiply(np.add.reduce(dv, axis=1)[:, None], a_out, out=pos_term)
     pos_term /= b
-    d_out[1][...] = pos_term[:, None, :]
+    p_out[...] = pos_term[:, None, :]
     np.multiply(-dv[:, :, None], a_out[:, None, :], out=diff)   # diff is read: reuse it
     diff /= b
-    d_out[2][...] = diff[:, :, None, :]
-    return loss, network.backprop(layer_sizes, w, cache, d_out.rows, ws), margins
+    g_out[...] = diff[:, :, None, :]
+    a_out[...] = anchor_term
+    return loss, network.backprop(layer_sizes, w, cache, out, ws), margins
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +248,20 @@ def iid_objective(layer_sizes, post, prior, batch, eps, *, lam, m, grid_b, grid_
                   loss_kind, ws=None):
     """Catoni-style trainable bound; the batch mean estimates L_hat."""
     ws = ws or network.Workspace(layer_sizes, len(batch.rows))
-    w = network.sample_weights(post, eps)
+    w = network.sample_weights(post, eps, ws)
     loss, d_w, _ = contrastive_loss_and_wgrad(layer_sizes, w, batch, loss_kind, ws)
-    kl = divergences.kl_gaussian(post.mu, post.log_sigma2, prior.mu, prior.log_sigma2)
-    j = bounds.j_index(grid_b, grid_c, prior.log_sigma2)
+    log_s2_p = float(prior.log_sigma2)        # a float, not theta's 0-d view: no numpy scalars
+    kl, kl_mu, kl_ls_q, kl_ls_p = divergences.kl_gaussian_and_grads(
+        post.mu, post.log_sigma2, prior.mu, log_s2_p
+    )
+    j = bounds.j_index(grid_b, grid_c, log_s2_p)
     value = lam * m * loss + kl + 2.0 * math.log(j)
 
-    d_mu, d_ls_q = network.posterior_grads_from_weight_grad(post, eps, lam * m * d_w)
-    kl_mu, kl_ls_q, kl_ls_p = divergences.kl_gaussian_grads(
-        post.mu, post.log_sigma2, prior.mu, prior.log_sigma2
-    )
+    d_w *= lam * m
     n, grad = post.n_params, ws.dtheta
-    np.add(d_mu, kl_mu, out=grad[:n])
-    np.add(d_ls_q, kl_ls_q, out=grad[n:-1])
+    np.add(d_w, kl_mu, out=grad[:n])
+    network.posterior_grads_from_weight_grad(ws.sigma, eps, d_w, out=grad[n:-1])
+    grad[n:-1] += kl_ls_q
     grad[-1] = kl_ls_p - 2.0 * grid_b / j          # dj/dt = -grid_b, as in noniid
     return value, grad, {"loss": loss, "kl": kl}
 
@@ -256,11 +274,12 @@ def noniid_objective(layer_sizes, post, prior, batch, eps, *, m, delta, dependen
     rejects the step.
     """
     ws = ws or network.Workspace(layer_sizes, len(batch.rows))
-    w = network.sample_weights(post, eps)
+    w = network.sample_weights(post, eps, ws)
     loss, d_w, _ = contrastive_loss_and_wgrad(layer_sizes, w, batch, loss_kind, ws)
-    j = bounds.j_index(grid_b, grid_c, prior.log_sigma2)
+    log_s2_p = float(prior.log_sigma2)        # a float, not theta's 0-d view: no numpy scalars
+    j = bounds.j_index(grid_b, grid_c, log_s2_p)
     log1p, c_mu, c_ls_q, c_ls_p = divergences.chi2_log1p_grads(
-        post.mu, post.log_sigma2, prior.mu, prior.log_sigma2
+        post.mu, post.log_sigma2, prior.mu, log_s2_p
     )
     log_pen_over_j = bounds.chi2_log_penalty_over_j(j, log1p, m, delta, dependency_t, loss_sup)
     if math.isinf(log_pen_over_j):
@@ -268,10 +287,12 @@ def noniid_objective(layer_sizes, post, prior, batch, eps, *, m, delta, dependen
     pen = math.pi * j * math.exp(log_pen_over_j)
     value = loss + pen
 
-    d_mu, d_ls_q = network.posterior_grads_from_weight_grad(post, eps, d_w)
     n, grad = post.n_params, ws.dtheta
-    np.add(d_mu, pen * 0.5 * c_mu, out=grad[:n])
-    np.add(d_ls_q, pen * 0.5 * c_ls_q, out=grad[n:-1])
+    c_mu *= pen * 0.5
+    np.add(d_w, c_mu, out=grad[:n])
+    network.posterior_grads_from_weight_grad(ws.sigma, eps, d_w, out=grad[n:-1])
+    c_ls_q *= pen * 0.5
+    grad[n:-1] += c_ls_q
     # j depends on log sigma2_p with dj/dt = -grid_b
     grad[-1] = math.pi * (-grid_b) * math.exp(log_pen_over_j) + pen * 0.5 * c_ls_p
     return value, grad, {"loss": loss, "chi2_log1p": log1p, "penalty": pen}
@@ -500,7 +521,7 @@ def train(cfg, data, valid=None, criteria=("pb",), run_dir=None, run_id="run"):
 
                 t = _lap(clock, "objective_s", t)
                 grad = grad[:n_train]
-                if not np.all(np.isfinite(grad)):
+                if not np.isfinite(grad).all():
                     raise NumericAbort(f"gradient not finite at epoch {epoch} step {step}")
                 opt.update(grad, lr, out=last_step)
                 trainable += last_step

@@ -247,3 +247,77 @@ def test_chi2_is_infinite_when_prior_variance_underflows():
     log1p, *grads = divergences.chi2_log1p_grads(mu, ls_q, mu, -2600.0)
     assert log1p == math.inf
     assert grads == [None, None, None]
+
+
+# the closed forms as they stood before the fused KL pass and the trimmed
+# chi-square pass: every value and gradient must keep their bits
+def separate_kl(mu_q, log_sigma2_q, mu_p, log_sigma2_p):
+    s_p = np.exp(log_sigma2_p)
+    n = mu_q.size
+    dmu = mu_q - mu_p
+    value = 0.5 * (dmu @ dmu / s_p - n + np.sum(np.exp(log_sigma2_q)) / s_p
+                   + n * log_sigma2_p - np.sum(log_sigma2_q))
+    s_q = np.exp(log_sigma2_q)
+    g_mu = dmu / s_p
+    g_ls_q = 0.5 * (s_q / s_p - 1.0)
+    g_ls_p = 0.5 * (mu_q.size - (dmu @ dmu + np.sum(s_q)) / s_p)
+    return value, g_mu, g_ls_q, float(g_ls_p)
+
+
+def separate_chi2_log1p_grads(mu_q, log_sigma2_q, mu_p, log_sigma2_p):
+    s_p = float(np.exp(log_sigma2_p))
+    s_q_raw = np.exp(log_sigma2_q)
+    mask = s_q_raw < 0.5 * s_p
+    s_q = np.where(mask, 0.5 * s_p * (1.0 + divergences.GUARD_EPS), s_q_raw)
+    n = mu_q.size
+    d = mu_q - mu_p
+    e = 2.0 * s_q - s_p
+    log_pref = (-n * np.log(s_p) + np.sum(np.log(s_q))
+                - 0.5 * np.sum(np.log(2.0 * s_q / s_p - 1.0)))
+    log1p = float(log_pref + np.sum(d * d / e))
+    d_over_e = d / e
+    g_mu = 2.0 * d_over_e
+    d_sq = 1.0 / s_q - 1.0 / e - 2.0 * d_over_e * d_over_e
+    g_ls_q = np.where(mask, 0.0, s_q_raw * d_sq)
+    d_sp = -mu_q.size / s_p + np.sum(s_q / (s_p * e)) + d_over_e @ d_over_e
+    d_sp = d_sp + np.sum(d_sq[mask]) * 0.5 * (1.0 + divergences.GUARD_EPS)
+    return log1p, g_mu, g_ls_q, float(s_p * d_sp)
+
+
+def random_gaussian_pair(rng, n, guarded):
+    mu_p = rng.normal(scale=0.3, size=n)
+    mu_q = mu_p + rng.normal(scale=0.05, size=n)
+    ls_p = float(rng.uniform(-9.0, -1.0))
+    # with guarded, some variances fall below sigma2_p / 2
+    ls_q = ls_p + rng.uniform(-1.5 if guarded else 0.0, 1.0, size=n)
+    return mu_q, ls_q, mu_p, ls_p
+
+
+def same_bits(got, want):
+    for g, w in zip(got, want):
+        if isinstance(w, np.ndarray):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        else:
+            assert float(g).hex() == float(w).hex()
+
+
+@pytest.mark.parametrize("guarded", [False, True])
+def test_fused_kl_keeps_the_bits_of_the_separate_value_and_gradients(rng, guarded):
+    for n in (1, 7, 1200):
+        mu_q, ls_q, mu_p, ls_p = random_gaussian_pair(rng, n, guarded)
+        # the trainer passes theta's 0-d view as a float; a 0-d array gives the same bits
+        for prior_ls in (ls_p, np.array(ls_p)):
+            want = separate_kl(mu_q, ls_q, mu_p, prior_ls)
+            same_bits(divergences.kl_gaussian_and_grads(mu_q, ls_q, mu_p, prior_ls), want)
+            same_bits([divergences.kl_gaussian(mu_q, ls_q, mu_p, prior_ls)], want[:1])
+            same_bits(divergences.kl_gaussian_grads(mu_q, ls_q, mu_p, prior_ls), want[1:])
+
+
+@pytest.mark.parametrize("guarded", [False, True])
+def test_trimmed_chi2_keeps_the_bits_of_the_separate_formulas(rng, guarded):
+    for n in (1, 7, 1200):
+        mu_q, ls_q, mu_p, ls_p = random_gaussian_pair(rng, n, guarded)
+        want = separate_chi2_log1p_grads(mu_q, ls_q, mu_p, ls_p)
+        same_bits(divergences.chi2_log1p_grads(mu_q, ls_q, mu_p, ls_p), want)
+        assert float(divergences.chi2_gaussian(mu_q, ls_q, mu_p, ls_p).log1p).hex() == \
+            float(want[0]).hex()

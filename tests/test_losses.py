@@ -241,3 +241,20 @@ def test_block_reduction_matches_plain_margin(rng):
         v = losses.contrastive_margins(a, p, n)
         plain = np.array([[float(a[0] @ (p[0, 0] - n[0, i, 0])) for i in range(k)]])
         assert np.allclose(v, plain, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 5])
+def test_logsumexp_chain_keeps_the_bits_of_logaddexp_reduce(rng, k):
+    # the loss takes log(1 + sum exp(-v)) as a chain of column logaddexp calls
+    # in np.logaddexp.reduce's order; margins of +-800 overflow exp on their own
+    v = rng.normal(scale=3.0, size=(3, 2000, k))
+    v[0, :300] = rng.choice([-800.0, 800.0, -0.0, 0.0], size=(300, k))
+    v[1, :50] = -800.0
+    v[2, :50] = 800.0
+    for margins in (v, v[0], v[0, 7]):
+        want = np.logaddexp(0.0, np.logaddexp.reduce(-margins, axis=-1))
+        got = losses._log1p_sum_exp(-margins)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        ref = want / losses.LN2
+        assert np.asarray(losses.logistic_loss(margins)).tobytes() == ref.tobytes()
+        assert losses.logistic_loss_and_grad(margins)[0].tobytes() == ref.tobytes()

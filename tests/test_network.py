@@ -238,26 +238,65 @@ def random_tuples(rng, rows, m, dim=20, k=4, block_size=2):
 
 @pytest.mark.parametrize("loss_kind", ["logistic", "hinge"])
 def test_workspace_step_matches_allocating_math(rng, loss_kind):
-    # a full batch of 250 tuples, then a partial last batch of 200 (17,200 % 250)
-    # through the same workspace and row buffer, as train() runs them
+    # train()'s step through one workspace, row buffer and index buffer: a full
+    # batch of 250 tuples, a partial last one (200 = 17,200 % 250), then a full
+    # one again. At the acceptance shapes, at three layers (backprop writes each
+    # hidden delta over that layer's input buffer) and at k = 1 with blocks of 1
+    for sizes, k, b, last in ((ACCEPTANCE_SIZES, 4, 2, 200), ((20, 32, 24, 16), 4, 2, 200),
+                              (ACCEPTANCE_SIZES, 1, 1, 37)):
+        ds = random_tuples(rng, 3000, 600, k=k, block_size=b)
+        w = rng.normal(scale=0.3, size=network.param_count(sizes))
+        rows = 250 * data.TupleBatch.rows_per_tuple(k, b)
+        ws = network.Workspace(sizes, rows)
+        batch_rows = np.empty((rows, 20))
+        index = ds.index_buffers(250)
+        for n in (250, last, 250):
+            idx = rng.choice(len(ds), size=n, replace=False)
+            batch = ds.gather(idx, out=batch_rows, index_out=index)
+            loss, grad, margins = training.contrastive_loss_and_wgrad(
+                sizes, w, batch, loss_kind, ws
+            )
+            ref_loss, ref_grad, ref_margins = alloc_contrastive_loss_and_wgrad(
+                sizes, w, ds.features[ds.anchors[idx]],
+                ds.features[ds.positives[idx]], ds.features[ds.negatives[idx]], loss_kind,
+            )
+            assert loss == ref_loss, (sizes, k, n)
+            assert np.array_equal(grad, ref_grad), (sizes, k, n)
+            assert np.array_equal(margins, ref_margins), (sizes, k, n)
+
+
+def test_backprop_leaves_the_ones_columns_for_the_next_step(rng):
+    # backprop writes each hidden delta over that layer's ones-extended input;
+    # the ones column must come out 1, so a second step through the workspace
+    # gets the bits of a fresh one
+    sizes = (20, 32, 24, 16)
     ds = random_tuples(rng, 3000, 600)
-    w = rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
-    rows = 250 * (1 + 2 * (1 + 4))
-    ws = network.Workspace(ACCEPTANCE_SIZES, rows)
-    batch_rows = np.empty((rows, 20))
-    for n in (250, 200):
-        idx = rng.choice(len(ds), size=n, replace=False)
-        batch = ds.gather(idx, out=batch_rows)
-        loss, grad, margins = training.contrastive_loss_and_wgrad(
-            ACCEPTANCE_SIZES, w, batch, loss_kind, ws
-        )
-        ref_loss, ref_grad, ref_margins = alloc_contrastive_loss_and_wgrad(
-            ACCEPTANCE_SIZES, w, ds.features[ds.anchors[idx]],
-            ds.features[ds.positives[idx]], ds.features[ds.negatives[idx]], loss_kind,
-        )
-        assert loss == ref_loss
-        assert np.array_equal(grad, ref_grad)
-        assert np.array_equal(margins, ref_margins)
+    w1, w2 = rng.normal(scale=0.3, size=(2, network.param_count(sizes)))
+    ws = network.Workspace(sizes, 250 * 11)
+    first = ds.gather(rng.choice(len(ds), size=250, replace=False))
+    second = ds.gather(rng.choice(len(ds), size=250, replace=False))
+    training.contrastive_loss_and_wgrad(sizes, w1, first, "logistic", ws)
+    assert all(np.all(buf[:, -1] == 1.0) for buf in ws.ins)
+    loss, grad, _ = training.contrastive_loss_and_wgrad(sizes, w2, second, "logistic", ws)
+    fresh = network.Workspace(sizes, 250 * 11)
+    ref_loss, ref_grad, _ = training.contrastive_loss_and_wgrad(sizes, w2, second, "logistic",
+                                                                fresh)
+    assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
+
+
+def test_pack_lays_out_each_layer_as_weights_then_bias(rng):
+    sizes = (5, 4, 3, 2)
+    w = rng.standard_normal(network.param_count(sizes))
+    mats = network.pack(sizes, w)
+    for (w_sl, b_sl), m, fan_in, fan_out in zip(network._layer_slices(sizes), mats, sizes,
+                                                sizes[1:]):
+        want = np.column_stack((w[w_sl].reshape(fan_out, fan_in), w[b_sl]))
+        assert m.shape == want.shape and np.array_equal(m, want)
+    assert network.pack(sizes, mats) is mats
+    # the workspace packs the same vector into its own buffer
+    ws = network.Workspace(sizes, 4, forward_only=True)
+    network.forward_cached(sizes, w, rng.standard_normal((4, 5)), ws, np.empty((4, 2)))
+    assert all(np.array_equal(a, b) for a, b in zip(ws.mats, mats))
 
 
 def test_forward_without_workspace_matches_allocating_math(rng):
@@ -306,7 +345,9 @@ def test_gemv_bias_grads_match_row_sums(rng):
         x = rng.standard_normal((rows, 20))
         d_out = rng.standard_normal((rows, 16))
         _, cache = network.forward_cached(ACCEPTANCE_SIZES, w, x, ws)
+        inputs = [a.copy() for a in cache[:-1]]     # backprop writes deltas over them
         grad = network.backprop(ACCEPTANCE_SIZES, w, cache, d_out, ws)
+        cache = inputs
         ref = np.zeros_like(w)
         scale = np.zeros_like(w)
         delta = d_out
