@@ -11,6 +11,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -74,6 +75,14 @@ def _read(doc, key, cast, default=None, where="dataset"):
         raise ConfigError(f"{where}.{key} must be a number, got {raw!r}") from None
 
 
+def _count(spec, key, default=None):
+    """dataset.key as a count >= 0, read as _read does."""
+    value = _read(spec, key, int, default)
+    if value < 0:
+        raise ConfigError(f"dataset.{key} must be >= 0, got {value}")
+    return value
+
+
 def _resolve_seed(explicit, fallback):
     """Precedence: --seed flag, then PBCURL_SEED, then the fallback."""
     if explicit is not None:
@@ -104,17 +113,21 @@ def _gaussian_model(spec, r_model):
     for key, value in (("n_classes", n_classes), ("dim", dim)):
         if value < 1:
             raise ConfigError(f"dataset.{key} must be >= 1, got {value}")
-    return data.random_gaussian_model(n_classes, dim, _read(spec, "separation", float, 1.0),
-                                      _read(spec, "std", float, 1.0), r_model)
+    separation, std = _read(spec, "separation", float, 1.0), _read(spec, "std", float, 1.0)
+    if not 0.0 <= separation < math.inf:      # NaN fails too
+        raise ConfigError(f"dataset.separation must be finite and >= 0, got {separation}")
+    if not 0.0 < std < math.inf:
+        raise ConfigError(f"dataset.std must be finite and > 0, got {std}")
+    return data.random_gaussian_model(n_classes, dim, separation, std, r_model)
 
 
 def _build_synthetic_iid(spec, seed):
     sizes = {
-        "train": _read(spec, "m_train", int),
-        "valid": _read(spec, "m_valid", int, 0),
-        "test": _read(spec, "m_test", int, 0),
-        "labeled_train": _read(spec, "n_labeled_train", int, 0),
-        "labeled_test": _read(spec, "n_labeled_test", int, 0),
+        "train": _count(spec, "m_train"),
+        "valid": _count(spec, "m_valid", 0),
+        "test": _count(spec, "m_test", 0),
+        "labeled_train": _count(spec, "n_labeled_train", 0),
+        "labeled_test": _count(spec, "n_labeled_test", 0),
     }
     k, block = _read(spec, "k", int), _read(spec, "block_size", int, 1)
 
@@ -132,11 +145,11 @@ def _build_synthetic_iid(spec, seed):
 
 
 def _build_synthetic_sequences(spec, seed):
-    length = _read(spec, "length", int)
+    length = _count(spec, "length")
     counts = {
-        "train": _read(spec, "n_train_seq_per_class", int),
-        "valid": _read(spec, "n_valid_seq_per_class", int, 0),
-        "test": _read(spec, "n_test_seq_per_class", int, 0),
+        "train": _count(spec, "n_train_seq_per_class"),
+        "valid": _count(spec, "n_valid_seq_per_class", 0),
+        "test": _count(spec, "n_test_seq_per_class", 0),
     }
     k, block = _read(spec, "k", int), _read(spec, "block_size", int, 1)
     phi = _read(spec, "ar_coeff", float, 0.7)
@@ -158,7 +171,7 @@ def _build_synthetic_sequences(spec, seed):
 
 def _build_from_files(spec, seed):
     train_csv = _require(spec, "train_csv", "dataset")
-    sizes = {"train": _read(spec, "m_train", int), "valid": _read(spec, "m_valid", int, 0)}
+    sizes = {"train": _count(spec, "m_train"), "valid": _count(spec, "m_valid", 0)}
     k, block = _read(spec, "k", int), _read(spec, "block_size", int, 1)
 
     out = {"labeled_train": data.read_labeled_csv(train_csv)}
@@ -193,8 +206,8 @@ def _build_from_sequence_manifest(spec, seed):
         if tuples == "windowed":
             out[name] = data.build_noniid_from_sequences(seqs, labels, k, block, rng)
         else:
-            m_train = _read(spec, "m_train", int)
-            m = m_train if name == "train" else _read(spec, "m_valid", int, max(1, m_train // 10))
+            m_train = _count(spec, "m_train")
+            m = m_train if name == "train" else _count(spec, "m_valid", max(1, m_train // 10))
             out[name] = data.build_iid_from_labeled(
                 data.frames_as_labeled(seqs, labels), m, k, block, rng
             )
@@ -389,6 +402,10 @@ def _cmd_bound(args):
     if args.T is not None:
         if args.T < 0:
             raise ConfigError(f"--T must be >= 0, got {args.T}")
+        if args.T < ds.dependency_t:
+            # a certificate at a smaller T than the tuples have would not hold
+            raise ConfigError(f"--T {args.T} is below the data's dependency_t = "
+                              f"{ds.dependency_t}: --T may raise T, not lower it")
         ds.dependency_t = int(args.T)
     objective = "noniid" if args.noniid else "iid"
     seed = _resolve_seed(args.seed, ckpt.seed)
@@ -578,7 +595,8 @@ def _build_parser():
     kind = p.add_mutually_exclusive_group(required=True)
     kind.add_argument("--iid", action="store_true", help="KL-based certificates")
     kind.add_argument("--noniid", action="store_true", help="chi-square certificates")
-    p.add_argument("--T", type=int, help="dependency range override (non-iid)")
+    p.add_argument("--T", type=int,
+                   help="dependency range (non-iid): raises the data's T, never lowers it")
     p.add_argument("--risk", choices=("zero-one", "loss"), default="zero-one")
     p.add_argument("--lam", type=float, help="lambda for the iid loss certificate")
     p.add_argument("--tau", type=float, help="class collision probability override")

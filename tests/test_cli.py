@@ -266,6 +266,56 @@ def test_gen_data_sequences_accepts_ar_coeff_on_the_unit_interval(tmp_path, phi)
     assert np.all(np.isfinite(data.load_contrastive(str(out / "train.json")).features))
 
 
+@pytest.mark.parametrize("kind", ["synthetic-iid", "synthetic-sequences"])
+@pytest.mark.parametrize("key, value, message", [
+    ("separation", "nan", "dataset.separation must be finite and >= 0, got nan"),
+    ("separation", -1.0, "dataset.separation must be finite and >= 0, got -1.0"),
+    ("separation", math.inf, "dataset.separation must be finite and >= 0, got inf"),
+    ("std", "nan", "dataset.std must be finite and > 0, got nan"),
+    ("std", 0.0, "dataset.std must be finite and > 0, got 0.0"),
+    ("std", -1.0, "dataset.std must be finite and > 0, got -1.0"),
+    ("std", math.inf, "dataset.std must be finite and > 0, got inf"),
+])
+def test_gen_data_rejects_a_bad_class_model(tmp_path, capsys, kind, key, value, message):
+    # "separation": "nan" wrote NaN features and norm_stats.json with exit 0
+    if kind == "synthetic-iid":
+        doc = iid_config()
+    else:
+        with open(sequence_config(tmp_path)) as fh:
+            doc = json.load(fh)
+    doc["dataset"][key] = value
+    cfg = write_json(tmp_path / "g.json", doc)
+    out = tmp_path / "x"
+    assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("synthetic-iid", "m_train"), ("synthetic-iid", "m_valid"), ("synthetic-iid", "m_test"),
+    ("synthetic-iid", "n_labeled_train"), ("synthetic-iid", "n_labeled_test"),
+    ("synthetic-sequences", "length"), ("synthetic-sequences", "n_train_seq_per_class"),
+    ("synthetic-sequences", "n_valid_seq_per_class"),
+    ("synthetic-sequences", "n_test_seq_per_class"),
+    ("files", "m_train"), ("files", "m_valid"),
+    ("sequence-manifest", "m_train"), ("sequence-manifest", "m_valid"),
+])
+def test_gen_data_rejects_a_negative_count_by_name(tmp_path, rng, capsys, kind, key):
+    # numpy's "negative dimensions are not allowed" named no key
+    if kind == "sequence-manifest":
+        spec = {"kind": kind, "manifest": write_sequence_corpus(tmp_path, rng), "first_steps": 5,
+                "train_per_class": 3, "valid_per_class": 1, "tuples": "iid", "m_train": 30,
+                "k": 2, "block_size": 2}
+    else:
+        spec = generative_spec(kind, tmp_path, rng)
+    spec[key] = -1
+    cfg = write_json(tmp_path / "g.json", {"dataset": spec})
+    out = tmp_path / "x"
+    assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 2
+    assert f"error: dataset.{key} must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def generative_spec(kind, tmp_path, rng):
     if kind == "synthetic-iid":
         return iid_config()["dataset"]
@@ -628,6 +678,25 @@ def test_bound_noniid_with_dependency_override(tmp_path, data_dir, train_dir):
     file_hash = data.dataset_hash(ds)
     ds.dependency_t = 2
     assert doc["provenance"]["dataset_hash"] == data.dataset_hash(ds) != file_hash
+
+
+def test_bound_T_raises_the_data_T_but_does_not_lower_it(tmp_path, data_dir, train_dir, capsys):
+    # a certificate at T = 1 on tuples built with T = 2 would not hold
+    ckpt = best_pb_checkpoint(train_dir)
+    ds = data.load_contrastive(str(data_dir / "test.json"))
+    ds.dependency_t = 2
+    data.save_contrastive(ds, str(tmp_path / "dep.json"))
+    args = ["bound", "--checkpoint", ckpt, "--data", str(tmp_path / "dep.json"), "--noniid",
+            "--deterministic"]
+    for t in ("1", "0"):
+        assert main([*args, "--out", str(tmp_path / "low"), "--T", t]) == 2
+        assert (f"error: --T {t} is below the data's dependency_t = 2"
+                in capsys.readouterr().err)
+    assert not (tmp_path / "low").exists()
+    for t in ("2", "3"):
+        assert main([*args, "--out", str(tmp_path / "ok"), "--T", t, "--id", t]) == 0
+        doc = json.loads((tmp_path / "ok" / f"bound_{t}.json").read_text())
+        assert doc["dependency_t"] == int(t)
 
 
 def test_bound_concatenates_data(tmp_path, data_dir, train_dir):
