@@ -199,30 +199,36 @@ class Workspace:
 
 @functools.lru_cache
 def _pack_index(layer_sizes):
-    """The flat indices that np.take turns a weight vector into pack's layout."""
+    """The indices that take a flat weight vector to pack's layout: layer by
+    layer, each row of W followed by its bias. Read-only, as callers share it.
+    """
     index = np.arange(param_count(layer_sizes))
-    return np.concatenate([
+    index = np.concatenate([
         np.column_stack((index[w_sl].reshape(b_sl.stop - b_sl.start, -1), index[b_sl])).ravel()
         for w_sl, b_sl in _layer_slices(layer_sizes)])
+    index.flags.writeable = False
+    return index
 
 
 def _packed_views(layer_sizes, packed):
-    """Per-layer (fan_out, fan_in + 1) views of a vector in pack's layout."""
-    sizes = list(zip(layer_sizes[1:], layer_sizes[:-1]))
-    ends = np.cumsum([0] + [o * (i + 1) for o, i in sizes])
-    return [packed[lo:hi].reshape(o, i + 1) for (o, i), lo, hi in zip(sizes, ends, ends[1:])]
+    """Each layer's (fan_out, fan_in + 1) view of a vector in pack's layout.
+
+    A layer spans the same entries as its (W, b) pair in the flat layout.
+    """
+    return [packed[w_sl.start : b_sl.stop].reshape(b_sl.stop - b_sl.start, -1)
+            for w_sl, b_sl in _layer_slices(layer_sizes)]
 
 
-def pack(layer_sizes, w, out=None):
+def pack(layer_sizes, w):
     """Each layer's (fan_out, fan_in + 1) matrix [W | b] of a flat weight vector.
 
     Applied to an input row that ends in a one it gives W x + b in one GEMM.
-    The matrices are views of one vector that np.take fills: out when given.
-    A list is taken to be packed already and returned as it is.
+    The matrices are views of one vector that one np.take fills. A list is
+    taken to be packed already and returned as it is.
     """
     if isinstance(w, list):
         return w
-    return _packed_views(layer_sizes, np.take(w, _pack_index(tuple(layer_sizes)), out=out))
+    return _packed_views(layer_sizes, np.take(w, _pack_index(tuple(layer_sizes))))
 
 
 def forward(layer_sizes, w, x, out=None):
@@ -367,8 +373,7 @@ def save_checkpoint(path, ckpt):
         "config": ckpt.config,
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")    # json.dump's bytes, in one write
 
 
 def _checkpoint_array(path, doc, key, shape):
