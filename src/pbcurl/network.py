@@ -152,10 +152,10 @@ class Workspace:
     ins[li] is layer li's input with a trailing column of ones, which folds the
     layer's bias into its GEMM: ins[0] takes the network input (load), ins[li]
     holds the ReLU output of layer li - 1. out holds the last layer's output.
-    packed holds a flat weight vector in pack's layout, mats its per-layer
-    views. forward_cached returns views into ins and out that the next call
-    overwrites. A forward_only workspace holds only these: its callers give
-    the last layer's output buffer.
+    forward_cached returns views into ins and out that the next call
+    overwrites; given a flat weight vector, it packs it into packed, whose
+    per-layer views are mats. A forward_only workspace holds ins alone: its
+    callers give the last layer's output buffer.
 
     For training, backprop takes its deltas in the forward's own buffers: d_out
     is given over out, and each hidden layer's delta goes into its ins buffer
@@ -171,17 +171,15 @@ class Workspace:
     """
 
     def __init__(self, layer_sizes, rows, forward_only=False):
+        self.layer_sizes = tuple(layer_sizes)
         self.slices = _layer_slices(layer_sizes)
         widths = layer_sizes[1:]
         self.ins = [np.empty((rows, n + 1)) for n in layer_sizes[:-1]]
         for buf in self.ins:
             buf[:, -1] = 1.0
-        n_params = param_count(layer_sizes)
-        self.pack_index = _pack_index(tuple(layer_sizes))
-        self.packed = np.empty(n_params)
-        self.mats = _packed_views(layer_sizes, self.packed)
         if forward_only:
             return
+        n_params = param_count(layer_sizes)
         self.out = np.empty((rows, widths[-1]))
         self.masks = [np.empty((rows, n + 1), dtype=bool) for n in widths[:-1]]
         self.grad, self.w, self.sigma = (np.empty(n_params) for _ in range(3))
@@ -189,6 +187,13 @@ class Workspace:
         self.scratch = np.empty(rows * widths[-1])
         self.views = {}
         self.ones = np.ones(rows)
+
+    @functools.cached_property
+    def mats(self):
+        """Per-layer views of packed, a vector in pack's layout, made on first use:
+        a forward given its weights packed needs neither."""
+        self.packed = np.empty(param_count(self.layer_sizes))
+        return _packed_views(self.layer_sizes, self.packed)
 
     def load(self, x):
         """Copy input rows into ins[0], beside its ones column; returns that view."""
@@ -273,8 +278,8 @@ def forward_cached(layer_sizes, w, x, ws=None, out=None):
     if isinstance(w, list):
         mats = w
     else:
-        w.take(ws.pack_index, out=ws.packed)
         mats = ws.mats
+        w.take(_pack_index(ws.layer_sizes), out=ws.packed)
     n = len(x)
     a = x if x.base is ws.ins[0] else ws.load(x)
     cache = [a]
