@@ -205,7 +205,6 @@ def replay(cli, out):
     return r.calls
 
 
-
 def _untimed(path, text):
     """The records of a runs.jsonl or best.json without their timing fields."""
     docs = [json.loads(line) for line in text.splitlines() if line.strip()]
