@@ -81,7 +81,7 @@ def logistic_loss_and_grad(margins):
     np.exp(g, out=g)
     np.negative(g, out=g)
     g /= LN2
-    return np.divide(total, LN2, out=total), g
+    return total / LN2, g
 
 
 def hinge_loss(margins):

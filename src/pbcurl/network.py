@@ -263,7 +263,8 @@ def forward(layer_sizes, w, x, out=None):
 def forward_cached(layer_sizes, w, x, ws=None, out=None):
     """Forward pass keeping each layer's input for backprop.
 
-    w is a flat weight vector or its pack. x is (n, d_in) rows, copied into
+    w is a flat weight vector, packed into ws.packed, or its pack. x is
+    (n, d_in) rows, copied into
     ws.ins[0], or the view ws.load returned, which skips the copy when one
     chunk goes through several weight vectors. Each layer multiplies its
     ones-extended input by [W | b]: bitwise x @ W.T + b from STABLE_ROWS rows
