@@ -154,14 +154,16 @@ class BoundReport:
     divergence_kind: str       # "kl" | "chi2"
     divergence_value: float
     j: float
+    grid_b: float              # the prior grid c * e^(-j/b) that j indexes
+    grid_c: float
     m: int
     delta: float
+    dependency_t: int          # 0 under the KL form, which holds for independent tuples only
     n_risk_samples: int
     lam: float | None = None
     tau: float | None = None
     loss_sup: float | None = None
     feature_bound: float | None = None
-    dependency_t: int | None = None
     extras: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
 

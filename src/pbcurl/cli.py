@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -22,6 +23,7 @@ import numpy.random  # numpy 2 loads it on first use; every command seeds from i
 from . import data, evaluation, network, oracle, training
 
 _SEED_ENV = "PBCURL_SEED"
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class ConfigError(ValueError):
@@ -94,6 +96,13 @@ def _resolve_seed(explicit, fallback):
         except ValueError:
             raise ConfigError(f"{_SEED_ENV} must be an integer, got {env!r}") from None
     return int(fallback)
+
+
+def environment():
+    """The numeric environment certificate bytes depend on: numpy, BLAS, BLAS threads."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
+            "threads": {name: os.environ.get(name) for name in _THREAD_VARS}}
 
 
 def _spawn_rngs(seed, n):
@@ -411,44 +420,34 @@ def _cmd_bound(args):
     seed = _resolve_seed(args.seed, ckpt.seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB0]).generate_state(1)[0])
 
-    def setting(key):   # the flag, else the checkpoint's config, else TrainConfig's default
-        flag = getattr(args, key, None)
-        return ckpt.config.get(key, getattr(training.TrainConfig, key)) if flag is None else flag
-
-    grid_b, grid_c, delta = (float(setting(key)) for key in ("grid_b", "grid_c", "delta"))
-    loss_kind = setting("loss_kind")
-    layer_sizes = tuple(ckpt.layer_sizes)
-
+    # fixed before the data: the checkpoint's training config, else TrainConfig's defaults
+    grid_b, grid_c, delta, loss_kind = (ckpt.config.get(key, getattr(training.TrainConfig, key))
+                                        for key in ("grid_b", "grid_c", "delta", "loss_kind"))
     if args.risk == "loss" and objective == "iid" and args.lam is None:
         raise ConfigError("--risk loss with --iid needs --lam")
     certify = (training.selection_certificate if args.risk == "zero-one"
                else training.loss_certificate)
     report = certify(
-        layer_sizes, ckpt.posterior, ckpt.prior, ds,
-        grid_b=grid_b, grid_c=grid_c, delta=delta, loss_kind=loss_kind,
-        objective=objective, n_samples=args.samples, rng=rng, lam=args.lam, tau=args.tau,
+        tuple(ckpt.layer_sizes), ckpt.posterior, ckpt.prior, ds,
+        grid_b=float(grid_b), grid_c=float(grid_c), delta=float(delta), loss_kind=loss_kind,
+        objective=objective, n_samples=args.samples, rng=rng, lam=args.lam,
     )
 
     report.provenance = {
         "checkpoint": args.checkpoint,
         "dataset": list(args.data),
         "dataset_hash": data.dataset_hash(ds),
+        "environment": environment(),
         "seed": seed,
     }
     if not args.deterministic:
         report.provenance["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
 
-    bound_id = args.id
+    bound_id = args.id      # default: the checkpoint's file name less .ckpt.json or .json
     if bound_id is None:
-        stem = os.path.basename(args.checkpoint)
-        for suffix in (".ckpt.json", ".json"):
-            if stem.endswith(suffix):
-                stem = stem[: -len(suffix)]
-                break
-        bound_id = stem
+        bound_id = re.sub(r"(\.ckpt)?\.json$", "", os.path.basename(args.checkpoint))
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"bound_{bound_id}.json")
-    _write_json(path, report.to_dict())
+    _write_json(os.path.join(args.out, f"bound_{bound_id}.json"), report.to_dict())
     print(json.dumps(report.to_dict(), sort_keys=True, default=_json_default))
     return 0
 
@@ -599,10 +598,6 @@ def _build_parser():
                    help="dependency range (non-iid): raises the data's T, never lowers it")
     p.add_argument("--risk", choices=("zero-one", "loss"), default="zero-one")
     p.add_argument("--lam", type=float, help="lambda for the iid loss certificate")
-    p.add_argument("--tau", type=float, help="class collision probability override")
-    p.add_argument("--delta", type=float, help="confidence level override")
-    p.add_argument("--grid-b", type=float, dest="grid_b")
-    p.add_argument("--grid-c", type=float, dest="grid_c")
     p.add_argument("--samples", type=int, default=training.CERT_SAMPLES,
                    help="posterior draws for the risk")
     p.add_argument("--id", help="report id (bound_<id>.json); default: checkpoint stem")

@@ -463,17 +463,10 @@ def train(cfg, data, valid=None, criteria=("pb",), run_dir=None, run_id="run"):
         if run_dir is not None and not rec.aborted:
             os.makedirs(run_dir, exist_ok=True)
             path = os.path.join(run_dir, f"{rec.run_id}.ckpt.json")
-            network.save_checkpoint(
-                path,
-                network.Checkpoint(
-                    layer_sizes=list(layer_sizes),
-                    posterior=rec.final_posterior,
-                    prior=rec.final_prior,
-                    seed=cfg.seed,
-                    epoch=rec.best_epoch,
-                    config=rec.config,
-                ),
-            )
+            network.save_checkpoint(path, network.Checkpoint(
+                layer_sizes=list(layer_sizes), posterior=rec.final_posterior,
+                prior=rec.final_prior, seed=cfg.seed, epoch=rec.best_epoch, config=rec.config,
+            ))
             rec.checkpoint_path = path
 
     try:
@@ -597,30 +590,38 @@ _BOUNDS = {
 }
 
 
+def _check_form(objective, dependency_t):
+    """The KL form, every objective's but noniid's, holds for independent tuples only."""
+    if objective != "noniid" and dependency_t > 0:
+        raise ValueError(f"objective {objective!r} is certified in the KL form, which needs "
+                         f"independent tuples; the data has dependency_t = {dependency_t}")
+
+
 def _certificate(layer_sizes, post, prior, ds, *, risk, objective, grid_b, grid_c, delta,
-                 loss_kind, n_samples, rng, lam=None, tau=None):
+                 loss_kind, n_samples, rng, lam=None):
     """The certificate of one risk kind for a trained posterior.
 
     risk "zero-one" is the model-selection certificate, "loss" the bounded-loss
-    one; objective "noniid" takes the chi-square form, any other the KL form.
-    Only the iid loss certificate reads lam and tau (default: the dataset's
-    provenance tau).
+    one; objective "noniid" takes the chi-square form, any other the KL form,
+    which _check_form refuses on dependent tuples. Only the iid loss
+    certificate reads lam, and the dataset's provenance tau.
     """
     form = "noniid" if objective == "noniid" else "iid"
+    _check_form(objective, ds.dependency_t)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if (form, risk) == ("iid", "loss"):
-        if lam is None:
-            raise ValueError("iid loss certificate needs lambda")
-        if not lam > 0.0:
-            raise ValueError(f"lambda must be > 0, got {lam}")
-        tau = ds.provenance.get("tau") if tau is None else tau
-        if tau is None:
-            raise ValueError("iid loss certificate needs tau (class collision probability)")
-    else:
+    tau = ds.provenance.get("tau")
+    if (form, risk) != ("iid", "loss"):
         lam = tau = None
+    elif lam is None:
+        raise ValueError("iid loss certificate needs lambda")
+    elif not lam > 0.0:
+        raise ValueError(f"lambda must be > 0, got {lam}")
+    elif tau is None:
+        raise ValueError("iid loss certificate needs tau (class collision probability) "
+                         "in the dataset's provenance")
     j = bounds.j_index(grid_b, grid_c, prior.log_sigma2)
     r_hat, draws = evaluation.mc_posterior_risk(
         layer_sizes, post, ds, n_samples, risk, loss_kind, rng
@@ -629,8 +630,8 @@ def _certificate(layer_sizes, post, prior, ds, *, risk, objective, grid_b, grid_
         bound_kind=f"{form}-{'selection' if risk == 'zero-one' else 'loss'}",
         bound_value=None, divergence_kind=None, divergence_value=None,
         empirical_risk=r_hat, risk_kind=risk, loss_kind=loss_kind,
-        j=j, m=len(ds), delta=delta,
-        n_risk_samples=n_samples, lam=lam, tau=tau,
+        j=j, grid_b=grid_b, grid_c=grid_c, m=len(ds), delta=delta,
+        dependency_t=ds.dependency_t, n_risk_samples=n_samples, lam=lam, tau=tau,
         extras={"risk_per_draw": [float(v) for v in draws]},
     )
     if risk == "loss":
@@ -640,7 +641,6 @@ def _certificate(layer_sizes, post, prior, ds, *, risk, objective, grid_b, grid_
     if form == "noniid":
         chi2 = divergences.chi2_gaussian(*gaussians)
         rep.divergence_kind, rep.divergence_value = "chi2", chi2.value
-        rep.dependency_t = ds.dependency_t
         rep.extras.update(chi2_log1p=chi2.log1p, chi2_overflowed=chi2.overflowed,
                           chi2_n_guarded=chi2.n_guarded)
     else:
@@ -717,8 +717,11 @@ def grid_search(configs, criteria, data, valid, out_dir, cert_samples=CERT_SAMPL
             raise ValueError(f"unknown criterion {c!r}, expected one of {CRITERIA}")
         if c != "pb" and valid is None:
             raise ValueError(f"criterion {c!r} needs a validation split in the dataset")
-    os.makedirs(out_dir, exist_ok=True)
     pb_data = concat_contrastive(data, valid) if valid is not None and "pb" in criteria else data
+    if "pb" in criteria:    # the pb certificate's refusal, before any run rather than after
+        for cfg in configs:
+            _check_form(cfg.objective, pb_data.dependency_t)
+    os.makedirs(out_dir, exist_ok=True)
     by_valid = [c for c in criteria if c in VALID_CRITERIA]
     runs, docs = {}, []
     with open(os.path.join(out_dir, "runs.jsonl"), "w") as runs_fh:

@@ -255,8 +255,11 @@ def test_report_round_trips_through_json():
         divergence_kind="kl",
         divergence_value=12.5,
         j=569.74,
+        grid_b=100.0,
+        grid_c=0.1,
         m=20000,
         delta=0.05,
+        dependency_t=0,
         n_risk_samples=10,
         lam=1.25,
     )
@@ -265,6 +268,7 @@ def test_report_round_trips_through_json():
     assert doc["bound_value"] == 0.42
     assert doc["lambda"] == 1.25
     assert doc["tau"] is None
+    assert (doc["grid_b"], doc["grid_c"], doc["dependency_t"]) == (100.0, 0.1, 0)
 
 
 class TestPublishedScaleConsistency:

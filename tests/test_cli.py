@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from pbcurl import cli, data, network
+from pbcurl import bounds, cli, data, network
 from pbcurl.cli import main
 
 
@@ -636,6 +636,8 @@ def test_bound_untrained_checkpoint_zero_divergence(tmp_path, data_dir, rng):
     ]) == 0
     doc = json.loads((tmp_path / "bound_fresh.json").read_text())
     assert doc["divergence_value"] == 0.0
+    # a config without the settings certifies at TrainConfig's defaults
+    assert (doc["grid_b"], doc["grid_c"], doc["delta"]) == (100.0, 0.1, 0.05)
 
 
 def test_bound_loss_risk_needs_lam(tmp_path, data_dir, train_dir, capsys):
@@ -649,15 +651,18 @@ def test_bound_loss_risk_needs_lam(tmp_path, data_dir, train_dir, capsys):
 
 def test_bound_loss_risk_report(tmp_path, data_dir, train_dir):
     ckpt = best_pb_checkpoint(train_dir)
+    ds = data.load_contrastive(str(data_dir / "test.json"))
+    ds.provenance = {**ds.provenance, "tau": 0.4}
+    data.save_contrastive(ds, str(tmp_path / "tau.json"))
     assert main([
-        "bound", "--checkpoint", ckpt, "--data", str(data_dir / "test.json"),
+        "bound", "--checkpoint", ckpt, "--data", str(tmp_path / "tau.json"),
         "--out", str(tmp_path), "--iid", "--risk", "loss", "--lam", "1.5",
-        "--tau", "0.4", "--deterministic", "--id", "loss",
+        "--deterministic", "--id", "loss",
     ]) == 0
     doc = json.loads((tmp_path / "bound_loss.json").read_text())
     assert doc["bound_kind"] == "iid-loss"
     assert doc["lambda"] == 1.5
-    assert doc["tau"] == 0.4                 # the override wins over provenance
+    assert doc["tau"] == 0.4                 # the manifest's provenance tau
     assert doc["loss_sup"] > 1.0
     assert doc["feature_bound"] > 0.0
 
@@ -697,6 +702,106 @@ def test_bound_T_raises_the_data_T_but_does_not_lower_it(tmp_path, data_dir, tra
         assert main([*args, "--out", str(tmp_path / "ok"), "--T", t, "--id", t]) == 0
         doc = json.loads((tmp_path / "ok" / f"bound_{t}.json").read_text())
         assert doc["dependency_t"] == int(t)
+
+
+def windowed_manifest(tmp_path):
+    """The train split of a synthetic-sequences set (dependency_t 2) the fixtures' nets read."""
+    with open(sequence_config(tmp_path)) as fh:
+        doc = json.load(fh)
+    doc["dataset"]["dim"] = 3
+    cfg = write_json(tmp_path / "g.json", doc)
+    assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "seq")]) == 0
+    return str(tmp_path / "seq" / "train.json")
+
+
+@pytest.mark.parametrize("risk", ["zero-one", "loss"])
+def test_bound_refuses_the_kl_form_on_dependent_tuples(tmp_path, train_dir, capsys, risk):
+    # the KL bounds assume independent tuples; windowed ones need the chi-square form
+    windowed = windowed_manifest(tmp_path)
+    args = ["bound", "--checkpoint", best_pb_checkpoint(train_dir), "--data", windowed,
+            "--risk", risk, "--deterministic"]
+    assert main([*args, "--out", str(tmp_path / "b"), "--iid", "--lam", "1.0"]) == 2
+    err = capsys.readouterr().err
+    assert "KL form, which needs independent tuples; the data has dependency_t = 2" in err
+    assert not (tmp_path / "b").exists()
+    assert main([*args, "--out", str(tmp_path / "ok"), "--noniid", "--id", "chi2"]) == 0
+    assert json.loads((tmp_path / "ok" / "bound_chi2.json").read_text())["dependency_t"] == 2
+
+
+def test_bound_iid_refuses_a_raised_T(tmp_path, data_dir, train_dir, capsys):
+    assert main([
+        "bound", "--checkpoint", best_pb_checkpoint(train_dir),
+        "--data", str(data_dir / "test.json"), "--out", str(tmp_path / "b"),
+        "--iid", "--T", "2",
+    ]) == 2
+    assert "dependency_t = 2" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("objective", ["iid", "erm"])
+def test_train_refuses_a_kl_ranked_pb_run_on_dependent_tuples(tmp_path, train_dir, capsys,
+                                                              objective):
+    cfg = write_json(tmp_path / "t.json", {
+        "dataset": {"kind": "manifests", "train": windowed_manifest(tmp_path)},
+        "grid": [{"layer_sizes": [3, 4, 2], "objective": "noniid", "k": 2, "block_size": 2,
+                  "epochs": 1},
+                 {"layer_sizes": [3, 4, 2], "objective": objective, "k": 2, "block_size": 2,
+                  "epochs": 1}],
+        "criteria": ["pb"],
+    })
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert (f"objective {objective!r} is certified in the KL form, which needs independent "
+            "tuples; the data has dependency_t = 2") in err
+    assert not (tmp_path / "o").exists()     # refused before the first run
+
+
+def test_bound_takes_its_settings_from_the_checkpoint(tmp_path, data_dir, train_dir):
+    path = best_pb_checkpoint(train_dir)
+    ckpt = network.load_checkpoint(path)
+    ckpt.config = {**ckpt.config, "grid_b": 50.0, "grid_c": 0.2, "delta": 0.1}
+    network.save_checkpoint(str(tmp_path / "own.ckpt.json"), ckpt)
+    for ckpt_path in (path, str(tmp_path / "own.ckpt.json")):
+        assert main([
+            "bound", "--checkpoint", ckpt_path, "--data", str(data_dir / "test.json"),
+            "--out", str(tmp_path / "b"), "--iid", "--deterministic", "--id", "cert",
+        ]) == 0
+        doc = json.loads((tmp_path / "b" / "bound_cert.json").read_text())
+        config = network.load_checkpoint(ckpt_path).config
+        assert (doc["grid_b"], doc["grid_c"], doc["delta"]) == (
+            config["grid_b"], config["grid_c"], config["delta"])
+        assert doc["j"] == bounds.j_index(config["grid_b"], config["grid_c"],
+                                          ckpt.prior.log_sigma2)
+        assert doc["dependency_t"] == 0          # KL: independent tuples
+        assert doc["provenance"]["environment"] == cli.environment()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--grid-b", "10"), ("--grid-c", "1.0"), ("--delta", "0.5"), ("--tau", "0.0"),
+])
+def test_bound_has_no_setting_overrides(tmp_path, data_dir, train_dir, capsys, flag, value):
+    # the grid, delta and tau are fixed before the data: by the run and the manifest
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--checkpoint", best_pb_checkpoint(train_dir),
+              "--data", str(data_dir / "test.json"), "--out", str(tmp_path / "b"), "--iid",
+              flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
+def test_bound_iid_loss_needs_the_manifests_tau(tmp_path, data_dir, train_dir, capsys):
+    ds = data.load_contrastive(str(data_dir / "test.json"))
+    ds.provenance = {key: v for key, v in ds.provenance.items() if key != "tau"}
+    data.save_contrastive(ds, str(tmp_path / "bare.json"))
+    assert main([
+        "bound", "--checkpoint", best_pb_checkpoint(train_dir),
+        "--data", str(tmp_path / "bare.json"), "--out", str(tmp_path / "b"),
+        "--iid", "--risk", "loss", "--lam", "1.0",
+    ]) == 2
+    assert "needs tau (class collision probability) in the dataset's provenance" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "b").exists()
 
 
 def test_bound_concatenates_data(tmp_path, data_dir, train_dir):
@@ -739,15 +844,20 @@ def test_bound_rejects_a_sample_count_below_one(tmp_path, data_dir, train_dir, c
     assert not (tmp_path / "b").exists()
 
 
-@pytest.mark.parametrize("flags, message", [
-    (["--delta", "1.5"], "delta must lie in (0, 1), got 1.5"),
-    (["--delta", "0"], "delta must lie in (0, 1), got 0.0"),
-    (["--risk", "loss", "--lam", "-1"], "lambda must be > 0, got -1.0"),
-    (["--noniid", "--T", "-1"], "--T must be >= 0, got -1"),
+@pytest.mark.parametrize("flags, config, message", [
+    ([], {"delta": 1.5}, "delta must lie in (0, 1), got 1.5"),
+    ([], {"delta": 0}, "delta must lie in (0, 1), got 0.0"),
+    (["--risk", "loss", "--lam", "-1"], {}, "lambda must be > 0, got -1.0"),
+    (["--noniid", "--T", "-1"], {}, "--T must be >= 0, got -1"),
 ], ids=["delta-above-one", "delta-zero", "negative-lambda", "negative-T"])
 def test_bound_rejects_an_out_of_range_parameter(tmp_path, data_dir, train_dir, capsys,
-                                                 flags, message):
+                                                 flags, config, message):
     ckpt = best_pb_checkpoint(train_dir)
+    if config:      # delta comes from the checkpoint's config
+        doc = network.load_checkpoint(ckpt)
+        doc.config = {**doc.config, **config}
+        ckpt = str(tmp_path / "c.ckpt.json")
+        network.save_checkpoint(ckpt, doc)
     forms = [] if "--noniid" in flags else ["--iid"]
     assert main([
         "bound", "--checkpoint", ckpt, "--data", str(data_dir / "test.json"),

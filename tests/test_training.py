@@ -552,8 +552,9 @@ def test_loss_certificate_iid_requires_lambda_and_tau(rng):
 
 REPORT_KEYS = {
     "format", "bound_kind", "bound_value", "empirical_risk", "risk_kind", "loss_kind",
-    "divergence_kind", "divergence_value", "j", "m", "delta", "n_risk_samples", "lambda",
-    "tau", "loss_sup", "feature_bound", "dependency_t", "extras", "provenance",
+    "divergence_kind", "divergence_value", "j", "grid_b", "grid_c", "m", "delta",
+    "n_risk_samples", "lambda", "tau", "loss_sup", "feature_bound", "dependency_t", "extras",
+    "provenance",
 }
 
 
@@ -583,10 +584,11 @@ def test_certificate_recomputes_through_its_bound(rng, objective, risk):
         np.mean(rep.extras["risk_per_draw"]), rel=1e-12
     )
     assert rep.j == bounds.j_index(100.0, 0.1, prior.log_sigma2)
+    assert (rep.grid_b, rep.grid_c) == (100.0, 0.1)     # the grid j indexes
     if iid:
         assert rep.divergence_kind == "kl"
         assert rep.divergence_value == 0.0    # posterior equals prior at init
-        assert rep.dependency_t is None
+        assert rep.dependency_t == 0          # the KL form's tuples are independent
         assert set(rep.extras) == {"risk_per_draw"}
     else:
         assert rep.divergence_kind == "chi2" and rep.divergence_value > 0.0
@@ -635,9 +637,12 @@ def test_certificate_recomputes_through_its_bound(rng, objective, risk):
     ("selection_certificate", {"delta": math.nan}, r"delta must lie in \(0, 1\), got nan"),
     ("loss_certificate", {"lam": -1.0}, r"lambda must be > 0, got -1.0"),
     ("loss_certificate", {"lam": 0.0}, r"lambda must be > 0, got 0.0"),
+    ("selection_certificate", {"dependency_t": 2}, "independent tuples.*dependency_t = 2"),
+    ("loss_certificate", {"lam": 1.0, "objective": "erm", "dependency_t": 1},
+     "independent tuples.*dependency_t = 1"),
 ], ids=["no-lambda", "no-tau", "loss-zero-samples", "zero-samples", "negative-samples",
         "delta-above-one", "delta-zero", "noniid-delta-one", "delta-nan", "negative-lambda",
-        "zero-lambda"])
+        "zero-lambda", "kl-on-dependent-tuples", "erm-kl-loss-on-dependent-tuples"])
 def test_certificate_checks_its_inputs_before_drawing(rng, monkeypatch, certify, over, message):
     def never(*args, **kwargs):
         raise AssertionError("the certificate did its work before checking its inputs")
@@ -650,7 +655,8 @@ def test_certificate_checks_its_inputs_before_drawing(rng, monkeypatch, certify,
     kw = dict(grid_b=100.0, grid_c=0.1, delta=0.05, loss_kind="logistic", objective="iid",
               n_samples=2, rng=rng)
     kw.update(over)
-    ds = dataclasses.replace(ds, provenance=kw.pop("provenance", ds.provenance))
+    ds = dataclasses.replace(ds, provenance=kw.pop("provenance", ds.provenance),
+                             dependency_t=kw.pop("dependency_t", ds.dependency_t))
     with pytest.raises(ValueError, match=message):
         getattr(training, certify)(layer_sizes, post, prior, ds, **kw)
 

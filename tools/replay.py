@@ -22,8 +22,9 @@ Each call's argv, exit code and last stderr line, and the sha256 of every
 written file, are compared with the digest file (default
 tests/replay_digests.json); timing fields (wall_time and each epoch's time in
 runs.jsonl and best.json) are left out of the hashes. The digest file also
-records the numeric environment the bytes depend on: the numpy version, the
-BLAS library and the BLAS thread variables. Run the replay with
+records the numeric environment the bytes depend on (cli.environment: the
+numpy version, the BLAS library and the BLAS thread variables), which every
+certificate's provenance records too. Run the replay with
 OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS set to 1. It prints
 every difference and exits 1 if there is one; a different environment fails
 before the replay, naming what differs. --write-digests writes the digest
@@ -45,7 +46,6 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIGESTS = os.path.join(ROOT, "tests", "replay_digests.json")
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 OBJECTIVES = ("iid", "noniid", "erm")
 OPTIMIZERS = ("sgd", "rmsprop", "adam")
@@ -231,13 +231,6 @@ def file_digests(root):
     return dict(sorted(digests.items()))
 
 
-def environment():
-    """The numeric environment the replayed bytes depend on."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
-            "threads": {name: os.environ.get(name) for name in THREAD_VARS}}
-
-
 def differences(want, got):
     """One line per environment entry, call or file digest that differs."""
     lines = [f"environment {key}: {want['environment'].get(key)!r} pinned, {value!r} here"
@@ -265,11 +258,16 @@ def _dump(doc):
             f' "calls": [\n  {calls}\n ],\n "files": {{\n  {files}\n }}\n}}\n')
 
 
-def run(src, out):
-    """Replay with the package under src in the empty directory out; the digest document."""
+def package_cli(src):
+    """The pbcurl.cli module of the source tree src (the directory holding pbcurl/)."""
     sys.path.insert(0, os.path.abspath(src))
     from pbcurl import cli
 
+    return cli
+
+
+def run(cli, out):
+    """Replay through cli in the empty directory out; the digest document."""
     os.environ.pop("PBCURL_SEED", None)
     here = os.getcwd()
     os.makedirs(out)
@@ -278,7 +276,7 @@ def run(src, out):
         calls = replay(cli, ".")
     finally:
         os.chdir(here)
-    return {"environment": environment(), "calls": calls, "files": file_digests(out)}
+    return {"environment": cli.environment(), "calls": calls, "files": file_digests(out)}
 
 
 def main(argv=None):
@@ -291,16 +289,17 @@ def main(argv=None):
     parser.add_argument("--write-digests", action="store_true",
                         help="write the digest file instead of comparing with it")
     args = parser.parse_args(argv)
+    cli = package_cli(args.src)
     pinned = None
     if not args.write_digests:
         with open(args.digests) as fh:
             pinned = json.load(fh)
-        lines = differences(pinned, {**pinned, "environment": environment()})
+        lines = differences(pinned, {**pinned, "environment": cli.environment()})
         if lines:
             print("\n".join(lines))
             return 1
     with tempfile.TemporaryDirectory() as tmp:
-        got = run(args.src, args.out or os.path.join(tmp, "replay"))
+        got = run(cli, args.out or os.path.join(tmp, "replay"))
     if args.write_digests:
         with open(args.digests, "w") as fh:
             fh.write(_dump(got))
