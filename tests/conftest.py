@@ -1,7 +1,23 @@
 import os
+import pathlib
+import subprocess
+import sys
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+REPLAY = pathlib.Path(__file__).resolve().parents[1] / "tools" / "replay.py"
+
+
+def run_replay(*args):
+    """Run tools/replay.py in a child process with one BLAS thread."""
+    # one BLAS thread: trained weights differ by an ulp between one and two
+    env = {key: value for key, value in os.environ.items() if key != "PBCURL_SEED"}
+    env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.run([sys.executable, str(REPLAY), *args], env=env,
+                          capture_output=True, text=True, timeout=900)
 
 
 @pytest.fixture
@@ -24,3 +40,14 @@ def leaves_no_child_process():
         reaped.append(pid)
     if reaped:
         pytest.fail(f"the test left child processes {reaped} unreaped")
+
+
+@pytest.fixture(scope="session")
+def replay_tree(tmp_path_factory):
+    """The replay run once per session: the byte gate checks its digests and
+    the oracle acceptance test reads its verify call's report, so tier-1 runs
+    the verify suite once."""
+    out = tmp_path_factory.mktemp("replay") / "replay"
+    t0 = time.monotonic()
+    proc = run_replay("--out", str(out))
+    return SimpleNamespace(proc=proc, out=out, elapsed=time.monotonic() - t0)

@@ -2,6 +2,9 @@
 
 Each test pins a quantitative target the package commits to:
 
+ * the oracle suite passes in full (exact enumeration against closed forms,
+   divergence Monte Carlo within 3 sigma, finite-difference gradients,
+   bound coverage), in under five minutes;
  * the fixed-lambda Catoni bound covers the true risk in at least 91% of
    200 simulated trials at delta = 0.05;
  * training the iid objective on a separable 10-class Gaussian task earns a
@@ -17,9 +20,10 @@ Each test pins a quantitative target the package commits to:
  * opt-in: the published 95-class sign-language corpus lands in the
    certificate range and avg-2 band reported for it.
 
-The oracle suite's own checks run once, in the byte gate's verify call
-(tests/test_replay.py). The pipeline fixtures run the real CLI on
-~20k-tuple datasets; the whole module takes about a minute of CPU.
+The oracle suite runs once per session, as the verify call of the byte gate's
+replay (the replay_tree fixture in conftest.py); its test reads that call's
+verify.json. The pipeline fixtures run the real CLI on ~20k-tuple datasets;
+the whole module takes about a minute of CPU.
 """
 
 import json
@@ -129,6 +133,20 @@ def iid_pipeline(tmp_path_factory):
 def seq_pipeline(tmp_path_factory):
     root = tmp_path_factory.mktemp("accept-seq")
     return run_pipeline(root, SEQ_DATASET, "noniid", (0.1,), "--noniid")
+
+
+def test_oracle_suite_all_checks_pass(replay_tree):
+    report = json.loads((replay_tree.out / "verify" / "verify.json").read_text())
+    assert report["all_passed"]
+    ct = report["collision_transfer"]
+    assert ct["instances"] == 500 and ct["violations"] == 0
+    assert report["collision_stats"]["passed"]
+    dv = report["divergence_mc"]
+    assert dv["instances"] == 50 and dv["worst_z"] <= 3.0
+    gr = report["gradients"]
+    assert max(gr["iid_max_rel_err"], gr["noniid_max_rel_err"]) < 1e-4
+    # the whole replay, verify call included, within five minutes
+    assert replay_tree.elapsed < 300.0
 
 
 def test_fixed_lambda_bound_coverage():

@@ -1,48 +1,21 @@
 """The byte gate: tools/replay.py's fixed script of CLI calls must write the
 bytes, exit codes and errors pinned in replay_digests.json. Its verify call is
-also tier-1's one run of the oracle suite."""
+also tier-1's one run of the oracle suite (tests/test_acceptance.py)."""
 
 import json
-import os
 import pathlib
-import subprocess
-import sys
-import time
 
-REPLAY = pathlib.Path(__file__).resolve().parents[1] / "tools" / "replay.py"
+from conftest import run_replay
+
 DIGESTS = pathlib.Path(__file__).resolve().parent / "replay_digests.json"
 
 
-def run_replay(*args):
-    # one BLAS thread: trained weights differ by an ulp between one and two
-    env = {key: value for key, value in os.environ.items() if key != "PBCURL_SEED"}
-    env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    return subprocess.run([sys.executable, str(REPLAY), *args], env=env,
-                          capture_output=True, text=True, timeout=900)
-
-
-def test_replay_writes_the_pinned_bytes(tmp_path):
+def test_replay_writes_the_pinned_bytes(replay_tree):
     # about 320 calls in one process; a change of bits on purpose regenerates
     # the digests with tools/replay.py --write-digests
-    t0 = time.monotonic()
-    proc = run_replay("--out", str(tmp_path / "replay"))
-    elapsed = time.monotonic() - t0
+    proc = replay_tree.proc
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
     assert proc.stdout.startswith("0 differences")
-
-    # the replay's verify call is the one run of the oracle suite: exact
-    # enumeration against closed forms, divergence Monte Carlo within 3 sigma,
-    # finite-difference gradients and bound coverage, within five minutes
-    report = json.loads((tmp_path / "replay" / "verify" / "verify.json").read_text())
-    assert report["all_passed"]
-    ct = report["collision_transfer"]
-    assert ct["instances"] == 500 and ct["violations"] == 0
-    assert report["collision_stats"]["passed"]
-    dv = report["divergence_mc"]
-    assert dv["instances"] == 50 and dv["worst_z"] <= 3.0
-    gr = report["gradients"]
-    assert max(gr["iid_max_rel_err"], gr["noniid_max_rel_err"]) < 1e-4
-    assert elapsed < 300.0
 
 
 def test_replay_names_a_different_environment(tmp_path):
