@@ -423,6 +423,10 @@ def _cmd_bound(args):
     # fixed before the data: the checkpoint's training config, else TrainConfig's defaults
     grid_b, grid_c, delta, loss_kind = (ckpt.config.get(key, getattr(training.TrainConfig, key))
                                         for key in ("grid_b", "grid_c", "delta", "loss_kind"))
+    try:
+        training.check_certificate_settings(grid_b, grid_c, delta, loss_kind)
+    except ValueError as exc:
+        raise ConfigError(f"{exc}, in the config of checkpoint {args.checkpoint}") from None
     if args.risk == "loss" and objective == "iid" and args.lam is None:
         raise ConfigError("--risk loss with --iid needs --lam")
     certify = (training.selection_certificate if args.risk == "zero-one"

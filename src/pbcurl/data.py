@@ -18,13 +18,14 @@ CSV's current bytes, so the CSV stays the source of truth.
 import hashlib
 import json
 import math
+import mmap
 import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bounds
+from . import bounds, network
 
 MAGIC = b"PBCURLF1"
 LABELED_MAGIC = b"PBCURLL1"
@@ -590,35 +591,76 @@ def load_feature_csv(path, stats=None):
     return LabeledDataset(x=stats.apply(raw.x), y=raw.y), stats
 
 
-# save_labeled_csv converts this many rows to Python objects at a time
+# save_labeled_csv formats this many rows at a time
 CSV_BLOCK_ROWS = 1024
+# the widest cells of a labeled CSV row: a float's repr has at most 24
+# characters (-2.2250738585072014e-308), an int64 at most 20
+# (-9223372036854775808). With a comma after each feature and the newline, a
+# row of dim features takes at most dim * 25 + 21 bytes
+CSV_FLOAT_BYTES = 24
+CSV_LABEL_BYTES = 20
+
+
+def _csv_block(rows, labels):
+    """The CSV bytes of rows of Python floats and their Python int labels."""
+    return "".join(",".join(map(repr, row)) + f",{label}\n"
+                   for row, label in zip(rows, labels)).encode()
 
 
 def save_labeled_csv(ds, path):
     """One row per point: its features in repr, then its integer label.
 
-    Each block of rows becomes Python floats and ints, which print as
-    repr(float(v)) and int(label) do, and is encoded once, hashed and
-    written. The binary twin (labeled_twin_path) then pins those bytes by
-    their sha256 and holds the same float64 rows and int64 labels.
+    Rows are formatted CSV_BLOCK_ROWS at a time as Python floats and ints,
+    which print as repr(float(v)) and int(label) do. The blocks are split into
+    network.worker_count(blocks) contiguous ranges, one per worker of
+    network.on_workers. Worker i writes its rows' bytes into its own region of
+    one anonymous shared mmap and records their length. A region holds its
+    rows at the widest a row can be, dim * (CSV_FLOAT_BYTES + 1) +
+    CSV_LABEL_BYTES + 1 bytes each; text that would overflow it raises. Only
+    once every worker is reaped is the CSV opened, and the regions are hashed
+    and written in row order, so the bytes do not depend on the worker count.
+    The whole text is thus in memory before it is written. The binary twin
+    (labeled_twin_path) then pins those bytes by their sha256 and holds the
+    same float64 rows and int64 labels.
     """
     twin = labeled_twin_path(path)
     if twin == os.fspath(path):
         raise ValueError(f"{path}: the twin would overwrite the CSV; name it other than .bin")
-    h = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for lo in range(0, len(ds), CSV_BLOCK_ROWS):
-            rows = ds.x[lo:lo + CSV_BLOCK_ROWS].astype(np.float64, copy=False).tolist()
-            labels = ds.y[lo:lo + CSV_BLOCK_ROWS].astype(np.int64, copy=False).tolist()
-            block = "".join(",".join(map(repr, row)) + f",{label}\n"
-                            for row, label in zip(rows, labels)).encode()
-            h.update(block)
-            fh.write(block)
     x = np.ascontiguousarray(ds.x, dtype="<f8")
+    y = np.ascontiguousarray(ds.y, dtype="<i8")
+    n_rows, dim = x.shape
+    row_bytes = dim * (CSV_FLOAT_BYTES + 1) + CSV_LABEL_BYTES + 1
+    n_blocks = -(-n_rows // CSV_BLOCK_ROWS)
+    n = network.worker_count(n_blocks)
+    # worker i formats rows starts[i]:starts[i + 1] into text[starts[i] * row_bytes:]
+    starts = [min(n_rows, n_blocks * i // n * CSV_BLOCK_ROWS) for i in range(n + 1)]
+    # anonymous and shared: what a forked worker writes here, the caller reads
+    text = mmap.mmap(-1, max(1, n_rows * row_bytes))
+    lengths = np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.int64)
+
+    def work(i):
+        lo, hi = starts[i], starts[i + 1]
+        pos = lo * row_bytes
+        for b in range(lo, hi, CSV_BLOCK_ROWS):
+            block = _csv_block(x[b:b + CSV_BLOCK_ROWS].tolist(), y[b:b + CSV_BLOCK_ROWS].tolist())
+            if pos + len(block) > hi * row_bytes:
+                raise ValueError(f"{path}: rows {lo} to {hi - 1} overflow the "
+                                 f"{(hi - lo) * row_bytes} bytes worker {i} has for them")
+            text[pos:pos + len(block)] = block
+            pos += len(block)
+        lengths[i] = pos - lo * row_bytes
+
+    network.on_workers(n, work)
+    h = hashlib.sha256()
+    with open(path, "wb") as fh, memoryview(text) as view:
+        for lo, length in zip(starts, lengths):
+            region = view[lo * row_bytes:lo * row_bytes + length]
+            h.update(region)
+            fh.write(region)
     with open(twin, "wb") as fh:
         fh.write(TWIN_HEADER.pack(LABELED_MAGIC, *x.shape, h.digest()))
         fh.write(x)
-        fh.write(np.ascontiguousarray(ds.y, dtype="<i8"))
+        fh.write(y)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,6 @@ Monte Carlo averages over weight draws.
 
 import math
 import mmap
-import os
-import pickle
-import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,10 +149,11 @@ def draw_risks(layer_sizes, weights, ds, kind, loss_kind):
     block of DRAW_BLOCK weight vectors forwards them while they are in cache,
     into one (draws, rows, d_out) buffer, and one margin and one risk pass
     cover the block; worker i takes chunks[i::n]. Otherwise worker i forwards
-    ds.features once for each of draws i, i + n, ... into its own buffer and
-    scores each chunk's stacked output rows. The n = network.worker_count
-    workers are forked processes (see _on_workers), each allocating its own
-    buffers, and write disjoint slices of one risk matrix in shared memory.
+    ds.features once for each of draws i, i + n, ... into its own buffer,
+    through one forward-only workspace, and scores each chunk's stacked output
+    rows. The n = network.worker_count workers are forked processes (see
+    network.on_workers), each allocating its own buffers, and write disjoint
+    slices of one risk matrix in shared memory.
     Each draw runs the same operations on the same rows on either path, in
     any block and on any worker count, so all give the same bits.
     """
@@ -193,8 +191,10 @@ def draw_risks(layer_sizes, weights, ds, kind, loss_kind):
         diff = np.empty(block * tallest * ds.k * d_out)
         if not streams:
             out = np.empty((len(ds.features), d_out))
+            top, end = network.row_chunks(len(ds.features))[-1]    # forward's tallest chunk
+            ws = network.Workspace(layer_sizes, end - top, forward_only=True)
             for s in range(i, len(mats), n):
-                source = network.forward(layer_sizes, mats[s], ds.features, out)
+                source = network.forward(layer_sizes, mats[s], ds.features, out, ws)
                 for lo, hi in chunks:
                     score(s, take(source, lo, hi, rows), lo, hi, diff)
             return
@@ -209,71 +209,8 @@ def draw_risks(layer_sizes, weights, ds, kind, loss_kind):
                     network.forward_cached(layer_sizes, w, x, ws, out[j])
                 score(s, data.TupleBatch(out, hi - lo, ds.k, ds.block_size), lo, hi, diff)
 
-    _on_workers(n, work)
+    network.on_workers(n, work)
     return risks
-
-
-def _on_workers(n, work):
-    """Run work(0), ..., work(n - 1): work(0) here, the rest in forked children.
-
-    Children leave only through os._exit, after sending a raised exception
-    back pickled through a pipe; every child is reaped before this returns
-    or raises, and killed first if this process raises. A child's exception
-    is re-raised here with its type and message; one that cannot be pickled,
-    or a child killed by a signal, gives a RuntimeError naming the worker.
-    Where os.fork fails, this process runs that worker's share itself.
-    """
-    children = []                           # (worker, pid, read end of its pipe)
-    try:
-        for i in range(1, n):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                work(i)
-                continue
-            if pid == 0:                    # the child
-                code = 1
-                try:
-                    os.close(read)
-                    work(i)
-                    code = 0
-                except BaseException as exc:
-                    try:
-                        payload = pickle.dumps(exc)
-                    except Exception:
-                        payload = pickle.dumps(RuntimeError(
-                            f"Monte Carlo worker {i} raised {type(exc).__name__}: {exc}"))
-                    with os.fdopen(write, "wb") as pipe:
-                        pipe.write(payload)
-                finally:
-                    os._exit(code)
-            os.close(write)
-            children.append((i, pid, read))
-        work(0)
-    except BaseException:
-        for _, pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        failures = []
-        for i, pid, read in children:
-            with os.fdopen(read, "rb") as pipe:
-                payload = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            if os.WIFSIGNALED(status):
-                sig = signal.Signals(os.WTERMSIG(status)).name
-                failures.append(RuntimeError(f"Monte Carlo worker {i} was killed by {sig}"))
-            elif os.WEXITSTATUS(status):
-                try:
-                    failures.append(pickle.loads(payload))
-                except Exception:
-                    failures.append(RuntimeError(
-                        f"Monte Carlo worker {i} failed and its exception could not be read"))
-    if failures:
-        raise failures[0]
 
 
 def mc_posterior_risk(layer_sizes, post, ds, n_samples, kind, loss_kind, rng):

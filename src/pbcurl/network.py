@@ -9,6 +9,8 @@ passes are hand written numpy on a flat parameter vector.
 import functools
 import json
 import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,6 +148,72 @@ def worker_count(n_jobs):
     return max(1, min(n_jobs, cpus // blas))
 
 
+def on_workers(n, work):
+    """Run work(0), ..., work(n - 1): work(0) here, the rest in forked children.
+
+    The package's one fork helper: evaluation.draw_risks and
+    data.save_labeled_csv run their workers on it, which hand back their
+    results in anonymous shared memory. Children leave only through
+    os._exit, after sending a raised exception back pickled through a pipe;
+    every child is reaped before this returns or raises, and killed first if
+    this process raises. A child's exception is re-raised here with its type
+    and message; one that cannot be pickled, or a child killed by a signal,
+    gives a RuntimeError naming the worker. Where os.fork fails, this
+    process runs that worker's share itself.
+    """
+    children = []                           # (worker, pid, read end of its pipe)
+    try:
+        for i in range(1, n):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                work(i)
+                continue
+            if pid == 0:                    # the child
+                code = 1
+                try:
+                    os.close(read)
+                    work(i)
+                    code = 0
+                except BaseException as exc:
+                    try:
+                        payload = pickle.dumps(exc)
+                    except Exception:
+                        payload = pickle.dumps(RuntimeError(
+                            f"worker {i} raised {type(exc).__name__}: {exc}"))
+                    with os.fdopen(write, "wb") as pipe:
+                        pipe.write(payload)
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children.append((i, pid, read))
+        work(0)
+    except BaseException:
+        for _, pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        failures = []
+        for i, pid, read in children:
+            with os.fdopen(read, "rb") as pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            if os.WIFSIGNALED(status):
+                sig = signal.Signals(os.WTERMSIG(status)).name
+                failures.append(RuntimeError(f"worker {i} was killed by {sig}"))
+            elif os.WEXITSTATUS(status):
+                try:
+                    failures.append(pickle.loads(payload))
+                except Exception:
+                    failures.append(RuntimeError(
+                        f"worker {i} failed and its exception could not be read"))
+    if failures:
+        raise failures[0]
+
+
 class Workspace:
     """Per-layer buffers for forward and backprop over at most `rows` input rows.
 
@@ -236,7 +304,7 @@ def pack(layer_sizes, w):
     return _packed_views(layer_sizes, np.take(w, _pack_index(tuple(layer_sizes))))
 
 
-def forward(layer_sizes, w, x, out=None):
+def forward(layer_sizes, w, x, out=None, ws=None):
     """Apply the network to a matrix of rows, in row chunks.
 
     Parameters
@@ -245,6 +313,8 @@ def forward(layer_sizes, w, x, out=None):
     w : flat parameter vector, or its pack.
     x : (n, d_in) array.
     out : optional (n, d_out) array to write into.
+    ws : optional forward-only Workspace at least as tall as the tallest of
+        row_chunks(n), for callers that forward many times; else a new one.
 
     Returns
     -------
@@ -253,7 +323,8 @@ def forward(layer_sizes, w, x, out=None):
     if out is None:
         out = np.empty((len(x), layer_sizes[-1]))
     chunks = row_chunks(len(x))
-    ws = Workspace(layer_sizes, chunks[-1][1] - chunks[-1][0], forward_only=True)  # the tallest
+    if ws is None:
+        ws = Workspace(layer_sizes, chunks[-1][1] - chunks[-1][0], forward_only=True)
     mats = pack(layer_sizes, w)
     for lo, hi in chunks:
         forward_cached(layer_sizes, mats, x[lo:hi], ws, out[lo:hi])
@@ -411,6 +482,8 @@ def load_checkpoint(path):
         raise ValueError(f"{path}: layer_sizes must be at least 2 positive integers")
     if not all(type(doc[key]) is int for key in ("seed", "epoch")):
         raise ValueError(f"{path}: seed and epoch must be integers")
+    if not isinstance(doc.get("config", {}), dict):
+        raise ValueError(f"{path}: config must be a JSON object")
     n = (param_count(sizes),)
     post = Posterior(mu=_checkpoint_array(path, doc, "mu_q", n),
                      log_sigma2=_checkpoint_array(path, doc, "log_sigma2_q", n))

@@ -23,6 +23,7 @@ s-valid (sampled loss) and det-valid (posterior-mean loss), which share the run.
 import dataclasses
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -42,6 +43,20 @@ class NumericAbort(RuntimeError):
 OBJECTIVES = ("iid", "noniid", "erm")
 OPTIMIZERS = ("sgd", "rmsprop", "adam")
 LOSS_KINDS = ("logistic", "hinge")
+
+
+def check_certificate_settings(grid_b, grid_c, delta, loss_kind):
+    """TrainConfig's rules for the settings a certificate takes from it: grid_b
+    and grid_c positive finite numbers, delta a number in (0, 1), loss_kind one
+    of LOSS_KINDS. A bad value raises ValueError naming its key."""
+    for key, value, top, rule in (("grid_b", grid_b, math.inf, "be a positive finite number"),
+                                  ("grid_c", grid_c, math.inf, "be a positive finite number"),
+                                  ("delta", delta, 1.0, "lie in (0, 1)")):
+        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (number and 0.0 < value < top):
+            raise ValueError(f"{key} must {rule}, got {float(value) if number else value!r}")
+    if loss_kind not in LOSS_KINDS:
+        raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {loss_kind!r}")
 
 
 @dataclass
@@ -75,15 +90,10 @@ class TrainConfig:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if self.loss_kind not in LOSS_KINDS:
-            raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
-        for name in ("lam", "grid_b", "lr"):
+        check_certificate_settings(self.grid_b, self.grid_c, self.delta, self.loss_kind)
+        for name in ("lam", "lr"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.grid_c <= 0:
-            raise ValueError("grid_c must be positive")
         for name in ("k", "block_size", "epochs", "batch_size", "patience", "n_valid_samples"):
             if int(getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be >= 1")

@@ -867,6 +867,32 @@ def test_bound_rejects_an_out_of_range_parameter(tmp_path, data_dir, train_dir, 
     assert not (tmp_path / "b").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("grid_b", None, "grid_b must be a positive finite number, got None"),
+    ("grid_b", [100.0], "grid_b must be a positive finite number, got [100.0]"),
+    ("grid_b", math.nan, "grid_b must be a positive finite number, got nan"),
+    ("grid_c", "0.1", "grid_c must be a positive finite number, got '0.1'"),
+    ("grid_c", -0.1, "grid_c must be a positive finite number, got -0.1"),
+    ("delta", True, "delta must lie in (0, 1), got True"),
+    ("loss_kind", "foo", "loss_kind must be one of ('logistic', 'hinge'), got 'foo'"),
+], ids=["grid_b-null", "grid_b-list", "grid_b-nan", "grid_c-string", "grid_c-negative",
+        "delta-bool", "loss_kind-unknown"])
+def test_bound_checks_the_settings_in_the_checkpoint_config(tmp_path, data_dir, train_dir,
+                                                            capsys, key, value, message):
+    doc = network.load_checkpoint(best_pb_checkpoint(train_dir))
+    doc.config = {**doc.config, key: value}
+    ckpt = str(tmp_path / "c.ckpt.json")
+    network.save_checkpoint(ckpt, doc)
+    assert main([
+        "bound", "--checkpoint", ckpt, "--data", str(data_dir / "test.json"),
+        "--out", str(tmp_path / "b"), "--iid",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}, in the config of checkpoint {ckpt}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "b").exists()
+
+
 def test_bound_missing_checkpoint(tmp_path, data_dir, capsys):
     assert main([
         "bound", "--checkpoint", str(tmp_path / "no.ckpt.json"),
@@ -1439,6 +1465,7 @@ def test_train_rejects_a_config_of_the_wrong_shape(tmp_path, data_dir, capsys, e
     (lambda doc: {**doc, "log_sigma2_p": None}, "log_sigma2_p must be finite"),
     (lambda doc: {**doc, "seed": None}, "seed and epoch must be integers"),
     (lambda doc: [doc], "not a checkpoint file"),
+    (lambda doc: {**doc, "config": [doc["config"]]}, "config must be a JSON object"),
 ])
 def test_bound_and_eval_reject_a_malformed_checkpoint(tmp_path, data_dir, train_dir, capsys,
                                                       edit, fragment):

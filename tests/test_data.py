@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import json
+import os
+import signal
 import struct
 import tracemalloc
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats as scistats
 
-from pbcurl import data
+from pbcurl import data, network
 
 
 def small_gaussian_model(rng, n_classes=3, dim=2, separation=8.0, std=0.01):
@@ -251,6 +253,111 @@ def test_labeled_twin_never_accepts_what_the_parse_rejects(tmp_path, x, fragment
     with pytest.raises(data.DataFormatError) as exc:
         data.read_labeled_csv(path)
     assert str(exc.value) == f"{path}{fragment}"
+
+
+# the widest float repr (24 characters), signed zeros, subnormals, exponent
+# forms and plain decimals; labels include the int64 extremes (20 characters)
+WIDE_CELLS = np.array([-2.2250738585072014e-308, -0.0, 0.0, 5e-324, -5e-324,
+                       -2.225073858507201e-308, 1e16, -1.7976931348623157e+308, 0.1, -1.5])
+WIDE_LABELS = np.array([-2**63, 2**63 - 1, 0, -7, 3], dtype=np.int64)
+BLOCK = data.CSV_BLOCK_ROWS
+
+
+def pin_csv_workers(monkeypatch, n):
+    monkeypatch.setattr(network, "worker_count", lambda n_jobs: max(1, min(n_jobs, n)))
+
+
+def wide_rows(rng, n_rows, dim=3):
+    """Rows of WIDE_CELLS and WIDE_LABELS; the first is the widest a row can be."""
+    x = rng.choice(WIDE_CELLS, size=(n_rows, dim))
+    y = rng.choice(WIDE_LABELS, size=n_rows)
+    x[0], y[0] = WIDE_CELLS[0], WIDE_LABELS[0]
+    return data.LabeledDataset(x=x, y=y)
+
+
+def csv_reference(ds):
+    return "".join(",".join(repr(float(v)) for v in row) + f",{int(label)}\n"
+                   for row, label in zip(ds.x, ds.y)).encode()
+
+
+@pytest.mark.parametrize("n_rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_labeled_csv_bytes_do_not_depend_on_the_worker_count(tmp_path, rng, monkeypatch,
+                                                             n_rows, workers):
+    ds = wide_rows(rng, n_rows)
+    pin_csv_workers(monkeypatch, workers)
+    path = tmp_path / "pts.csv"
+    data.save_labeled_csv(ds, path)
+    want = csv_reference(ds)
+    assert path.read_bytes() == want
+    # the widest row fills its bound exactly: dim * 25 + 21 bytes
+    assert len(want.split(b"\n")[0]) + 1 == 3 * 25 + 21
+    twin, (px, py) = data.read_labeled_csv(path), data._read_csv(path, labeled=True)
+    assert twin.x.tobytes() == px.tobytes() == ds.x.tobytes()
+    assert twin.y.tobytes() == py.tobytes() == ds.y.tobytes()
+
+
+def fail_in_csv_worker_1(monkeypatch, fail):
+    """Patch data._csv_block to call fail() in any process but this one."""
+    caller, csv_block = os.getpid(), data._csv_block
+
+    def failing(rows, labels):
+        if os.getpid() != caller:                   # worker 1
+            fail()
+        return csv_block(rows, labels)
+
+    monkeypatch.setattr(data, "_csv_block", failing)
+
+
+def raise_value_error():
+    raise ValueError("bad block in worker 1")
+
+
+@pytest.mark.parametrize("fail, error, message", [
+    (raise_value_error, ValueError, "^bad block in worker 1$"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), RuntimeError,
+     "^worker 1 was killed by SIGKILL$"),
+], ids=["raises", "killed"])
+def test_a_failing_csv_worker_leaves_no_file(tmp_path, rng, monkeypatch, fail, error, message):
+    pin_csv_workers(monkeypatch, 2)
+    fail_in_csv_worker_1(monkeypatch, fail)
+    path = tmp_path / "pts.csv"
+    with pytest.raises(error, match=message):
+        data.save_labeled_csv(wide_rows(rng, 2 * BLOCK + 1), path)
+    assert not path.exists() and not (tmp_path / "pts.bin").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_labeled_csv_text_that_overflows_its_region_raises(tmp_path, rng, monkeypatch,
+                                                           workers):
+    # regions sized for 5-character floats: 39 bytes a row of 3. Wide rows
+    # overflow them; with 2 workers, worker 0's rows are zeros, which fit
+    ds = wide_rows(rng, 2 * BLOCK)
+    first = BLOCK * (workers - 1)
+    ds.x[:first], ds.y[:first] = 0.0, 0
+    monkeypatch.setattr(data, "CSV_FLOAT_BYTES", 5)
+    pin_csv_workers(monkeypatch, workers)
+    path = tmp_path / "pts.csv"
+    with pytest.raises(ValueError, match=f"rows {first} to {2 * BLOCK - 1} overflow the "
+                                         f"{(2 * BLOCK - first) * 39} bytes worker {workers - 1}"):
+        data.save_labeled_csv(ds, path)
+    assert not path.exists() and not (tmp_path / "pts.bin").exists()
+
+
+def test_a_failed_fork_gives_the_one_worker_csv_bytes(tmp_path, rng, monkeypatch):
+    ds = wide_rows(rng, 2 * BLOCK + 1)
+    pin_csv_workers(monkeypatch, 1)
+    data.save_labeled_csv(ds, tmp_path / "one.csv")
+
+    def no_fork():
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    pin_csv_workers(monkeypatch, 3)
+    data.save_labeled_csv(ds, tmp_path / "three.csv")
+    for suffix in (".csv", ".bin"):
+        assert ((tmp_path / f"three{suffix}").read_bytes()
+                == (tmp_path / f"one{suffix}").read_bytes())
 
 
 def test_labeled_csv_named_like_its_twin_is_refused(tmp_path):

@@ -335,6 +335,17 @@ def test_folded_forward_matches_the_bias_add_math(rng, rows):
     assert np.array_equal(again.view(np.int64), out.view(np.int64))
 
 
+def test_forward_reuses_a_given_workspace_with_the_same_bits(rng):
+    # 2,500 rows: chunks of 1,024 and 1,476, so the workspace is 1,476 high
+    x = rng.standard_normal((2500, 20))
+    ws = network.Workspace(ACCEPTANCE_SIZES, 1476, forward_only=True)
+    for _ in range(2):
+        w = rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
+        want = network.forward(ACCEPTANCE_SIZES, w, x)
+        got = network.forward(ACCEPTANCE_SIZES, w, x, ws=ws)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_gemv_bias_grads_match_row_sums(rng):
     # both widths (32 hidden, 16 out), a full batch of 250 tuples and a partial
     # last one of 200 through one workspace; the weight gradients do not read

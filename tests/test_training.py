@@ -71,6 +71,9 @@ def test_config_defaults_depend_on_objective(rng):
         {"patience": 0},
         {"sigma2_p_init": 0.2},               # above grid_c
         {"sigma2_p_init": 0.1},               # grid top has j = 0 < 1
+        {"grid_b": None},                     # the certificate settings are numbers
+        {"grid_c": math.inf},
+        {"delta": "0.05"},
     ],
 )
 def test_config_rejects_bad_values(over):
