@@ -33,10 +33,30 @@ LABELED_MAGIC = b"PBCURLL1"
 STD_FLOOR = 1e-8
 # sample_points shifts its draws by the class means this many rows at a time
 SAMPLE_BLOCK_ROWS = 8192
+# NormStats.from_data sums this many rows at a time
+STATS_BLOCK_ROWS = 2048
 
 
 class DataFormatError(ValueError):
     """Malformed dataset file or inconsistent manifest."""
+
+
+def _column_sum(x, term):
+    """np.add.reduce(terms, axis=0) of the terms of x's rows, in that reduce's
+    order (row after row), STATS_BLOCK_ROWS rows at a time.
+
+    term(rows, out) writes the terms of some rows into out. Each block's
+    reduce starts from the running sum, staged as the block's first row; the
+    sum starts at 0.0, as numpy's does (all -0.0 terms sum to 0.0).
+    """
+    total = np.zeros(x.shape[1])
+    stage = np.empty((min(len(x), STATS_BLOCK_ROWS) + 1, x.shape[1]))
+    for lo in range(0, len(x), STATS_BLOCK_ROWS):
+        rows = x[lo:lo + STATS_BLOCK_ROWS]
+        stage[0] = total
+        term(rows, stage[1:len(rows) + 1])
+        np.add.reduce(stage[:len(rows) + 1], axis=0, out=total)
+    return total
 
 
 @dataclass
@@ -52,8 +72,16 @@ class NormStats:
 
     @classmethod
     def from_data(cls, x):
-        std = np.maximum(np.std(x, axis=0), STD_FLOOR)
-        return cls(mean=np.mean(x, axis=0), std=std)
+        """np.mean(x, axis=0) and np.std(x, axis=0), floored, with their bits:
+        two passes of _column_sum, so no temporary the size of x."""
+        mean = _column_sum(x, lambda rows, out: np.copyto(out, rows)) / len(x)
+
+        def square_deviation(rows, out):
+            np.subtract(rows, mean, out=out)
+            np.multiply(out, out, out=out)
+
+        std = np.sqrt(_column_sum(x, square_deviation) / len(x))
+        return cls(mean=mean, std=np.maximum(std, STD_FLOOR))
 
     @classmethod
     def from_dict(cls, doc):

@@ -127,6 +127,10 @@ def row_chunks(n, chunk=CHUNK_ROWS):
 def worker_count(n_jobs):
     """Worker processes for n_jobs independent jobs: min(n_jobs, usable CPUs // BLAS threads).
 
+    The Monte Carlo pass asks with a job per chunk or draw, the CSV writer
+    with one per block and the trainer with one per shard of its batches, so
+    at most two.
+
     BLAS threads is the first positive integer among OPENBLAS_NUM_THREADS,
     GOTO_NUM_THREADS and OMP_NUM_THREADS, the order OpenBLAS reads them in.
     With none set, BLAS already runs on every CPU, so the count is 1. It is
@@ -151,15 +155,17 @@ def worker_count(n_jobs):
 def on_workers(n, work):
     """Run work(0), ..., work(n - 1): work(0) here, the rest in forked children.
 
-    The package's one fork helper: evaluation.draw_risks and
+    The package's one fork helper. evaluation.draw_risks and
     data.save_labeled_csv run their workers on it, which hand back their
-    results in anonymous shared memory. Children leave only through
-    os._exit, after sending a raised exception back pickled through a pipe;
-    every child is reaped before this returns or raises, and killed first if
-    this process raises. A child's exception is re-raised here with its type
-    and message; one that cannot be pickled, or a child killed by a signal,
-    gives a RuntimeError naming the worker. Where os.fork fails, this
-    process runs that worker's share itself.
+    results in anonymous shared memory. training.train runs on it too: the
+    trainer is worker 0 and worker 1 computes the second shard of every
+    batch (see training.ShardedLoss). Children leave only through os._exit,
+    after sending a raised exception back pickled through a pipe; every
+    child is reaped before this returns or raises, and killed first if this
+    process raises. A child's exception is re-raised here with its type and
+    message; one that cannot be pickled, or a child killed by a signal, gives
+    a RuntimeError naming the worker. Where os.fork fails, this process runs
+    that worker's share itself.
     """
     children = []                           # (worker, pid, read end of its pipe)
     try:

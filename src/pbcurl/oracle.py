@@ -271,9 +271,12 @@ def finite_diff_check(objective, rng, n_coords=20, step=1e-5):
     layer_sizes, post, prior, batch, eps = _well_conditioned_problem(objective, rng)
     theta, post, prior = training.as_theta(post, prior)
 
+    def batch_loss(w):
+        return training.contrastive_loss_and_wgrad(layer_sizes, w, batch, "logistic")[:2]
+
     def evaluate():         # at the current theta, through the views
-        return fn(layer_sizes, post, prior, batch, eps, m=500, grid_b=100.0, grid_c=0.1,
-                  loss_kind="logistic", **kw)
+        return fn(layer_sizes, post, prior, batch_loss, eps, m=500, grid_b=100.0, grid_c=0.1,
+                  **kw)
 
     grad = evaluate()[1]
     n = post.n_params

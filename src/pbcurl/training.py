@@ -21,8 +21,10 @@ s-valid (sampled loss) and det-valid (posterior-mean loss), which share the run.
 """
 
 import dataclasses
+import functools
 import json
 import math
+import mmap
 import numbers
 import os
 import time
@@ -205,28 +207,31 @@ def _loss_views(ws, n, k, b):
     return ws.views[key]
 
 
-def contrastive_loss_and_wgrad(layer_sizes, w, batch, loss_kind, ws=None):
-    """Mean tuple loss over a TupleBatch and its gradient w.r.t. w.
+def contrastive_loss_and_wgrad(layer_sizes, w, batch, loss_kind, ws=None, n=None):
+    """A TupleBatch's tuple loss sum over n and its gradient w.r.t. w.
 
-    One forward pass covers batch.rows. Once the margins are taken, d_out goes
-    over the network output in ws.out, the anchor rows last, as the block rows'
-    terms read the anchor outputs; the anchor term waits in ws.scratch beside
-    the block mean differences. backprop then takes its deltas in the forward's
+    n defaults to the batch's tuple count, which gives the mean loss; a shard
+    of a larger batch passes the whole batch's (see ShardedLoss). One forward
+    pass covers batch.rows. Once the margins are taken, d_out goes over the
+    network output in ws.out, the anchor rows last, as the block rows' terms
+    read the anchor outputs; the anchor term waits in ws.scratch beside the
+    block mean differences. backprop then takes its deltas in the forward's
     buffers. The gradient returned is ws.grad (of a temporary workspace when ws
     is None), so it lives until the next call with the same workspace.
     """
     _, pos, neg = batch
-    n, k, b = len(pos), neg.shape[1], pos.shape[1]
+    n_tuples, k, b = len(pos), neg.shape[1], pos.shape[1]
+    n = n or n_tuples
     ws = ws or network.Workspace(layer_sizes, len(batch.rows))
-    out_batch, diff, pos_term, anchor_term = _loss_views(ws, n, k, b)
+    out_batch, diff, pos_term, anchor_term = _loss_views(ws, n_tuples, k, b)
     out, cache = network.forward_cached(layer_sizes, w, batch.rows, ws=ws)
     a_out, p_out, g_out = out_batch
 
     margins = losses.contrastive_margins(a_out, p_out, g_out, diff)
     tuple_loss, dv = losses.loss_and_margin_grad(margins, loss_kind)
-    loss = float(np.add.reduce(tuple_loss) / n)                # np.mean's bits
+    loss = float(np.add.reduce(tuple_loss) / n)                # np.mean's bits when n = n_tuples
 
-    dv *= 1.0 / n                                               # (n, k)
+    dv *= 1.0 / n                                               # (n_tuples, k)
     np.einsum("nk,nkd->nd", dv, diff, out=anchor_term)
     np.multiply(np.add.reduce(dv, axis=1)[:, None], a_out, out=pos_term)
     pos_term /= b
@@ -238,9 +243,135 @@ def contrastive_loss_and_wgrad(layer_sizes, w, batch, loss_kind, ws=None):
     return loss, network.backprop(layer_sizes, w, cache, out, ws), margins
 
 
+class _Shard:
+    """Row and index buffers and a workspace for up to `size` tuples of data."""
+
+    def __init__(self, layer_sizes, data, size, loss_kind):
+        rows = size * TupleBatch.rows_per_tuple(data.k, data.block_size)
+        self.layer_sizes, self.data, self.loss_kind = layer_sizes, data, loss_kind
+        self.rows, self.index = np.empty((rows, data.dim)), data.index_buffers(size)
+        self.ws = network.Workspace(layer_sizes, rows)
+
+    def gather(self, idx):
+        self.batch = self.data.gather(idx, out=self.rows, index_out=self.index)
+
+    def loss_and_wgrad(self, w, n):
+        """The gathered tuples' loss sum over n and its gradient w.r.t. w (ws.grad)."""
+        return contrastive_loss_and_wgrad(self.layer_sizes, w, self.batch, self.loss_kind,
+                                          self.ws, n)[:2]
+
+
+class _WorkerLost(Exception):
+    """The helper closed its reply pipe mid-step: it raised or was killed."""
+
+
+class ShardedLoss:
+    """A batch's mean loss and weight gradient as sums over two fixed shards.
+
+    gather(idx) takes a batch of n tuples: shard 0 is its first ceil(n / 2),
+    shard 1 the rest (none when n is 1). Called with weights w, each shard
+    gives its tuple losses' np.add.reduce over n and the gradient of that
+    (contrastive_loss_and_wgrad), and the two are added, shard 0 first. So the
+    bits depend on the batch alone, never on where shard 1 runs.
+
+    With workers == 2, shard 1 runs on a forked helper: serve() is worker 1 of
+    network.on_workers. gather writes n and shard 1's tuple indices into
+    anonymous shared memory and sends b"g": the helper gathers those rows,
+    from the feature matrix it inherited, into its own shard while this
+    process gathers shard 0. A call writes w there and sends b"c"; the helper
+    writes back its loss and gradient, then one byte. With one worker this
+    process runs both shards. ws is shard 0's workspace; the objectives draw
+    their weights into it and write their gradients there.
+    """
+
+    def __init__(self, layer_sizes, data, n_batch, loss_kind, workers):
+        self.make = functools.partial(_Shard, layer_sizes, data, loss_kind=loss_kind)
+        self.shards = [self.make(-(-n_batch // 2))]
+        self.ws, self.n, self.lost = self.shards[0].ws, 0, False
+        self.workers, self.trainer, self.ends = workers, os.getpid(), []
+        if workers == 1:
+            self.shards.append(self.make(n_batch // 2))
+            return
+        p = network.param_count(layer_sizes)
+        # anonymous and shared: [w | d_w | loss | n, shard 1's tuple indices]
+        shared = np.frombuffer(mmap.mmap(-1, 8 * (2 * p + 2 + n_batch // 2)))
+        self.w, self.d_w, self.loss = shared[:p], shared[p : 2 * p], shared[2 * p : 2 * p + 1]
+        self.idx = shared[2 * p + 1 :].view(np.int64)
+        self.request, self.reply = os.pipe(), os.pipe()       # (read end, write end)
+        self.ends = [*self.request, *self.reply]
+
+    def close(self, *ends):
+        """Close the given pipe ends (default: all) that are still open."""
+        for end in ends or list(self.ends):
+            if end in self.ends:
+                self.ends.remove(end)
+                os.close(end)
+
+    def start(self):
+        """The trainer's side: close the helper's pipe ends, so that its exit
+        reads as the end of the reply pipe."""
+        if self.ends:
+            self.close(self.request[0], self.reply[1])
+
+    def serve(self):
+        """Worker 1: shard 1's loss and gradient per request, until the request
+        pipe closes. Where the fork failed, on_workers calls this in the
+        trainer, which then runs shard 1 itself."""
+        if os.getpid() == self.trainer:
+            self.close()
+            self.workers = 1
+            self.shards.append(self.make(len(self.idx) - 1))
+            return
+        self.close(self.request[1], self.reply[0])   # the trainer's: closing its own ends this loop
+        shard = self.make(len(self.idx) - 1)
+        try:
+            while request := os.read(self.request[0], 1):
+                n = int(self.idx[0])
+                if request == b"g":
+                    shard.gather(self.idx[1 : 1 + n // 2])
+                    continue
+                self.loss[0], d_w = shard.loss_and_wgrad(self.w, n)
+                self.d_w[:] = d_w
+                os.write(self.reply[1], b"\0")
+        except Exception as exc:
+            raise RuntimeError(f"worker 1 raised {type(exc).__name__}: {exc}") from None
+
+    def gather(self, idx):
+        """Split a batch's tuple indices into the shards; this process gathers its own."""
+        self.n, half = len(idx), -(-len(idx) // 2)
+        if self.workers == 1:
+            self.shards[1].gather(idx[half:])
+        elif self.n > 1:
+            self.idx[0] = self.n
+            self.idx[1 : 1 + self.n - half] = idx[half:]
+            os.write(self.request[1], b"g")
+        self.shards[0].gather(idx[:half])
+
+    def __call__(self, w):
+        """The gathered batch's mean loss and its gradient w.r.t. w, in ws.grad."""
+        helped = self.workers == 2 and self.n > 1
+        if helped:
+            self.w[:] = w
+            os.write(self.request[1], b"c")
+        loss, d_w = self.shards[0].loss_and_wgrad(w, self.n)
+        if self.n > 1:
+            if not helped:
+                loss1, d_w1 = self.shards[1].loss_and_wgrad(w, self.n)
+            elif os.read(self.reply[0], 1):
+                loss1, d_w1 = float(self.loss[0]), self.d_w
+            else:
+                self.lost = True
+                raise _WorkerLost
+            loss += loss1
+            d_w += d_w1
+        return loss, d_w
+
+
 # ---------------------------------------------------------------------------
-# objectives: value, gradient and stats of one step. The iid and noniid
-# gradients w.r.t. theta go to ws.dtheta (a temporary workspace's if ws is None)
+# objectives: value, gradient and stats of one step. loss_and_wgrad(w) gives
+# the batch's mean loss and its weight gradient (a ShardedLoss in training).
+# The iid and noniid gradients w.r.t. theta go to ws.dtheta (a temporary
+# workspace's if ws is None), whose w and sigma take the weight draw
 
 
 def as_theta(post, prior):
@@ -254,12 +385,12 @@ def as_theta(post, prior):
     return theta, network.Posterior(mu_q, log_s2_q), network.Prior(prior.mu, theta[-1, ...])
 
 
-def iid_objective(layer_sizes, post, prior, batch, eps, *, lam, m, grid_b, grid_c,
-                  loss_kind, ws=None):
+def iid_objective(layer_sizes, post, prior, loss_and_wgrad, eps, *, lam, m, grid_b, grid_c,
+                  ws=None):
     """Catoni-style trainable bound; the batch mean estimates L_hat."""
-    ws = ws or network.Workspace(layer_sizes, len(batch.rows))
+    ws = ws or network.Workspace(layer_sizes, 0)
     w = network.sample_weights(post, eps, ws)
-    loss, d_w, _ = contrastive_loss_and_wgrad(layer_sizes, w, batch, loss_kind, ws)
+    loss, d_w = loss_and_wgrad(w)
     log_s2_p = float(prior.log_sigma2)        # a float, not theta's 0-d view: no numpy scalars
     kl, kl_mu, kl_ls_q, kl_ls_p = divergences.kl_gaussian_and_grads(
         post.mu, post.log_sigma2, prior.mu, log_s2_p
@@ -276,16 +407,16 @@ def iid_objective(layer_sizes, post, prior, batch, eps, *, lam, m, grid_b, grid_
     return value, grad, {"loss": loss, "kl": kl}
 
 
-def noniid_objective(layer_sizes, post, prior, batch, eps, *, m, delta, dependency_t,
-                     loss_sup, grid_b, grid_c, loss_kind, ws=None):
+def noniid_objective(layer_sizes, post, prior, loss_and_wgrad, eps, *, m, delta, dependency_t,
+                     loss_sup, grid_b, grid_c, ws=None):
     """Chi-square trainable bound. loss_sup (B_l) is a per-epoch constant.
 
     Returns value = +inf (no gradient) when the penalty overflows; the caller
     rejects the step.
     """
-    ws = ws or network.Workspace(layer_sizes, len(batch.rows))
+    ws = ws or network.Workspace(layer_sizes, 0)
     w = network.sample_weights(post, eps, ws)
-    loss, d_w, _ = contrastive_loss_and_wgrad(layer_sizes, w, batch, loss_kind, ws)
+    loss, d_w = loss_and_wgrad(w)
     log_s2_p = float(prior.log_sigma2)        # a float, not theta's 0-d view: no numpy scalars
     j = bounds.j_index(grid_b, grid_c, log_s2_p)
     log1p, c_mu, c_ls_q, c_ls_p = divergences.chi2_log1p_grads(
@@ -308,9 +439,9 @@ def noniid_objective(layer_sizes, post, prior, batch, eps, *, m, delta, dependen
     return value, grad, {"loss": loss, "chi2_log1p": log1p, "penalty": pen}
 
 
-def erm_objective(layer_sizes, post, prior, batch, eps, *, loss_kind, ws=None):
-    """Contrastive loss of the mean network and its weight gradient; prior, eps unused."""
-    loss, d_w, _ = contrastive_loss_and_wgrad(layer_sizes, post.mu, batch, loss_kind, ws)
+def erm_objective(layer_sizes, post, prior, loss_and_wgrad, eps, *, ws=None):
+    """Contrastive loss of the mean network and its weight gradient; prior, eps, ws unused."""
+    loss, d_w = loss_and_wgrad(post.mu)
     return loss, d_w, {"loss": loss}
 
 
@@ -365,15 +496,16 @@ def _clamp_prior(theta, grid_b, grid_c):
     return 0
 
 
-def _step_objective(cfg, layer_sizes, post, prior, data, ws):
-    """Bind cfg.objective to objective(batch, eps) -> (value, grad, stats).
+def _step_objective(cfg, layer_sizes, post, prior, data, shards):
+    """Bind cfg.objective to objective(eps) -> (value, grad, stats).
 
-    post and prior are updated in place between calls, and every call runs
-    through the workspace ws. The second return value runs at the start of
-    every epoch and returns the epoch's constants for the log: the loss range
-    B_l of the chi-square objective.
+    post and prior are updated in place between calls, and every call takes
+    the batch shards last gathered (a ShardedLoss) and runs through their
+    workspace. The second return value runs at the start of every epoch and
+    returns the epoch's constants for the log: the loss range B_l of the
+    chi-square objective.
     """
-    kw = {"loss_kind": cfg.loss_kind, "ws": ws}
+    kw = {"ws": shards.ws}
     if cfg.objective in ("iid", "noniid"):
         kw.update(m=len(data), grid_b=cfg.grid_b, grid_c=cfg.grid_c)
     begin_epoch = dict          # no per-epoch constants: returns {}
@@ -391,8 +523,8 @@ def _step_objective(cfg, layer_sizes, post, prior, data, ws):
     else:
         fn = erm_objective
 
-    def objective(batch, eps):
-        return fn(layer_sizes, post, prior, batch, eps, **kw)
+    def objective(eps):
+        return fn(layer_sizes, post, prior, shards, eps, **kw)
 
     return objective, begin_epoch
 
@@ -411,10 +543,15 @@ def train(cfg, data, valid=None, criteria=("pb",), run_dir=None, run_id="run"):
     is pb, which keeps the final epoch. With valid every epoch logs valid_mc
     (drawn for stochastic objectives under s-valid only, else None) and
     valid_map, and each criterion keeps its best epoch: s-valid by valid_mc
-    (valid_map when None), det-valid by valid_map. A criterion closes its record after cfg.patience epochs without
-    a new best; training ends when all have closed. A NumericAbort marks the
-    open records aborted. The others write run_dir/<run_id>-<criterion>.ckpt.json
-    when run_dir is given.
+    (valid_map when None), det-valid by valid_map. A criterion closes its
+    record after cfg.patience epochs without a new best; training ends when
+    all have closed. A NumericAbort marks the open records aborted. The others
+    write run_dir/<run_id>-<criterion>.ckpt.json when run_dir is given.
+
+    Each step's loss and weight gradient are a ShardedLoss's. When
+    network.worker_count(2) is 2, the run is worker 0 of network.on_workers
+    and a forked helper, worker 1, serves shard 1 until the run ends; a helper
+    that raises or is killed ends the run with an error naming worker 1.
     """
     allowed = VALID_CRITERIA if valid is not None else ("pb",)
     if not criteria or not set(criteria) <= set(allowed):
@@ -434,16 +571,14 @@ def train(cfg, data, valid=None, criteria=("pb",), run_dir=None, run_id="run"):
     opt = make_optimizer(cfg.optimizer, n_train)
     last_step = np.empty(n_train)   # halved in place when the next objective overflows
     m = len(data)
-    # one workspace, row buffer and set of index buffers per run, sized to a
-    # full batch; a partial last batch uses their leading entries
+    # the batch's two shards, each with a workspace, row buffer and index
+    # buffers sized to its share of a full batch; a partial last batch uses
+    # their leading entries. Shard 1 runs on a forked helper when two workers fit
     n_batch = min(cfg.batch_size, m)
-    rows = n_batch * TupleBatch.rows_per_tuple(data.k, data.block_size)
-    batch_rows = np.empty((rows, data.dim))
-    batch_index = data.index_buffers(n_batch)
+    shards = ShardedLoss(layer_sizes, data, n_batch, cfg.loss_kind,
+                         network.worker_count(min(2, n_batch)))
     eps = np.zeros(post.n_params)   # erm ignores eps: it stays zero, its stream unread
-    objective, begin_epoch = _step_objective(
-        cfg, layer_sizes, post, prior, data, network.Workspace(layer_sizes, rows)
-    )
+    objective, begin_epoch = _step_objective(cfg, layer_sizes, post, prior, data, shards)
 
     n_steps = max(1, math.ceil(m / cfg.batch_size))
     drop_epoch = math.ceil(cfg.lr_drop_frac * cfg.epochs)
@@ -479,100 +614,117 @@ def train(cfg, data, valid=None, criteria=("pb",), run_dir=None, run_id="run"):
             ))
             rec.checkpoint_path = path
 
-    try:
-        for epoch in range(1, cfg.epochs + 1):
-            lr = cfg.lr / 10.0 if epoch >= drop_epoch else cfg.lr
-            order = batch_rng.permutation(m)
-            obj_sum, rejections, stat_sums = 0.0, 0, {}
-            # seconds per phase; objective_s takes the epoch hook, eps and retries
-            clock = dict.fromkeys(("gather_s", "objective_s", "update_s", "validation_s"), 0.0)
-            t = time.perf_counter()
-            constants = begin_epoch()
-            t = _lap(clock, "objective_s", t)
-
-            for step in range(n_steps):
-                batch = data.gather(order[step * cfg.batch_size : (step + 1) * cfg.batch_size],
-                                    out=batch_rows, index_out=batch_index)
-                t = _lap(clock, "gather_s", t)
-                if stochastic:
-                    eps_rng.standard_normal(out=eps)    # sample_eps's stream, no new array
-
-                retries = 0
-                while True:
-                    value, grad, stats = objective(batch, eps)
-                    if math.isnan(value):
-                        raise NumericAbort(
-                            f"objective is NaN at epoch {epoch} step {step}"
-                        )
-                    if not math.isinf(value):
-                        break
-                    # chi-square penalty overflowed: reject the previous
-                    # update and retry it at half the step
-                    if epoch == 1 and step == 0:
-                        raise NumericAbort(
-                            f"objective overflowed at initialisation (epoch {epoch})"
-                        )
-                    if retries >= _REJECT_LIMIT:
-                        raise NumericAbort(
-                            f"step rejected {retries} times at epoch {epoch} step {step}"
-                        )
-                    trainable -= last_step
-                    last_step *= 0.5
-                    trainable += last_step
-                    rejections += 1
-                    retries += 1
-
+    def run(worker):
+        """Worker 0 trains; worker 1 serves shard 1 until worker 0 closes its pipe."""
+        nonlocal clamp_count, trainable, last_step
+        if worker:
+            return shards.serve()
+        shards.start()
+        try:
+            for epoch in range(1, cfg.epochs + 1):
+                lr = cfg.lr / 10.0 if epoch >= drop_epoch else cfg.lr
+                order = batch_rng.permutation(m)
+                obj_sum, rejections, stat_sums = 0.0, 0, {}
+                # seconds per phase; objective_s takes the epoch hook, eps,
+                # retries and any wait for the helper
+                clock = dict.fromkeys(("gather_s", "objective_s", "update_s", "validation_s"),
+                                      0.0)
+                t = time.perf_counter()
+                constants = begin_epoch()
                 t = _lap(clock, "objective_s", t)
-                grad = grad[:n_train]
-                if not np.isfinite(grad).all():
-                    raise NumericAbort(f"gradient not finite at epoch {epoch} step {step}")
-                opt.update(grad, lr, out=last_step)
-                trainable += last_step
-                if n_train == theta.size:
-                    clamp_count += _clamp_prior(theta, cfg.grid_b, cfg.grid_c)
-                obj_sum += value
-                for key, val in stats.items():
-                    stat_sums[key] = stat_sums.get(key, 0.0) + val
-                t = _lap(clock, "update_s", t)
 
-            entry = {
-                "epoch": epoch,
-                "lr": lr,
-                "train_objective": obj_sum / n_steps,
-                "rejections": rejections,
-                # means over the epoch's accepted steps
-                **{key: total / n_steps for key, total in stat_sums.items()},
-                "log_sigma2_p": float(theta[-1]),
-                **constants,
-            }
+                for step in range(n_steps):
+                    shards.gather(order[step * cfg.batch_size : (step + 1) * cfg.batch_size])
+                    t = _lap(clock, "gather_s", t)
+                    if stochastic:
+                        eps_rng.standard_normal(out=eps)    # sample_eps's stream, no new array
 
-            valid_mc = valid_map = None
-            if valid is not None:
-                if stochastic and "s-valid" in criteria:
-                    valid_mc, _ = evaluation.mc_posterior_risk(
-                        layer_sizes, post, valid, cfg.n_valid_samples,
-                        "loss", cfg.loss_kind, valid_rng,
-                    )
-                valid_map = map_dataset_loss(layer_sizes, post.mu, valid, cfg.loss_kind)
-                entry["valid_mc"] = valid_mc
-                entry["valid_map"] = valid_map
-            _lap(clock, "validation_s", t)
-            entry["time"] = clock
-            entries.append(entry)
+                    retries = 0
+                    while True:
+                        value, grad, stats = objective(eps)
+                        if math.isnan(value):
+                            raise NumericAbort(
+                                f"objective is NaN at epoch {epoch} step {step}"
+                            )
+                        if not math.isinf(value):
+                            break
+                        # chi-square penalty overflowed: reject the previous
+                        # update and retry it at half the step
+                        if epoch == 1 and step == 0:
+                            raise NumericAbort(
+                                f"objective overflowed at initialisation (epoch {epoch})"
+                            )
+                        if retries >= _REJECT_LIMIT:
+                            raise NumericAbort(
+                                f"step rejected {retries} times at epoch {epoch} step {step}"
+                            )
+                        trainable -= last_step
+                        last_step *= 0.5
+                        trainable += last_step
+                        rejections += 1
+                        retries += 1
 
-            for c in [c for c in still_open if c in VALID_CRITERIA]:
-                metric = valid_mc if c == "s-valid" and valid_mc is not None else valid_map
-                if metric < best[c][0]:
-                    best[c] = (metric, (post.copy(), prior.copy()), epoch)
-                elif epoch - best[c][2] >= cfg.patience:
-                    close(c)
-            if not still_open:
-                break
-    except NumericAbort as exc:
-        for c in still_open:
-            records[c].aborted = True
-            records[c].abort_reason = str(exc)
+                    t = _lap(clock, "objective_s", t)
+                    grad = grad[:n_train]
+                    if not np.isfinite(grad).all():
+                        raise NumericAbort(f"gradient not finite at epoch {epoch} step {step}")
+                    opt.update(grad, lr, out=last_step)
+                    trainable += last_step
+                    if n_train == theta.size:
+                        clamp_count += _clamp_prior(theta, cfg.grid_b, cfg.grid_c)
+                    obj_sum += value
+                    for key, val in stats.items():
+                        stat_sums[key] = stat_sums.get(key, 0.0) + val
+                    t = _lap(clock, "update_s", t)
 
+                entry = {
+                    "epoch": epoch,
+                    "lr": lr,
+                    "train_objective": obj_sum / n_steps,
+                    "rejections": rejections,
+                    # means over the epoch's accepted steps
+                    **{key: total / n_steps for key, total in stat_sums.items()},
+                    "log_sigma2_p": float(theta[-1]),
+                    **constants,
+                }
+
+                valid_mc = valid_map = None
+                if valid is not None:
+                    if stochastic and "s-valid" in criteria:
+                        valid_mc, _ = evaluation.mc_posterior_risk(
+                            layer_sizes, post, valid, cfg.n_valid_samples,
+                            "loss", cfg.loss_kind, valid_rng,
+                        )
+                    valid_map = map_dataset_loss(layer_sizes, post.mu, valid, cfg.loss_kind)
+                    entry["valid_mc"] = valid_mc
+                    entry["valid_map"] = valid_map
+                _lap(clock, "validation_s", t)
+                entry["time"] = {**clock, "step_workers": shards.workers}
+                entries.append(entry)
+
+                for c in [c for c in still_open if c in VALID_CRITERIA]:
+                    metric = valid_mc if c == "s-valid" and valid_mc is not None else valid_map
+                    if metric < best[c][0]:
+                        best[c] = (metric, (post.copy(), prior.copy()), epoch)
+                    elif epoch - best[c][2] >= cfg.patience:
+                        close(c)
+                if not still_open:
+                    break
+        except NumericAbort as exc:
+            for c in still_open:
+                records[c].aborted = True
+                records[c].abort_reason = str(exc)
+        except _WorkerLost:
+            pass                # on_workers reaps worker 1 and raises its failure
+        finally:
+            shards.close()      # the request pipe: worker 1 leaves its loop
+
+    try:
+        network.on_workers(shards.workers, run)
+    finally:
+        shards.close()
+    if shards.lost:
+        raise RuntimeError("worker 1 left its loop before the run ended")
     for c in list(still_open):
         close(c)
     return records

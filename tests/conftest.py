@@ -8,6 +8,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from pbcurl import network
+
 REPLAY = pathlib.Path(__file__).resolve().parents[1] / "tools" / "replay.py"
 
 
@@ -23,6 +25,15 @@ def run_replay(*args):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def pin_workers(monkeypatch):
+    """Fix network.worker_count's ceiling, whatever the machine: pin(n) gives
+    min(#jobs, n) workers to the Monte Carlo pass, the CSV writer and the trainer."""
+    def pin(n):
+        monkeypatch.setattr(network, "worker_count", lambda n_jobs: min(n_jobs, n))
+    return pin
 
 
 @pytest.fixture(autouse=True)

@@ -29,6 +29,18 @@ def test_norm_stats_standardize(rng):
     assert np.max(np.abs(z.std(axis=0) - 1.0)) < 1e-9
 
 
+@pytest.mark.parametrize("rows", [1, 2, data.STATS_BLOCK_ROWS - 1, data.STATS_BLOCK_ROWS,
+                                  data.STATS_BLOCK_ROWS + 1, data.STATS_BLOCK_ROWS + 2, 220_000])
+def test_norm_stats_keep_the_bits_of_numpy(rng, rows):
+    # the row blocks keep np.mean's and np.std's sequential order over axis 0;
+    # 220k x 20 is the acceptance-scale iid train matrix
+    x = rng.normal(loc=3.0, scale=2.5, size=(rows, 20))
+    x[:, 3] = -0.0
+    st = data.NormStats.from_data(x)
+    assert st.mean.tobytes() == np.mean(x, axis=0).tobytes()
+    assert st.std.tobytes() == np.maximum(np.std(x, axis=0), data.STD_FLOOR).tobytes()
+
+
 def test_norm_stats_constant_column(rng):
     x = rng.normal(size=(100, 3))
     x[:, 1] = 7.0

@@ -458,14 +458,6 @@ def test_tuples_sharing_rows_keep_the_whole_matrix_path(rng, monkeypatch, tmp_pa
         assert sum(size for _, size in forwarded()) == expect
 
 
-@pytest.fixture
-def pin_workers(monkeypatch):
-    """Fix the worker count of chunked inference, whatever the machine."""
-    def pin(n):
-        monkeypatch.setattr(network, "worker_count", lambda n_chunks: min(n_chunks, n))
-    return pin
-
-
 @pytest.mark.parametrize("workers, draws", [(1, 1), (2, 1), (3, 1), (1, 10), (2, 10), (3, 10)],
                          ids=["1", "2", "3", "1-10-draws", "2-10-draws", "3-10-draws"])
 def test_mc_draw_over_a_large_matrix_allocates_little(rng, pin_workers, workers, draws):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -265,6 +266,44 @@ def test_workspace_step_matches_allocating_math(rng, loss_kind):
             assert np.array_equal(margins, ref_margins), (sizes, k, n)
 
 
+def test_sharded_loss_matches_the_whole_batch_reference(rng):
+    # each shard scales its margin gradient by 1 / n of the whole batch: a
+    # shard scaled by its own count would still train, at twice the step. The
+    # two shards give the same bits on one worker and on two
+    ds = random_tuples(rng, 3000, 600)
+    w = rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
+    batches = [rng.choice(len(ds), size=n, replace=False) for n in (250, 200, 3, 2, 1, 250)]
+    got = {}
+    for loss_kind, workers in itertools.product(("logistic", "hinge"), (1, 2)):
+        shards = training.ShardedLoss(ACCEPTANCE_SIZES, ds, 250, loss_kind, workers)
+        got[loss_kind, workers] = results = []
+
+        def work(i):
+            if i:
+                return shards.serve()
+            shards.start()
+            try:
+                for idx in batches:
+                    shards.gather(idx)
+                    loss, grad = shards(w)
+                    results.append((loss, grad.tobytes()))
+                    ref_loss, ref_grad, _ = alloc_contrastive_loss_and_wgrad(
+                        ACCEPTANCE_SIZES, w, ds.features[ds.anchors[idx]],
+                        ds.features[ds.positives[idx]], ds.features[ds.negatives[idx]],
+                        loss_kind,
+                    )
+                    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss), (loss_kind, len(idx))
+                    assert (np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))), (
+                        loss_kind, len(idx))
+            finally:
+                shards.close()
+
+        network.on_workers(workers, work)
+        assert shards.workers == workers
+    for loss_kind in ("logistic", "hinge"):
+        assert got[loss_kind, 1] == got[loss_kind, 2]
+
+
 def test_backprop_leaves_the_ones_columns_for_the_next_step(rng):
     # backprop writes each hidden delta over that layer's ones-extended input;
     # the ones column must come out 1, so a second step through the workspace
@@ -410,27 +449,22 @@ def test_row_chunks_fold_the_remainder():
 
 def test_warm_training_step_allocates_little(rng):
     # acceptance shapes: 20-32-16, batch 250, k=4, blocks of 2; theta, the
-    # workspace, row buffer, optimizer state and step buffer are train()'s, so
-    # a warmed step only makes small arrays
+    # shards' workspaces and row buffers, optimizer state and step buffer are
+    # train()'s, so a warmed step only makes small arrays
     ds = random_tuples(rng, 3000, 600)
     cfg = training.TrainConfig(layer_sizes=ACCEPTANCE_SIZES, k=4, block_size=2, batch_size=250)
     theta, post, prior = training.as_theta(
         *network.init_network(ACCEPTANCE_SIZES, cfg.sigma2_p_init, rng)
     )
-    rows = 250 * (1 + 2 * (1 + 4))
-    batch_rows = np.empty((rows, 20))
-    objective, _ = training._step_objective(
-        cfg, ACCEPTANCE_SIZES, post, prior, ds, network.Workspace(ACCEPTANCE_SIZES, rows)
-    )
+    shards = training.ShardedLoss(ACCEPTANCE_SIZES, ds, 250, cfg.loss_kind, 1)
+    objective, _ = training._step_objective(cfg, ACCEPTANCE_SIZES, post, prior, ds, shards)
     idx = np.arange(250)
     step = np.empty(theta.size)
-
-    batch_index = ds.index_buffers(250)
     eps = np.empty(post.n_params)
 
     def loss_step():
-        batch = ds.gather(idx, out=batch_rows, index_out=batch_index)
-        return objective(batch, rng.standard_normal(out=eps))[1]
+        shards.gather(idx)
+        return objective(rng.standard_normal(out=eps))[1]
 
     def update(opt, grad):
         assert np.all(np.isfinite(grad))

@@ -2,11 +2,14 @@ import dataclasses
 import json
 import math
 import os
+import pathlib
+import signal
 
 import numpy as np
 import pytest
 
 from pbcurl import bounds, data, divergences, evaluation, losses, network, training
+from test_network import random_tuples
 
 ADAM_UNIT_STEP = -0.09999999900000002    # g=1, lr=0.1, first step
 RMSPROP_UNIT_STEP = -0.09999999000000095   # g=1, lr=0.01, first step
@@ -222,6 +225,11 @@ def test_flat_optimizer_bitwise_equal_to_per_key_rules(kind, rng):
 # objectives
 
 
+def batch_loss(layer_sizes, batch):
+    """An objective's loss_and_wgrad: the logistic loss of one gathered batch, in one piece."""
+    return lambda w: training.contrastive_loss_and_wgrad(layer_sizes, w, batch, "logistic")[:2]
+
+
 def test_iid_objective_assembly(rng):
     ds = make_iid_dataset(rng)
     layer_sizes = (3, 5, 2)
@@ -231,8 +239,8 @@ def test_iid_objective_assembly(rng):
     batch = ds.gather(np.arange(20))
     lam, m = 1.5, 500
     value, grads, stats = training.iid_objective(
-        layer_sizes, post, prior, batch, eps,
-        lam=lam, m=m, grid_b=100.0, grid_c=0.1, loss_kind="logistic",
+        layer_sizes, post, prior, batch_loss(layer_sizes, batch), eps,
+        lam=lam, m=m, grid_b=100.0, grid_c=0.1,
     )
     kl = divergences.kl_gaussian(post.mu, post.log_sigma2, prior.mu, prior.log_sigma2)
     j = bounds.j_index(100.0, 0.1, prior.log_sigma2)
@@ -253,8 +261,8 @@ def test_iid_objective_at_initialisation(rng):
     eps = np.zeros(post.n_params)
     batch = ds.gather(np.arange(len(ds)))
     value, _, stats = training.iid_objective(
-        layer_sizes, post, prior, batch, eps,
-        lam=1.0, m=len(ds), grid_b=100.0, grid_c=0.1, loss_kind="logistic",
+        layer_sizes, post, prior, batch_loss(layer_sizes, batch), eps,
+        lam=1.0, m=len(ds), grid_b=100.0, grid_c=0.1,
     )
     assert stats["kl"] == pytest.approx(0.0, abs=1e-12)
     j0 = 100.0 * (math.log(0.1) + 8.0)
@@ -272,9 +280,9 @@ def test_noniid_objective_assembly(rng):
     batch = ds.gather(np.arange(len(ds)))
     m, delta, loss_sup = len(ds), 0.05, 4.0
     value, grads, stats = training.noniid_objective(
-        layer_sizes, post, prior, batch, eps,
+        layer_sizes, post, prior, batch_loss(layer_sizes, batch), eps,
         m=m, delta=delta, dependency_t=ds.dependency_t, loss_sup=loss_sup,
-        grid_b=100.0, grid_c=0.1, loss_kind="logistic",
+        grid_b=100.0, grid_c=0.1,
     )
     # posterior equals prior: the chi-square vanishes and the penalty is exact
     j = 100.0 * (math.log(0.1) + 5.0)
@@ -294,9 +302,9 @@ def test_noniid_objective_overflow_returns_inf(rng):
     eps = np.zeros(post.n_params)
     batch = ds.gather(np.arange(10))
     value, grads, stats = training.noniid_objective(
-        layer_sizes, post, prior, batch, eps,
+        layer_sizes, post, prior, batch_loss(layer_sizes, batch), eps,
         m=len(ds), delta=0.05, dependency_t=ds.dependency_t, loss_sup=4.0,
-        grid_b=100.0, grid_c=0.1, loss_kind="logistic",
+        grid_b=100.0, grid_c=0.1,
     )
     assert value == math.inf
     assert grads is None
@@ -453,6 +461,142 @@ def test_train_criteria_must_match_the_splits(rng):
             training.train(cfg, ds, valid, criteria)
 
 
+# ---------------------------------------------------------------------------
+# the step's two shards, the second on a forked helper when two workers fit
+
+
+def sharded_config(objective="iid", optimizer="adam", lr=1e-3, epochs=2):
+    return training.TrainConfig(layer_sizes=(20, 32, 16), objective=objective,
+                                optimizer=optimizer, lr=lr, epochs=epochs, batch_size=250)
+
+
+def untimed_runs(path):
+    """runs.jsonl's records without their timing fields."""
+    docs = [json.loads(line) for line in open(path)]
+    for doc in docs:
+        del doc["wall_time"]
+        for epoch in doc["epochs"]:
+            del epoch["time"]
+    return docs
+
+
+@pytest.fixture
+def deadline():
+    """Fail a train call that waits on its helper for more than a minute, rather than hang."""
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past its one-minute deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+# (objective, tuples, optimizer, lr): 17,200 tuples are 68 batches of 250 and
+# one of 200; at lr 1 Adam overflows the chi-square penalty, so steps are
+# rejected and retried; 251 tuples end on a batch of one, and a run of one
+# tuple has no shard 1 at all
+SHARDED_RUNS = {
+    "iid-full-and-partial-batches": ("iid", 17_200, "adam", 1e-3),
+    "noniid-rejected-steps": ("noniid", 600, "adam", 1.0),
+    "erm": ("erm", 600, "adam", 1e-3),
+    "one-tuple-last-batch": ("iid", 251, "sgd", 1e-3),
+    "one-tuple-batches": ("iid", 1, "adam", 1e-3),
+}
+
+
+@pytest.mark.parametrize("run", SHARDED_RUNS.values(), ids=SHARDED_RUNS.keys())
+def test_training_bytes_do_not_depend_on_the_worker_count(rng, pin_workers, monkeypatch, deadline,
+                                                          tmp_path, run):
+    objective, m, optimizer, lr = run
+    ds = dataclasses.replace(random_tuples(rng, 20_000, m),
+                             dependency_t=2 if objective == "noniid" else 0)
+    cfg = sharded_config(objective, optimizer, lr)
+    written = []
+    for workers in (1, 2):
+        pin_workers(workers)
+        (tmp_path / str(workers)).mkdir()
+        monkeypatch.chdir(tmp_path / str(workers))     # the same relative paths in both
+        out = pathlib.Path("out")
+        rec = training.grid_search([cfg], ["pb"], ds, None, str(out))["pb"]
+        assert not rec.aborted
+        assert [e["time"]["step_workers"] for e in rec.epochs] == [1 if m == 1 else workers] * 2
+        written.append([untimed_runs(out / "runs.jsonl")] + [
+            (out / name).read_bytes() for name in ("c000-pb.ckpt.json", "leaderboard.csv")])
+    if objective == "noniid":
+        assert sum(e["rejections"] for e in rec.epochs) > 0
+    assert written[0] == written[1]
+
+
+def test_an_aborted_run_stops_and_reaps_its_helper(rng, pin_workers, deadline):
+    # SGD at lr 0.03 overflows the chi-square penalty until the retries run
+    # out; the autouse fixture fails the test if the helper is left behind
+    ds = dataclasses.replace(random_tuples(rng, 3000, 600), dependency_t=2)
+    cfg = sharded_config("noniid", "sgd", 0.03, epochs=3)
+    recs = []
+    for workers in (1, 2):
+        pin_workers(workers)
+        recs.append(training.train(cfg, ds)["pb"])
+    assert recs[1].aborted and recs[1].abort_reason.startswith("step rejected 40 times")
+    assert recs[0].abort_reason == recs[1].abort_reason
+    assert without_times(recs[0].epochs) == without_times(recs[1].epochs)
+
+
+def fail_in_the_helper(monkeypatch, fail, call=3):
+    """Patch contrastive_loss_and_wgrad to call fail() on its call-th call in
+    any process but this one: the helper."""
+    trainer, loss_and_wgrad, calls = os.getpid(), training.contrastive_loss_and_wgrad, []
+
+    def failing(*args, **kwargs):
+        if os.getpid() != trainer:
+            calls.append(1)
+            if len(calls) == call:
+                fail()
+        return loss_and_wgrad(*args, **kwargs)
+
+    monkeypatch.setattr(training, "contrastive_loss_and_wgrad", failing)
+
+
+def kill_myself():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def raise_value_error():
+    raise ValueError("bad shard")
+
+
+@pytest.mark.parametrize("fail, message", [
+    (kill_myself, "^worker 1 was killed by SIGKILL$"),
+    (raise_value_error, "^worker 1 raised ValueError: bad shard$"),
+], ids=["killed", "raises"])
+def test_a_failed_helper_ends_the_run_with_an_error_naming_it(rng, pin_workers, monkeypatch,
+                                                              deadline, tmp_path, fail, message):
+    pin_workers(2)
+    fail_in_the_helper(monkeypatch, fail)
+    with pytest.raises(RuntimeError, match=message):
+        training.train(sharded_config(), random_tuples(rng, 3000, 600),
+                       run_dir=str(tmp_path), run_id="r")
+    assert list(tmp_path.iterdir()) == []       # no checkpoint of a broken run
+
+
+def test_a_failed_fork_runs_both_shards_in_the_trainer(rng, pin_workers, monkeypatch, deadline):
+    pin_workers(2)
+    ds, cfg = random_tuples(rng, 3000, 600), sharded_config()
+    forked = training.train(cfg, ds)["pb"]
+
+    def no_fork():
+        raise OSError("no fork")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    here = training.train(cfg, ds)["pb"]
+    assert [e["time"]["step_workers"] for e in (*forked.epochs, *here.epochs)] == [2, 2, 1, 1]
+    assert without_times(forked.epochs) == without_times(here.epochs)
+    assert forked.final_posterior.mu.tobytes() == here.final_posterior.mu.tobytes()
+    assert (forked.final_posterior.log_sigma2.tobytes()
+            == here.final_posterior.log_sigma2.tobytes())
+
+
 def test_train_without_valid_uses_final_epoch(rng, tmp_path):
     ds = make_iid_dataset(rng, m=40)
     cfg = base_config(epochs=2)
@@ -513,7 +657,9 @@ def test_epoch_log_splits_the_objective(rng, objective, terms):
     for entry in rec.epochs:
         assert set(entry) == base | terms
         assert all(isinstance(entry[key], float) for key in terms | {"log_sigma2_p"})
-        phases = entry["time"]
+        phases = dict(entry["time"])
+        # the processes the step ran on: the trainer, and a helper when two fit
+        assert phases.pop("step_workers") == network.worker_count(2)
         assert set(phases) == {"gather_s", "objective_s", "update_s", "validation_s"}
         assert all(isinstance(v, float) and v >= 0.0 for v in phases.values())
         assert phases["objective_s"] > 0.0
