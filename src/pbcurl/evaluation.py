@@ -115,10 +115,12 @@ def evaluate_representation(reps_train, reps_test, rng, samples_per_class=5, n_v
 def _streams(ds):
     """Whether draw_risks forwards each chunk's gathered input rows.
 
-    That needs every chunk GEMM to span at least network.STABLE_ROWS rows, so
-    its rows round as in a whole-matrix forward, and it must forward no more
-    rows than the matrix has: tuples that share rows (sequence windows) take
-    the whole-matrix path.
+    Its tuples must reference at least network.STABLE_ROWS rows, so that
+    for the acceptance layers each chunk's rows round as in a whole-matrix
+    forward (for other shapes the two paths may differ in the last bits; see
+    network.CHUNK_ROWS), and no more rows than the matrix has: tuples that
+    share rows (sequence windows) take the whole-matrix path. Either way the
+    path, and so the bits, depend on the data alone.
     """
     refs = len(ds) * data.TupleBatch.rows_per_tuple(ds.k, ds.block_size)
     return network.STABLE_ROWS <= refs <= len(ds.features)

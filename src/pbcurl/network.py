@@ -110,10 +110,14 @@ def sample_weights(post, eps, ws=None):
 
 # whole-matrix forwards and Monte Carlo chunks run in row chunks of this
 # height, whose input and activations stay in cache. The remainder folds into
-# the last chunk: OpenBLAS rounds a GEMM over 75 rows or fewer differently
-# from one over the whole matrix, and a folded bias from x @ W.T + b, so a
-# short tail chunk would change the output. From STABLE_ROWS rows up, a row's
-# output bits depend on that row alone, with or without the bias folded in
+# the last chunk, so the chunks, and the bits, depend on the row count alone.
+# Whether a row's bits also depend on its GEMM's height depends on the layer:
+# measured with OpenBLAS 0.3.31 on AVX-512, one thread, 3 random draws, against
+# a 4,096-row GEMM, the acceptance layers (21 -> 32 and 33 -> 16, ones
+# included) differ only at 1 row, a 23 -> 50 layer up to 869 rows and a
+# 101 -> 10 layer up to 990. STABLE_ROWS decides which Monte Carlo path a set
+# takes (evaluation._streams): another value would move small sets to the
+# other path, and their bits with them
 CHUNK_ROWS = 1024
 STABLE_ROWS = 76
 
@@ -161,13 +165,15 @@ def on_workers(n, work):
     trainer is worker 0 and worker 1 computes the second shard of every
     batch (see training.ShardedLoss). Children leave only through os._exit,
     after sending a raised exception back pickled through a pipe; every
-    child is reaped before this returns or raises, and killed first if this
-    process raises. A child's exception is re-raised here with its type and
-    message; one that cannot be pickled, or a child killed by a signal, gives
-    a RuntimeError naming the worker. Where os.fork fails, this process runs
-    that worker's share itself.
+    child is reaped before this returns or raises. If this process raises,
+    here or in a signal handler while it waits on a child, the children not
+    yet reaped are killed and reaped first. A child's exception is re-raised
+    here with its type and message; one that cannot be pickled, or a child
+    killed by a signal, gives a RuntimeError naming the worker. Where os.fork
+    fails, this process runs that worker's share itself.
     """
-    children = []                           # (worker, pid, read end of its pipe)
+    children = []                           # (worker, pid, its pipe's read end), not yet reaped
+    failures = []
     try:
         for i in range(1, n):
             read, write = os.pipe()
@@ -195,18 +201,14 @@ def on_workers(n, work):
                 finally:
                     os._exit(code)
             os.close(write)
-            children.append((i, pid, read))
+            children.append((i, pid, os.fdopen(read, "rb")))
         work(0)
-    except BaseException:
-        for _, pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        failures = []
-        for i, pid, read in children:
-            with os.fdopen(read, "rb") as pipe:
+        while children:
+            i, pid, pipe = children[0]
+            with pipe:
                 payload = pipe.read()
             status = os.waitpid(pid, 0)[1]
+            del children[0]
             if os.WIFSIGNALED(status):
                 sig = signal.Signals(os.WTERMSIG(status)).name
                 failures.append(RuntimeError(f"worker {i} was killed by {sig}"))
@@ -216,6 +218,15 @@ def on_workers(n, work):
                 except Exception:
                     failures.append(RuntimeError(
                         f"worker {i} failed and its exception could not be read"))
+    except BaseException:
+        for _, pid, pipe in children:
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):   # reaped before the raise
+                pass
+        raise
     if failures:
         raise failures[0]
 
@@ -279,31 +290,35 @@ class Workspace:
 @functools.lru_cache
 def _pack_index(layer_sizes):
     """The indices that take a flat weight vector to pack's layout: layer by
-    layer, each row of W followed by its bias. Read-only, as callers share it.
+    layer, each column of W followed by the bias row. Read-only, as callers
+    share it.
     """
     index = np.arange(param_count(layer_sizes))
     index = np.concatenate([
-        np.column_stack((index[w_sl].reshape(b_sl.stop - b_sl.start, -1), index[b_sl])).ravel()
+        np.vstack((index[w_sl].reshape(b_sl.stop - b_sl.start, -1).T, index[b_sl])).ravel()
         for w_sl, b_sl in _layer_slices(layer_sizes)])
     index.flags.writeable = False
     return index
 
 
 def _packed_views(layer_sizes, packed):
-    """Each layer's (fan_out, fan_in + 1) view of a vector in pack's layout.
+    """Each layer's C-contiguous (fan_in + 1, fan_out) view of a vector in pack's layout.
 
     A layer spans the same entries as its (W, b) pair in the flat layout.
     """
-    return [packed[w_sl.start : b_sl.stop].reshape(b_sl.stop - b_sl.start, -1)
+    return [packed[w_sl.start : b_sl.stop].reshape(-1, b_sl.stop - b_sl.start)
             for w_sl, b_sl in _layer_slices(layer_sizes)]
 
 
 def pack(layer_sizes, w):
-    """Each layer's (fan_out, fan_in + 1) matrix [W | b] of a flat weight vector.
+    """Each layer's (fan_in + 1, fan_out) matrix [W^T; b] of a flat weight vector.
 
-    Applied to an input row that ends in a one it gives W x + b in one GEMM.
-    The matrices are views of one vector that one np.take fills. A list is
-    taken to be packed already and returned as it is.
+    An input row that ends in a one, times it, gives W x + b in one GEMM that
+    BLAS runs untransposed (NN). OpenBLAS takes its small-matrix NN kernel up
+    to about 1e6 multiply-adds: with 0.3.31 on AVX-512 it ran the acceptance
+    layers 1.4-1.9x faster than a transposed [W | b] at 1,023-1,375 rows, and
+    within 1 % of it above. The matrices are views of one vector that one
+    np.take fills. A list is taken to be packed already and returned as it is.
     """
     if isinstance(w, list):
         return w
@@ -341,15 +356,16 @@ def forward_cached(layer_sizes, w, x, ws=None, out=None):
     """Forward pass keeping each layer's input for backprop.
 
     w is a flat weight vector, packed into ws.packed, or its pack. x is
-    (n, d_in) rows, copied into
-    ws.ins[0], or the view ws.load returned, which skips the copy when one
-    chunk goes through several weight vectors. Each layer multiplies its
-    ones-extended input by [W | b]: bitwise x @ W.T + b from STABLE_ROWS rows
-    up. ReLU follows every layer but the last, over the whole buffer, where
-    the ones stay 1. The last layer writes into out ((n, d_out)) when given,
-    else ws.out (not in a forward_only workspace). Returns the output and
-    the cache: every layer's (n, fan_in + 1) input, ones column included,
-    then the output, all views into ws (a temporary workspace when None).
+    (n, d_in) rows, copied into ws.ins[0], or the view ws.load returned, which
+    skips the copy when one chunk goes through several weight vectors. Each
+    layer multiplies its ones-extended input by [W^T; b] in one untransposed
+    GEMM: for the acceptance layers, bitwise x @ W.T + b from STABLE_ROWS rows
+    up (see CHUNK_ROWS on heights and shapes). ReLU follows every layer but
+    the last, over the whole buffer, where the ones stay 1. The last layer
+    writes into out ((n, d_out)) when given, else ws.out (not in a
+    forward_only workspace). Returns the output and the cache: every layer's
+    (n, fan_in + 1) input, ones column included, then the output, all views
+    into ws (a temporary workspace when None).
     """
     x = np.asarray(x, dtype=np.float64)
     ws = ws or Workspace(layer_sizes, len(x))
@@ -363,12 +379,12 @@ def forward_cached(layer_sizes, w, x, ws=None, out=None):
     cache = [a]
     for li, m in enumerate(mats[:-1]):
         z = ws.ins[li + 1][:n]
-        np.matmul(a, m.T, out=z[:, :-1])
+        np.matmul(a, m, out=z[:, :-1])
         np.maximum(z, 0.0, out=z)
         cache.append(z)
         a = z
     z = ws.out[:n] if out is None else out
-    np.matmul(a, mats[-1].T, out=z)
+    np.matmul(a, mats[-1], out=z)
     cache.append(z)
     return z, cache
 

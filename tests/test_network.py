@@ -1,7 +1,10 @@
 import itertools
 import json
 import math
+import mmap
 import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -304,6 +307,44 @@ def test_sharded_loss_matches_the_whole_batch_reference(rng):
         assert got[loss_kind, 1] == got[loss_kind, 2]
 
 
+def test_a_raise_while_reaping_kills_and_reaps_the_children():
+    # worker 1 blocks; a SIGALRM handler raises while this process waits on
+    # its pipe. on_workers kills and reaps the child, then lets the exception
+    # through
+    child = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)     # worker 1's pid
+
+    def work(i):
+        if i:
+            child[0] = os.getpid()
+            time.sleep(30)
+            return
+        deadline = time.monotonic() + 10
+        while not child[0] and time.monotonic() < deadline:
+            time.sleep(0.001)
+        signal.setitimer(signal.ITIMER_REAL, 0.1)
+
+    def alarm(signum, frame):
+        raise TimeoutError("alarm during the reap")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    try:
+        with pytest.raises(TimeoutError, match="alarm during the reap"):
+            network.on_workers(2, work)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    pid = int(child[0])
+    assert pid
+    try:
+        running = os.waitpid(pid, os.WNOHANG)[0] == 0
+    except ChildProcessError:                   # on_workers reaped it
+        return
+    if running:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    pytest.fail(f"on_workers left worker 1 ({pid}) {'running' if running else 'unreaped'}")
+
+
 def test_backprop_leaves_the_ones_columns_for_the_next_step(rng):
     # backprop writes each hidden delta over that layer's ones-extended input;
     # the ones column must come out 1, so a second step through the workspace
@@ -329,8 +370,9 @@ def test_pack_lays_out_each_layer_as_weights_then_bias(rng):
     mats = network.pack(sizes, w)
     for (w_sl, b_sl), m, fan_in, fan_out in zip(network._layer_slices(sizes), mats, sizes,
                                                 sizes[1:]):
-        want = np.column_stack((w[w_sl].reshape(fan_out, fan_in), w[b_sl]))
-        assert m.shape == want.shape and np.array_equal(m, want)
+        # [W^T; b]: a C-contiguous (fan_in + 1, fan_out) matrix, the bias its last row
+        want = np.vstack((w[w_sl].reshape(fan_out, fan_in).T, w[b_sl]))
+        assert m.shape == want.shape and np.array_equal(m, want) and m.flags.c_contiguous
     assert network.pack(sizes, mats) is mats
     # the workspace packs the same vector into its own buffer
     ws = network.Workspace(sizes, 4, forward_only=True)
@@ -352,12 +394,16 @@ def test_forward_without_workspace_matches_allocating_math(rng):
                           alloc_backprop(ACCEPTANCE_SIZES, w, ref_cache, d_out))
 
 
-@pytest.mark.parametrize("rows", [network.STABLE_ROWS, 77, 1000, network.CHUNK_ROWS])
+@pytest.mark.parametrize("rows", [network.STABLE_ROWS, 77, 1000, 1023, network.CHUNK_ROWS,
+                                  1375, 2047, 2750])
 def test_folded_forward_matches_the_bias_add_math(rng, rows):
     # each acceptance layer, 20 -> 32 with ReLU and 32 -> 16, against x @ W.T
-    # + b on the same layer input, bit for bit; the workspace is one chunk
-    # high, so every height but the last is a partial chunk
-    ws = network.Workspace(ACCEPTANCE_SIZES, network.CHUNK_ROWS, forward_only=True)
+    # + b on the same layer input, bit for bit, at the heights the package
+    # runs: Monte Carlo and forward chunks (1,023 to 2,047 rows, as the last
+    # chunk takes the remainder), training shards (1,375) and a whole batch
+    # (2,750). The workspace is a batch high, so every height but the last is
+    # a partial buffer
+    ws = network.Workspace(ACCEPTANCE_SIZES, 2750, forward_only=True)
     w = rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
     x = rng.standard_normal((rows, 20))
     out, cache = network.forward_cached(ACCEPTANCE_SIZES, w, x, ws, np.empty((rows, 16)))
