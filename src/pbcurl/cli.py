@@ -23,7 +23,6 @@ import numpy.random  # numpy 2 loads it on first use; every command seeds from i
 from . import data, evaluation, network, oracle, training
 
 _SEED_ENV = "PBCURL_SEED"
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class ConfigError(ValueError):
@@ -86,7 +85,7 @@ def _count(spec, key, default=None):
 
 
 def _resolve_seed(explicit, fallback):
-    """Precedence: --seed flag, then PBCURL_SEED, then the fallback."""
+    """Precedence: --seed flag, then PBCURL_SEED, then the fallback (None stays None)."""
     if explicit is not None:
         return int(explicit)
     env = os.environ.get(_SEED_ENV)
@@ -95,14 +94,7 @@ def _resolve_seed(explicit, fallback):
             return int(env)
         except ValueError:
             raise ConfigError(f"{_SEED_ENV} must be an integer, got {env!r}") from None
-    return int(fallback)
-
-
-def environment():
-    """The numeric environment certificate bytes depend on: numpy, BLAS, BLAS threads."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
-            "threads": {name: os.environ.get(name) for name in _THREAD_VARS}}
+    return None if fallback is None else int(fallback)
 
 
 def _spawn_rngs(seed, n):
@@ -240,11 +232,6 @@ _DATASET_KEYS = {kind: {"kind", *keys.split()} for kind, keys in {
                          "tuples m_train m_valid",
     "manifests": "train valid",
 }.items()}
-
-
-def _load_manifests(paths):
-    """Load contrastive manifests and stack them into one tuple set."""
-    return functools.reduce(data.concat_contrastive, [data.load_contrastive(p) for p in paths])
 
 
 def _build_dataset(spec, seed):
@@ -397,17 +384,8 @@ def _write_best(out_dir, best):
     return 0
 
 
-def _check_input_width(ckpt_path, ckpt, dim):
-    """Reject a checkpoint whose network does not take rows of width dim."""
-    if ckpt.layer_sizes[0] != dim:
-        raise ConfigError(f"{ckpt_path}: network input width {ckpt.layer_sizes[0]} does not "
-                          f"match feature dim {dim}")
-
-
 def _cmd_bound(args):
-    ckpt = network.load_checkpoint(args.checkpoint)
-    ds = _load_manifests(args.data)
-    _check_input_width(args.checkpoint, ckpt, ds.dim)
+    ds = functools.reduce(data.concat_contrastive, [data.load_contrastive(p) for p in args.data])
     if args.T is not None:
         if args.T < 0:
             raise ConfigError(f"--T must be >= 0, got {args.T}")
@@ -416,34 +394,13 @@ def _cmd_bound(args):
             raise ConfigError(f"--T {args.T} is below the data's dependency_t = "
                               f"{ds.dependency_t}: --T may raise T, not lower it")
         ds.dependency_t = int(args.T)
-    objective = "noniid" if args.noniid else "iid"
-    seed = _resolve_seed(args.seed, ckpt.seed)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB0]).generate_state(1)[0])
-
-    # fixed before the data: the checkpoint's training config, else TrainConfig's defaults
-    grid_b, grid_c, delta, loss_kind = (ckpt.config.get(key, getattr(training.TrainConfig, key))
-                                        for key in ("grid_b", "grid_c", "delta", "loss_kind"))
-    try:
-        training.check_certificate_settings(grid_b, grid_c, delta, loss_kind)
-    except ValueError as exc:
-        raise ConfigError(f"{exc}, in the config of checkpoint {args.checkpoint}") from None
-    if args.risk == "loss" and objective == "iid" and args.lam is None:
+    if args.risk == "loss" and args.iid and args.lam is None:
         raise ConfigError("--risk loss with --iid needs --lam")
-    certify = (training.selection_certificate if args.risk == "zero-one"
-               else training.loss_certificate)
-    report = certify(
-        tuple(ckpt.layer_sizes), ckpt.posterior, ckpt.prior, ds,
-        grid_b=float(grid_b), grid_c=float(grid_c), delta=float(delta), loss_kind=loss_kind,
-        objective=objective, n_samples=args.samples, rng=rng, lam=args.lam,
+    report = training.certify_checkpoint(
+        args.checkpoint, ds, objective="noniid" if args.noniid else "iid",
+        n_samples=args.samples, risk=args.risk, seed=_resolve_seed(args.seed, None), lam=args.lam,
     )
-
-    report.provenance = {
-        "checkpoint": args.checkpoint,
-        "dataset": list(args.data),
-        "dataset_hash": data.dataset_hash(ds),
-        "environment": environment(),
-        "seed": seed,
-    }
+    report.provenance["dataset"] = list(args.data)
     if not args.deterministic:
         report.provenance["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
 
@@ -471,7 +428,7 @@ def _cmd_eval(args):
     results = {}
     for i, ckpt_path in enumerate(args.checkpoint):
         ckpt = network.load_checkpoint(ckpt_path)
-        _check_input_width(ckpt_path, ckpt, labeled_train.dim)
+        network.check_input_width(ckpt_path, ckpt, labeled_train.dim)
         layer_sizes = tuple(ckpt.layer_sizes)
         reps_train, reps_test = (      # the MAP network: the posterior mean
             data.LabeledDataset(network.forward(layer_sizes, ckpt.posterior.mu, split.x), split.y)
@@ -494,13 +451,6 @@ def _cmd_eval(args):
     _write_json(os.path.join(args.out, "metrics.json"), results)
     print(json.dumps(results, sort_keys=True, default=_json_default))
     return 0
-
-
-def _run_field(rec, doc, key, where=""):
-    """doc[key], where doc is the run record rec or a part of it; absent or null exits 2."""
-    if not isinstance(doc, dict) or doc.get(key) is None:
-        raise ConfigError(f"run {rec['run_id']!r} has no {where}{key}")
-    return doc[key]
 
 
 def _cmd_select(args):
@@ -526,28 +476,15 @@ def _cmd_select(args):
     except FileNotFoundError:
         raise ConfigError(f"runs file not found: {args.runs}") from None
 
-    ds = _load_manifests(args.data) if args.data else None
     for rec in records:
         if "pb" not in criteria or rec.get("mode") != "pb" or rec.get("aborted"):
             continue
-        if rec.get("selection") is None:
-            # certificate missing from the record: recompute it from the
-            # checkpoint on the supplied dataset
-            if ds is None:
-                raise ConfigError(
-                    f"run {rec.get('run_id')!r} has no stored certificate; "
-                    "pass --data to recompute"
-                )
-            path, cfg = _run_field(rec, rec, "checkpoint_path"), _run_field(rec, rec, "config")
-            for key in training.PB_SETTINGS:
-                _run_field(rec, cfg, key, "config.")
-            ckpt = network.load_checkpoint(path)
-            _check_input_width(path, ckpt, ds.dim)
-            rec["selection"] = training.pb_certificate(
-                tuple(ckpt.layer_sizes), ckpt.posterior, ckpt.prior, ds, cfg,
-                args.samples, _resolve_seed(args.seed, cfg.get("seed", 0)),
-            ).to_dict()
-        rec["metric"] = _run_field(rec, rec["selection"], "bound_value", "selection.")
+        selection = rec.get("selection")
+        if selection is None:
+            raise ConfigError(f"run {rec['run_id']!r} has no stored certificate")
+        if not isinstance(selection, dict) or selection.get("bound_value") is None:
+            raise ConfigError(f"run {rec['run_id']!r} has no selection.bound_value")
+        rec["metric"] = selection["bound_value"]
 
     os.makedirs(args.out, exist_ok=True)
     return _write_best(args.out, training.rank_runs(records, criteria, args.out))
@@ -622,14 +559,10 @@ def _build_parser():
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("select", help="re-rank recorded runs per criterion")
+    p = sub.add_parser("select", help="re-rank the certificates and metrics train recorded")
     p.add_argument("--runs", required=True, help="runs.jsonl from train")
     p.add_argument("--out", required=True)
-    p.add_argument("--data", nargs="+",
-                   help="contrastive manifest(s) for recomputing certificates")
     p.add_argument("--criteria", default="s-valid,det-valid,pb")
-    p.add_argument("--samples", type=int, default=training.CERT_SAMPLES)
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("verify", help="run the oracle check suite")

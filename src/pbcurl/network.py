@@ -156,6 +156,14 @@ def worker_count(n_jobs):
     return max(1, min(n_jobs, cpus // blas))
 
 
+def environment():
+    """The numeric environment certificate bytes depend on: numpy, BLAS, BLAS threads."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
+            "threads": {name: os.environ.get(name)
+                        for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}}
+
+
 def on_workers(n, work):
     """Run work(0), ..., work(n - 1): work(0) here, the rest in forked children.
 
@@ -484,6 +492,13 @@ def _checkpoint_array(path, doc, key, shape):
     if value is None or value.shape != shape or not np.isfinite(value).all():
         raise ValueError(f"{path}: {key} must be finite numbers of shape {shape}")
     return value
+
+
+def check_input_width(path, ckpt, dim):
+    """Reject the checkpoint at path if its network does not take rows of width dim."""
+    if ckpt.layer_sizes[0] != dim:
+        raise ValueError(f"{path}: network input width {ckpt.layer_sizes[0]} does not "
+                         f"match feature dim {dim}")
 
 
 def load_checkpoint(path):

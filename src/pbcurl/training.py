@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bounds, divergences, evaluation, losses, network
+from . import bounds, data, divergences, evaluation, losses, network
 from .data import TupleBatch, concat_contrastive
 
 _REJECT_LIMIT = 40
@@ -821,19 +821,42 @@ def loss_certificate(layer_sizes, post, prior, ds, **kw):
     return _certificate(layer_sizes, post, prior, ds, risk="loss", **kw)
 
 
+def certify_checkpoint(path, ds, *, objective, n_samples, risk="zero-one", seed=None, lam=None):
+    """The certificate of the checkpoint file at path on ds: bound and train's pb ranking.
+
+    grid_b, grid_c, delta and loss_kind are fixed before the data: they come
+    from the checkpoint's training config, else TrainConfig's defaults. The
+    Monte Carlo stream is drawn from [seed, 0xB0], seed defaulting to the
+    checkpoint's. objective picks the form and lam is the iid loss
+    certificate's, as in selection_certificate and loss_certificate. The
+    provenance pins the checkpoint, the tuples, the numeric environment and
+    the seed.
+    """
+    ckpt = network.load_checkpoint(path)
+    network.check_input_width(path, ckpt, ds.dim)
+    grid_b, grid_c, delta, loss_kind = (ckpt.config.get(key, getattr(TrainConfig, key))
+                                        for key in ("grid_b", "grid_c", "delta", "loss_kind"))
+    try:
+        check_certificate_settings(grid_b, grid_c, delta, loss_kind)
+    except ValueError as exc:
+        raise ValueError(f"{exc}, in the config of checkpoint {path}") from None
+    seed = int(ckpt.seed if seed is None else seed)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB0]).generate_state(1)[0])
+    certify = selection_certificate if risk == "zero-one" else loss_certificate
+    report = certify(
+        tuple(ckpt.layer_sizes), ckpt.posterior, ckpt.prior, ds,
+        grid_b=float(grid_b), grid_c=float(grid_c), delta=float(delta), loss_kind=loss_kind,
+        objective=objective, n_samples=n_samples, rng=rng, lam=lam,
+    )
+    report.provenance = {"checkpoint": path, "dataset_hash": data.dataset_hash(ds),
+                         "environment": network.environment(), "seed": seed}
+    return report
+
+
 # ---------------------------------------------------------------------------
 # grid search over configs and selection criteria
 
 CERT_SAMPLES = 10      # posterior draws behind a certificate's Monte Carlo risk
-# the run config settings the pb certificate reads
-PB_SETTINGS = ("grid_b", "grid_c", "delta", "loss_kind", "objective")
-
-
-def pb_certificate(layer_sizes, post, prior, ds, config, n_samples, seed):
-    """The selection certificate that ranks a pb run; config is the run's config dict."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xCE27]).generate_state(1)[0])
-    return selection_certificate(layer_sizes, post, prior, ds, n_samples=n_samples, rng=rng,
-                                 **{key: config[key] for key in PB_SETTINGS})
 
 
 def rank_runs(records, criteria, out_dir):
@@ -868,7 +891,8 @@ def grid_search(configs, criteria, data, valid, out_dir, cert_samples=CERT_SAMPL
     Each config trains at most twice. The validation criteria asked for share
     one run on data that stops early on valid (see train). pb trains on
     data + valid to the last epoch and scores by the model-selection
-    certificate. Rewrites runs.jsonl with one record per config and
+    certificate of the checkpoint it wrote, on data + valid
+    (certify_checkpoint, as bound). Rewrites runs.jsonl with one record per config and
     criterion, config by config, ranks them with rank_runs and returns
     {criterion: best RunRecord}.
     """
@@ -893,10 +917,9 @@ def grid_search(configs, criteria, data, valid, out_dir, cert_samples=CERT_SAMPL
             if "pb" in criteria:
                 rec = recs["pb"] = train(cfg, pb_data, run_dir=out_dir, run_id=run_id)["pb"]
                 if not rec.aborted:
-                    report = pb_certificate(
-                        cfg.layer_sizes, rec.final_posterior, rec.final_prior, pb_data,
-                        rec.config, cert_samples, cfg.seed,
-                    )
+                    report = certify_checkpoint(rec.checkpoint_path, pb_data,
+                                                objective=cfg.objective, n_samples=cert_samples,
+                                                seed=cfg.seed)
                     rec.metric = report.bound_value
                     rec.selection = report.to_dict()
             for rec in recs.values():

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from pbcurl import bounds, cli, data, network
+from pbcurl import bounds, cli, data, network, training
 from pbcurl.cli import main
 
 
@@ -773,7 +773,7 @@ def test_bound_takes_its_settings_from_the_checkpoint(tmp_path, data_dir, train_
         assert doc["j"] == bounds.j_index(config["grid_b"], config["grid_c"],
                                           ckpt.prior.log_sigma2)
         assert doc["dependency_t"] == 0          # KL: independent tuples
-        assert doc["provenance"]["environment"] == cli.environment()
+        assert doc["provenance"]["environment"] == network.environment()
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -813,6 +813,27 @@ def test_bound_concatenates_data(tmp_path, data_dir, train_dir):
     ]) == 0
     doc = json.loads((tmp_path / "bound_cat.json").read_text())
     assert doc["m"] == 120
+
+
+def test_bound_reproduces_the_pb_ranking_certificate(tmp_path, data_dir, train_dir):
+    # train ranks a pb run by its certificate on train + valid; bound on the
+    # same tuples, with train's draw count and no --seed, is the same certificate
+    rec = next(json.loads(line) for line in open(train_dir / "runs.jsonl")
+               if json.loads(line)["mode"] == "pb")
+    assert main([
+        "bound", "--checkpoint", rec["checkpoint_path"],
+        "--data", str(data_dir / "train.json"), str(data_dir / "valid.json"),
+        "--samples", str(training.CERT_SAMPLES), "--out", str(tmp_path / "b"), "--iid",
+        "--deterministic", "--id", "ranking",
+    ]) == 0
+    doc = json.loads((tmp_path / "b" / "bound_ranking.json").read_text())
+    selection = rec["selection"]
+    for key in ("bound_value", "empirical_risk", "divergence_value", "j"):
+        assert doc[key] == selection[key], key
+    assert doc["provenance"]["dataset_hash"] == selection["provenance"]["dataset_hash"]
+    assert selection["provenance"]["seed"] == rec["config"]["seed"] == doc["provenance"]["seed"]
+    assert selection["provenance"]["environment"] == network.environment()
+    assert rec["metric"] == selection["bound_value"]
 
 
 def test_bound_iid_loss_reads_the_tau_concatenated_manifests_share(tmp_path, data_dir,
@@ -1011,24 +1032,6 @@ def test_bound_rejects_a_checkpoint_of_another_input_width(tmp_path, data_dir, r
     err = capsys.readouterr().err
     assert f"{wide}: network input width 20 does not match feature dim {dim}" in err
     assert "Traceback" not in err and not (tmp_path / "b").exists()
-
-
-def test_select_rejects_a_checkpoint_of_another_input_width(tmp_path, data_dir, train_dir, rng,
-                                                            capsys):
-    wide = write_wide_checkpoint(tmp_path, rng)
-    stripped = tmp_path / "runs.jsonl"
-    with open(train_dir / "runs.jsonl") as fh, open(stripped, "w") as out_fh:
-        for line in fh:
-            rec = json.loads(line)
-            rec["selection"], rec["checkpoint_path"] = None, wide
-            out_fh.write(json.dumps(rec) + "\n")
-    assert main([
-        "select", "--runs", str(stripped), "--out", str(tmp_path / "s"), "--criteria", "pb",
-        "--data", str(data_dir / "train.json"),
-    ]) == 2
-    err = capsys.readouterr().err
-    assert f"{wide}: network input width 20 does not match feature dim 3" in err
-    assert "Traceback" not in err and not (tmp_path / "s").exists()
 
 
 def test_cli_import_leaves_scipy_out():
@@ -1267,39 +1270,6 @@ def test_select_subset_of_criteria(tmp_path, train_dir):
     assert all(l.startswith("pb,") for l in lines[1:])
 
 
-def test_select_recomputes_missing_certificate(tmp_path, data_dir, train_dir):
-    stripped = tmp_path / "runs.jsonl"
-    with open(train_dir / "runs.jsonl") as fh, open(stripped, "w") as out_fh:
-        for line in fh:
-            rec = json.loads(line)
-            rec["selection"] = None
-            out_fh.write(json.dumps(rec) + "\n")
-    out = tmp_path / "sel"
-    assert main([
-        "select", "--runs", str(stripped), "--out", str(out), "--criteria", "pb",
-        "--data", str(data_dir / "train.json"), str(data_dir / "valid.json"),
-        "--seed", "11",
-    ]) == 0
-    best = json.loads((out / "best.json").read_text())
-    ours = json.loads((train_dir / "best.json").read_text())
-    assert best["pb"]["metric"] == pytest.approx(ours["pb"]["metric"])
-
-
-def test_select_rejects_a_sample_count_below_one(tmp_path, data_dir, train_dir, capsys):
-    stripped = tmp_path / "runs.jsonl"
-    with open(train_dir / "runs.jsonl") as fh, open(stripped, "w") as out_fh:
-        for line in fh:
-            rec = json.loads(line)
-            rec["selection"] = None
-            out_fh.write(json.dumps(rec) + "\n")
-    assert main([
-        "select", "--runs", str(stripped), "--out", str(tmp_path / "s"), "--criteria", "pb",
-        "--data", str(data_dir / "train.json"), str(data_dir / "valid.json"), "--samples", "0",
-    ]) == 2
-    assert "error: n_samples must be >= 1" in capsys.readouterr().err
-    assert not (tmp_path / "s" / "best.json").exists()
-
-
 def test_select_missing_certificate_without_data(tmp_path, train_dir, capsys):
     stripped = tmp_path / "runs.jsonl"
     with open(train_dir / "runs.jsonl") as fh, open(stripped, "w") as out_fh:
@@ -1311,7 +1281,9 @@ def test_select_missing_certificate_without_data(tmp_path, train_dir, capsys):
         "select", "--runs", str(stripped), "--out", str(tmp_path / "s"),
         "--criteria", "pb",
     ]) == 2
-    assert "--data" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: run 'c000-pb' has no stored certificate" in err and "Traceback" not in err
+    assert not (tmp_path / "s").exists()
 
 
 def test_select_bad_inputs(tmp_path, train_dir, capsys):
@@ -1502,24 +1474,20 @@ def test_eval_rejects_unusable_norm_stats(tmp_path, data_dir, train_dir, capsys,
 
 
 @pytest.mark.parametrize("edit, fragment", [
-    (lambda rec: rec.pop("checkpoint_path"), "has no checkpoint_path"),
-    (lambda rec: rec.pop("config"), "has no config"),
-    (lambda rec: rec["config"].pop("grid_b"), "has no config.grid_b"),
     (lambda rec: rec.update(selection={"bound_kind": "iid-selection"}),
      "has no selection.bound_value"),
 ])
-def test_select_rejects_a_pb_record_without_a_field_it_needs(tmp_path, data_dir, train_dir,
-                                                             capsys, edit, fragment):
+def test_select_rejects_a_pb_record_without_a_field_it_needs(tmp_path, train_dir, capsys, edit,
+                                                             fragment):
     runs = tmp_path / "runs.jsonl"
     with open(train_dir / "runs.jsonl") as fh, open(runs, "w") as out_fh:
         for line in fh:
             rec = json.loads(line)
             if rec["mode"] == "pb":
-                rec["selection"] = None
                 edit(rec)
             out_fh.write(json.dumps(rec) + "\n")
-    assert main(["select", "--runs", str(runs), "--out", str(tmp_path / "s"), "--criteria", "pb",
-                 "--data", str(data_dir / "train.json"), str(data_dir / "valid.json")]) == 2
+    assert main(["select", "--runs", str(runs), "--out", str(tmp_path / "s"),
+                 "--criteria", "pb"]) == 2
     err = capsys.readouterr().err
     assert "run 'c000-pb' " + fragment in err and "Traceback" not in err
     assert not (tmp_path / "s").exists()

@@ -13,16 +13,19 @@ working directory (so every recorded path is relative):
 - train for every objective x optimizer x loss under every criterion, plus
   one run on each of the files and sequence-manifest datasets;
 - bound, zero-one and loss, on the train and (where there is one) test split
-  of every checkpoint;
+  of every checkpoint, and zero-one on the pb run's ranking data (train +
+  valid, with train's draw count), which reproduces the certificate train
+  ranked it by;
 - eval of each dataset's checkpoints, with and without its norm stats;
-- select of every run file, once more with the stored certificates removed;
+- select of every run file, and once of the first with its stored
+  certificates removed, which exits 2;
 - verify.
 
 Each call's argv, exit code and last stderr line, and the sha256 of every
 written file, are compared with the digest file (default
 tests/replay_digests.json); timing fields (wall_time and each epoch's time in
 runs.jsonl and best.json) are left out of the hashes. The digest file also
-records the numeric environment the bytes depend on (cli.environment: the
+records the numeric environment the bytes depend on (network.environment: the
 numpy version, the BLAS library and the BLAS thread variables), which every
 certificate's provenance records too. Run the replay with
 OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS set to 1. It prints
@@ -180,6 +183,11 @@ def replay(cli, out):
                     r.run("bound", "--checkpoint", ckpt, "--data", f"{ds}/{split}.json",
                           "--out", f"bounds/{run_dir}", "--id", f"{stem}-{split}-{risk}",
                           "--risk", risk, "--samples", "3", "--deterministic", *flags)
+        ranked = os.path.join(run_dir, "c000-pb.ckpt.json")
+        if os.path.exists(os.path.join(out, ranked)):
+            r.run("bound", "--checkpoint", ranked, "--data", f"{ds}/train.json",
+                  f"{ds}/valid.json", "--out", f"bounds/{run_dir}", "--id", "c000-pb-ranking",
+                  "--samples", "3", "--deterministic", *form["zero-one"])
         if ckpts:
             for tag, extra in (("stats", ["--norm-stats", f"{ds}/norm_stats.json"]),
                                ("own", [])):
@@ -190,17 +198,16 @@ def replay(cli, out):
         runs = os.path.join(out, run_dir, "runs.jsonl")
         if os.path.exists(runs):
             r.run("select", "--runs", f"{run_dir}/runs.jsonl", "--out", f"select/{run_dir}")
-            with open(runs) as fh:
-                records = [json.loads(line) for line in fh if line.strip()]
-            bare = os.path.join("bare", run_dir, "runs.jsonl")
-            os.makedirs(os.path.join(out, os.path.dirname(bare)))
-            with open(os.path.join(out, bare), "w") as fh:
-                for rec in records:
-                    rec.pop("selection", None)
-                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
-            r.run("select", "--runs", bare, "--out", f"select/{run_dir}-recomputed",
-                  "--criteria", "pb", "--data", f"{ds}/train.json", f"{ds}/valid.json",
-                  "--samples", "3")
+            if not os.path.exists(os.path.join(out, "bare")):
+                with open(runs) as fh:
+                    records = [json.loads(line) for line in fh if line.strip()]
+                os.makedirs(os.path.join(out, "bare"))
+                with open(os.path.join(out, "bare", "runs.jsonl"), "w") as fh:
+                    for rec in records:
+                        rec.pop("selection", None)
+                        fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                r.run("select", "--runs", "bare/runs.jsonl", "--out", "select/bare",
+                      "--criteria", "pb")
     r.run("verify", "--out", "verify")
     return r.calls
 
@@ -276,7 +283,8 @@ def run(cli, out):
         calls = replay(cli, ".")
     finally:
         os.chdir(here)
-    return {"environment": cli.environment(), "calls": calls, "files": file_digests(out)}
+    return {"environment": cli.network.environment(), "calls": calls,
+            "files": file_digests(out)}
 
 
 def main(argv=None):
@@ -294,7 +302,7 @@ def main(argv=None):
     if not args.write_digests:
         with open(args.digests) as fh:
             pinned = json.load(fh)
-        lines = differences(pinned, {**pinned, "environment": cli.environment()})
+        lines = differences(pinned, {**pinned, "environment": cli.network.environment()})
         if lines:
             print("\n".join(lines))
             return 1
