@@ -10,7 +10,7 @@ alongside what the same numbers would give if dependence were ignored.
 
 import numpy as np
 
-from pbcurl import bounds, data, divergences, evaluation, training
+from pbcurl import bounds, data, evaluation, training
 
 rng = np.random.default_rng(8)
 
@@ -41,10 +41,8 @@ print(f"empirical risk {report.empirical_risk:.4f}  "
       f"chi2 {report.divergence_value:.3f}  certificate {report.bound_value:.4f}")
 
 # what the penalty looks like if tuple dependence were (wrongly) ignored
-chi2 = divergences.chi2_gaussian(post.mu, post.log_sigma2, prior.mu, prior.log_sigma2)
-j = bounds.j_index(cfg.grid_b, cfg.grid_c, prior.log_sigma2)
 naive = bounds.selection_bound_noniid(
-    report.empirical_risk, j, chi2.log1p, len(train), cfg.delta, 0
+    report.empirical_risk, report.j, report.extras["chi2_log1p"], len(train), cfg.delta, 0
 )
 print(f"same numbers with T=0 (iid pretence): {naive:.4f}  "
       f"(1+8T inflation = {1 + 8 * train.dependency_t}x inside the sqrt)")

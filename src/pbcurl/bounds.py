@@ -153,7 +153,7 @@ class BoundReport:
     loss_kind: str
     divergence_kind: str       # "kl" | "chi2"
     divergence_value: float
-    j: float
+    j: float                   # an integer where the certificate pays the union over j
     grid_b: float              # the prior grid c * e^(-j/b) that j indexes
     grid_c: float
     m: int

@@ -767,6 +767,13 @@ def _certificate(layer_sizes, post, prior, ds, *, risk, objective, grid_b, grid_
     one; objective "noniid" takes the chi-square form, any other the KL form,
     which _check_form refuses on dependent tuples. Only the iid loss
     certificate reads lam, and the dataset's provenance tau.
+
+    The forms that pay the union over the prior grid c e^(-j/b), j = 1, 2, ...
+    (all but the iid loss certificate) hold at integer j only. They are
+    certified at the trained prior's two neighbours on the grid, floor(j) and
+    ceil(j), each at least 1, with the divergence taken against that grid
+    prior; the smaller bound is reported with its j. The iid loss certificate
+    takes the trained prior and its continuous j.
     """
     form = "noniid" if objective == "noniid" else "iid"
     _check_form(objective, ds.dependency_t)
@@ -799,16 +806,25 @@ def _certificate(layer_sizes, post, prior, ds, *, risk, objective, grid_b, grid_
     if risk == "loss":
         rep.feature_bound = network.feature_bound(layer_sizes, post.mu, ds.features)
         rep.loss_sup = losses.loss_range(loss_kind, rep.feature_bound, ds.k)
-    gaussians = (post.mu, post.log_sigma2, prior.mu, prior.log_sigma2)
-    if form == "noniid":
-        chi2 = divergences.chi2_gaussian(*gaussians)
-        rep.divergence_kind, rep.divergence_value = "chi2", chi2.value
-        rep.extras.update(chi2_log1p=chi2.log1p, chi2_overflowed=chi2.overflowed,
-                          chi2_n_guarded=chi2.n_guarded)
+    if (form, risk) == ("iid", "loss"):
+        grid = [(j, prior.log_sigma2)]
     else:
-        rep.divergence_kind, rep.divergence_value = "kl", divergences.kl_gaussian(*gaussians)
-    rep.bound_value, rep.lam = _BOUNDS[form, risk](rep)
-    return rep
+        grid = [(i, math.log(grid_c) - i / grid_b)
+                for i in sorted({max(1, math.floor(j)), max(1, math.ceil(j))})]
+    reports = []
+    for j, log_sigma2_p in grid:
+        rep = dataclasses.replace(rep, j=j, extras=dict(rep.extras))
+        gaussians = (post.mu, post.log_sigma2, prior.mu, log_sigma2_p)
+        if form == "noniid":
+            chi2 = divergences.chi2_gaussian(*gaussians)
+            rep.divergence_kind, rep.divergence_value = "chi2", chi2.value
+            rep.extras.update(chi2_log1p=chi2.log1p, chi2_overflowed=chi2.overflowed,
+                              chi2_n_guarded=chi2.n_guarded)
+        else:
+            rep.divergence_kind, rep.divergence_value = "kl", divergences.kl_gaussian(*gaussians)
+        rep.bound_value, rep.lam = _BOUNDS[form, risk](rep)
+        reports.append(rep)
+    return min(reports, key=lambda r: r.bound_value)    # the first on a tie
 
 
 def selection_certificate(layer_sizes, post, prior, ds, **kw):

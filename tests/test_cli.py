@@ -621,7 +621,10 @@ def test_bound_without_deterministic_has_timestamp(tmp_path, data_dir, train_dir
 
 
 def test_bound_untrained_checkpoint_zero_divergence(tmp_path, data_dir, rng):
+    # posterior and prior both at the grid's first point, j = 1, where the
+    # zero-one certificate takes its KL
     post, prior = network.init_network((3, 5, 2), math.exp(-8.0), rng)
+    post.log_sigma2[:] = prior.log_sigma2 = math.log(0.1) - 1.0 / 100.0
     path = tmp_path / "fresh.ckpt.json"
     network.save_checkpoint(
         str(path),
@@ -635,7 +638,7 @@ def test_bound_untrained_checkpoint_zero_divergence(tmp_path, data_dir, rng):
         "--out", str(tmp_path), "--iid", "--deterministic",
     ]) == 0
     doc = json.loads((tmp_path / "bound_fresh.json").read_text())
-    assert doc["divergence_value"] == 0.0
+    assert doc["divergence_value"] == 0.0 and doc["j"] == 1
     # a config without the settings certifies at TrainConfig's defaults
     assert (doc["grid_b"], doc["grid_c"], doc["delta"]) == (100.0, 0.1, 0.05)
 
@@ -770,8 +773,8 @@ def test_bound_takes_its_settings_from_the_checkpoint(tmp_path, data_dir, train_
         config = network.load_checkpoint(ckpt_path).config
         assert (doc["grid_b"], doc["grid_c"], doc["delta"]) == (
             config["grid_b"], config["grid_c"], config["delta"])
-        assert doc["j"] == bounds.j_index(config["grid_b"], config["grid_c"],
-                                          ckpt.prior.log_sigma2)
+        j = bounds.j_index(config["grid_b"], config["grid_c"], ckpt.prior.log_sigma2)
+        assert doc["j"] in (math.floor(j), math.ceil(j))    # the grid point certified
         assert doc["dependency_t"] == 0          # KL: independent tuples
         assert doc["provenance"]["environment"] == network.environment()
 

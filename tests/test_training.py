@@ -732,11 +732,19 @@ def test_certificate_recomputes_through_its_bound(rng, objective, risk):
     assert rep.empirical_risk == pytest.approx(
         np.mean(rep.extras["risk_per_draw"]), rel=1e-12
     )
-    assert rep.j == bounds.j_index(100.0, 0.1, prior.log_sigma2)
+    j = bounds.j_index(100.0, 0.1, prior.log_sigma2)
+    if iid and loss:
+        assert rep.j == j                     # no union over j: the trained prior
+    else:
+        assert rep.j in (math.floor(j), math.ceil(j)) and type(rep.j) is int
     assert (rep.grid_b, rep.grid_c) == (100.0, 0.1)     # the grid j indexes
     if iid:
         assert rep.divergence_kind == "kl"
-        assert rep.divergence_value == 0.0    # posterior equals prior at init
+        if loss:
+            assert rep.divergence_value == 0.0    # posterior equals prior at init
+        else:                                     # against the grid prior at rep.j
+            assert rep.divergence_value == divergences.kl_gaussian(
+                post.mu, post.log_sigma2, prior.mu, math.log(0.1) - rep.j / 100.0)
         assert rep.dependency_t == 0          # the KL form's tuples are independent
         assert set(rep.extras) == {"risk_per_draw"}
     else:
@@ -752,7 +760,8 @@ def test_certificate_recomputes_through_its_bound(rng, objective, risk):
     assert rep.tau == (ds.provenance["tau"] if iid and loss else None)
 
     if (objective, risk) == ("iid", "zero-one"):
-        expect = bounds.selection_bound_iid(rep.empirical_risk, 0.0, rep.j, len(ds), 0.05)
+        expect = bounds.selection_bound_iid(rep.empirical_risk, rep.divergence_value, rep.j,
+                                            len(ds), 0.05)
     elif (objective, risk) == ("iid", "loss"):
         expect = bounds.iid_supervised_bound(
             rep.empirical_risk, rep.divergence_value, len(ds), 2.0, 0.05, rep.tau,
@@ -772,6 +781,62 @@ def test_certificate_recomputes_through_its_bound(rng, objective, risk):
     doc = rep.to_dict()
     assert set(doc) == REPORT_KEYS
     assert doc["format"] == "pbcurl-bound-v1" and doc["lambda"] == rep.lam
+
+
+def grid_neighbour_bounds(form, risk, post, prior, ds, rep, grid_b=100.0, grid_c=0.1):
+    """{j: bound} at the trained prior's integer neighbours on the grid, each
+    with its divergence against that grid prior, from the bounds module alone."""
+    j = bounds.j_index(grid_b, grid_c, prior.log_sigma2)
+    out = {}
+    for i in {max(1, math.floor(j)), max(1, math.ceil(j))}:
+        log_s2 = math.log(grid_c) - i / grid_b
+        if form == "iid":
+            kl = divergences.kl_gaussian(post.mu, post.log_sigma2, prior.mu, log_s2)
+            out[i] = bounds.selection_bound_iid(rep.empirical_risk, kl, i, rep.m, rep.delta)[0]
+        else:
+            log1p = divergences.chi2_gaussian(post.mu, post.log_sigma2, prior.mu, log_s2).log1p
+            out[i] = bounds.noniid_bound(rep.empirical_risk, i, log1p, rep.m, rep.delta,
+                                         ds.dependency_t, rep.loss_sup if risk == "loss" else 1.0)
+    return out
+
+
+@pytest.mark.parametrize("form, risk", [("iid", "zero-one"), ("noniid", "zero-one"),
+                                        ("noniid", "loss")])
+def test_union_certificates_take_the_better_integer_grid_neighbour(rng, form, risk):
+    # the union over j covers j = 1, 2, ... only; a trained prior between two
+    # grid points is certified at each, against that grid prior, and the
+    # smaller bound is reported with its integer j
+    ds = make_iid_dataset(rng, m=80) if form == "iid" else make_noniid_dataset(rng)
+    layer_sizes = (3, 5, 2) if form == "iid" else (3, 4, 2)
+    # j = 3.4, between 3 and 4; the posterior starts at the prior's variance
+    post, prior = network.init_network(layer_sizes, 0.1 * math.exp(-3.4 / 100.0), rng)
+    post.mu = post.mu + 0.05 * rng.standard_normal(post.n_params)
+    assert bounds.j_index(100.0, 0.1, prior.log_sigma2) == pytest.approx(3.4)
+    certify = training.selection_certificate if risk == "zero-one" else training.loss_certificate
+    rep = certify(layer_sizes, post, prior, ds, grid_b=100.0, grid_c=0.1, delta=0.05,
+                  loss_kind="logistic", objective=form, n_samples=3, rng=rng)
+    by_j = grid_neighbour_bounds(form, risk, post, prior, ds, rep)
+    assert sorted(by_j) == [3, 4] and by_j[3] != by_j[4]
+    assert rep.j == min(by_j, key=by_j.get) and type(rep.j) is int
+    assert rep.bound_value == by_j[rep.j]
+
+
+@pytest.mark.parametrize("risk", ["zero-one", "loss"])
+def test_noniid_certificate_at_the_clamp_cap_takes_j_one(rng, risk):
+    # _clamp_prior's cap log c - 1/b gives j_index 1 - 2.1e-14, whose floor is
+    # 0, outside the grid; both neighbours clip to j = 1, the cap's own prior
+    ds = make_noniid_dataset(rng)
+    post, prior = network.init_network((3, 4, 2), math.exp(-5.0), rng)
+    post.mu = post.mu + 0.05 * rng.standard_normal(post.n_params)
+    post.log_sigma2[:] = prior.log_sigma2 = math.log(0.1) - 1.0 / 100.0
+    assert bounds.j_index(100.0, 0.1, prior.log_sigma2) < 1.0
+    certify = training.selection_certificate if risk == "zero-one" else training.loss_certificate
+    rep = certify((3, 4, 2), post, prior, ds, grid_b=100.0, grid_c=0.1, delta=0.05,
+                  loss_kind="logistic", objective="noniid", n_samples=3, rng=rng)
+    assert rep.j == 1 and type(rep.j) is int
+    chi2 = divergences.chi2_gaussian(post.mu, post.log_sigma2, prior.mu, prior.log_sigma2)
+    assert rep.extras["chi2_log1p"] == chi2.log1p         # the cap is the j = 1 grid prior
+    assert rep.bound_value == grid_neighbour_bounds("noniid", risk, post, prior, ds, rep)[1]
 
 
 @pytest.mark.parametrize("certify, over, message", [
