@@ -908,7 +908,10 @@ def grid_search(configs, criteria, data, valid, out_dir, cert_samples=CERT_SAMPL
     one run on data that stops early on valid (see train). pb trains on
     data + valid to the last epoch and scores by the model-selection
     certificate of the checkpoint it wrote, on data + valid
-    (certify_checkpoint, as bound). Rewrites runs.jsonl with one record per config and
+    (certify_checkpoint, as bound). The best of the G = len(configs) pb
+    certificates holds with probability 1 - delta only if each does with
+    1 - delta / G, so each pb run trains and certifies at delta / G, which
+    its config and checkpoint record. Rewrites runs.jsonl with one record per config and
     criterion, config by config, ranks them with rank_runs and returns
     {criterion: best RunRecord}.
     """
@@ -931,7 +934,8 @@ def grid_search(configs, criteria, data, valid, out_dir, cert_samples=CERT_SAMPL
             run_id = f"c{gi:03d}"
             recs = train(cfg, data, valid, by_valid, out_dir, run_id) if by_valid else {}
             if "pb" in criteria:
-                rec = recs["pb"] = train(cfg, pb_data, run_dir=out_dir, run_id=run_id)["pb"]
+                pb_cfg = dataclasses.replace(cfg, delta=cfg.delta / len(configs))
+                rec = recs["pb"] = train(pb_cfg, pb_data, run_dir=out_dir, run_id=run_id)["pb"]
                 if not rec.aborted:
                     report = certify_checkpoint(rec.checkpoint_path, pb_data,
                                                 objective=cfg.objective, n_samples=cert_samples,

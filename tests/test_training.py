@@ -958,3 +958,31 @@ def test_grid_search_restricted_criteria(rng, tmp_path):
     assert set(best) == {"pb"}
     with pytest.raises(ValueError):
         training.grid_search([base_config()], ["holdout"], ds, None, str(tmp_path / "g3"))
+
+
+@pytest.mark.parametrize("objective", ["iid", "noniid"])
+def test_grid_search_certifies_each_pb_run_at_delta_over_the_grid_size(rng, tmp_path,
+                                                                       monkeypatch, objective):
+    # the pb criterion reports the best of G certificates, which holds with
+    # probability 1 - delta only if each is taken at delta / G; the validation
+    # criteria pick by validation loss and keep delta
+    ds, valid = ((make_iid_dataset(rng, m=40), make_iid_dataset(rng, m=20))
+                 if objective == "iid" else (make_noniid_dataset(rng), make_noniid_dataset(rng)))
+    layers = (3, 5, 2) if objective == "iid" else (3, 4, 2)
+    configs = [base_config(layer_sizes=layers, objective=objective, epochs=1, seed=s,
+                           delta=0.06) for s in (1, 2, 3)]
+    trained, train = [], training.train
+    monkeypatch.setattr(training, "train",
+                        lambda cfg, *a, **kw: trained.append(cfg.delta) or train(cfg, *a, **kw))
+    criteria = ["pb"] if objective == "noniid" else list(training.CRITERIA)
+    training.grid_search(configs, criteria, ds, None if objective == "noniid" else valid,
+                         str(tmp_path))
+    assert sorted(trained) == sorted(
+        [0.06 / 3] * 3 + ([0.06] * 3 if objective == "iid" else []))
+    records = [json.loads(line) for line in open(tmp_path / "runs.jsonl")]
+    for rec in records:
+        want = 0.06 / 3 if rec["mode"] == "pb" else 0.06
+        assert rec["config"]["delta"] == want
+        assert network.load_checkpoint(rec["checkpoint_path"]).config["delta"] == want
+        if rec["mode"] == "pb":
+            assert rec["selection"]["delta"] == want
