@@ -911,9 +911,9 @@ def grid_search(configs, criteria, data, valid, out_dir, cert_samples=CERT_SAMPL
     (certify_checkpoint, as bound). The best of the G = len(configs) pb
     certificates holds with probability 1 - delta only if each does with
     1 - delta / G, so each pb run trains and certifies at delta / G, which
-    its config and checkpoint record. Rewrites runs.jsonl with one record per config and
-    criterion, config by config, ranks them with rank_runs and returns
-    {criterion: best RunRecord}.
+    its config and checkpoint record. Rewrites runs.jsonl with one record
+    per config and criterion, config by config, ranks them with rank_runs
+    and returns {criterion: best RunRecord}.
     """
     if not criteria:
         raise ValueError(f"criteria must name at least one of {CRITERIA}")
