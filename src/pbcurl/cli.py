@@ -3,8 +3,8 @@
 Subcommands cover the full pipeline: gen-data builds dataset artifacts,
 train runs the hyperparameter grid under the selection criteria, bound
 certifies a checkpoint on a dataset, eval scores representations with mean
-classifiers, select re-ranks recorded runs, and verify runs the oracle
-suite. Exit codes: 0 success, 2 validation error, 3 numeric abort.
+classifiers, and verify runs the oracle suite. Exit codes: 0 success, 2
+validation error, 3 numeric abort.
 """
 
 import argparse
@@ -21,8 +21,6 @@ import numpy as np
 import numpy.random  # numpy 2 loads it on first use; every command seeds from it
 
 from . import data, evaluation, network, oracle, training
-
-_SEED_ENV = "PBCURL_SEED"
 
 
 class ConfigError(ValueError):
@@ -61,6 +59,19 @@ def _load_json(path, what):
     return doc
 
 
+# every top-level key gen-data or train reads; any other key exits 2
+_CONFIG_KEYS = {"dataset", "seed", "out_dir", "grid", "criteria", "cert_samples"}
+
+
+def _load_config(path):
+    """The experiment config in path, which gen-data and train share."""
+    cfg = _load_json(path, "config")
+    unknown = sorted(set(cfg) - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"neither gen-data nor train reads config key {', '.join(unknown)}")
+    return cfg
+
+
 def _require(doc, key, where):
     if key not in doc:
         raise ConfigError(f"{where}.{key} is required")
@@ -85,16 +96,9 @@ def _count(spec, key, default=None):
 
 
 def _resolve_seed(explicit, fallback):
-    """Precedence: --seed flag, then PBCURL_SEED, then the fallback (None stays None)."""
-    if explicit is not None:
-        return int(explicit)
-    env = os.environ.get(_SEED_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"{_SEED_ENV} must be an integer, got {env!r}") from None
-    return None if fallback is None else int(fallback)
+    """The --seed flag, else the fallback (None stays None)."""
+    seed = fallback if explicit is None else explicit
+    return None if seed is None else int(seed)
 
 
 def _spawn_rngs(seed, n):
@@ -271,7 +275,7 @@ def _build_dataset(spec, seed):
 
 
 def _cmd_gen_data(args):
-    cfg = _load_json(args.config, "config")
+    cfg = _load_config(args.config)
     spec = _require(cfg, "dataset", "config")
     seed = _resolve_seed(args.seed, cfg.get("seed", 0))
     out_dir = args.out or cfg.get("out_dir")
@@ -330,7 +334,7 @@ def _check_grid_against_data(cfg, ds):
 
 
 def _cmd_train(args):
-    cfg = _load_json(args.config, "config")
+    cfg = _load_config(args.config)
     seed = _resolve_seed(args.seed, cfg.get("seed", 0))
     out_dir = args.out or cfg.get("out_dir")
     if not out_dir:
@@ -361,26 +365,9 @@ def _cmd_train(args):
     criteria = cfg.get("criteria")
     if criteria is None:
         criteria = list(training.CRITERIA) if valid_ds is not None else ["pb"]
-    best = training.grid_search(
-        configs, criteria, train_ds, valid_ds, out_dir, cert_samples=cert_samples
-    )
-    if not best:
-        raise training.NumericAbort("every grid run aborted")
-    return _write_best(out_dir, {c: rec.to_dict() for c, rec in best.items()})
-
-
-def _write_best(out_dir, best):
-    """best.json: each criterion's winning run, from rank_runs' records."""
-    doc = {
-        criterion: {
-            "run_id": rec["run_id"],
-            "metric": float(rec["metric"]),
-            "checkpoint": rec["checkpoint_path"],
-        }
-        for criterion, rec in best.items()
-    }
-    _write_json(os.path.join(out_dir, "best.json"), doc)
-    print(json.dumps(doc, sort_keys=True, default=_json_default))
+    training.grid_search(configs, criteria, train_ds, valid_ds, out_dir, cert_samples=cert_samples)
+    with open(os.path.join(out_dir, "best.json")) as fh:
+        sys.stdout.write(fh.read())
     return 0
 
 
@@ -453,43 +440,6 @@ def _cmd_eval(args):
     return 0
 
 
-def _cmd_select(args):
-    criteria = [c.strip() for c in args.criteria.split(",") if c.strip()]
-    for c in criteria:
-        if c not in training.CRITERIA:
-            raise ConfigError(f"--criteria entry {c!r} must be one of {list(training.CRITERIA)}")
-
-    records = []
-    try:
-        with open(args.runs) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError:
-                    raise ConfigError(f"{args.runs}:{lineno}: invalid JSON line") from None
-                if not isinstance(rec, dict) or "run_id" not in rec:
-                    raise ConfigError(f"{args.runs}:{lineno}: run record without run_id")
-                records.append(rec)
-    except FileNotFoundError:
-        raise ConfigError(f"runs file not found: {args.runs}") from None
-
-    for rec in records:
-        if "pb" not in criteria or rec.get("mode") != "pb" or rec.get("aborted"):
-            continue
-        selection = rec.get("selection")
-        if selection is None:
-            raise ConfigError(f"run {rec['run_id']!r} has no stored certificate")
-        if not isinstance(selection, dict) or selection.get("bound_value") is None:
-            raise ConfigError(f"run {rec['run_id']!r} has no selection.bound_value")
-        rec["metric"] = selection["bound_value"]
-
-    os.makedirs(args.out, exist_ok=True)
-    return _write_best(args.out, training.rank_runs(records, criteria, args.out))
-
-
 def _cmd_verify(args):
     kwargs = {}
     if args.seed is not None:
@@ -558,12 +508,6 @@ def _build_parser():
     p.add_argument("--variants", type=int, default=5)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("select", help="re-rank the certificates and metrics train recorded")
-    p.add_argument("--runs", required=True, help="runs.jsonl from train")
-    p.add_argument("--out", required=True)
-    p.add_argument("--criteria", default="s-valid,det-valid,pb")
-    p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("verify", help="run the oracle check suite")
     p.add_argument("--out", help="directory for verify.json")

@@ -837,7 +837,8 @@ def loss_certificate(layer_sizes, post, prior, ds, **kw):
     return _certificate(layer_sizes, post, prior, ds, risk="loss", **kw)
 
 
-def certify_checkpoint(path, ds, *, objective, n_samples, risk="zero-one", seed=None, lam=None):
+def certify_checkpoint(path, ds, *, objective, n_samples, risk="zero-one", seed=None, lam=None,
+                       ds_hash=None):
     """The certificate of the checkpoint file at path on ds: bound and train's pb ranking.
 
     grid_b, grid_c, delta and loss_kind are fixed before the data: they come
@@ -845,8 +846,8 @@ def certify_checkpoint(path, ds, *, objective, n_samples, risk="zero-one", seed=
     Monte Carlo stream is drawn from [seed, 0xB0], seed defaulting to the
     checkpoint's. objective picks the form and lam is the iid loss
     certificate's, as in selection_certificate and loss_certificate. The
-    provenance pins the checkpoint, the tuples, the numeric environment and
-    the seed.
+    provenance pins the checkpoint, the tuples (ds_hash, data.dataset_hash(ds)
+    when None), the numeric environment and the seed.
     """
     ckpt = network.load_checkpoint(path)
     network.check_input_width(path, ckpt, ds.dim)
@@ -864,7 +865,9 @@ def certify_checkpoint(path, ds, *, objective, n_samples, risk="zero-one", seed=
         grid_b=float(grid_b), grid_c=float(grid_c), delta=float(delta), loss_kind=loss_kind,
         objective=objective, n_samples=n_samples, rng=rng, lam=lam,
     )
-    report.provenance = {"checkpoint": path, "dataset_hash": data.dataset_hash(ds),
+    if ds_hash is None:
+        ds_hash = data.dataset_hash(ds)
+    report.provenance = {"checkpoint": path, "dataset_hash": ds_hash,
                          "environment": network.environment(), "seed": seed}
     return report
 
@@ -876,28 +879,36 @@ CERT_SAMPLES = 10      # posterior draws behind a certificate's Monte Carlo risk
 
 
 def rank_runs(records, criteria, out_dir):
-    """Rank recorded runs per criterion and write out_dir/leaderboard.csv.
+    """Rank runs per criterion into out_dir/leaderboard.csv and out_dir/best.json.
 
-    records are run dicts as written to runs.jsonl, in file order; a run is
-    scored by its metric (the certificate for pb runs). Aborted and unscored
-    runs are skipped, and the earlier record wins a tie, so rankings are
-    reproducible. Returns {criterion: best record}.
+    records are RunRecords in runs.jsonl order; a run is scored by its metric
+    (the certificate for pb runs). Aborted and unscored runs are skipped, and
+    the earlier record wins a tie, so rankings are reproducible. best.json maps
+    each criterion to its winner's run_id, metric and checkpoint; when no run
+    is ranked it is not written and NumericAbort is raised. Returns
+    {criterion: best record}.
     """
     best = {}
     with open(os.path.join(out_dir, "leaderboard.csv"), "w") as fh:
         fh.write("criterion,rank,run_id,metric,checkpoint\n")
         for criterion in criteria:
             ranked = sorted(
-                ((float(rec["metric"]), pos, rec) for pos, rec in enumerate(records)
-                 if rec.get("mode") == CRITERION_MODES[criterion]
-                 and not rec.get("aborted") and rec.get("metric") is not None),
+                ((float(rec.metric), pos, rec) for pos, rec in enumerate(records)
+                 if rec.mode == CRITERION_MODES[criterion]
+                 and not rec.aborted and rec.metric is not None),
                 key=lambda row: row[:2],
             )
             for rank, (metric, _, rec) in enumerate(ranked, start=1):
-                fh.write(f"{criterion},{rank},{rec['run_id']},{metric!r},"
-                         f"{rec.get('checkpoint_path')}\n")
+                fh.write(f"{criterion},{rank},{rec.run_id},{metric!r},{rec.checkpoint_path}\n")
             if ranked:
                 best[criterion] = ranked[0][2]
+    if not best:
+        raise NumericAbort("every grid run aborted")
+    doc = {c: {"run_id": rec.run_id, "metric": float(rec.metric),
+               "checkpoint": rec.checkpoint_path} for c, rec in best.items()}
+    with open(os.path.join(out_dir, "best.json"), "w") as fh:
+        json.dump(doc, fh, sort_keys=True)
+        fh.write("\n")
     return best
 
 
@@ -928,7 +939,7 @@ def grid_search(configs, criteria, data, valid, out_dir, cert_samples=CERT_SAMPL
             _check_form(cfg.objective, pb_data.dependency_t)
     os.makedirs(out_dir, exist_ok=True)
     by_valid = [c for c in criteria if c in VALID_CRITERIA]
-    runs, docs = {}, []
+    runs, pb_hash = [], None    # the first pb certificate hashes pb_data; the rest reuse it
     with open(os.path.join(out_dir, "runs.jsonl"), "w") as runs_fh:
         for gi, cfg in enumerate(configs):
             run_id = f"c{gi:03d}"
@@ -939,11 +950,11 @@ def grid_search(configs, criteria, data, valid, out_dir, cert_samples=CERT_SAMPL
                 if not rec.aborted:
                     report = certify_checkpoint(rec.checkpoint_path, pb_data,
                                                 objective=cfg.objective, n_samples=cert_samples,
-                                                seed=cfg.seed)
+                                                seed=cfg.seed, ds_hash=pb_hash)
+                    pb_hash = report.provenance["dataset_hash"]
                     rec.metric = report.bound_value
                     rec.selection = report.to_dict()
             for rec in recs.values():
-                docs.append(rec.to_dict())
-                runs_fh.write(json.dumps(docs[-1], sort_keys=True) + "\n")
-                runs[rec.run_id] = rec
-    return {c: runs[doc["run_id"]] for c, doc in rank_runs(docs, criteria, out_dir).items()}
+                runs_fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+                runs.append(rec)
+    return rank_runs(runs, criteria, out_dir)

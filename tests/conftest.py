@@ -16,8 +16,7 @@ REPLAY = pathlib.Path(__file__).resolve().parents[1] / "tools" / "replay.py"
 def run_replay(*args):
     """Run tools/replay.py in a child process with one BLAS thread."""
     # one BLAS thread: trained weights differ by an ulp between one and two
-    env = {key: value for key, value in os.environ.items() if key != "PBCURL_SEED"}
-    env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     return subprocess.run([sys.executable, str(REPLAY), *args], env=env,
                           capture_output=True, text=True, timeout=900)
 

@@ -12,11 +12,6 @@ from pbcurl import bounds, cli, data, network, training
 from pbcurl.cli import main
 
 
-@pytest.fixture(autouse=True)
-def clean_seed_env(monkeypatch):
-    monkeypatch.delenv("PBCURL_SEED", raising=False)
-
-
 def write_json(path, doc):
     path.write_text(json.dumps(doc) + "\n")
     return str(path)
@@ -121,30 +116,6 @@ def test_gen_data_deterministic(tmp_path):
     assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "c"), "--seed", "10"]) == 0
     for name in ("train.bin", "labeled_train.bin"):
         assert (tmp_path / "a" / name).read_bytes() != (tmp_path / "c" / name).read_bytes()
-
-
-def test_gen_data_seed_env_matches_flag(tmp_path, monkeypatch):
-    cfg = write_json(tmp_path / "g.json", iid_config())
-    monkeypatch.setenv("PBCURL_SEED", "21")
-    assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "env")]) == 0
-    monkeypatch.delenv("PBCURL_SEED")
-    assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "flag"), "--seed", "21"]) == 0
-    assert (tmp_path / "env" / "train.bin").read_bytes() == (
-        tmp_path / "flag" / "train.bin"
-    ).read_bytes()
-    # an explicit flag beats the environment
-    monkeypatch.setenv("PBCURL_SEED", "999")
-    assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "both"), "--seed", "21"]) == 0
-    assert (tmp_path / "both" / "train.bin").read_bytes() == (
-        tmp_path / "flag" / "train.bin"
-    ).read_bytes()
-
-
-def test_gen_data_bad_seed_env(tmp_path, monkeypatch, capsys):
-    cfg = write_json(tmp_path / "g.json", iid_config())
-    monkeypatch.setenv("PBCURL_SEED", "not-a-number")
-    assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-    assert "PBCURL_SEED" in capsys.readouterr().err
 
 
 def test_gen_data_missing_key(tmp_path, capsys):
@@ -434,8 +405,6 @@ def test_train_rewrites_runs_file(tmp_path, data_dir):
     runs = [json.loads(l) for l in open(out / "runs.jsonl")]
     assert sorted(r["run_id"] for r in runs) == ["c000-det-valid", "c000-pb", "c000-s-valid"]
     assert {r["config"]["seed"] for r in runs} == {2}
-    assert main(["select", "--runs", str(out / "runs.jsonl"), "--out", str(tmp_path / "s")]) == 0
-    assert (tmp_path / "s" / "best.json").read_bytes() == (out / "best.json").read_bytes()
 
 
 def test_train_reports_best_on_stdout(tmp_path, data_dir, capsys):
@@ -1237,85 +1206,6 @@ def test_files_kind_rejects_non_finite_cells(tmp_path, rng, capsys, which):
 
 
 # ---------------------------------------------------------------------------
-# select
-
-
-def test_select_reranks_runs(tmp_path, train_dir, capsys):
-    out = tmp_path / "sel"
-    assert main([
-        "select", "--runs", str(train_dir / "runs.jsonl"), "--out", str(out),
-    ]) == 0
-    best = json.loads((out / "best.json").read_text())
-    assert set(best) == {"s-valid", "det-valid", "pb"}
-    ours = json.loads((train_dir / "best.json").read_text())
-    for crit, entry in best.items():
-        assert entry["run_id"] == ours[crit]["run_id"]
-        assert entry["metric"] == pytest.approx(ours[crit]["metric"])
-
-
-def test_select_reproduces_train_ranking(tmp_path, train_dir):
-    # one ranker: select on a fresh runs.jsonl rewrites train's files exactly
-    out = tmp_path / "sel"
-    assert main(["select", "--runs", str(train_dir / "runs.jsonl"), "--out", str(out)]) == 0
-    for name in ("leaderboard.csv", "best.json"):
-        assert (out / name).read_bytes() == (train_dir / name).read_bytes()
-
-
-def test_select_subset_of_criteria(tmp_path, train_dir):
-    out = tmp_path / "sel"
-    assert main([
-        "select", "--runs", str(train_dir / "runs.jsonl"), "--out", str(out),
-        "--criteria", "pb",
-    ]) == 0
-    best = json.loads((out / "best.json").read_text())
-    assert set(best) == {"pb"}
-    lines = open(out / "leaderboard.csv").read().splitlines()
-    assert all(l.startswith("pb,") for l in lines[1:])
-
-
-def test_select_missing_certificate_without_data(tmp_path, train_dir, capsys):
-    stripped = tmp_path / "runs.jsonl"
-    with open(train_dir / "runs.jsonl") as fh, open(stripped, "w") as out_fh:
-        for line in fh:
-            rec = json.loads(line)
-            rec["selection"] = None
-            out_fh.write(json.dumps(rec) + "\n")
-    assert main([
-        "select", "--runs", str(stripped), "--out", str(tmp_path / "s"),
-        "--criteria", "pb",
-    ]) == 2
-    err = capsys.readouterr().err
-    assert "error: run 'c000-pb' has no stored certificate" in err and "Traceback" not in err
-    assert not (tmp_path / "s").exists()
-
-
-def test_select_bad_inputs(tmp_path, train_dir, capsys):
-    assert main([
-        "select", "--runs", str(tmp_path / "no.jsonl"), "--out", str(tmp_path / "s"),
-    ]) == 2
-    assert "not found" in capsys.readouterr().err
-
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text("{not json}\n")
-    assert main(["select", "--runs", str(bad), "--out", str(tmp_path / "s")]) == 2
-    assert ":1:" in capsys.readouterr().err
-
-    assert main([
-        "select", "--runs", str(train_dir / "runs.jsonl"), "--out", str(tmp_path / "s"),
-        "--criteria", "best-of-n",
-    ]) == 2
-    assert "--criteria" in capsys.readouterr().err
-
-
-def test_select_rejects_record_without_run_id(tmp_path, capsys):
-    runs = tmp_path / "runs.jsonl"
-    runs.write_text('{"run_id": "a", "mode": "valid-map", "metric": 0.4}\n'
-                    '{"mode": "valid-map", "metric": 0.5}\n')
-    assert main(["select", "--runs", str(runs), "--out", str(tmp_path / "s")]) == 2
-    assert f"{runs}:2: run record without run_id" in capsys.readouterr().err
-
-
-# ---------------------------------------------------------------------------
 # dataset specs: unknown keys, wrong types, empty shapes
 
 
@@ -1429,8 +1319,27 @@ def test_train_rejects_a_config_of_the_wrong_shape(tmp_path, data_dir, capsys, e
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, key, value", [("gen-data", "sed", 3),
+                                                 ("train", "critera", ["pb"])])
+def test_a_config_key_no_command_reads_exits_two(tmp_path, data_dir, capsys, command, key, value):
+    # a misspelt seed or criteria key would otherwise run with the default
+    doc = iid_config() if command == "gen-data" else train_doc(data_dir)
+    cfg = write_json(tmp_path / "c.json", {**doc, key: value})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"neither gen-data nor train reads config key {key}" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_select_is_not_a_command(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["select", "--runs", str(tmp_path / "runs.jsonl"), "--out", str(tmp_path / "s")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'select'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
-# malformed checkpoints, norm stats and run records
+# malformed checkpoints and norm stats
 
 
 @pytest.mark.parametrize("edit, fragment", [
@@ -1475,22 +1384,3 @@ def test_eval_rejects_unusable_norm_stats(tmp_path, data_dir, train_dir, capsys,
     assert fragment in err and "Traceback" not in err
     assert not (tmp_path / "e").exists()
 
-
-@pytest.mark.parametrize("edit, fragment", [
-    (lambda rec: rec.update(selection={"bound_kind": "iid-selection"}),
-     "has no selection.bound_value"),
-])
-def test_select_rejects_a_pb_record_without_a_field_it_needs(tmp_path, train_dir, capsys, edit,
-                                                             fragment):
-    runs = tmp_path / "runs.jsonl"
-    with open(train_dir / "runs.jsonl") as fh, open(runs, "w") as out_fh:
-        for line in fh:
-            rec = json.loads(line)
-            if rec["mode"] == "pb":
-                edit(rec)
-            out_fh.write(json.dumps(rec) + "\n")
-    assert main(["select", "--runs", str(runs), "--out", str(tmp_path / "s"),
-                 "--criteria", "pb"]) == 2
-    err = capsys.readouterr().err
-    assert "run 'c000-pb' " + fragment in err and "Traceback" not in err
-    assert not (tmp_path / "s").exists()

@@ -11,7 +11,7 @@ DIGESTS = pathlib.Path(__file__).resolve().parent / "replay_digests.json"
 
 
 def test_replay_writes_the_pinned_bytes(replay_tree):
-    # about 320 calls in one process; a change of bits on purpose regenerates
+    # about 300 calls in one process; a change of bits on purpose regenerates
     # the digests with tools/replay.py --write-digests
     proc = replay_tree.proc
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]

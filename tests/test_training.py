@@ -960,6 +960,65 @@ def test_grid_search_restricted_criteria(rng, tmp_path):
         training.grid_search([base_config()], ["holdout"], ds, None, str(tmp_path / "g3"))
 
 
+def test_grid_search_hashes_the_pb_data_once(rng, tmp_path, monkeypatch):
+    # every pb run is certified on the same train + valid tuples, so one hash
+    # serves the grid, and each selection block is still the one bound writes
+    ds, valid = make_iid_dataset(rng, m=40), make_iid_dataset(rng, m=20)
+    configs = [base_config(epochs=1, seed=s) for s in (1, 2, 3)]
+    hashed, dataset_hash = [], data.dataset_hash
+    monkeypatch.setattr(data, "dataset_hash", lambda ds: hashed.append(1) or dataset_hash(ds))
+    training.grid_search(configs, ["pb"], ds, valid, str(tmp_path))
+    assert len(hashed) == 1
+    monkeypatch.undo()
+    pb_data = data.concat_contrastive(ds, valid)
+    records = [json.loads(line) for line in open(tmp_path / "runs.jsonl")]
+    assert len(records) == 3
+    for cfg, rec in zip(configs, records):
+        report = training.certify_checkpoint(rec["checkpoint_path"], pb_data, objective="iid",
+                                             n_samples=training.CERT_SAMPLES, seed=cfg.seed)
+        assert rec["selection"] == json.loads(json.dumps(report.to_dict()))
+
+
+def ranked_record(run_id, mode, metric, aborted=False):
+    return training.RunRecord(run_id=run_id, mode=mode, config={}, metric=metric,
+                              aborted=aborted, checkpoint_path=f"{run_id}.ckpt.json")
+
+
+def test_rank_runs_skips_aborted_and_unscored_runs_and_the_earlier_record_wins_a_tie(tmp_path):
+    records = [
+        ranked_record("c000-pb", "pb", 0.3),
+        ranked_record("c001-pb", "pb", 0.1, aborted=True),
+        ranked_record("c002-pb", "pb", None),
+        ranked_record("c004-pb", "pb", 0.2),
+        ranked_record("c003-pb", "pb", 0.2),      # ties the record before it
+        ranked_record("c000-det-valid", "valid-map", 0.5),
+        ranked_record("c000-s-valid", "valid-mc", 0.05),
+    ]
+    best = training.rank_runs(records, ["pb", "det-valid"], str(tmp_path))
+    assert best == {"pb": records[3], "det-valid": records[5]}
+    assert (tmp_path / "leaderboard.csv").read_text() == (
+        "criterion,rank,run_id,metric,checkpoint\n"
+        "pb,1,c004-pb,0.2,c004-pb.ckpt.json\n"
+        "pb,2,c003-pb,0.2,c003-pb.ckpt.json\n"
+        "pb,3,c000-pb,0.3,c000-pb.ckpt.json\n"
+        "det-valid,1,c000-det-valid,0.5,c000-det-valid.ckpt.json\n"
+    )
+    assert (tmp_path / "best.json").read_text() == (
+        '{"det-valid": {"checkpoint": "c000-det-valid.ckpt.json", "metric": 0.5, '
+        '"run_id": "c000-det-valid"}, '
+        '"pb": {"checkpoint": "c004-pb.ckpt.json", "metric": 0.2, "run_id": "c004-pb"}}\n'
+    )
+
+
+def test_rank_runs_without_a_ranked_run_writes_no_best_json(tmp_path):
+    records = [ranked_record("c000-pb", "pb", 0.1, aborted=True),
+               ranked_record("c000-s-valid", "valid-mc", None)]
+    with pytest.raises(training.NumericAbort, match="every grid run aborted"):
+        training.rank_runs(records, ["pb", "s-valid"], str(tmp_path))
+    assert (tmp_path / "leaderboard.csv").read_text() == "criterion,rank,run_id,metric,checkpoint\n"
+    assert not (tmp_path / "best.json").exists()
+
+
 @pytest.mark.parametrize("objective", ["iid", "noniid"])
 def test_grid_search_certifies_each_pb_run_at_delta_over_the_grid_size(rng, tmp_path,
                                                                        monkeypatch, objective):

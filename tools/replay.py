@@ -17,8 +17,6 @@ working directory (so every recorded path is relative):
   valid, with train's draw count), which reproduces the certificate train
   ranked it by;
 - eval of each dataset's checkpoints, with and without its norm stats;
-- select of every run file, and once of the first with its stored
-  certificates removed, which exits 2;
 - verify.
 
 Each call's argv, exit code and last stderr line, and the sha256 of every
@@ -195,19 +193,6 @@ def replay(cli, out):
                       "--test-csv", f"{ds}/labeled_test.csv", "--out",
                       f"eval/{run_dir}-{tag}", "--samples-per-class", "3", "--variants", "2",
                       "--seed", "5", *extra)
-        runs = os.path.join(out, run_dir, "runs.jsonl")
-        if os.path.exists(runs):
-            r.run("select", "--runs", f"{run_dir}/runs.jsonl", "--out", f"select/{run_dir}")
-            if not os.path.exists(os.path.join(out, "bare")):
-                with open(runs) as fh:
-                    records = [json.loads(line) for line in fh if line.strip()]
-                os.makedirs(os.path.join(out, "bare"))
-                with open(os.path.join(out, "bare", "runs.jsonl"), "w") as fh:
-                    for rec in records:
-                        rec.pop("selection", None)
-                        fh.write(json.dumps(rec, sort_keys=True) + "\n")
-                r.run("select", "--runs", "bare/runs.jsonl", "--out", "select/bare",
-                      "--criteria", "pb")
     r.run("verify", "--out", "verify")
     return r.calls
 
@@ -275,7 +260,6 @@ def package_cli(src):
 
 def run(cli, out):
     """Replay through cli in the empty directory out; the digest document."""
-    os.environ.pop("PBCURL_SEED", None)
     here = os.getcwd()
     os.makedirs(out)
     os.chdir(out)
