@@ -79,10 +79,18 @@ def _require(doc, key, where):
 
 
 def _read(doc, key, cast, default=None, where="dataset"):
-    """where.key as cast (int or float): default when absent, required when that is None."""
+    """where.key as cast: default when absent, required when that is None.
+
+    cast int takes a JSON integer and nothing else: not 3.7, "5" or true,
+    which int() would turn into 3, 5 and 1. cast float takes what float() does.
+    """
     raw = _require(doc, key, where) if default is None else doc.get(key, default)
+    if cast is int:
+        if type(raw) is not int:
+            raise ConfigError(f"{where}.{key} must be an integer, got {raw!r}")
+        return raw
     try:
-        return cast(raw)
+        return float(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"{where}.{key} must be a number, got {raw!r}") from None
 
@@ -95,10 +103,9 @@ def _count(spec, key, default=None):
     return value
 
 
-def _resolve_seed(explicit, fallback):
-    """The --seed flag, else the fallback (None stays None)."""
-    seed = fallback if explicit is None else explicit
-    return None if seed is None else int(seed)
+def _resolve_seed(explicit, cfg):
+    """The --seed flag, else the config's seed, an integer (0 when absent)."""
+    return _read(cfg, "seed", int, 0, "config") if explicit is None else explicit
 
 
 def _spawn_rngs(seed, n):
@@ -277,7 +284,7 @@ def _build_dataset(spec, seed):
 def _cmd_gen_data(args):
     cfg = _load_config(args.config)
     spec = _require(cfg, "dataset", "config")
-    seed = _resolve_seed(args.seed, cfg.get("seed", 0))
+    seed = _resolve_seed(args.seed, cfg)
     out_dir = args.out or cfg.get("out_dir")
     if not out_dir:
         raise ConfigError("--out (or config out_dir) is required")
@@ -335,7 +342,7 @@ def _check_grid_against_data(cfg, ds):
 
 def _cmd_train(args):
     cfg = _load_config(args.config)
-    seed = _resolve_seed(args.seed, cfg.get("seed", 0))
+    seed = _resolve_seed(args.seed, cfg)
     out_dir = args.out or cfg.get("out_dir")
     if not out_dir:
         raise ConfigError("--out (or config out_dir) is required")
@@ -385,7 +392,7 @@ def _cmd_bound(args):
         raise ConfigError("--risk loss with --iid needs --lam")
     report = training.certify_checkpoint(
         args.checkpoint, ds, objective="noniid" if args.noniid else "iid",
-        n_samples=args.samples, risk=args.risk, seed=_resolve_seed(args.seed, None), lam=args.lam,
+        n_samples=args.samples, risk=args.risk, seed=args.seed, lam=args.lam,
     )
     report.provenance["dataset"] = list(args.data)
     if not args.deterministic:
@@ -405,7 +412,6 @@ def _cmd_eval(args):
                         ("--variants", args.variants)):
         if value < 1:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
-    seed = _resolve_seed(args.seed, 0)
     stats = None
     if args.norm_stats:
         stats = data.NormStats.from_dict(_load_json(args.norm_stats, "norm stats"))
@@ -421,7 +427,7 @@ def _cmd_eval(args):
             data.LabeledDataset(network.forward(layer_sizes, ckpt.posterior.mu, split.x), split.y)
             for split in (labeled_train, labeled_test)
         )
-        rng = np.random.default_rng(np.random.SeedSequence([seed, i]).generate_state(1)[0])
+        rng = np.random.default_rng(np.random.SeedSequence([args.seed, i]).generate_state(1)[0])
         results[ckpt_path] = evaluation.evaluate_representation(
             reps_train, reps_test, rng,
             samples_per_class=args.samples_per_class, n_variants=args.variants,
@@ -506,7 +512,7 @@ def _build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--samples-per-class", type=int, default=5, dest="samples_per_class")
     p.add_argument("--variants", type=int, default=5)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("verify", help="run the oracle check suite")

@@ -15,6 +15,7 @@ the int64 labels. read_labeled_csv takes the twin only while it pins the
 CSV's current bytes, so the CSV stays the source of truth.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -639,14 +640,14 @@ def save_labeled_csv(ds, path):
     """One row per point: its features in repr, then its integer label.
 
     Rows are formatted CSV_BLOCK_ROWS at a time as Python floats and ints,
-    which print as repr(float(v)) and int(label) do. The blocks are split into
-    network.worker_count(blocks) contiguous ranges, one per worker of
-    network.on_workers. Worker i writes its rows' bytes into its own region of
-    one anonymous shared mmap and records their length. A region holds its
-    rows at the widest a row can be, dim * (CSV_FLOAT_BYTES + 1) +
-    CSV_LABEL_BYTES + 1 bytes each; text that would overflow it raises. Only
-    once every worker is reaped is the CSV opened, and the regions are hashed
-    and written in row order, so the bytes do not depend on the worker count.
+    which print as repr(float(v)) and int(label) do. Each block is one job of
+    network.run_jobs, which hands it to the first free worker. A block writes
+    its bytes into its own region of one anonymous shared mmap and records
+    their length. A region holds its rows at the widest a row can be,
+    dim * (CSV_FLOAT_BYTES + 1) + CSV_LABEL_BYTES + 1 bytes each; text that
+    would overflow it raises. Only once every worker is reaped is the CSV
+    opened, and the regions are hashed and written in row order, so the bytes
+    do not depend on which worker formatted a block or on the worker count.
     The whole text is thus in memory before it is written. The binary twin
     (labeled_twin_path) then pins those bytes by their sha256 and holds the
     same float64 rows and int64 labels.
@@ -658,27 +659,22 @@ def save_labeled_csv(ds, path):
     y = np.ascontiguousarray(ds.y, dtype="<i8")
     n_rows, dim = x.shape
     row_bytes = dim * (CSV_FLOAT_BYTES + 1) + CSV_LABEL_BYTES + 1
-    n_blocks = -(-n_rows // CSV_BLOCK_ROWS)
-    n = network.worker_count(n_blocks)
-    # worker i formats rows starts[i]:starts[i + 1] into text[starts[i] * row_bytes:]
-    starts = [min(n_rows, n_blocks * i // n * CSV_BLOCK_ROWS) for i in range(n + 1)]
+    starts = range(0, n_rows, CSV_BLOCK_ROWS)
     # anonymous and shared: what a forked worker writes here, the caller reads
     text = mmap.mmap(-1, max(1, n_rows * row_bytes))
-    lengths = np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.int64)
+    lengths = network.shared_array(len(starts), np.int64)
 
-    def work(i):
-        lo, hi = starts[i], starts[i + 1]
-        pos = lo * row_bytes
-        for b in range(lo, hi, CSV_BLOCK_ROWS):
-            block = _csv_block(x[b:b + CSV_BLOCK_ROWS].tolist(), y[b:b + CSV_BLOCK_ROWS].tolist())
-            if pos + len(block) > hi * row_bytes:
-                raise ValueError(f"{path}: rows {lo} to {hi - 1} overflow the "
-                                 f"{(hi - lo) * row_bytes} bytes worker {i} has for them")
-            text[pos:pos + len(block)] = block
-            pos += len(block)
-        lengths[i] = pos - lo * row_bytes
+    def job(b):
+        lo = starts[b]
+        hi = min(n_rows, lo + CSV_BLOCK_ROWS)
+        block = _csv_block(x[lo:hi].tolist(), y[lo:hi].tolist())
+        if len(block) > (hi - lo) * row_bytes:
+            raise ValueError(f"{path}: rows {lo} to {hi - 1} overflow their region of "
+                             f"{(hi - lo) * row_bytes} bytes")
+        text[lo * row_bytes:lo * row_bytes + len(block)] = block
+        lengths[b] = len(block)
 
-    network.on_workers(n, work)
+    network.run_jobs([functools.partial(job, b) for b in range(len(starts))])
     h = hashlib.sha256()
     with open(path, "wb") as fh, memoryview(text) as view:
         for lo, length in zip(starts, lengths):

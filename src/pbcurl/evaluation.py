@@ -7,8 +7,8 @@ Deterministic metrics use the posterior mean network; posterior risks are
 Monte Carlo averages over weight draws.
 """
 
+import functools
 import math
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,36 +140,48 @@ DRAW_BLOCK = 5
 SCORE_ROWS = 2048
 
 
-def draw_risks(layer_sizes, weights, ds, kind, loss_kind):
+def draw_risks(layer_sizes, weights, ds, kind, loss_kind, jobs=()):
     """(len(weights), m) per-tuple risks of ds, one row per flat weight vector.
 
     Computed in chunks of tuples that span about network.CHUNK_ROWS rows when
     streamed, SCORE_ROWS otherwise; callers average a row in one np.mean, as
     averaging chunk means would round differently. Each weight vector is
-    packed once. When _streams(ds), each chunk's input rows are gathered once
-    into a reused buffer and loaded into a forward-only workspace. Then every
-    block of DRAW_BLOCK weight vectors forwards them while they are in cache,
-    into one (draws, rows, d_out) buffer, and one margin and one risk pass
-    cover the block; worker i takes chunks[i::n]. Otherwise worker i forwards
-    ds.features once for each of draws i, i + n, ... into its own buffer,
-    through one forward-only workspace, and scores each chunk's stacked output
-    rows. The n = network.worker_count workers are forked processes (see
-    network.on_workers), each allocating its own buffers, and write disjoint
-    slices of one risk matrix in shared memory.
-    Each draw runs the same operations on the same rows on either path, in
-    any block and on any worker count, so all give the same bits.
+    packed once. When _streams(ds), a job takes one chunk: it gathers the
+    chunk's input rows once into a reused buffer and loads them into a
+    forward-only workspace. Then every block of DRAW_BLOCK weight vectors
+    forwards them while they are in cache, into one (draws, rows, d_out)
+    buffer, and one margin and one risk pass cover the block. Otherwise a job
+    takes one draw: it forwards ds.features once into a reused buffer,
+    through one forward-only workspace, and scores each chunk's stacked
+    output rows. jobs, callables that write their own results, run in the
+    same pass ahead of these. network.run_jobs hands each job to the first
+    free worker, this process or a forked one; a worker makes its buffers on
+    its first Monte Carlo job, and the jobs write disjoint slices of one risk
+    matrix in shared memory. Each draw runs the same operations on the same
+    rows on either path, in any block and on any worker, so all give the
+    same bits.
     """
     per_tuple = data.TupleBatch.rows_per_tuple(ds.k, ds.block_size)
     streams = _streams(ds)
     chunk_rows = network.CHUNK_ROWS if streams else SCORE_ROWS
     chunks = network.row_chunks(len(ds), max(1, chunk_rows // per_tuple))
-    n = network.worker_count(len(chunks) if streams else len(weights))
+    tallest = chunks[-1][1] - chunks[-1][0]
     d_out = layer_sizes[-1]
-    size = len(weights) * len(ds)
-    # anonymous and shared: what a forked worker writes here, the caller reads
-    risks = np.frombuffer(mmap.mmap(-1, 8 * max(1, size)), count=size)
-    risks = risks.reshape(len(weights), len(ds))
+    block = min(DRAW_BLOCK, len(weights)) if streams else 1
+    risks = network.shared_array(len(weights) * len(ds)).reshape(len(weights), len(ds))
     mats = [network.pack(layer_sizes, w) for w in weights]
+
+    @functools.cache
+    def buffers():
+        """This process's row, margin and output buffers and its workspace."""
+        rows = np.empty((tallest * per_tuple, ds.dim if streams else d_out))
+        diff = np.empty(block * tallest * ds.k * d_out)
+        if streams:
+            return rows, diff, np.empty(block * len(rows) * d_out), network.Workspace(
+                layer_sizes, len(rows), forward_only=True)
+        top, end = network.row_chunks(len(ds.features))[-1]        # forward's tallest chunk
+        return rows, diff, np.empty((len(ds.features), d_out)), network.Workspace(
+            layer_sizes, end - top, forward_only=True)
 
     def take(source, lo, hi, rows):
         return data.take_tuples(
@@ -185,48 +197,40 @@ def draw_risks(layer_sizes, weights, ds, kind, loss_kind):
                 else losses.zero_one_risk(margins)).reshape(-1, hi - lo)
         risks[s : s + len(risk), lo:hi] = risk
 
-    def work(i):
-        part = chunks[i::n] if streams else chunks
-        tallest = max(hi - lo for lo, hi in part)
-        rows = np.empty((tallest * per_tuple, ds.dim if streams else d_out))
-        block = min(DRAW_BLOCK, len(weights)) if streams else 1
-        diff = np.empty(block * tallest * ds.k * d_out)
-        if not streams:
-            out = np.empty((len(ds.features), d_out))
-            top, end = network.row_chunks(len(ds.features))[-1]    # forward's tallest chunk
-            ws = network.Workspace(layer_sizes, end - top, forward_only=True)
-            for s in range(i, len(mats), n):
-                source = network.forward(layer_sizes, mats[s], ds.features, out, ws)
-                for lo, hi in chunks:
-                    score(s, take(source, lo, hi, rows), lo, hi, diff)
-            return
-        ws = network.Workspace(layer_sizes, len(rows), forward_only=True)
-        outs = np.empty(block * len(rows) * d_out)
-        for lo, hi in part:
-            x = ws.load(take(ds.features, lo, hi, rows).rows)
-            for s in range(0, len(mats), DRAW_BLOCK):
-                draws = mats[s : s + DRAW_BLOCK]
-                out = outs[: len(draws) * len(x) * d_out].reshape(len(draws), len(x), d_out)
-                for j, w in enumerate(draws):
-                    network.forward_cached(layer_sizes, w, x, ws, out[j])
-                score(s, data.TupleBatch(out, hi - lo, ds.k, ds.block_size), lo, hi, diff)
+    def chunk(lo, hi):
+        rows, diff, outs, ws = buffers()
+        x = ws.load(take(ds.features, lo, hi, rows).rows)
+        for s in range(0, len(mats), DRAW_BLOCK):
+            draws = mats[s : s + DRAW_BLOCK]
+            out = outs[: len(draws) * len(x) * d_out].reshape(len(draws), len(x), d_out)
+            for j, w in enumerate(draws):
+                network.forward_cached(layer_sizes, w, x, ws, out[j])
+            score(s, data.TupleBatch(out, hi - lo, ds.k, ds.block_size), lo, hi, diff)
 
-    network.on_workers(n, work)
+    def draw(s):
+        rows, diff, out, ws = buffers()
+        source = network.forward(layer_sizes, mats[s], ds.features, out, ws)
+        for lo, hi in chunks:
+            score(s, take(source, lo, hi, rows), lo, hi, diff)
+
+    network.run_jobs([*jobs, *(
+        [functools.partial(chunk, lo, hi) for lo, hi in chunks] if streams
+        else [functools.partial(draw, s) for s in range(len(mats))])])
     return risks
 
 
-def mc_posterior_risk(layer_sizes, post, ds, n_samples, kind, loss_kind, rng):
+def mc_posterior_risk(layer_sizes, post, ds, n_samples, kind, loss_kind, rng, jobs=()):
     """Posterior-expected dataset risk, Monte Carlo over weight draws.
 
     kind "loss" evaluates the configured tuple loss, "zero-one" the ranking
     error with ties counted correct. Every draw is made first, in the calling
-    thread, and one draw_risks pass scores them all. Returns (mean, per-draw
-    array).
+    thread, and one draw_risks pass scores them all, after jobs. Returns
+    (mean, per-draw array).
     """
     if kind not in ("loss", "zero-one"):
         raise ValueError(f"unknown risk kind: {kind!r}")
     weights = [network.sample_weights(post, network.sample_eps(post.n_params, rng))
                for _ in range(n_samples)]
-    risks = draw_risks(layer_sizes, weights, ds, kind, loss_kind)
+    risks = draw_risks(layer_sizes, weights, ds, kind, loss_kind, jobs)
     vals = np.array([np.mean(r) for r in risks])
     return float(np.mean(vals)), vals

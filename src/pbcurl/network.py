@@ -8,9 +8,11 @@ passes are hand written numpy on a flat parameter vector.
 
 import functools
 import json
+import mmap
 import os
 import pickle
 import signal
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,9 +133,8 @@ def row_chunks(n, chunk=CHUNK_ROWS):
 def worker_count(n_jobs):
     """Worker processes for n_jobs independent jobs: min(n_jobs, usable CPUs // BLAS threads).
 
-    The Monte Carlo pass asks with a job per chunk or draw, the CSV writer
-    with one per block and the trainer with one per shard of its batches, so
-    at most two.
+    run_jobs asks with its job count, and the trainer with one per shard of
+    its batches, so at most two.
 
     BLAS threads is the first positive integer among OPENBLAS_NUM_THREADS,
     GOTO_NUM_THREADS and OMP_NUM_THREADS, the order OpenBLAS reads them in.
@@ -167,18 +168,18 @@ def environment():
 def on_workers(n, work):
     """Run work(0), ..., work(n - 1): work(0) here, the rest in forked children.
 
-    The package's one fork helper. evaluation.draw_risks and
-    data.save_labeled_csv run their workers on it, which hand back their
-    results in anonymous shared memory. training.train runs on it too: the
-    trainer is worker 0 and worker 1 computes the second shard of every
-    batch (see training.ShardedLoss). Children leave only through os._exit,
-    after sending a raised exception back pickled through a pipe; every
-    child is reaped before this returns or raises. If this process raises,
-    here or in a signal handler while it waits on a child, the children not
-    yet reaped are killed and reaped first. A child's exception is re-raised
-    here with its type and message; one that cannot be pickled, or a child
-    killed by a signal, gives a RuntimeError naming the worker. Where os.fork
-    fails, this process runs that worker's share itself.
+    The package's one fork helper. run_jobs runs its pool on it, for
+    evaluation.draw_risks and data.save_labeled_csv, whose jobs hand back
+    their results in anonymous shared memory (shared_array). training.train
+    runs on it directly: the trainer is worker 0 and worker 1 computes the
+    second shard of every batch (see training.ShardedLoss). Children leave
+    only through os._exit, after sending a raised exception back pickled
+    through a pipe; every child is reaped before this returns or raises. If
+    this process raises, here or in a signal handler while it waits on a
+    child, the children not yet reaped are killed and reaped first. A child's
+    exception is re-raised here with its type and message; one that cannot be
+    pickled, or a child killed by a signal, gives a RuntimeError naming the
+    worker. Where os.fork fails, this process runs that worker's share itself.
     """
     children = []                           # (worker, pid, its pipe's read end), not yet reaped
     failures = []
@@ -237,6 +238,45 @@ def on_workers(n, work):
         raise
     if failures:
         raise failures[0]
+
+
+def shared_array(n, dtype=np.float64):
+    """n zeros in anonymous shared memory: what a forked worker writes there, its parent reads."""
+    return np.frombuffer(mmap.mmap(-1, max(1, n * np.dtype(dtype).itemsize)), dtype, n)
+
+
+def run_jobs(jobs):
+    """Run each of jobs, callables of no arguments, once, on the workers of on_workers.
+
+    The worker_count(len(jobs)) workers claim the jobs on demand: a worker
+    that comes free takes the first job not yet claimed. So the jobs start in
+    list order, and a worker that starts late, as a forked one does, takes
+    fewer. The next job's index lies in shared memory behind a POSIX record
+    lock on an unnamed file, which the kernel releases when its holder exits,
+    however it exits, and no job count blocks. Each job writes its result at
+    its own place in shared memory (shared_array), so no result depends on
+    which worker ran it or on how many there are. A failure is on_workers'.
+    """
+    n = worker_count(len(jobs))
+    if n == 1:
+        for job in jobs:
+            job()
+        return
+    claimed = shared_array(1, np.int64)     # jobs claimed so far
+    with tempfile.TemporaryFile() as lock:
+
+        def claim():
+            os.lockf(lock.fileno(), os.F_LOCK, 0)
+            job = int(claimed[0])
+            claimed[0] = job + 1
+            os.lockf(lock.fileno(), os.F_ULOCK, 0)
+            return job
+
+        def work(i):
+            while (job := claim()) < len(jobs):
+                jobs[job]()
+
+        on_workers(n, work)
 
 
 class Workspace:
@@ -438,21 +478,43 @@ def posterior_grads_from_weight_grad(sigma, eps, d_w, out=None):
     return d_w, d_ls
 
 
-def feature_bound(layer_sizes, w, features):
-    """B = max_x ||f(x)||_2 over the given input rows (NaN if a row's is).
+def feature_bound_jobs(layer_sizes, w, features):
+    """feature_bound as one job per row chunk, for run_jobs.
 
-    Keeps only each row chunk's largest squared norm, not the output matrix.
+    Returns the jobs and a function that gives B once they have all run. A
+    job writes its chunk's largest squared norm into shared memory at the
+    chunk's index, through buffers its process makes on its first job.
     """
     chunks = row_chunks(len(features))
     tallest = chunks[-1][1] - chunks[-1][0]
-    ws = Workspace(layer_sizes, tallest, forward_only=True)
-    buf = np.empty((tallest, layer_sizes[-1]))
     mats = pack(layer_sizes, w)
-    sq = []
-    for lo, hi in chunks:
+    sq = shared_array(len(chunks))
+
+    @functools.cache
+    def buffers():
+        return (Workspace(layer_sizes, tallest, forward_only=True),
+                np.empty((tallest, layer_sizes[-1])))
+
+    def job(c):
+        ws, buf = buffers()
+        lo, hi = chunks[c]
         out = forward_cached(layer_sizes, mats, features[lo:hi], ws, buf[: hi - lo])[0]
-        sq.append(np.max(np.sum(np.square(out, out=out), axis=1)))
-    return float(np.sqrt(np.max(sq)))
+        sq[c] = np.max(np.sum(np.square(out, out=out), axis=1))
+
+    return ([functools.partial(job, c) for c in range(len(chunks))],
+            lambda: float(np.sqrt(np.max(sq))))
+
+
+def feature_bound(layer_sizes, w, features):
+    """B = max_x ||f(x)||_2 over the given input rows (NaN if a row's is).
+
+    Runs feature_bound_jobs in this process, so it keeps only each row
+    chunk's largest squared norm, not the output matrix.
+    """
+    jobs, bound = feature_bound_jobs(layer_sizes, w, features)
+    for job in jobs:
+        job()
+    return bound()
 
 
 @dataclass

@@ -24,7 +24,6 @@ import dataclasses
 import functools
 import json
 import math
-import mmap
 import numbers
 import os
 import time
@@ -96,8 +95,12 @@ class TrainConfig:
         for name in ("lam", "lr"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("k", "block_size", "epochs", "batch_size", "patience", "n_valid_samples"):
-            if int(getattr(self, name)) < 1:
+        for name in ("k", "block_size", "epochs", "batch_size", "patience", "n_valid_samples",
+                     "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:      # not 1.5, "5" or true, which int() reads as 1, 5, 1
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if name != "seed" and value < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.sigma2_p_init is None:
             self.sigma2_p_init = math.exp(-8.0) if self.objective != "noniid" else math.exp(-5.0)
@@ -293,8 +296,8 @@ class ShardedLoss:
             self.shards.append(self.make(n_batch // 2))
             return
         p = network.param_count(layer_sizes)
-        # anonymous and shared: [w | d_w | loss | n, shard 1's tuple indices]
-        shared = np.frombuffer(mmap.mmap(-1, 8 * (2 * p + 2 + n_batch // 2)))
+        # [w | d_w | loss | n, shard 1's tuple indices]
+        shared = network.shared_array(2 * p + 2 + n_batch // 2)
         self.w, self.d_w, self.loss = shared[:p], shared[p : 2 * p], shared[2 * p : 2 * p + 1]
         self.idx = shared[2 * p + 1 :].view(np.int64)
         self.request, self.reply = os.pipe(), os.pipe()       # (read end, write end)
@@ -760,13 +763,15 @@ def _check_form(objective, dependency_t):
 
 
 def _certificate(layer_sizes, post, prior, ds, *, risk, objective, grid_b, grid_c, delta,
-                 loss_kind, n_samples, rng, lam=None):
+                 loss_kind, n_samples, rng, lam=None, jobs=()):
     """The certificate of one risk kind for a trained posterior.
 
     risk "zero-one" is the model-selection certificate, "loss" the bounded-loss
     one; objective "noniid" takes the chi-square form, any other the KL form,
     which _check_form refuses on dependent tuples. Only the iid loss
-    certificate reads lam, and the dataset's provenance tau.
+    certificate reads lam, and the dataset's provenance tau. The Monte Carlo
+    pass runs jobs first, then, for a loss certificate, the feature bound's
+    row chunks (network.feature_bound_jobs), then its own.
 
     The forms that pay the union over the prior grid c e^(-j/b), j = 1, 2, ...
     (all but the iid loss certificate) hold at integer j only. They are
@@ -792,8 +797,11 @@ def _certificate(layer_sizes, post, prior, ds, *, risk, objective, grid_b, grid_
         raise ValueError("iid loss certificate needs tau (class collision probability) "
                          "in the dataset's provenance")
     j = bounds.j_index(grid_b, grid_c, prior.log_sigma2)
+    if risk == "loss":
+        chunk_jobs, feature_bound = network.feature_bound_jobs(layer_sizes, post.mu, ds.features)
+        jobs = [*jobs, *chunk_jobs]
     r_hat, draws = evaluation.mc_posterior_risk(
-        layer_sizes, post, ds, n_samples, risk, loss_kind, rng
+        layer_sizes, post, ds, n_samples, risk, loss_kind, rng, jobs
     )
     rep = bounds.BoundReport(     # the divergence and the bound are filled in below
         bound_kind=f"{form}-{'selection' if risk == 'zero-one' else 'loss'}",
@@ -804,7 +812,7 @@ def _certificate(layer_sizes, post, prior, ds, *, risk, objective, grid_b, grid_
         extras={"risk_per_draw": [float(v) for v in draws]},
     )
     if risk == "loss":
-        rep.feature_bound = network.feature_bound(layer_sizes, post.mu, ds.features)
+        rep.feature_bound = feature_bound()
         rep.loss_sup = losses.loss_range(loss_kind, rep.feature_bound, ds.k)
     if (form, risk) == ("iid", "loss"):
         grid = [(j, prior.log_sigma2)]
@@ -846,8 +854,9 @@ def certify_checkpoint(path, ds, *, objective, n_samples, risk="zero-one", seed=
     Monte Carlo stream is drawn from [seed, 0xB0], seed defaulting to the
     checkpoint's. objective picks the form and lam is the iid loss
     certificate's, as in selection_certificate and loss_certificate. The
-    provenance pins the checkpoint, the tuples (ds_hash, data.dataset_hash(ds)
-    when None), the numeric environment and the seed.
+    provenance pins the checkpoint, the tuples (ds_hash; when None,
+    data.dataset_hash(ds), the first job of the Monte Carlo pass), the
+    numeric environment and the seed.
     """
     ckpt = network.load_checkpoint(path)
     network.check_input_width(path, ckpt, ds.dim)
@@ -859,14 +868,20 @@ def certify_checkpoint(path, ds, *, objective, n_samples, risk="zero-one", seed=
         raise ValueError(f"{exc}, in the config of checkpoint {path}") from None
     seed = int(ckpt.seed if seed is None else seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB0]).generate_state(1)[0])
+    digest = network.shared_array(32, np.uint8)
+
+    def hash_data():
+        digest[:] = np.frombuffer(bytes.fromhex(data.dataset_hash(ds)), np.uint8)
+
     certify = selection_certificate if risk == "zero-one" else loss_certificate
     report = certify(
         tuple(ckpt.layer_sizes), ckpt.posterior, ckpt.prior, ds,
         grid_b=float(grid_b), grid_c=float(grid_c), delta=float(delta), loss_kind=loss_kind,
         objective=objective, n_samples=n_samples, rng=rng, lam=lam,
+        jobs=[hash_data] if ds_hash is None else [],
     )
     if ds_hash is None:
-        ds_hash = data.dataset_hash(ds)
+        ds_hash = digest.tobytes().hex()
     report.provenance = {"checkpoint": path, "dataset_hash": ds_hash,
                          "environment": network.environment(), "seed": seed}
     return report

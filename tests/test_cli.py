@@ -1331,6 +1331,43 @@ def test_a_config_key_no_command_reads_exits_two(tmp_path, data_dir, capsys, com
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, where, key, value", [
+    ("gen-data", "config", "seed", True),
+    ("gen-data", "config", "seed", 3.7),
+    ("gen-data", "config", "seed", "5"),
+    ("gen-data", "dataset", "m_train", 10.9),
+    ("gen-data", "dataset", "k", 2.0),
+    ("train", "config", "seed", False),
+    ("train", "config", "cert_samples", 2.9),
+])
+def test_a_config_value_that_is_not_a_json_integer_exits_two(tmp_path, data_dir, capsys,
+                                                             command, where, key, value):
+    # int() read these as seed 1, 3, 5 and 0, 10 tuples, k = 2 and 2 draws,
+    # each with exit 0
+    doc = iid_config() if command == "gen-data" else train_doc(data_dir)
+    (doc if where == "config" else doc[where])[key] = value
+    cfg = write_json(tmp_path / "c.json", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{where}.{key} must be an integer, got {value!r}" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value", [("epochs", 1.5), ("batch_size", "10"), ("k", 2.0),
+                                        ("seed", True)])
+def test_a_grid_entry_value_that_is_not_a_json_integer_exits_two(tmp_path, data_dir, capsys,
+                                                                 key, value):
+    # epochs 1.5 and batch_size "10" ended in a traceback, k 2.0 trained, and
+    # seed true trained and wrote a checkpoint before bound refused its seed
+    doc = train_doc(data_dir)
+    doc["grid"][0][key] = value
+    cfg = write_json(tmp_path / "t.json", doc)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"config.grid[0]: {key} must be an integer, got {value!r}" in err
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
 def test_select_is_not_a_command(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["select", "--runs", str(tmp_path / "runs.jsonl"), "--out", str(tmp_path / "s")])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats as scistats
 
+from conftest import record_calls
 from pbcurl import data, network
 
 
@@ -309,6 +310,25 @@ def test_labeled_csv_bytes_do_not_depend_on_the_worker_count(tmp_path, rng, monk
     assert twin.y.tobytes() == py.tobytes() == ds.y.tobytes()
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_labeled_csv_blocks_formatted_by_the_children_give_the_one_worker_bytes(
+        tmp_path, rng, monkeypatch, children_run_every_job, workers):
+    # 5 blocks, every one formatted by a forked worker: worker 0 starts once
+    # they are reaped (children_run_every_job) and finds no block left
+    ds = wide_rows(rng, 4 * BLOCK + 1)
+    pin_csv_workers(monkeypatch, 1)
+    data.save_labeled_csv(ds, tmp_path / "one.csv")
+    formatted = record_calls(monkeypatch, tmp_path / "formatted", data, "_csv_block",
+                             lambda args: len(args[0]))
+    pin_csv_workers(monkeypatch, workers)
+    data.save_labeled_csv(ds, tmp_path / "children.csv")
+    assert sorted(size for _, size in formatted()) == [1] + [BLOCK] * 4
+    assert os.getpid() not in {pid for pid, _ in formatted()}
+    for suffix in (".csv", ".bin"):
+        assert ((tmp_path / f"children{suffix}").read_bytes()
+                == (tmp_path / f"one{suffix}").read_bytes())
+
+
 def fail_in_csv_worker_1(monkeypatch, fail):
     """Patch data._csv_block to call fail() in any process but this one."""
     caller, csv_block = os.getpid(), data._csv_block
@@ -330,7 +350,9 @@ def raise_value_error():
     (lambda: os.kill(os.getpid(), signal.SIGKILL), RuntimeError,
      "^worker 1 was killed by SIGKILL$"),
 ], ids=["raises", "killed"])
-def test_a_failing_csv_worker_leaves_no_file(tmp_path, rng, monkeypatch, fail, error, message):
+def test_a_failing_csv_worker_leaves_no_file(tmp_path, rng, monkeypatch, one_job_each, fail,
+                                             error, message):
+    # one_job_each: worker 1 claims one of the 3 blocks
     pin_csv_workers(monkeypatch, 2)
     fail_in_csv_worker_1(monkeypatch, fail)
     path = tmp_path / "pts.csv"
@@ -343,15 +365,16 @@ def test_a_failing_csv_worker_leaves_no_file(tmp_path, rng, monkeypatch, fail, e
 def test_labeled_csv_text_that_overflows_its_region_raises(tmp_path, rng, monkeypatch,
                                                            workers):
     # regions sized for 5-character floats: 39 bytes a row of 3. Wide rows
-    # overflow them; with 2 workers, worker 0's rows are zeros, which fit
+    # overflow them; with 2 workers, the first block's rows are zeros, which
+    # fit, and the second block overflows on whichever worker claims it
     ds = wide_rows(rng, 2 * BLOCK)
     first = BLOCK * (workers - 1)
     ds.x[:first], ds.y[:first] = 0.0, 0
     monkeypatch.setattr(data, "CSV_FLOAT_BYTES", 5)
     pin_csv_workers(monkeypatch, workers)
     path = tmp_path / "pts.csv"
-    with pytest.raises(ValueError, match=f"rows {first} to {2 * BLOCK - 1} overflow the "
-                                         f"{(2 * BLOCK - first) * 39} bytes worker {workers - 1}"):
+    with pytest.raises(ValueError, match=f"rows {first} to {first + BLOCK - 1} overflow their "
+                                         f"region of {BLOCK * 39} bytes$"):
         data.save_labeled_csv(ds, path)
     assert not path.exists() and not (tmp_path / "pts.bin").exists()
 

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import signal
@@ -7,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import record_calls
 from pbcurl import data, evaluation, losses, network, training
 from test_network import (
     ACCEPTANCE_SIZES, alloc_forward_cached, mean_formula_margins, random_tuples,
@@ -418,28 +420,6 @@ def test_concatenated_iid_sets_stream_bitwise(rng):
     assert_risks_bitwise(ACCEPTANCE_SIZES, w, ds, "logistic")
 
 
-def record_calls(monkeypatch, path, owner, name, size):
-    """Patch owner.name to append "<pid> <size(args)>" to path on every call.
-
-    Forked workers inherit the patch; the file collects the calls of every
-    process. Returns a function that reads the (pid, size) pairs so far.
-    """
-    fn = getattr(owner, name)
-
-    def recorded(*args):
-        with open(path, "a") as fh:
-            fh.write(f"{os.getpid()} {size(args)}\n")
-        return fn(*args)
-
-    monkeypatch.setattr(owner, name, recorded)
-
-    def read():
-        if not path.exists():
-            return []
-        return [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
-    return read
-
-
 def record_forwards(monkeypatch, path):
     """The (pid, rows) of every network.forward_cached call."""
     return record_calls(monkeypatch, path, network, "forward_cached", lambda args: len(args[2]))
@@ -506,22 +486,28 @@ def test_feature_bound_passes_a_non_finite_row_through(rng, bad_row):
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("bad_row", [2 * network.CHUNK_ROWS + 7, 10 * network.CHUNK_ROWS + 50])
 def test_feature_bound_passes_a_worker_s_non_finite_row_through(rng, pin_workers, workers,
-                                                               bad_row):
-    # the third chunk and the folded last one (the tenth) of 10 chunks: dealt
-    # out as chunks[i::n], worker 2 would take the third at 3 workers and
-    # worker 1 the tenth at 2; feature_bound runs them all in the caller
-    # whatever the worker count
+                                                               children_run_every_job, bad_row):
+    # the third chunk and the folded last one (the tenth) of 10 chunks, as
+    # jobs of a pass whose forked workers run every chunk
+    # (children_run_every_job), and in the caller, where feature_bound runs
+    # them whatever the worker count
     pin_workers(workers)
     x = rng.standard_normal((10 * network.CHUNK_ROWS + 100, 20))
     x[bad_row, 3] = np.nan
     w = rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
+    jobs, bound = network.feature_bound_jobs(ACCEPTANCE_SIZES, w, x)
+    network.run_jobs(jobs)
+    assert math.isnan(bound())
     assert math.isnan(network.feature_bound(ACCEPTANCE_SIZES, w, x))
 
 
-def test_results_do_not_depend_on_the_worker_count(rng, monkeypatch, pin_workers, tmp_path):
+def test_results_do_not_depend_on_the_worker_count(rng, monkeypatch, pin_workers, tmp_path,
+                                                   one_job_each):
     # 1,000 tuples of 11 rows: 10 chunks of 93 tuples, the last folding in 70
     # more; the concatenated set's second half has offset indices. The last
-    # set's 11,000 references share 2,000 rows, so it takes the whole-matrix path
+    # set's 11,000 references share 2,000 rows, so it takes the whole-matrix
+    # path. Every worker claims a job (one_job_each), so each process count is
+    # that of the workers the pass starts
     model = data.random_gaussian_model(5, 20, 3.0, 1.0, rng)
     sets = [random_tuples(rng, 11_000, 1000),
             data.concat_contrastive(data.sample_contrastive_iid(model, 700, 4, 2, rng),
@@ -608,9 +594,10 @@ def test_whole_matrix_draws_do_not_depend_on_the_worker_count(rng, pin_workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_mc_draws_gather_each_streamed_chunk_once(rng, monkeypatch, pin_workers, workers,
-                                                  tmp_path):
+                                                  tmp_path, one_job_each):
     # 1,000 tuples of 11 rows stream in 10 chunks (93 tuples each, the last
-    # 163): 10 draws gather each chunk once and forward it 10 times
+    # 163): 10 draws gather each chunk once and forward it 10 times, and
+    # every worker claims a chunk (one_job_each)
     pin_workers(workers)
     ds = random_tuples(rng, 11_000, 1000)
     assert evaluation._streams(ds)
@@ -647,7 +634,10 @@ def assert_no_child_left():
 
 
 def fail_in_worker_1(monkeypatch, fail):
-    """Patch losses.zero_one_risk to call fail() in any process but this one."""
+    """Patch losses.zero_one_risk to call fail() in any process but this one.
+
+    The tests that call it take one_job_each, so that worker 1 claims a job.
+    """
     caller, zero_one_risk = os.getpid(), losses.zero_one_risk
 
     def failing(margins):
@@ -662,7 +652,7 @@ def fail_in_worker_1(monkeypatch, fail):
 WORKER_SETS = {"streamed": 11_000, "whole-matrix": 2000}
 
 
-def test_a_worker_s_exception_reaches_the_caller(rng, monkeypatch, pin_workers):
+def test_a_worker_s_exception_reaches_the_caller(rng, monkeypatch, pin_workers, one_job_each):
     pin_workers(2)
     ds = random_tuples(rng, 11_000, 1000)
     post, _ = network.init_network(ACCEPTANCE_SIZES, 1e-2, rng)
@@ -679,7 +669,7 @@ def test_a_worker_s_exception_reaches_the_caller(rng, monkeypatch, pin_workers):
 
 @pytest.mark.parametrize("rows", WORKER_SETS.values(), ids=WORKER_SETS.keys())
 def test_a_worker_s_value_error_keeps_its_type_and_message(rng, monkeypatch, pin_workers,
-                                                           rows):
+                                                           rows, one_job_each):
     pin_workers(2)
     ds = random_tuples(rng, rows, 1000)
     weights = [rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
@@ -694,7 +684,7 @@ def test_a_worker_s_value_error_keeps_its_type_and_message(rng, monkeypatch, pin
     assert_no_child_left()
 
 
-def test_an_unpicklable_exception_names_the_worker(rng, monkeypatch, pin_workers):
+def test_an_unpicklable_exception_names_the_worker(rng, monkeypatch, pin_workers, one_job_each):
     pin_workers(2)
     ds = random_tuples(rng, 11_000, 1000)
     w = rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
@@ -712,7 +702,8 @@ def test_an_unpicklable_exception_names_the_worker(rng, monkeypatch, pin_workers
 
 
 @pytest.mark.parametrize("rows", WORKER_SETS.values(), ids=WORKER_SETS.keys())
-def test_a_killed_worker_names_itself_and_the_signal(rng, monkeypatch, pin_workers, rows):
+def test_a_killed_worker_names_itself_and_the_signal(rng, monkeypatch, pin_workers, rows,
+                                                     one_job_each):
     pin_workers(2)
     ds = random_tuples(rng, rows, 1000)
     weights = [rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
@@ -723,7 +714,8 @@ def test_a_killed_worker_names_itself_and_the_signal(rng, monkeypatch, pin_worke
     assert_no_child_left()
 
 
-def test_a_failing_worker_0_reaps_the_children(rng, monkeypatch, pin_workers):
+def test_a_failing_worker_0_reaps_the_children(rng, monkeypatch, pin_workers, one_job_each):
+    # one_job_each: worker 0 claims a job, however fast the children run theirs
     pin_workers(3)
     ds = random_tuples(rng, 11_000, 1000)
     w = rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
@@ -738,6 +730,43 @@ def test_a_failing_worker_0_reaps_the_children(rng, monkeypatch, pin_workers):
     with pytest.raises(KeyboardInterrupt):
         evaluation.draw_risks(ACCEPTANCE_SIZES, [w], ds, "zero-one", "logistic")
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("rows", WORKER_SETS.values(), ids=WORKER_SETS.keys())
+def test_a_certificate_s_pass_run_by_the_children_gives_the_one_worker_bits(
+        rng, tmp_path, monkeypatch, pin_workers, children_run_every_job, rows):
+    # one pass runs the dataset hash, the feature bound's row chunks and the
+    # Monte Carlo chunks or draws. With worker 0 held back until the forked
+    # workers have run every job (children_run_every_job; one worker runs no
+    # fork), each result they write to shared memory is the one-worker
+    # result bit for bit
+    ds = random_tuples(rng, rows, 1000)
+    post, prior = network.init_network(ACCEPTANCE_SIZES, 1e-2, rng)
+    post.mu = rng.normal(scale=0.3, size=post.n_params)
+    path = str(tmp_path / "c.ckpt.json")
+    network.save_checkpoint(path, network.Checkpoint(list(ACCEPTANCE_SIZES), post, prior,
+                                                     seed=3, epoch=1))
+    weights = [rng.normal(scale=0.3, size=post.n_params) for _ in range(3)]
+
+    def results():
+        reports = [training.certify_checkpoint(path, ds, objective=objective, n_samples=3,
+                                               risk=risk).to_dict()
+                   for objective, risk in (("iid", "zero-one"), ("noniid", "loss"))]
+        risks = evaluation.draw_risks(ACCEPTANCE_SIZES, weights, ds, "loss", "logistic")
+        return json.dumps(reports, sort_keys=True), risks.tobytes()
+
+    pin_workers(1)
+    want = results()
+    report = json.loads(want[0])[1]
+    assert report["feature_bound"] == network.feature_bound(ACCEPTANCE_SIZES, post.mu,
+                                                            ds.features)
+    assert report["provenance"]["dataset_hash"] == data.dataset_hash(ds)
+    hashed = record_calls(monkeypatch, tmp_path / "hashed", data, "dataset_hash",
+                          lambda args: len(args[0]))
+    for workers in (2, 3):
+        pin_workers(workers)
+        assert results() == want
+    assert len(hashed()) == 4 and os.getpid() not in {pid for pid, _ in hashed()}
 
 
 @pytest.mark.parametrize("rows", WORKER_SETS.values(), ids=WORKER_SETS.keys())

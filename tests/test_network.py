@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -343,6 +344,72 @@ def test_a_raise_while_reaping_kills_and_reaps_the_children():
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
     pytest.fail(f"on_workers left worker 1 ({pid}) {'running' if running else 'unreaped'}")
+
+
+def test_a_pass_of_more_jobs_than_a_pipe_holds_runs_each_once(pin_workers, deadline):
+    # 20,000 jobs: their indices, 4 bytes each, would overfill a 64 KB pipe
+    # buffer (16,384 of them), and a writer that pre-filled one would block.
+    # More workers than cores contend for the claim lock; a lost update to
+    # the count of claimed jobs would run a job twice or skip one
+    pin_workers(max(4, (os.cpu_count() or 1) + 1))
+    runs = network.shared_array(20_000, np.int64)
+
+    def job(j):
+        runs[j] += 1
+
+    network.run_jobs([functools.partial(job, j) for j in range(len(runs))])
+    assert np.array_equal(runs, np.ones(len(runs), np.int64))
+
+
+def test_a_worker_killed_while_it_holds_the_claim_lock_stops_no_other(pin_workers, monkeypatch,
+                                                                     deadline):
+    # worker 1 dies the first time it takes the lock, before it claims a job.
+    # The kernel releases the lock, so worker 0 runs every job, and the pass
+    # raises worker 1's death; a lock its holder kept would hang worker 0
+    # until the deadline
+    pin_workers(2)
+    caller, lockf = os.getpid(), os.lockf
+
+    def dying(fd, cmd, length):
+        lockf(fd, cmd, length)
+        if cmd == os.F_LOCK and os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(os, "lockf", dying)
+    runs = network.shared_array(500, np.int64)
+
+    def job(j):
+        runs[j] += 1
+        time.sleep(0.0001)
+
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="^worker 1 was killed by SIGKILL$"):
+        network.run_jobs([functools.partial(job, j) for j in range(len(runs))])
+    assert time.monotonic() - t0 < 30
+    assert np.array_equal(runs, np.ones(len(runs), np.int64))
+
+
+def test_workers_killed_mid_pass_give_their_error_and_leave_no_child(pin_workers, deadline,
+                                                                    one_job_each):
+    # every worker claims a job (one_job_each), and each child dies in its
+    # second: worker 0 runs on alone, then reaps both and raises the first
+    # one's death
+    pin_workers(3)
+    caller, done = os.getpid(), []
+
+    def job():
+        done.append(1)
+        if os.getpid() != caller and len(done) == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(0.001)
+
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="^worker 1 was killed by SIGKILL$"):
+        network.run_jobs([job] * 200)
+    assert time.monotonic() - t0 < 30
+    assert len(done) == 196                 # each child claimed 2 of the 200 jobs
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_backprop_leaves_the_ones_columns_for_the_next_step(rng):

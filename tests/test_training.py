@@ -8,6 +8,7 @@ import signal
 import numpy as np
 import pytest
 
+from conftest import record_calls
 from pbcurl import bounds, data, divergences, evaluation, losses, network, training
 from test_network import random_tuples
 
@@ -480,19 +481,6 @@ def untimed_runs(path):
     return docs
 
 
-@pytest.fixture
-def deadline():
-    """Fail a train call that waits on its helper for more than a minute, rather than hang."""
-    def expire(signum, frame):
-        raise TimeoutError("the test ran past its one-minute deadline")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
 # (objective, tuples, optimizer, lr): 17,200 tuples are 68 batches of 250 and
 # one of 200; at lr 1 Adam overflows the chi-square penalty, so steps are
 # rejected and retried; 251 tuples end on a batch of one, and a run of one
@@ -960,18 +948,21 @@ def test_grid_search_restricted_criteria(rng, tmp_path):
         training.grid_search([base_config()], ["holdout"], ds, None, str(tmp_path / "g3"))
 
 
-def test_grid_search_hashes_the_pb_data_once(rng, tmp_path, monkeypatch):
+def test_grid_search_hashes_the_pb_data_once(rng, tmp_path, monkeypatch, pin_workers):
     # every pb run is certified on the same train + valid tuples, so one hash
-    # serves the grid, and each selection block is still the one bound writes
+    # serves the grid, and each selection block is still the one bound writes.
+    # The hash is a job of the Monte Carlo pass, which either worker may take:
+    # hashed counts the calls of every process
+    pin_workers(2)
     ds, valid = make_iid_dataset(rng, m=40), make_iid_dataset(rng, m=20)
     configs = [base_config(epochs=1, seed=s) for s in (1, 2, 3)]
-    hashed, dataset_hash = [], data.dataset_hash
-    monkeypatch.setattr(data, "dataset_hash", lambda ds: hashed.append(1) or dataset_hash(ds))
-    training.grid_search(configs, ["pb"], ds, valid, str(tmp_path))
-    assert len(hashed) == 1
+    hashed = record_calls(monkeypatch, tmp_path / "hashed", data, "dataset_hash",
+                          lambda args: len(args[0]))
+    training.grid_search(configs, ["pb"], ds, valid, str(tmp_path / "runs"))
+    assert [tuples for _, tuples in hashed()] == [60]
     monkeypatch.undo()
     pb_data = data.concat_contrastive(ds, valid)
-    records = [json.loads(line) for line in open(tmp_path / "runs.jsonl")]
+    records = [json.loads(line) for line in open(tmp_path / "runs" / "runs.jsonl")]
     assert len(records) == 3
     for cfg, rec in zip(configs, records):
         report = training.certify_checkpoint(rec["checkpoint_path"], pb_data, objective="iid",
