@@ -4,7 +4,7 @@ Subcommands cover the full pipeline: gen-data builds dataset artifacts,
 train runs the hyperparameter grid under the selection criteria, bound
 certifies a checkpoint on a dataset, eval scores representations with mean
 classifiers, and verify runs the oracle suite. Exit codes: 0 success, 2
-validation error, 3 numeric abort.
+validation error or a file that cannot be read or written, 3 numeric abort.
 """
 
 import argparse
@@ -27,21 +27,9 @@ class ConfigError(ValueError):
     """Bad configuration or arguments; maps to exit code 2."""
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _write_json(path, doc):
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, default=_json_default)
+        json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
 
 
@@ -322,7 +310,7 @@ def _cmd_gen_data(args):
         "spec": spec,
     }
     _write_json(os.path.join(out_dir, "dataset.json"), summary)
-    print(json.dumps(summary, sort_keys=True, default=_json_default))
+    print(json.dumps(summary, sort_keys=True))
     return 0
 
 
@@ -403,7 +391,7 @@ def _cmd_bound(args):
         bound_id = re.sub(r"(\.ckpt)?\.json$", "", os.path.basename(args.checkpoint))
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, f"bound_{bound_id}.json"), report.to_dict())
-    print(json.dumps(report.to_dict(), sort_keys=True, default=_json_default))
+    print(json.dumps(report.to_dict(), sort_keys=True))
     return 0
 
 
@@ -442,7 +430,7 @@ def _cmd_eval(args):
             for name in sorted(metrics):
                 writer.writerow([ckpt_path, name, repr(float(metrics[name]))])
     _write_json(os.path.join(args.out, "metrics.json"), results)
-    print(json.dumps(results, sort_keys=True, default=_json_default))
+    print(json.dumps(results, sort_keys=True))
     return 0
 
 
@@ -451,7 +439,7 @@ def _cmd_verify(args):
     if args.seed is not None:
         kwargs["seed"] = int(args.seed)
     verdict = oracle.run_verify_suite(**kwargs)
-    text = json.dumps(verdict, indent=2, sort_keys=True, default=_json_default)
+    text = json.dumps(verdict, indent=2, sort_keys=True)
     print(text)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -528,11 +516,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except training.NumericAbort as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)

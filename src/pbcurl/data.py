@@ -32,10 +32,6 @@ MAGIC = b"PBCURLF1"
 LABELED_MAGIC = b"PBCURLL1"
 
 STD_FLOOR = 1e-8
-# sample_points shifts its draws by the class means this many rows at a time
-SAMPLE_BLOCK_ROWS = 8192
-# NormStats.from_data sums this many rows at a time
-STATS_BLOCK_ROWS = 2048
 
 
 class DataFormatError(ValueError):
@@ -44,16 +40,16 @@ class DataFormatError(ValueError):
 
 def _column_sum(x, term):
     """np.add.reduce(terms, axis=0) of the terms of x's rows, in that reduce's
-    order (row after row), STATS_BLOCK_ROWS rows at a time.
+    order (row after row), network.CHUNK_ROWS rows at a time.
 
     term(rows, out) writes the terms of some rows into out. Each block's
     reduce starts from the running sum, staged as the block's first row; the
     sum starts at 0.0, as numpy's does (all -0.0 terms sum to 0.0).
     """
     total = np.zeros(x.shape[1])
-    stage = np.empty((min(len(x), STATS_BLOCK_ROWS) + 1, x.shape[1]))
-    for lo in range(0, len(x), STATS_BLOCK_ROWS):
-        rows = x[lo:lo + STATS_BLOCK_ROWS]
+    stage = np.empty((min(len(x), network.CHUNK_ROWS) + 1, x.shape[1]))
+    for lo in range(0, len(x), network.CHUNK_ROWS):
+        rows = x[lo:lo + network.CHUNK_ROWS]
         stage[0] = total
         term(rows, stage[1:len(rows) + 1])
         np.add.reduce(stage[:len(rows) + 1], axis=0, out=total)
@@ -286,15 +282,16 @@ class LatentClassModel:
         """One draw from D_c for every entry of the integer array classes.
 
         The normals are drawn into the output, then scaled and shifted in
-        place in row blocks, so no other array of the output's size is made.
+        place network.CHUNK_ROWS rows at a time, so no other array of the
+        output's size is made.
         """
         classes = np.asarray(classes)
         out = rng.standard_normal(classes.shape + (self.dim,))
         rows, cls = out.reshape(-1, self.dim), classes.ravel()
-        for lo in range(0, len(rows), SAMPLE_BLOCK_ROWS):
-            block = rows[lo:lo + SAMPLE_BLOCK_ROWS]
+        for lo in range(0, len(rows), network.CHUNK_ROWS):
+            block = rows[lo:lo + network.CHUNK_ROWS]
             block *= self.std
-            block += self.means[cls[lo:lo + SAMPLE_BLOCK_ROWS]]
+            block += self.means[cls[lo:lo + network.CHUNK_ROWS]]
         return out
 
 
@@ -620,8 +617,6 @@ def load_feature_csv(path, stats=None):
     return LabeledDataset(x=stats.apply(raw.x), y=raw.y), stats
 
 
-# save_labeled_csv formats this many rows at a time
-CSV_BLOCK_ROWS = 1024
 # the widest cells of a labeled CSV row: a float's repr has at most 24
 # characters (-2.2250738585072014e-308), an int64 at most 20
 # (-9223372036854775808). With a comma after each feature and the newline, a
@@ -639,7 +634,7 @@ def _csv_block(rows, labels):
 def save_labeled_csv(ds, path):
     """One row per point: its features in repr, then its integer label.
 
-    Rows are formatted CSV_BLOCK_ROWS at a time as Python floats and ints,
+    Rows are formatted network.CHUNK_ROWS at a time as Python floats and ints,
     which print as repr(float(v)) and int(label) do. Each block is one job of
     network.run_jobs, which hands it to the first free worker. A block writes
     its bytes into its own region of one anonymous shared mmap and records
@@ -659,14 +654,14 @@ def save_labeled_csv(ds, path):
     y = np.ascontiguousarray(ds.y, dtype="<i8")
     n_rows, dim = x.shape
     row_bytes = dim * (CSV_FLOAT_BYTES + 1) + CSV_LABEL_BYTES + 1
-    starts = range(0, n_rows, CSV_BLOCK_ROWS)
+    starts = range(0, n_rows, network.CHUNK_ROWS)
     # anonymous and shared: what a forked worker writes here, the caller reads
     text = mmap.mmap(-1, max(1, n_rows * row_bytes))
     lengths = network.shared_array(len(starts), np.int64)
 
     def job(b):
         lo = starts[b]
-        hi = min(n_rows, lo + CSV_BLOCK_ROWS)
+        hi = min(n_rows, lo + network.CHUNK_ROWS)
         block = _csv_block(x[lo:hi].tolist(), y[lo:hi].tolist())
         if len(block) > (hi - lo) * row_bytes:
             raise ValueError(f"{path}: rows {lo} to {hi - 1} overflow their region of "
@@ -737,20 +732,50 @@ def save_contrastive(ds, json_path):
         fh.write("\n")
 
 
+# what each manifest entry load_contrastive reads must be. An integer is a
+# JSON integer, not 2.0, "2" or true, which int() would take
+_MANIFEST_VALUES = {
+    "an integer": lambda v: type(v) is int,
+    "a string": lambda v: type(v) is str,
+    "an object": lambda v: type(v) is dict,
+    "an array of integers >= 0": lambda v: (type(v) is list
+                                            and all(type(n) is int and n >= 0 for n in v)),
+}
+
+
+def _manifest_entry(json_path, doc, key, what, name=None):
+    """doc[key] if it is what _MANIFEST_VALUES says, else DataFormatError naming it."""
+    name = name or key
+    if key not in doc:
+        raise DataFormatError(f"{json_path}: manifest has no {name!r} entry")
+    if not _MANIFEST_VALUES[what](doc[key]):
+        raise DataFormatError(f"{json_path}: manifest entry {name!r} must be {what}, "
+                              f"got {doc[key]!r}")
+    return doc[key]
+
+
 def load_contrastive(json_path):
     with open(json_path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{json_path}: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{json_path}: a manifest must be a JSON object")
     if doc.get("format") == "pbcurl-contrastive-v1":
         raise DataFormatError(f"{json_path}: dataset format v1 is no longer read; re-run "
                               "gen-data with the same config and seed to write v2")
     if doc.get("format") != FORMAT:
         raise DataFormatError(f"{json_path}: not a contrastive dataset manifest")
-    try:
-        bin_path = os.path.join(os.path.dirname(json_path), doc["data_file"])
-        shapes = [tuple(doc["shapes"][name]) for name in INDEX_ARRAYS]
-        k, block_size, dependency_t = (int(doc[key]) for key in ("k", "block_size", "dependency_t"))
-    except KeyError as exc:
-        raise DataFormatError(f"{json_path}: manifest has no {exc.args[0]!r} entry") from None
+    bin_path = os.path.join(os.path.dirname(json_path),
+                            _manifest_entry(json_path, doc, "data_file", "a string"))
+    shape_doc = _manifest_entry(json_path, doc, "shapes", "an object")
+    shapes = [tuple(_manifest_entry(json_path, shape_doc, name, "an array of integers >= 0",
+                                    f"shapes.{name}")) for name in INDEX_ARRAYS]
+    k, block_size, dependency_t = (_manifest_entry(json_path, doc, key, "an integer")
+                                   for key in ("k", "block_size", "dependency_t"))
+    provenance = (_manifest_entry(json_path, doc, "provenance", "an object")
+                  if "provenance" in doc else {})
     sizes = [math.prod(shape) for shape in shapes]
     with open(bin_path, "rb") as fh:
         header = fh.read(16)
@@ -769,7 +794,7 @@ def load_contrastive(json_path):
             features.astype(np.float64, copy=False),      # native byte order
             *(part.reshape(shape) for part, shape in zip(parts, shapes)),
             k=k, block_size=block_size, dependency_t=dependency_t,
-            provenance=doc.get("provenance", {}),
+            provenance=provenance,
         )
     except DataFormatError as exc:
         raise DataFormatError(f"{json_path}: {exc}") from None

@@ -115,15 +115,13 @@ def evaluate_representation(reps_train, reps_test, rng, samples_per_class=5, n_v
 def _streams(ds):
     """Whether draw_risks forwards each chunk's gathered input rows.
 
-    Its tuples must reference at least network.STABLE_ROWS rows, so that
-    for the acceptance layers each chunk's rows round as in a whole-matrix
-    forward (for other shapes the two paths may differ in the last bits; see
-    network.CHUNK_ROWS), and no more rows than the matrix has: tuples that
-    share rows (sequence windows) take the whole-matrix path. Either way the
-    path, and so the bits, depend on the data alone.
+    Its tuples must reference no more rows than the matrix has, so that
+    forwarding the gathered rows costs no more than forwarding the matrix:
+    tuples that share rows (sequence windows) take the whole-matrix path.
+    Either way the path, and so the bits, depend on the data alone.
     """
     refs = len(ds) * data.TupleBatch.rows_per_tuple(ds.k, ds.block_size)
-    return network.STABLE_ROWS <= refs <= len(ds.features)
+    return refs <= len(ds.features)
 
 
 def tuple_risks(layer_sizes, w, ds, kind, loss_kind):
@@ -179,9 +177,8 @@ def draw_risks(layer_sizes, weights, ds, kind, loss_kind, jobs=()):
         if streams:
             return rows, diff, np.empty(block * len(rows) * d_out), network.Workspace(
                 layer_sizes, len(rows), forward_only=True)
-        top, end = network.row_chunks(len(ds.features))[-1]        # forward's tallest chunk
-        return rows, diff, np.empty((len(ds.features), d_out)), network.Workspace(
-            layer_sizes, end - top, forward_only=True)
+        return rows, diff, np.empty((len(ds.features), d_out)), network.chunk_workspace(
+            layer_sizes, len(ds.features))
 
     def take(source, lo, hi, rows):
         return data.take_tuples(

@@ -110,24 +110,27 @@ def sample_weights(post, eps, ws=None):
     return w
 
 
-# whole-matrix forwards and Monte Carlo chunks run in row chunks of this
-# height, whose input and activations stay in cache. The remainder folds into
+# whole-matrix forwards, Monte Carlo chunks and data's row loops run in row
+# chunks of this height, whose input and activations stay in cache. The remainder folds into
 # the last chunk, so the chunks, and the bits, depend on the row count alone.
 # Whether a row's bits also depend on its GEMM's height depends on the layer:
 # measured with OpenBLAS 0.3.31 on AVX-512, one thread, 3 random draws, against
 # a 4,096-row GEMM, the acceptance layers (21 -> 32 and 33 -> 16, ones
 # included) differ only at 1 row, a 23 -> 50 layer up to 869 rows and a
-# 101 -> 10 layer up to 990. STABLE_ROWS decides which Monte Carlo path a set
-# takes (evaluation._streams): another value would move small sets to the
-# other path, and their bits with them
+# 101 -> 10 layer up to 990
 CHUNK_ROWS = 1024
-STABLE_ROWS = 76
 
 
 def row_chunks(n, chunk=CHUNK_ROWS):
     """[lo, hi) ranges covering n rows, each at least chunk high unless n is less."""
     edges = list(range(0, n - chunk + 1, chunk)) or [0]
     return list(zip(edges, edges[1:] + [n]))
+
+
+def chunk_workspace(layer_sizes, n):
+    """A forward-only Workspace as tall as the tallest of row_chunks(n)."""
+    lo, hi = row_chunks(n)[-1]
+    return Workspace(layer_sizes, hi - lo, forward_only=True)
 
 
 def worker_count(n_jobs):
@@ -382,8 +385,8 @@ def forward(layer_sizes, w, x, out=None, ws=None):
     w : flat parameter vector, or its pack.
     x : (n, d_in) array.
     out : optional (n, d_out) array to write into.
-    ws : optional forward-only Workspace at least as tall as the tallest of
-        row_chunks(n), for callers that forward many times; else a new one.
+    ws : optional forward-only Workspace at least as tall as chunk_workspace's
+        for n rows, for callers that forward many times; else a new one.
 
     Returns
     -------
@@ -391,11 +394,9 @@ def forward(layer_sizes, w, x, out=None, ws=None):
     """
     if out is None:
         out = np.empty((len(x), layer_sizes[-1]))
-    chunks = row_chunks(len(x))
-    if ws is None:
-        ws = Workspace(layer_sizes, chunks[-1][1] - chunks[-1][0], forward_only=True)
+    ws = ws or chunk_workspace(layer_sizes, len(x))
     mats = pack(layer_sizes, w)
-    for lo, hi in chunks:
+    for lo, hi in row_chunks(len(x)):
         forward_cached(layer_sizes, mats, x[lo:hi], ws, out[lo:hi])
     return out
 
@@ -407,8 +408,7 @@ def forward_cached(layer_sizes, w, x, ws=None, out=None):
     (n, d_in) rows, copied into ws.ins[0], or the view ws.load returned, which
     skips the copy when one chunk goes through several weight vectors. Each
     layer multiplies its ones-extended input by [W^T; b] in one untransposed
-    GEMM: for the acceptance layers, bitwise x @ W.T + b from STABLE_ROWS rows
-    up (see CHUNK_ROWS on heights and shapes). ReLU follows every layer but
+    GEMM (see CHUNK_ROWS on heights and shapes). ReLU follows every layer but
     the last, over the whole buffer, where the ones stay 1. The last layer
     writes into out ((n, d_out)) when given, else ws.out (not in a
     forward_only workspace). Returns the output and the cache: every layer's
@@ -478,43 +478,20 @@ def posterior_grads_from_weight_grad(sigma, eps, d_w, out=None):
     return d_w, d_ls
 
 
-def feature_bound_jobs(layer_sizes, w, features):
-    """feature_bound as one job per row chunk, for run_jobs.
-
-    Returns the jobs and a function that gives B once they have all run. A
-    job writes its chunk's largest squared norm into shared memory at the
-    chunk's index, through buffers its process makes on its first job.
-    """
-    chunks = row_chunks(len(features))
-    tallest = chunks[-1][1] - chunks[-1][0]
-    mats = pack(layer_sizes, w)
-    sq = shared_array(len(chunks))
-
-    @functools.cache
-    def buffers():
-        return (Workspace(layer_sizes, tallest, forward_only=True),
-                np.empty((tallest, layer_sizes[-1])))
-
-    def job(c):
-        ws, buf = buffers()
-        lo, hi = chunks[c]
-        out = forward_cached(layer_sizes, mats, features[lo:hi], ws, buf[: hi - lo])[0]
-        sq[c] = np.max(np.sum(np.square(out, out=out), axis=1))
-
-    return ([functools.partial(job, c) for c in range(len(chunks))],
-            lambda: float(np.sqrt(np.max(sq))))
-
-
 def feature_bound(layer_sizes, w, features):
     """B = max_x ||f(x)||_2 over the given input rows (NaN if a row's is).
 
-    Runs feature_bound_jobs in this process, so it keeps only each row
-    chunk's largest squared norm, not the output matrix.
+    Forwards one row chunk at a time and keeps only each chunk's largest
+    squared norm, not the output matrix.
     """
-    jobs, bound = feature_bound_jobs(layer_sizes, w, features)
-    for job in jobs:
-        job()
-    return bound()
+    ws = chunk_workspace(layer_sizes, len(features))
+    out = np.empty((len(ws.ins[0]), layer_sizes[-1]))
+    mats = pack(layer_sizes, w)
+    sq = []
+    for lo, hi in row_chunks(len(features)):
+        z = forward_cached(layer_sizes, mats, features[lo:hi], ws, out[: hi - lo])[0]
+        sq.append(np.max(np.sum(np.square(z, out=z), axis=1)))
+    return float(np.sqrt(np.max(sq)))
 
 
 @dataclass

@@ -770,8 +770,8 @@ def _certificate(layer_sizes, post, prior, ds, *, risk, objective, grid_b, grid_
     one; objective "noniid" takes the chi-square form, any other the KL form,
     which _check_form refuses on dependent tuples. Only the iid loss
     certificate reads lam, and the dataset's provenance tau. The Monte Carlo
-    pass runs jobs first, then, for a loss certificate, the feature bound's
-    row chunks (network.feature_bound_jobs), then its own.
+    pass runs jobs first, then, for a loss certificate, network.feature_bound
+    as one job, then its own.
 
     The forms that pay the union over the prior grid c e^(-j/b), j = 1, 2, ...
     (all but the iid loss certificate) hold at integer j only. They are
@@ -798,8 +798,12 @@ def _certificate(layer_sizes, post, prior, ds, *, risk, objective, grid_b, grid_
                          "in the dataset's provenance")
     j = bounds.j_index(grid_b, grid_c, prior.log_sigma2)
     if risk == "loss":
-        chunk_jobs, feature_bound = network.feature_bound_jobs(layer_sizes, post.mu, ds.features)
-        jobs = [*jobs, *chunk_jobs]
+        feature_bound = network.shared_array(1)
+
+        def bound_features():
+            feature_bound[0] = network.feature_bound(layer_sizes, post.mu, ds.features)
+
+        jobs = [*jobs, bound_features]
     r_hat, draws = evaluation.mc_posterior_risk(
         layer_sizes, post, ds, n_samples, risk, loss_kind, rng, jobs
     )
@@ -812,7 +816,7 @@ def _certificate(layer_sizes, post, prior, ds, *, risk, objective, grid_b, grid_
         extras={"risk_per_draw": [float(v) for v in draws]},
     )
     if risk == "loss":
-        rep.feature_bound = feature_bound()
+        rep.feature_bound = float(feature_bound[0])
         rep.loss_sup = losses.loss_range(loss_kind, rep.feature_bound, ds.k)
     if (form, risk) == ("iid", "loss"):
         grid = [(j, prior.log_sigma2)]

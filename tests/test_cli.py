@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -936,6 +937,57 @@ def test_manifest_missing_key_exits_two_and_names_it(tmp_path, data_dir, train_d
     err = capsys.readouterr().err
     assert repr(key) in err and "Traceback" not in err
     assert not (tmp_path / "b").exists()
+
+
+# a manifest entry of another JSON type, made from the entry it replaces
+# (None: the whole manifest, a text when it is not JSON). int() would read
+# 2.0, "2" and 0.9 as 2, 2 and 0
+BAD_MANIFEST_VALUES = {
+    "float-shape": ("shapes.anchors", lambda shape: [float(n) for n in shape]),
+    "string-shape": ("shapes.anchors", lambda shape: str(shape[0])),
+    "negative-shape": ("shapes.positives", lambda shape: [-n for n in shape]),
+    "null-provenance": ("provenance", lambda _: None),
+    "fractional-dependency": ("dependency_t", lambda _: 0.9),
+    "float-k": ("k", float),
+    "string-block-size": ("block_size", str),
+    "null-data-file": ("data_file", lambda _: None),
+    "list-shapes": ("shapes", lambda shapes: list(shapes.values())),
+    "list-manifest": (None, lambda doc: [doc]),
+    "truncated-manifest": (None, lambda doc: json.dumps(doc)[:-1]),
+}
+
+
+@pytest.mark.parametrize("key, bad", BAD_MANIFEST_VALUES.values(), ids=BAD_MANIFEST_VALUES.keys())
+def test_manifest_value_of_another_type_exits_two_and_names_it(tmp_path, data_dir, train_dir,
+                                                               capsys, key, bad):
+    doc = json.loads((data_dir / "test.json").read_text())
+    (tmp_path / "test.bin").write_bytes((data_dir / "test.bin").read_bytes())
+    if key is None:
+        doc = bad(doc)
+    else:
+        *outer, name = key.split(".")
+        entries = doc[outer[0]] if outer else doc
+        entries[name] = bad(entries[name])
+    manifest = tmp_path / "test.json"
+    manifest.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    assert main([
+        "bound", "--checkpoint", best_pb_checkpoint(train_dir), "--data", str(manifest),
+        "--out", str(tmp_path / "b"), "--iid",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: ") and "Traceback" not in err
+    assert (f"{key!r} must be" if key else "JSON") in err
+    assert not (tmp_path / "b").exists()
+
+
+def test_a_directory_given_for_a_file_exits_two(tmp_path, data_dir, capsys):
+    # open() on a directory raises IsADirectoryError, an OSError
+    assert main(["gen-data", "--config", str(tmp_path), "--out", str(tmp_path / "g")]) == 2
+    assert main(["bound", "--checkpoint", str(tmp_path), "--data", str(data_dir / "test.json"),
+                 "--out", str(tmp_path / "b"), "--iid"]) == 2
+    raised = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(tmp_path))
+    assert capsys.readouterr().err.splitlines() == [f"error: {raised}"] * 2
+    assert not (tmp_path / "g").exists() and not (tmp_path / "b").exists()
 
 
 def write_zero_tuple_manifest(tmp_path, rng):

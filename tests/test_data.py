@@ -30,8 +30,13 @@ def test_norm_stats_standardize(rng):
     assert np.max(np.abs(z.std(axis=0) - 1.0)) < 1e-9
 
 
-@pytest.mark.parametrize("rows", [1, 2, data.STATS_BLOCK_ROWS - 1, data.STATS_BLOCK_ROWS,
-                                  data.STATS_BLOCK_ROWS + 1, data.STATS_BLOCK_ROWS + 2, 220_000])
+# the rows data's loops take at a time: NormStats sums, sample_points
+# shifts and save_labeled_csv formats this many
+BLOCK = network.CHUNK_ROWS
+
+
+@pytest.mark.parametrize("rows", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK,
+                                  2 * BLOCK + 1, 2 * BLOCK + 2, 220_000])
 def test_norm_stats_keep_the_bits_of_numpy(rng, rows):
     # the row blocks keep np.mean's and np.std's sequential order over axis 0;
     # 220k x 20 is the acceptance-scale iid train matrix
@@ -83,7 +88,7 @@ def test_labeled_csv_bytes_match_the_per_cell_repr(tmp_path, monkeypatch, block)
     y = np.array([-2**63, 2**63 - 1, 0, -7, 3], dtype=np.int64)
     path = tmp_path / "pts.csv"
     if block is not None:
-        monkeypatch.setattr(data, "CSV_BLOCK_ROWS", block)
+        monkeypatch.setattr(network, "CHUNK_ROWS", block)
     data.save_labeled_csv(data.LabeledDataset(x=x, y=y), path)
     want = "".join(",".join(repr(float(v)) for v in row) + f",{int(label)}\n"
                    for row, label in zip(x, y))
@@ -273,7 +278,6 @@ def test_labeled_twin_never_accepts_what_the_parse_rejects(tmp_path, x, fragment
 WIDE_CELLS = np.array([-2.2250738585072014e-308, -0.0, 0.0, 5e-324, -5e-324,
                        -2.225073858507201e-308, 1e16, -1.7976931348623157e+308, 0.1, -1.5])
 WIDE_LABELS = np.array([-2**63, 2**63 - 1, 0, -7, 3], dtype=np.int64)
-BLOCK = data.CSV_BLOCK_ROWS
 
 
 def pin_csv_workers(monkeypatch, n):

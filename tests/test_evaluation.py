@@ -393,7 +393,7 @@ def test_tuple_risks_blocks_of_three(rng, kind):
 
 
 @pytest.mark.parametrize("m, k, block_size, streams", [
-    (15, 3, 1, False),     # 15 tuples of 5 rows: 75 references, too few to stream
+    (15, 3, 1, True),      # 15 tuples of 5 rows: 75 references, one 75-row chunk
     (19, 2, 1, True),      # 19 tuples of 4 rows: 76, one 76-row chunk
     (1000, 4, 2, True),    # chunks of 93 tuples; the last folds in 70 more
 ])
@@ -487,18 +487,23 @@ def test_feature_bound_passes_a_non_finite_row_through(rng, bad_row):
 @pytest.mark.parametrize("bad_row", [2 * network.CHUNK_ROWS + 7, 10 * network.CHUNK_ROWS + 50])
 def test_feature_bound_passes_a_worker_s_non_finite_row_through(rng, pin_workers, workers,
                                                                children_run_every_job, bad_row):
-    # the third chunk and the folded last one (the tenth) of 10 chunks, as
-    # jobs of a pass whose forked workers run every chunk
-    # (children_run_every_job), and in the caller, where feature_bound runs
-    # them whatever the worker count
+    # the third chunk and the folded last one (the tenth) of 10 chunks, with
+    # feature_bound the first job of a pass whose forked workers run every
+    # job (children_run_every_job), as a loss certificate's pass runs it;
+    # the other jobs make the pass start every worker
     pin_workers(workers)
     x = rng.standard_normal((10 * network.CHUNK_ROWS + 100, 20))
     x[bad_row, 3] = np.nan
     w = rng.normal(scale=0.3, size=network.param_count(ACCEPTANCE_SIZES))
-    jobs, bound = network.feature_bound_jobs(ACCEPTANCE_SIZES, w, x)
-    network.run_jobs(jobs)
-    assert math.isnan(bound())
-    assert math.isnan(network.feature_bound(ACCEPTANCE_SIZES, w, x))
+    bound, ran_in = network.shared_array(1), network.shared_array(1, np.int64)
+
+    def job():
+        bound[0] = network.feature_bound(ACCEPTANCE_SIZES, w, x)
+        ran_in[0] = os.getpid()
+
+    network.run_jobs([job] + [lambda: None] * (workers - 1))
+    assert ran_in[0] not in (0, os.getpid())
+    assert math.isnan(bound[0])
 
 
 def test_results_do_not_depend_on_the_worker_count(rng, monkeypatch, pin_workers, tmp_path,
@@ -735,11 +740,11 @@ def test_a_failing_worker_0_reaps_the_children(rng, monkeypatch, pin_workers, on
 @pytest.mark.parametrize("rows", WORKER_SETS.values(), ids=WORKER_SETS.keys())
 def test_a_certificate_s_pass_run_by_the_children_gives_the_one_worker_bits(
         rng, tmp_path, monkeypatch, pin_workers, children_run_every_job, rows):
-    # one pass runs the dataset hash, the feature bound's row chunks and the
-    # Monte Carlo chunks or draws. With worker 0 held back until the forked
-    # workers have run every job (children_run_every_job; one worker runs no
-    # fork), each result they write to shared memory is the one-worker
-    # result bit for bit
+    # one pass runs the dataset hash, the feature bound (a loss certificate's
+    # one network.feature_bound call) and the Monte Carlo chunks or draws.
+    # With worker 0 held back until the forked workers have run every job
+    # (children_run_every_job; one worker runs no fork), each result they
+    # write to shared memory is the one-worker result bit for bit
     ds = random_tuples(rng, rows, 1000)
     post, prior = network.init_network(ACCEPTANCE_SIZES, 1e-2, rng)
     post.mu = rng.normal(scale=0.3, size=post.n_params)
@@ -763,10 +768,15 @@ def test_a_certificate_s_pass_run_by_the_children_gives_the_one_worker_bits(
     assert report["provenance"]["dataset_hash"] == data.dataset_hash(ds)
     hashed = record_calls(monkeypatch, tmp_path / "hashed", data, "dataset_hash",
                           lambda args: len(args[0]))
+    bounded = record_calls(monkeypatch, tmp_path / "bounded", network, "feature_bound",
+                           lambda args: len(args[2]))
     for workers in (2, 3):
         pin_workers(workers)
         assert results() == want
     assert len(hashed()) == 4 and os.getpid() not in {pid for pid, _ in hashed()}
+    # one loss certificate per worker count, its bound run by a child
+    assert [size for _, size in bounded()] == [rows] * 2
+    assert os.getpid() not in {pid for pid, _ in bounded()}
 
 
 @pytest.mark.parametrize("rows", WORKER_SETS.values(), ids=WORKER_SETS.keys())
