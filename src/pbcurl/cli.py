@@ -400,6 +400,9 @@ def _cmd_eval(args):
                         ("--variants", args.variants)):
         if value < 1:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
+    repeated = [path for k, path in enumerate(args.checkpoint) if path in args.checkpoint[:k]]
+    if repeated:     # results are keyed by path: a repeat would overwrite the first
+        raise ConfigError(f"--checkpoint {repeated[0]} is given more than once")
     stats = None
     if args.norm_stats:
         stats = data.NormStats.from_dict(_load_json(args.norm_stats, "norm stats"))
@@ -411,8 +414,10 @@ def _cmd_eval(args):
         ckpt = network.load_checkpoint(ckpt_path)
         network.check_input_width(ckpt_path, ckpt, labeled_train.dim)
         layer_sizes = tuple(ckpt.layer_sizes)
+        ws = network.chunk_workspace(layer_sizes, len(labeled_train), len(labeled_test))
         reps_train, reps_test = (      # the MAP network: the posterior mean
-            data.LabeledDataset(network.forward(layer_sizes, ckpt.posterior.mu, split.x), split.y)
+            data.LabeledDataset(network.forward(layer_sizes, ckpt.posterior.mu, split.x, ws=ws),
+                                split.y)
             for split in (labeled_train, labeled_test)
         )
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, i]).generate_state(1)[0])

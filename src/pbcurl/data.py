@@ -606,7 +606,8 @@ def load_feature_csv(path, stats=None):
 
     With stats given they are applied (test data uses training statistics),
     otherwise statistics are computed from this file. Returns
-    (LabeledDataset, NormStats).
+    (LabeledDataset, NormStats). The rows read are this call's own, so they
+    are normalised in place: the bits of stats.apply, without its temporaries.
     """
     raw = read_labeled_csv(path)
     if stats is None:
@@ -614,7 +615,9 @@ def load_feature_csv(path, stats=None):
     elif stats.mean.size != raw.dim:
         raise DataFormatError(f"{path}: {raw.dim} feature columns, norm stats for "
                               f"{stats.mean.size}")
-    return LabeledDataset(x=stats.apply(raw.x), y=raw.y), stats
+    raw.x -= stats.mean
+    raw.x /= stats.std
+    return raw, stats
 
 
 # the widest cells of a labeled CSV row: a float's repr has at most 24

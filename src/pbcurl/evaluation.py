@@ -22,76 +22,89 @@ class MeanClassifier:
     means: np.ndarray      # (C, rep_dim)
 
 
-def build_mean_classifier(reps, samples_per_class=None, rng=None):
-    """Average the representations of each class's training points.
-
-    With samples_per_class set, a random subset of that size per class is
-    used (all points when a class has fewer).
+def _groups(y):
+    """The label values of y, ascending, and the positions in y of each,
+    ascending: np.nonzero(y == c)[0] for every c, from one np.unique and one
+    stable argsort of the class indices (a radix sort in their smallest type).
     """
-    classes, cls = np.unique(reps.y, return_inverse=True)
+    classes, cls, counts = np.unique(y, return_inverse=True, return_counts=True)
+    order = np.argsort(cls.astype(np.min_scalar_type(classes.size)), kind="stable")
+    return classes, np.split(order, np.cumsum(counts)[:-1])
+
+
+def _classifier(reps, classes, groups, samples_per_class=None, rng=None):
     means = np.empty((classes.size, reps.dim))
-    for i in range(classes.size):
-        idx = np.nonzero(cls == i)[0]
+    for i, idx in enumerate(groups):
         if samples_per_class is not None and idx.size > samples_per_class:
             idx = rng.choice(idx, size=samples_per_class, replace=False)
         means[i] = reps.x[idx].mean(axis=0)
     return MeanClassifier(classes=classes, means=means)
 
 
-def _scores(mc, reps):
-    """(n, C) inner products; per point its class index, own score, whether mc
-    has its class (a point whose label mc lacks gets index 0, known False) and
-    the rank of that class. Score ties rank the lower class index first: the
-    rank of class c is #(s_o > s_c) + #(s_o == s_c and o < c).
+def build_mean_classifier(reps, samples_per_class=None, rng=None):
+    """Average the representations of each class's training points.
+
+    With samples_per_class set, a random subset of that size per class is
+    used (all points when a class has fewer).
     """
-    scores = reps.x @ mc.means.T
-    cls = np.minimum(np.searchsorted(mc.classes, reps.y), mc.classes.size - 1)
-    own = scores[np.arange(len(cls)), cls][:, None]
-    lower = np.arange(mc.classes.size) < cls[:, None]
-    rank = np.sum(scores > own, axis=1) + np.sum((scores == own) & lower, axis=1)
-    return scores, cls, own, mc.classes[cls] == reps.y, rank
+    return _classifier(reps, *_groups(reps.y), samples_per_class, rng)
 
 
-def _avg2(mc, scored):
-    scores, cls, own, known, _ = scored
-    n_cls = mc.classes.size
-    errs = (own - scores < 0.0) & known[:, None]
-    cell = (cls[:, None] * n_cls + np.arange(n_cls))[errs]
-    err = np.bincount(cell, minlength=n_cls * n_cls).reshape(n_cls, n_cls)
+def _scorer(classes, reps):
+    """score(mc) of any classifier over classes on reps: its avg2 and, per
+    point, the rank of its class (inf for a label not among classes).
+
+    What depends on reps alone is made once: each point's class index, whether
+    its class is known, the classes that precede it and its row of (C, C)
+    cells. Score ties rank the lower class index first: the rank of class c is
+    #(s_o > s_c) + #(s_o == s_c and o < c). A classifier costs one (n, C)
+    comparison s_o > s_c, which feeds the rank and avg2: a point of class c
+    errs against class o iff s_c - s_o < 0, the same predicate, so a bincount
+    of its cells sums each class's errors into one (C, C) count.
+    """
+    n_cls = classes.size
+    cls = np.minimum(np.searchsorted(classes, reps.y), n_cls - 1)
+    known = classes[cls] == reps.y
+    if n_cls < 2 or not known.any():
+        raise ValueError(f"avg2 needs two training classes, got {classes.tolist()}" if n_cls < 2
+                         else "avg2 has no pair to score: no test label is a training class")
+    lower = np.arange(n_cls) < cls[:, None]
+    cells = np.where(known, cls, n_cls)[:, None] * n_cls + np.arange(n_cls)  # unknown: row C
     count = np.bincount(cls[known], minlength=n_cls)
     i, j = np.triu_indices(n_cls, 1)      # i < j, row-major: np.mean's rounding depends on it
     size = count[i] + count[j]
     seen = size > 0
-    risks = (err[i, j] + err[j, i])[seen] / size[seen]
-    return 1.0 - float(np.mean(risks))
+
+    def score(mc):
+        scores = reps.x @ mc.means.T
+        own = scores[np.arange(len(cls)), cls][:, None]
+        beats = scores > own
+        err = np.bincount(cells[beats], minlength=(n_cls + 1) * n_cls).reshape(-1, n_cls)
+        beats |= (scores == own) & lower
+        rank = beats @ np.ones(n_cls)
+        rank[~known] = np.inf
+        return 1.0 - float(np.mean((err[i, j] + err[j, i])[seen] / size[seen])), rank
+
+    return score
 
 
-def _topk(mc, scored, top_k):
-    *_, known, rank = scored
-    return float(np.mean(known & (rank < min(top_k, mc.classes.size))))
+def _topk(rank, top_k):
+    return float(np.mean(rank < top_k))
 
 
 def avg2_accuracy(mc, reps):
     """One minus the mean binary risk over unordered class pairs.
 
     For a pair (c+, c-) the classifier is sign((mu_c+ - mu_c-) . f(x)); a
-    zero score counts as correct. A point of class c errs against class o iff
-    s_c - s_o < 0, so one (C, C) count of errors covers every pair.
+    zero score counts as correct. A pair with no test point is left out.
     """
-    return _avg2(mc, _scores(mc, reps))
+    return _scorer(mc.classes, reps)(mc)[0]
 
 
 def topk_accuracy(mc, reps, top_k):
     """Fraction of points whose label is among the top_k scoring classes,
     score ties resolved toward the lower class index (stable ordering)."""
-    return _topk(mc, _scores(mc, reps), top_k)
-
-
-def _metrics(mc, reps):
-    """avg2, top1 and top5 of one classifier from one scoring."""
-    scored = _scores(mc, reps)
-    return {"avg2": _avg2(mc, scored), "top1": _topk(mc, scored, 1),
-            "top5": _topk(mc, scored, 5)}
+    return _topk(_scorer(mc.classes, reps)(mc)[1], top_k)
 
 
 def evaluate_representation(reps_train, reps_test, rng, samples_per_class=5, n_variants=5):
@@ -99,14 +112,20 @@ def evaluate_representation(reps_train, reps_test, rng, samples_per_class=5, n_v
 
     Emits the full-train classifier metrics (avg2, top1, top5) and the
     few-shot variant: samples_per_class training points per class, metrics
-    averaged over n_variants independent draws.
+    averaged over n_variants independent draws. The training labels are
+    grouped and the test split's arrays made once, for all 1 + n_variants
+    classifiers. Raises ValueError when avg2 is undefined: fewer than two
+    training classes, or no test label among them.
     """
-    out = _metrics(build_mean_classifier(reps_train), reps_test)
-    few = [
-        _metrics(build_mean_classifier(reps_train, samples_per_class=samples_per_class,
-                                       rng=rng), reps_test)
-        for _ in range(n_variants)
-    ]
+    classes, groups = _groups(reps_train.y)
+    score = _scorer(classes, reps_test)
+
+    def metrics(**few_shot):
+        avg2, rank = score(_classifier(reps_train, classes, groups, **few_shot))
+        return {"avg2": avg2, "top1": _topk(rank, 1), "top5": _topk(rank, 5)}
+
+    out = metrics()
+    few = [metrics(samples_per_class=samples_per_class, rng=rng) for _ in range(n_variants)]
     for key in list(out):
         out[f"mu{samples_per_class}_{key}"] = float(np.mean([f[key] for f in few]))
     return out

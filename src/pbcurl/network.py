@@ -127,10 +127,10 @@ def row_chunks(n, chunk=CHUNK_ROWS):
     return list(zip(edges, edges[1:] + [n]))
 
 
-def chunk_workspace(layer_sizes, n):
-    """A forward-only Workspace as tall as the tallest of row_chunks(n)."""
-    lo, hi = row_chunks(n)[-1]
-    return Workspace(layer_sizes, hi - lo, forward_only=True)
+def chunk_workspace(layer_sizes, *ns):
+    """A forward-only Workspace as tall as the tallest of row_chunks(n), for each n."""
+    return Workspace(layer_sizes, max(hi - lo for lo, hi in (row_chunks(n)[-1] for n in ns)),
+                     forward_only=True)
 
 
 def worker_count(n_jobs):

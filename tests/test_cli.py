@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -1138,7 +1139,7 @@ def test_eval_applies_the_network_once_per_split(tmp_path, data_dir, train_dir, 
     ckpts = sorted({entry["checkpoint"] for entry in best.values()})
     forwards, forward = [], network.forward
     monkeypatch.setattr(network, "forward",
-                        lambda *args, **kw: forwards.append(1) or forward(*args, **kw))
+                        lambda *args, **kw: forwards.append(kw["ws"]) or forward(*args, **kw))
     assert main([
         "eval", "--checkpoint", *ckpts,
         "--train-csv", str(data_dir / "labeled_train.csv"),
@@ -1146,6 +1147,8 @@ def test_eval_applies_the_network_once_per_split(tmp_path, data_dir, train_dir, 
         "--out", str(tmp_path / "m"),
     ]) == 0
     assert len(forwards) == 2 * len(ckpts)
+    # both splits of a checkpoint go through one workspace
+    assert all(train is test for train, test in zip(forwards[::2], forwards[1::2]))
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -1167,6 +1170,43 @@ def test_eval_rejects_an_empty_few_shot_setting(tmp_path, data_dir, train_dir, m
     ]) == 2
     assert f"error: {flag} must be >= 1, got {value}" in capsys.readouterr().err
     assert not read
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("relabel, message", [
+    (lambda train, test: (np.full_like(train, 3), test),
+     "error: avg2 needs two training classes, got [3]"),
+    (lambda train, test: (train, test + 1000),
+     "error: avg2 has no pair to score: no test label is a training class"),
+], ids=["one-class", "no-known-test-label"])
+def test_eval_refuses_an_undefined_avg2(tmp_path, data_dir, train_dir, capsys, relabel, message):
+    # avg2 averages over pairs of classes with a test point: with none it
+    # was NaN, written as invalid JSON, and eval exited 0
+    splits = [data.read_labeled_csv(data_dir / f"labeled_{s}.csv") for s in ("train", "test")]
+    for split, y, name in zip(splits, relabel(splits[0].y, splits[1].y), ("train", "test")):
+        data.save_labeled_csv(data.LabeledDataset(split.x, y), tmp_path / f"{name}.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([
+            "eval", "--checkpoint", best_pb_checkpoint(train_dir),
+            "--train-csv", str(tmp_path / "train.csv"), "--test-csv", str(tmp_path / "test.csv"),
+            "--out", str(tmp_path / "m"),
+        ]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+def test_eval_refuses_a_repeated_checkpoint(tmp_path, data_dir, train_dir, capsys):
+    # results are keyed by path: the second entry overwrote the first, seeded
+    # from its own position, and the file held one result
+    best = json.loads((train_dir / "best.json").read_text())
+    ckpt, other = sorted({entry["checkpoint"] for entry in best.values()})[:2]
+    assert main([
+        "eval", "--checkpoint", ckpt, other, ckpt,
+        "--train-csv", str(data_dir / "labeled_train.csv"),
+        "--test-csv", str(data_dir / "labeled_test.csv"), "--out", str(tmp_path / "m"),
+    ]) == 2
+    assert f"error: --checkpoint {ckpt} is given more than once" in capsys.readouterr().err
     assert not (tmp_path / "m").exists()
 
 

@@ -116,6 +116,29 @@ def test_load_feature_csv_self_normalises(tmp_path, rng):
     assert np.array_equal(back.x, back2.x)
 
 
+@pytest.mark.parametrize("n", [1, 2, 300])
+@pytest.mark.parametrize("given", [False, True], ids=["own-stats", "given-stats"])
+@pytest.mark.parametrize("twin", [True, False], ids=["twin", "parse"])
+def test_load_feature_csv_keeps_the_bits_of_apply(tmp_path, rng, monkeypatch, n, given, twin):
+    # normalised in place, on the twin's rows or the parse's
+    ds = data.LabeledDataset(x=rng.normal(loc=4.0, scale=3.0, size=(n, 3)),
+                             y=rng.integers(0, 4, size=n))
+    path = tmp_path / "pts.csv"
+    data.save_labeled_csv(ds, path)
+    if not twin:
+        (tmp_path / "pts.bin").unlink()
+    parses = counting_parse(monkeypatch)
+    stats = data.NormStats.from_data(rng.normal(size=(20, 3))) if given else None
+    back, used = data.load_feature_csv(path, stats=stats)
+    assert len(parses) == (0 if twin else 1)
+    if given:
+        assert used is stats
+    else:
+        assert used.mean.tobytes() == data.NormStats.from_data(ds.x).mean.tobytes()
+    want = used.apply(data.read_labeled_csv(path).x)
+    assert back.x.tobytes() == want.tobytes() and back.y.tobytes() == ds.y.tobytes()
+
+
 @pytest.mark.parametrize(
     "lines,fragment",
     [

@@ -227,21 +227,82 @@ def test_metrics_match_reference_with_absent_and_unknown_classes(rng):
     assert_metrics_match_reference(mc, only)
 
 
+def reference_means(reps, rng=None, samples_per_class=None):
+    """(classes, means) of a mean classifier, class by class: np.nonzero of
+    each label, rng.choice on that, np.mean of the rows."""
+    classes = np.unique(reps.y)
+    means = []
+    for c in classes:
+        idx = np.nonzero(reps.y == c)[0]
+        if samples_per_class is not None and idx.size > samples_per_class:
+            idx = rng.choice(idx, size=samples_per_class, replace=False)
+        means.append(np.mean(reps.x[idx], axis=0))
+    return classes, np.array(means).reshape(len(classes), reps.dim)
+
+
+def uneven_labeled(rng):
+    # labels non-contiguous and unsorted; classes of 1, 2, 4, 5, 6 and 40 points
+    sizes = {-7: 1, 3: 40, 12: 2, 13: 6, 100: 4, 2**40: 5}
+    y = rng.permutation(np.repeat(list(sizes), list(sizes.values()))).astype(np.int64)
+    return data.LabeledDataset(x=rng.standard_normal((len(y), 6)), y=y)
+
+
+def assert_same_classifier(mc, classes, means):
+    assert mc.classes.tobytes() == classes.tobytes()
+    assert mc.means.tobytes() == means.tobytes()
+
+
+def test_mean_classifiers_match_the_per_class_reference(rng):
+    train = uneven_labeled(rng)
+    assert_same_classifier(evaluation.build_mean_classifier(train), *reference_means(train))
+    got, want = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(4):   # one rng stream: each draw follows the last
+        assert_same_classifier(evaluation.build_mean_classifier(train, 5, got),
+                               *reference_means(train, want, 5))
+    assert got.random() == want.random()
+
+
+def test_evaluate_representation_scores_the_per_class_reference(rng, monkeypatch):
+    train = uneven_labeled(rng)
+    test = labeled(rng.standard_normal((300, 6)), np.unique(train.y), rng)
+    built, classifier = [], evaluation._classifier
+    monkeypatch.setattr(evaluation, "_classifier",
+                        lambda *args, **kw: built.append(classifier(*args, **kw)) or built[-1])
+    evaluation.evaluate_representation(train, test, np.random.default_rng(3),
+                                       samples_per_class=3, n_variants=4)
+    draws = np.random.default_rng(3)
+    want = [reference_means(train)] + [reference_means(train, draws, 3) for _ in range(4)]
+    assert len(built) == 5
+    for mc, ref in zip(built, want):
+        assert_same_classifier(mc, *ref)
+
+
 def test_evaluate_representation_matches_reference(rng):
     labels = np.arange(20)
     train = labeled(rng.standard_normal((900, 8)), labels, rng)
     test = labeled(rng.standard_normal((400, 8)), labels, rng)
     out = evaluation.evaluate_representation(train, test, np.random.default_rng(3))
     draws = np.random.default_rng(3)
-    mcs = [evaluation.build_mean_classifier(train)] + [
-        evaluation.build_mean_classifier(train, samples_per_class=5, rng=draws)
-        for _ in range(5)
+    mcs = [evaluation.MeanClassifier(*reference_means(train))] + [
+        evaluation.MeanClassifier(*reference_means(train, draws, 5)) for _ in range(5)
     ]
     ref = [(loop_avg2_accuracy(mc, test), argsort_topk_accuracy(mc, test, 1),
             argsort_topk_accuracy(mc, test, 5)) for mc in mcs]
     assert (out["avg2"], out["top1"], out["top5"]) == ref[0]
     few = np.mean(ref[1:], axis=0)
     assert (out["mu5_avg2"], out["mu5_top1"], out["mu5_top5"]) == tuple(few)
+
+
+@pytest.mark.parametrize("train_y, test_y, message", [
+    ([4, 4, 4], [4, 5], "avg2 needs two training classes, got [4]"),
+    ([1, 2, 1], [0, 3], "no test label is a training class"),
+], ids=["one-class", "no-known-test-label"])
+def test_evaluate_representation_refuses_an_undefined_avg2(rng, train_y, test_y, message):
+    train = data.LabeledDataset(x=rng.standard_normal((3, 2)), y=np.array(train_y))
+    test = data.LabeledDataset(x=rng.standard_normal((2, 2)), y=np.array(test_y))
+    with pytest.raises(ValueError) as err:
+        evaluation.evaluate_representation(train, test, rng)
+    assert message in str(err.value)
 
 
 def test_mc_posterior_risk_zero_variance_equals_map(rng):

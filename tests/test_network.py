@@ -498,6 +498,12 @@ def test_forward_reuses_a_given_workspace_with_the_same_bits(rng):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def test_chunk_workspace_holds_the_tallest_chunk_of_each_count():
+    # 2,047 rows are one chunk, 2,048 two of 1,024: more rows, shorter chunks
+    for ns, rows in (((2047,), 2047), ((2048,), 1024), ((2048, 2047), 2047), ((5, 2048), 1024)):
+        assert len(network.chunk_workspace(ACCEPTANCE_SIZES, *ns).ins[0]) == rows
+
+
 def test_gemv_bias_grads_match_row_sums(rng):
     # both widths (32 hidden, 16 out), a full batch of 250 tuples and a partial
     # last one of 200 through one workspace; the weight gradients do not read
