@@ -395,19 +395,10 @@ def _cmd_bound(args):
     return 0
 
 
-def _cmd_eval(args):
-    for flag, value in (("--samples-per-class", args.samples_per_class),
-                        ("--variants", args.variants)):
-        if value < 1:
-            raise ConfigError(f"{flag} must be >= 1, got {value}")
-    repeated = [path for k, path in enumerate(args.checkpoint) if path in args.checkpoint[:k]]
-    if repeated:     # results are keyed by path: a repeat would overwrite the first
-        raise ConfigError(f"--checkpoint {repeated[0]} is given more than once")
-    stats = None
-    if args.norm_stats:
-        stats = data.NormStats.from_dict(_load_json(args.norm_stats, "norm stats"))
-    labeled_train, stats = data.load_feature_csv(args.train_csv, stats=stats)
-    labeled_test, _ = data.load_feature_csv(args.test_csv, stats=stats)
+def _eval_results(args, stats, pins):
+    """{checkpoint: metrics} of eval, its labeled CSVs read with pins (data.read_labeled_csv)."""
+    labeled_train, stats = data.load_feature_csv(args.train_csv, stats=stats, pins=pins)
+    labeled_test, _ = data.load_feature_csv(args.test_csv, stats=stats, pins=pins)
 
     results = {}
     for i, ckpt_path in enumerate(args.checkpoint):
@@ -420,11 +411,31 @@ def _cmd_eval(args):
                                 split.y)
             for split in (labeled_train, labeled_test)
         )
+        # a NaN score compares false, so it would rank as correct
+        if not (np.isfinite(reps_train.x).all() and np.isfinite(reps_test.x).all()):
+            raise ValueError(f"{ckpt_path}: the mean network's representation is not finite")
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, i]).generate_state(1)[0])
         results[ckpt_path] = evaluation.evaluate_representation(
             reps_train, reps_test, rng,
             samples_per_class=args.samples_per_class, n_variants=args.variants,
         )
+    return results
+
+
+def _cmd_eval(args):
+    for flag, value in (("--samples-per-class", args.samples_per_class),
+                        ("--variants", args.variants)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
+    repeated = [path for k, path in enumerate(args.checkpoint) if path in args.checkpoint[:k]]
+    if repeated:     # results are keyed by path: a repeat would overwrite the first
+        raise ConfigError(f"--checkpoint {repeated[0]} is given more than once")
+    stats = None
+    if args.norm_stats:
+        stats = data.NormStats.from_dict(_load_json(args.norm_stats, "norm stats"))
+    # the CSVs' pins are checked on a thread while the checkpoints are scored
+    results = data.with_pinned_twins([args.train_csv, args.test_csv],
+                                     functools.partial(_eval_results, args, stats))
 
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "metrics.csv")

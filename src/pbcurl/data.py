@@ -12,7 +12,10 @@ A labeled CSV written by save_labeled_csv gets a binary twin with the same
 stem and a .bin suffix: a 48 byte header (magic ``PBCURLL1``, u32 row count,
 u32 dim, the sha256 of the CSV bytes), the little-endian float64 matrix, then
 the int64 labels. read_labeled_csv takes the twin only while it pins the
-CSV's current bytes, so the CSV stays the source of truth.
+CSV's current bytes, so the CSV stays the source of truth. eval checks the
+pin beside its scoring (with_pinned_twins): a thread hashes the CSVs while
+the twins' rows are scored, nothing is kept before every pin passes, and a
+failed pin drops those results and reruns the parse path.
 """
 
 import functools
@@ -22,6 +25,8 @@ import math
 import mmap
 import os
 import struct
+import threading
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -485,8 +490,9 @@ def build_noniid_from_sequences(sequences, labels, k, block_size, rng):
 # A labeled CSV whose binary twin pins its bytes is not parsed at all.
 
 TWIN_HEADER = struct.Struct("<8sII32s")
-# the CSV is hashed this many bytes at a time, so it is never held whole
-HASH_READ_BYTES = 1 << 20
+# CSVs are hashed through one reused buffer of this many bytes, so none is
+# ever held whole
+HASH_READ_BYTES = 1 << 18
 
 
 def _csv_lines(path):
@@ -557,11 +563,34 @@ def labeled_twin_path(path):
     return os.path.splitext(path)[0] + ".bin"
 
 
-def _read_labeled_twin(path):
+def _sha256s(paths):
+    """{path: sha256 digest} of each file in paths that can be read.
+
+    The files are read into one buffer, an anonymous mmap: a heap buffer of
+    this size would stay resident in malloc's arena once freed.
+    """
+    digests = {}
+    with mmap.mmap(-1, HASH_READ_BYTES) as buf, memoryview(buf) as view:
+        for path in paths:
+            h = hashlib.sha256()
+            try:
+                with open(path, "rb", buffering=0) as fh:
+                    while n := fh.readinto(view):
+                        h.update(view[:n])
+            except OSError:
+                continue
+            digests[path] = h.digest()
+    return digests
+
+
+def _read_labeled_twin(path, pins=None):
     """The twin's rows if it pins the CSV's current bytes, else None.
 
     The magic and the size are checked before the CSV is hashed, and the
-    features must be finite, as the parse requires.
+    features must be finite, as the parse requires. With pins, a dict, the
+    CSV is not hashed: the rows are returned on trust and pins[path] set to
+    the digest the twin pins, which the caller must check before it keeps
+    anything made from them (with_pinned_twins).
     """
     with open(labeled_twin_path(path), "rb") as fh:
         header = fh.read(TWIN_HEADER.size)
@@ -571,28 +600,28 @@ def _read_labeled_twin(path):
         size = TWIN_HEADER.size + 8 * rows * (dim + 1)
         if magic != LABELED_MAGIC or not rows or not dim or os.fstat(fh.fileno()).st_size != size:
             return None
-        h = hashlib.sha256()
-        with open(path, "rb") as csv_fh:
-            while block := csv_fh.read(HASH_READ_BYTES):
-                h.update(block)
-        if h.digest() != digest:
+        if pins is None and _sha256s([path]).get(path) != digest:
             return None
         x = np.fromfile(fh, dtype="<f8", count=rows * dim).reshape(rows, dim)
         y = np.fromfile(fh, dtype="<i8", count=rows)
     if not np.isfinite(x).all():
         return None
+    if pins is not None:
+        pins[path] = digest
     return LabeledDataset(x=x.astype(np.float64, copy=False), y=y.astype(np.int64, copy=False))
 
 
-def read_labeled_csv(path):
+def read_labeled_csv(path, pins=None):
     """A rectangular numeric CSV whose last column is an int64 label.
 
     Features must be finite floats. A bad file raises DataFormatError. The
     rows come from the binary twin when it pins the CSV's bytes; a twin that
     is missing, unreadable or fails a check is ignored and the CSV parsed.
+    With pins, a dict, a twin's pin is recorded there and not checked, as
+    _read_labeled_twin says.
     """
     try:
-        twin = _read_labeled_twin(path)
+        twin = _read_labeled_twin(path, pins)
     except OSError:
         twin = None
     if twin is not None:
@@ -601,15 +630,48 @@ def read_labeled_csv(path):
     return LabeledDataset(x=x, y=y)
 
 
-def load_feature_csv(path, stats=None):
-    """read_labeled_csv with the features normalised per dimension.
+def with_pinned_twins(paths, use):
+    """use(pins), run while one thread hashes the labeled CSVs at paths.
+
+    use reads those CSVs with read_labeled_csv(path, pins), which takes a
+    twin's rows on trust. The thread does file reads and hashlib updates,
+    which release the GIL, so it runs on an otherwise idle CPU; use must not
+    fork meanwhile. The thread is joined on every exit, before anything is
+    returned or raised. If every digest in pins is its CSV's sha256, use's
+    result or error stands and the warnings it raised are shown. Otherwise
+    all three are dropped and use(None) runs read_labeled_csv's own path,
+    which hashes each CSV before it trusts a twin and parses it otherwise.
+    """
+    digests = {}
+    thread = threading.Thread(target=lambda: digests.update(_sha256s(paths)))
+    thread.start()
+    pins, error = {}, None
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                result = use(pins)
+            except Exception as exc:    # kept until the pins are checked
+                error = exc
+    finally:
+        thread.join()
+    if any(digests.get(path) != digest for path, digest in pins.items()):
+        return use(None)
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    if error is not None:
+        raise error
+    return result
+
+
+def load_feature_csv(path, stats=None, pins=None):
+    """read_labeled_csv(path, pins) with the features normalised per dimension.
 
     With stats given they are applied (test data uses training statistics),
     otherwise statistics are computed from this file. Returns
     (LabeledDataset, NormStats). The rows read are this call's own, so they
     are normalised in place: the bits of stats.apply, without its temporaries.
     """
-    raw = read_labeled_csv(path)
+    raw = read_labeled_csv(path, pins)
     if stats is None:
         stats = NormStats.from_data(raw.x)
     elif stats.mean.size != raw.dim:

@@ -128,10 +128,11 @@ def loss_margin_grad(margins, kind):
 def zero_one_risk(margins):
     """Fraction of negative blocks ranked above the positive, per tuple.
 
-    A margin of exactly zero counts as correct.
+    A margin of exactly zero counts as correct, and one that is not >= 0,
+    NaN included, as an error.
     """
     v = np.asarray(margins, dtype=np.float64)
-    return np.mean(v < 0.0, axis=-1)
+    return np.mean(~(v >= 0.0), axis=-1)
 
 
 def loss_range(kind, feature_bound, k):

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -1228,6 +1229,28 @@ def test_eval_dim_mismatch(tmp_path, data_dir, rng, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+def test_eval_refuses_a_non_finite_representation(tmp_path, data_dir, rng, capsys):
+    # weights of 1e300 in two layers overflow the mean network's outputs: NaN scores
+    # compared false and ranked every point's class first
+    d = data.read_labeled_csv(data_dir / "labeled_train.csv").dim
+    post, prior = network.init_network((d, 4, 3), 1e-3, rng)
+    post.mu[:] = 1e300
+    path = tmp_path / "huge.ckpt.json"
+    network.save_checkpoint(str(path), network.Checkpoint(
+        layer_sizes=[d, 4, 3], posterior=post, prior=prior, seed=0, epoch=0, config={},
+    ))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([
+            "eval", "--checkpoint", str(path),
+            "--train-csv", str(data_dir / "labeled_train.csv"),
+            "--test-csv", str(data_dir / "labeled_test.csv"),
+            "--out", str(tmp_path / "m"),
+        ]) == 2
+    assert (f"error: {path}: the mean network's representation is not finite"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "m").exists()
+
+
 @pytest.mark.parametrize("stats", [False, True], ids=["own-stats", "norm-stats"])
 def test_eval_metrics_bytes_do_not_depend_on_the_twin(tmp_path, data_dir, train_dir, stats):
     bare = tmp_path / "bare"
@@ -1258,6 +1281,82 @@ def test_eval_rejects_an_edited_csv_beside_its_twin(tmp_path, data_dir, train_di
     ]) == 2
     assert f"{bad}:7: non-finite feature cell" in capsys.readouterr().err
     assert not (tmp_path / "m").exists()
+
+
+def eval_argv(train_csv, test_csv, out, *extra):
+    return ["eval", "--checkpoint", *extra, "--train-csv", str(train_csv),
+            "--test-csv", str(test_csv), "--out", str(out), "--seed", "3"]
+
+
+def test_eval_hashes_the_csvs_beside_the_scoring(tmp_path, data_dir, train_dir, monkeypatch):
+    # the CSVs are hashed once, on a thread of their own, and never parsed
+    hashed, sha256s = [], data._sha256s
+    monkeypatch.setattr(data, "_sha256s", lambda paths: hashed.append(
+        (paths, threading.current_thread() is threading.main_thread())) or sha256s(paths))
+    parses, parse = [], data._read_csv
+    monkeypatch.setattr(data, "_read_csv", lambda *a, **kw: parses.append(a) or parse(*a, **kw))
+    train, test = data_dir / "labeled_train.csv", data_dir / "labeled_test.csv"
+    assert main(eval_argv(train, test, tmp_path / "m", best_pb_checkpoint(train_dir))) == 0
+    assert hashed == [([str(train), str(test)], False)]
+    assert parses == []
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_eval_with_a_stale_twin_writes_the_parsed_bytes(tmp_path, data_dir, train_dir, split):
+    # a row relabelled to a new class: the twin no longer pins the CSV, so
+    # its rows are scored, then dropped, and the parse path writes what it
+    # writes with no twin at all
+    ckpt = best_pb_checkpoint(train_dir)
+    csvs = {s: data_dir / f"labeled_{s}.csv" for s in ("train", "test")}
+    for tag in ("stale", "bare"):
+        (tmp_path / tag).mkdir()
+        corrupt_csv(csvs[split], tmp_path / tag / f"labeled_{split}.csv", 4, -1, "99")
+    stale = tmp_path / "stale" / f"labeled_{split}.bin"
+    stale.write_bytes((data_dir / f"labeled_{split}.bin").read_bytes())
+    written = []
+    for tag in ("stale", "bare"):
+        paths = {**csvs, split: tmp_path / tag / f"labeled_{split}.csv"}
+        assert main(eval_argv(paths["train"], paths["test"], tmp_path / f"m-{tag}", ckpt)) == 0
+        written.append([(tmp_path / f"m-{tag}" / name).read_bytes()
+                        for name in ("metrics.json", "metrics.csv")])
+    assert written[0] == written[1]
+
+
+def test_eval_with_a_stale_twin_reports_the_csv_before_the_checkpoint(tmp_path, data_dir, capsys):
+    # scored on the stale twin's rows, the missing checkpoint fails first;
+    # that error is dropped with the rows, and the parse names the bad cell
+    bad = corrupt_csv(data_dir / "labeled_train.csv", tmp_path / "labeled_train.csv", 7, 1, "nan")
+    (tmp_path / "labeled_train.bin").write_bytes((data_dir / "labeled_train.bin").read_bytes())
+    missing = str(tmp_path / "missing.ckpt.json")
+    assert main(eval_argv(bad, data_dir / "labeled_test.csv", tmp_path / "m", missing)) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}:7: non-finite feature cell" in err and "missing" not in err
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("damage", ["missing", "directory"])
+def test_eval_exits_2_on_an_unreadable_csv_beside_its_twin(tmp_path, data_dir, train_dir, capsys,
+                                                           damage):
+    csv = tmp_path / "labeled_train.csv"
+    (tmp_path / "labeled_train.bin").write_bytes((data_dir / "labeled_train.bin").read_bytes())
+    if damage == "directory":
+        csv.mkdir()
+    argv = eval_argv(csv, data_dir / "labeled_test.csv", tmp_path / "m",
+                     best_pb_checkpoint(train_dir))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert (f"error: file not found: {csv}" in err if damage == "missing"
+            else f"Is a directory: '{csv}'" in err)
+    assert not (tmp_path / "m").exists()
+
+
+def test_eval_leaves_no_thread_behind(tmp_path, data_dir, train_dir):
+    train, test = data_dir / "labeled_train.csv", data_dir / "labeled_test.csv"
+    before = threading.active_count()
+    assert main(eval_argv(train, test, tmp_path / "ok", best_pb_checkpoint(train_dir))) == 0
+    assert threading.active_count() == before
+    assert main(eval_argv(train, test, tmp_path / "bad", str(tmp_path / "none.json"))) == 2
+    assert threading.active_count() == before
 
 
 def corrupt_csv(src, dst, line, cell, value):

@@ -5,6 +5,7 @@ import os
 import signal
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -280,6 +281,34 @@ def test_damaged_labeled_twin_is_ignored(tmp_path, rng, monkeypatch, damage):
     back = data.read_labeled_csv(path)
     assert len(parses) == 1
     assert back.x.tobytes() == ds.x.tobytes() and back.y.tobytes() == ds.y.tobytes()
+
+
+@pytest.mark.parametrize("stale", [False, True], ids=["pinned", "stale"])
+def test_with_pinned_twins_drops_what_a_stale_pin_read(tmp_path, rng, stale):
+    # use's result, error and warnings stand while every pin it read holds;
+    # otherwise use(None) runs instead, read_labeled_csv's checked path
+    _, path = saved_labeled(tmp_path, rng)
+    if stale:       # an empty line: the same rows, other bytes
+        path.write_bytes(path.read_bytes() + b"\n")
+    seen = []
+
+    def use(pins):
+        seen.append(pins)
+        data.read_labeled_csv(str(path), pins)
+        warnings.warn(f"call {len(seen)}")
+        if pins is not None:
+            raise ValueError("speculative")
+        return "checked"
+
+    with pytest.warns(UserWarning) as shown:
+        if stale:
+            assert data.with_pinned_twins([str(path)], use) == "checked"
+        else:
+            with pytest.raises(ValueError, match="speculative"):
+                data.with_pinned_twins([str(path)], use)
+    assert [str(w.message) for w in shown] == (["call 2"] if stale else ["call 1"])
+    assert seen[0] == {str(path): (tmp_path / "pts.bin").read_bytes()[16:48]}
+    assert seen[1:] == ([None] if stale else [])
 
 
 @pytest.mark.parametrize("x,fragment", [

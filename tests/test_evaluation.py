@@ -326,6 +326,22 @@ def test_mc_posterior_risk_zero_variance_equals_map(rng):
     assert np.allclose(draws, map_risk, atol=1e-9)
 
 
+def test_mc_posterior_risk_scores_an_overflowed_posterior_as_all_wrong(rng):
+    # log sigma^2 of 1e186, which an sgd run on the chi-square objective
+    # reached, makes every sampled weight infinite and every margin NaN: each
+    # draw scored zero-one risk 0, a perfect network
+    layer_sizes = (3, 5, 2)
+    post, _ = network.init_network(layer_sizes, 1e-2, rng)
+    post.log_sigma2 = np.full(post.n_params, 1e186)
+    model = data.random_gaussian_model(3, 3, 6.0, 0.3, rng)
+    ds = data.sample_contrastive_iid(model, 40, 2, 2, rng)
+    with np.errstate(invalid="ignore", over="ignore"):
+        mean, draws = evaluation.mc_posterior_risk(
+            layer_sizes, post, ds, 3, "zero-one", "logistic", rng
+        )
+    assert mean == 1.0 and draws.tolist() == [1.0, 1.0, 1.0]
+
+
 def test_mc_posterior_risk_deterministic_given_seed(rng):
     layer_sizes = (3, 4, 2)
     post, _ = network.init_network(layer_sizes, 1e-2, rng)

@@ -84,6 +84,10 @@ def test_zero_one_risk_counts():
     assert losses.zero_one_risk(np.array([1.0, -1.0, -0.5, 2.0])) == 0.5
     # a margin of exactly zero counts as correct
     assert losses.zero_one_risk(np.array([0.0])) == 0.0
+    # a NaN margin is an error: it compared false under v < 0 and so counted
+    # as correct
+    v = np.array([[np.nan, 1.0], [0.0, -0.0], [-np.inf, np.inf], [np.nan, np.nan]])
+    assert losses.zero_one_risk(v).tolist() == [0.5, 0.0, 0.5, 1.0]
 
 
 def test_loss_range_values():
